@@ -12,10 +12,10 @@ exponents and slopes, never absolute levels.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .errors import DegenerateBoundError, InvalidLevelsError
 from .gsm import divergence_budget, window_mass
@@ -23,7 +23,7 @@ from .sequences import (
     DecayKind,
     GrowthKind,
     RegimeSpec,
-    _b_inv4_terms,
+    _b_inv4_running_sums,
     a_inv_sq,
     b_value,
     b_vector,
@@ -124,7 +124,18 @@ def critical_snr(alpha: float, beta: float, c0: float = 0.5, c1: float = 2.0) ->
         hi *= 2.0
         if hi > 1e9:  # pragma: no cover - the mass reaches 1 long before this
             raise RuntimeError("window mass failed to reach its target")
-    return float(bisect(gap_fn, 0.0, hi, xtol=1e-10))
+    # Bisection on [0, hi] with the midpoints and stopping rule of
+    # scipy.optimize.bisect (xtol 1e-10, rtol 4 * machine epsilon).
+    xa, fa, dm = 0.0, gap_fn(0.0), hi
+    for _ in range(100):
+        dm *= 0.5
+        xm = xa + dm
+        fm = gap_fn(xm)
+        if fm * fa >= 0.0:
+            xa = xm
+        if fm == 0.0 or abs(dm) < 1e-10 + 4.0 * sys.float_info.epsilon * abs(xm):
+            return xm
+    raise RuntimeError("bisection failed to converge")  # pragma: no cover
 
 
 def prior_depth(spec: RegimeSpec, sigma: float, alpha: float, beta: float,
@@ -182,13 +193,7 @@ def lower_bound_radius_sq(spec: RegimeSpec, epsilon: float, sigma: float,
     if epsilon > 0.0:
         scale = (2.0 * budget) ** 0.25 * epsilon ** 2
         running = 0.0
-        total = 0.0
-        carry = 0.0
-        for d, term in enumerate(_b_inv4_terms(spec, j_max), start=1):
-            y = term - carry
-            tmp = total + y
-            carry = (tmp - total) - y
-            total = tmp
+        for d, total in enumerate(_b_inv4_running_sums(spec, j_max), start=1):
             grow = scale * math.sqrt(total)
             decay = a_inv_sq(spec, d)
             running = max(running, min(grow, decay))
@@ -222,7 +227,8 @@ def evaluate_bounds(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float
 # Benchmark rate formulas
 # ---------------------------------------------------------------------------
 
-_WHICH = ("upper", "lower", "known")
+# Accepted values of rate_formula's `which`.
+WHICH = ("upper", "lower", "known")
 
 
 def rate_formula(spec: RegimeSpec, epsilon: float, sigma: float, which: str) -> float:
@@ -232,8 +238,8 @@ def rate_formula(spec: RegimeSpec, epsilon: float, sigma: float, which: str) -> 
     signal-noise part and an operator-noise part), 'known' for the
     known-operator benchmark (signal-noise part only).
     """
-    if which not in _WHICH:
-        raise ValueError(f"which must be one of {_WHICH}, got {which!r}")
+    if which not in WHICH:
+        raise ValueError(f"which must be one of {WHICH}, got {which!r}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if not 0.0 < sigma < 1.0:

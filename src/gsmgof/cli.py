@@ -19,10 +19,10 @@ import json
 import math
 import os
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from . import __version__
-from .bounds import evaluate_bounds, rate_formula
+from .bounds import WHICH, evaluate_bounds, rate_formula
 from .errors import BracketingError, GsmGofError
 from .gsm import (
     NoiseLevels,
@@ -41,14 +41,13 @@ from .montecarlo import (
     estimate_alpha,
     estimate_beta,
 )
-from .sequences import RegimeSpec, a_value
+from .sequences import DecayKind, GrowthKind, RegimeSpec, a_value
 from .testproc import KAPPA_DEFAULT, TestConfig, run_test
 
 __all__ = ["main"]
 
-_REGIMES = ("mild-ordinary", "mild-super", "severe-ordinary", "severe-super")
+_REGIMES = tuple(f"{decay.value}-{growth.value}" for decay in DecayKind for growth in GrowthKind)
 _FORMATS = ("csv", "json")
-_WHICH_CHOICES = ("upper", "lower", "known")
 
 _DEFAULTS = {
     "seed": 12345,
@@ -139,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rates = sub.add_parser("rates", help="benchmark rate formulas over a grid")
     add_common(p_rates, grids=True)
-    p_rates.add_argument("--which", choices=_WHICH_CHOICES, default=None)
+    p_rates.add_argument("--which", choices=WHICH, default=None)
 
     p_bounds = sub.add_parser("bounds", help="separation-radius bounds over a grid")
     add_common(p_bounds, grids=True)
@@ -187,51 +186,91 @@ def _resolve(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _float_list(value, field: str) -> list[float]:
+def _tokens(value, field: str) -> list:
+    """Items of a list setting, or of a comma-separated string; never empty."""
     if isinstance(value, (list, tuple)):
-        items = [float(v) for v in value]
+        items = list(value)
     else:
-        items = [float(tok) for tok in str(value).split(",") if tok.strip()]
+        items = [tok.strip() for tok in str(value).split(",") if tok.strip()]
     if not items:
         raise ValueError(f"{field} grid is empty")
     return items
 
 
-def _regime_list(value) -> list[str]:
-    if isinstance(value, (list, tuple)):
-        names = [str(v) for v in value]
-    else:
-        names = [tok.strip() for tok in str(value).split(",") if tok.strip()]
-    if not names:
-        raise ValueError("regime grid is empty")
+def _float_list(value, field: str) -> list[float]:
+    return [float(v) for v in _tokens(value, field)]
+
+
+def _regime_list(value, field: str) -> list[str]:
+    names = [str(v) for v in _tokens(value, field)]
     for name in names:
         if name not in _REGIMES:
             raise ValueError(f"unknown regime {name!r}; choose from {_REGIMES}")
     return names
 
 
-def _single(values: list, field: str):
-    if len(values) != 1:
-        raise ValueError(f"{field} must be a single value for this subcommand")
-    return values[0]
+class _Cell(NamedTuple):
+    """One point of the regime x epsilon x sigma grid."""
+
+    regime: str
+    spec: RegimeSpec
+    j_max: int
+    epsilon: float
+    sigma: float
 
 
-def _make_spec(name: str, cfg: dict) -> RegimeSpec:
-    return RegimeSpec.from_name(name, s=float(cfg["s"]), t=float(cfg["t"]))
+def _cells(cfg: dict, grid: bool) -> Iterator[_Cell]:
+    """Every cell of the settings, regime outermost and sigma innermost.
+
+    Without grid, each of regime, epsilon and sigma must hold a single value.
+    The horizon defaults per regime (see default_j_max).
+    """
+    axes = []
+    for field, parse in (("regime", _regime_list), ("epsilon", _float_list),
+                         ("sigma", _float_list)):
+        values = parse(cfg[field], field)
+        if not grid and len(values) != 1:
+            raise ValueError(f"{field} must be a single value for this subcommand")
+        axes.append(values)
+    regimes, epsilons, sigmas = axes
+    for regime in regimes:
+        spec = RegimeSpec.from_name(regime, s=float(cfg["s"]), t=float(cfg["t"]))
+        j_max = int(cfg["jmax"]) if cfg["jmax"] is not None else default_j_max(spec)
+        for epsilon in epsilons:
+            for sigma in sigmas:
+                yield _Cell(regime, spec, j_max, epsilon, sigma)
 
 
-def _make_noise(epsilon: float, sigma: float) -> NoiseLevels:
+def _noise(cell: _Cell) -> NoiseLevels:
     """Noise levels as the test procedure needs them: sigma strictly inside
     (0, 1) so the bandwidth scan and threshold are defined."""
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    return NoiseLevels(epsilon, sigma)
+    if not 0.0 < cell.sigma < 1.0:
+        raise ValueError(f"sigma must lie in (0, 1), got {cell.sigma}")
+    if cell.epsilon < 0.0:
+        raise ValueError(f"epsilon must be nonnegative, got {cell.epsilon}")
+    return NoiseLevels(cell.epsilon, cell.sigma)
 
 
-def _horizon(cfg: dict, spec: RegimeSpec) -> int:
-    return int(cfg["jmax"]) if cfg["jmax"] is not None else default_j_max(spec)
+def _test_config(cfg: dict, cell: _Cell, dimension: int | None = None) -> TestConfig:
+    return TestConfig(alpha=float(cfg["alpha"]), beta=float(cfg["beta"]), j_max=cell.j_max,
+                      kappa=float(cfg["kappa"]), dimension=dimension)
+
+
+def _plan(cfg: dict, cell: _Cell) -> ExperimentPlan:
+    """The null experiment (theta0 = 0) of one cell."""
+    return ExperimentPlan(spec=cell.spec, config=_test_config(cfg, cell), noise=_noise(cell),
+                          theta0=Signal.zeros(), n_reps=int(cfg["reps"]),
+                          master_seed=cfg["seed"])
+
+
+def _prefix(cfg: dict, cell: _Cell) -> dict:
+    """The leading columns shared by the per-cell rows."""
+    return {
+        "regime": cell.regime, "s": float(cfg["s"]), "t": float(cfg["t"]),
+        "epsilon": cell.epsilon, "sigma": cell.sigma,
+        "alpha": float(cfg["alpha"]), "beta": float(cfg["beta"]),
+        "jmax": cell.j_max, "kappa": float(cfg["kappa"]),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -289,25 +328,15 @@ def _emit(rows: list[dict], cfg: dict) -> None:
 
 
 def _cmd_test(cfg: dict) -> int:
-    regime = _single(_regime_list(cfg["regime"]), "regime")
-    epsilon = _single(_float_list(cfg["epsilon"], "epsilon"), "epsilon")
-    sigma = _single(_float_list(cfg["sigma"], "sigma"), "sigma")
-    spec = _make_spec(regime, cfg)
-    j_max = _horizon(cfg, spec)
-    noise = _make_noise(epsilon, sigma)
+    [cell] = _cells(cfg, grid=False)
+    noise = _noise(cell)
     dimension = cfg["dimension"]
-    test_config = TestConfig(alpha=float(cfg["alpha"]), beta=float(cfg["beta"]),
-                             j_max=j_max, kappa=float(cfg["kappa"]),
-                             dimension=None if dimension is None else int(dimension))
+    config = _test_config(cfg, cell, None if dimension is None else int(dimension))
     theta0 = Signal.zeros()
-    obs = simulate(theta0, spec, noise, cfg["seed"], j_max, rep=0)
-    report = run_test(obs, theta0, spec, noise, test_config)
+    obs = simulate(theta0, cell.spec, noise, cfg["seed"], cell.j_max, rep=0)
+    report = run_test(obs, theta0, cell.spec, noise, config)
     rows = [{
-        "regime": regime, "s": float(cfg["s"]), "t": float(cfg["t"]),
-        "epsilon": epsilon, "sigma": sigma,
-        "alpha": float(cfg["alpha"]), "beta": float(cfg["beta"]),
-        "jmax": j_max, "kappa": float(cfg["kappa"]), "seed": cfg["seed"],
-        "dimension": dimension,
+        **_prefix(cfg, cell), "seed": cfg["seed"], "dimension": dimension,
         "bandwidth": report.bandwidth, "window": report.window,
         "statistic": report.statistic, "threshold": report.threshold,
         "reject": report.reject, "degenerate": report.degenerate,
@@ -319,27 +348,13 @@ def _cmd_test(cfg: dict) -> int:
 
 def _cmd_calibrate(cfg: dict) -> int:
     rows = []
-    for regime in _regime_list(cfg["regime"]):
-        spec = _make_spec(regime, cfg)
-        j_max = _horizon(cfg, spec)
-        test_config = TestConfig(alpha=float(cfg["alpha"]), beta=float(cfg["beta"]),
-                                 j_max=j_max, kappa=float(cfg["kappa"]))
-        for epsilon in _float_list(cfg["epsilon"], "epsilon"):
-            for sigma in _float_list(cfg["sigma"], "sigma"):
-                plan = ExperimentPlan(spec=spec, noise=_make_noise(epsilon, sigma),
-                                      config=test_config, theta0=Signal.zeros(),
-                                      n_reps=int(cfg["reps"]),
-                                      master_seed=cfg["seed"])
-                estimate = estimate_alpha(plan, workers=int(cfg["workers"]))
-                rows.append({
-                    "regime": regime, "s": float(cfg["s"]), "t": float(cfg["t"]),
-                    "epsilon": epsilon, "sigma": sigma,
-                    "alpha": float(cfg["alpha"]), "beta": float(cfg["beta"]),
-                    "jmax": j_max, "kappa": float(cfg["kappa"]),
-                    "seed": cfg["seed"], "reps": estimate.n_reps,
-                    "alpha_hat": estimate.p_hat, "se": estimate.se,
-                    "n_degenerate": estimate.n_degenerate,
-                })
+    for cell in _cells(cfg, grid=True):
+        estimate = estimate_alpha(_plan(cfg, cell), workers=int(cfg["workers"]))
+        rows.append({
+            **_prefix(cfg, cell), "seed": cfg["seed"], "reps": estimate.n_reps,
+            "alpha_hat": estimate.p_hat, "se": estimate.se,
+            "n_degenerate": estimate.n_degenerate,
+        })
     _emit(rows, cfg)
     return 0
 
@@ -348,29 +363,15 @@ def _cmd_power_curve(cfg: dict) -> int:
     if cfg["radii"] is None:
         raise ValueError("power-curve requires --radii")
     radii = _float_list(cfg["radii"], "radii")
-    regime = _single(_regime_list(cfg["regime"]), "regime")
-    epsilon = _single(_float_list(cfg["epsilon"], "epsilon"), "epsilon")
-    sigma = _single(_float_list(cfg["sigma"], "sigma"), "sigma")
-    spec = _make_spec(regime, cfg)
-    j_max = _horizon(cfg, spec)
-    test_config = TestConfig(alpha=float(cfg["alpha"]), beta=float(cfg["beta"]),
-                             j_max=j_max, kappa=float(cfg["kappa"]))
-    theta0 = Signal.zeros()
-    plan = ExperimentPlan(spec=spec, noise=_make_noise(epsilon, sigma),
-                          config=test_config, theta0=theta0,
-                          n_reps=int(cfg["reps"]), master_seed=cfg["seed"])
+    [cell] = _cells(cfg, grid=False)
+    plan = _plan(cfg, cell)
     rows = []
     for radius in radii:
-        theta = make_spike_alternative(spec, theta0, radius, j_max)
+        theta = make_spike_alternative(cell.spec, plan.theta0, radius, cell.j_max)
         estimate = estimate_beta(plan, theta, workers=int(cfg["workers"]))
-        spike_dim = spike_index(spec, radius, j_max)
         rows.append({
-            "regime": regime, "s": float(cfg["s"]), "t": float(cfg["t"]),
-            "epsilon": epsilon, "sigma": sigma,
-            "alpha": float(cfg["alpha"]), "beta": float(cfg["beta"]),
-            "jmax": j_max, "kappa": float(cfg["kappa"]),
-            "seed": cfg["seed"], "reps": estimate.n_reps,
-            "radius": radius, "spike_dim": spike_dim,
+            **_prefix(cfg, cell), "seed": cfg["seed"], "reps": estimate.n_reps,
+            "radius": radius, "spike_dim": spike_index(cell.spec, radius, cell.j_max),
             "beta_hat": estimate.p_hat, "se": estimate.se,
             "n_degenerate": estimate.n_degenerate,
         })
@@ -379,28 +380,16 @@ def _cmd_power_curve(cfg: dict) -> int:
 
 
 def _cmd_sep_radius(cfg: dict) -> int:
-    regime = _single(_regime_list(cfg["regime"]), "regime")
-    epsilon = _single(_float_list(cfg["epsilon"], "epsilon"), "epsilon")
-    sigma = _single(_float_list(cfg["sigma"], "sigma"), "sigma")
-    spec = _make_spec(regime, cfg)
-    j_max = _horizon(cfg, spec)
-    test_config = TestConfig(alpha=float(cfg["alpha"]), beta=float(cfg["beta"]),
-                             j_max=j_max, kappa=float(cfg["kappa"]))
-    plan = ExperimentPlan(spec=spec, noise=_make_noise(epsilon, sigma),
-                          config=test_config, theta0=Signal.zeros(),
-                          n_reps=int(cfg["reps"]), master_seed=cfg["seed"])
-    r_hi = cfg["r_hi"] if cfg["r_hi"] is not None else 1.0 / float(a_value(spec, 1))
+    [cell] = _cells(cfg, grid=False)
+    plan = _plan(cfg, cell)
+    r_hi = cfg["r_hi"] if cfg["r_hi"] is not None else 1.0 / float(a_value(cell.spec, 1))
     r_lo = cfg["r_lo"] if cfg["r_lo"] is not None else r_hi * 2.0 ** -14
     beta_target = float(cfg["beta"])
     radius = empirical_separation_radius(plan, beta_target, float(r_lo), float(r_hi),
                                          tol=float(cfg["tol"]),
                                          workers=int(cfg["workers"]))
     rows = [{
-        "regime": regime, "s": float(cfg["s"]), "t": float(cfg["t"]),
-        "epsilon": epsilon, "sigma": sigma,
-        "alpha": float(cfg["alpha"]), "beta": float(cfg["beta"]),
-        "jmax": j_max, "kappa": float(cfg["kappa"]),
-        "seed": cfg["seed"], "reps": int(cfg["reps"]),
+        **_prefix(cfg, cell), "seed": cfg["seed"], "reps": int(cfg["reps"]),
         "beta_target": beta_target, "r_lo": float(r_lo), "r_hi": float(r_hi),
         "tol": float(cfg["tol"]), "radius": radius,
     }]
@@ -411,45 +400,34 @@ def _cmd_sep_radius(cfg: dict) -> int:
 def _cmd_rates(cfg: dict) -> int:
     rows = []
     which = cfg["which"]
-    if which not in _WHICH_CHOICES:
-        raise ValueError(f"which must be one of {_WHICH_CHOICES}")
-    for regime in _regime_list(cfg["regime"]):
-        spec = _make_spec(regime, cfg)
-        for epsilon in _float_list(cfg["epsilon"], "epsilon"):
-            for sigma in _float_list(cfg["sigma"], "sigma"):
-                rows.append({
-                    "regime": regime, "s": float(cfg["s"]), "t": float(cfg["t"]),
-                    "epsilon": epsilon, "sigma": sigma, "which": which,
-                    "rate_sq": rate_formula(spec, epsilon, sigma, which),
-                })
+    if which not in WHICH:
+        raise ValueError(f"which must be one of {WHICH}")
+    for cell in _cells(cfg, grid=True):
+        rows.append({
+            "regime": cell.regime, "s": float(cfg["s"]), "t": float(cfg["t"]),
+            "epsilon": cell.epsilon, "sigma": cell.sigma, "which": which,
+            "rate_sq": rate_formula(cell.spec, cell.epsilon, cell.sigma, which),
+        })
     _emit(rows, cfg)
     return 0
 
 
 def _cmd_bounds(cfg: dict) -> int:
     rows = []
-    for regime in _regime_list(cfg["regime"]):
-        spec = _make_spec(regime, cfg)
-        j_max = _horizon(cfg, spec)
-        for epsilon in _float_list(cfg["epsilon"], "epsilon"):
-            for sigma in _float_list(cfg["sigma"], "sigma"):
-                report = evaluate_bounds(spec, epsilon, sigma, float(cfg["alpha"]),
-                                         float(cfg["beta"]), j_max,
-                                         kappa=float(cfg["kappa"]))
-                rows.append({
-                    "regime": regime, "s": float(cfg["s"]), "t": float(cfg["t"]),
-                    "epsilon": epsilon, "sigma": sigma,
-                    "alpha": float(cfg["alpha"]), "beta": float(cfg["beta"]),
-                    "jmax": j_max, "kappa": float(cfg["kappa"]),
-                    "upper_sq": report.upper_sq,
-                    "upper_argmin_dim": report.upper_argmin_dim,
-                    "lower_sq": report.lower_sq,
-                    "lower_sigma_part": report.lower_components[0],
-                    "lower_epsilon_part": report.lower_components[1],
-                    "bracket_low": report.bracket_low,
-                    "bracket_high": report.bracket_high,
-                    "prior_depth": report.prior_depth,
-                })
+    for cell in _cells(cfg, grid=True):
+        report = evaluate_bounds(cell.spec, cell.epsilon, cell.sigma, float(cfg["alpha"]),
+                                 float(cfg["beta"]), cell.j_max, kappa=float(cfg["kappa"]))
+        rows.append({
+            **_prefix(cfg, cell),
+            "upper_sq": report.upper_sq,
+            "upper_argmin_dim": report.upper_argmin_dim,
+            "lower_sq": report.lower_sq,
+            "lower_sigma_part": report.lower_components[0],
+            "lower_epsilon_part": report.lower_components[1],
+            "bracket_low": report.bracket_low,
+            "bracket_high": report.bracket_high,
+            "prior_depth": report.prior_depth,
+        })
     _emit(rows, cfg)
     return 0
 
@@ -461,28 +439,20 @@ _QUADFORM_CASES = (
 
 
 def _cmd_checks(cfg: dict) -> int:
-    regime = _single(_regime_list(cfg["regime"]), "regime")
-    sigma = _single(_float_list(cfg["sigma"], "sigma"), "sigma")
-    epsilon = _single(_float_list(cfg["epsilon"], "epsilon"), "epsilon")
-    spec = _make_spec(regime, cfg)
-    j_max = _horizon(cfg, spec)
+    [cell] = _cells(cfg, grid=False)
+    plan = _plan(cfg, cell)
     alpha = float(cfg["alpha"])
     kappa = float(cfg["kappa"])
     reps = int(cfg["reps"])
     workers = int(cfg["workers"])
-    test_config = TestConfig(alpha=alpha, beta=float(cfg["beta"]), j_max=j_max,
-                             kappa=kappa)
-    plan = ExperimentPlan(spec=spec, noise=_make_noise(epsilon, sigma),
-                          config=test_config, theta0=Signal.zeros(),
-                          n_reps=reps, master_seed=cfg["seed"])
     rows = []
 
     escape = check_bandwidth_containment(plan, workers=workers)
     bound = bandwidth_escape_bound(alpha, kappa)
     rows.append({
-        "check": "bandwidth-containment", "regime": regime,
-        "s": float(cfg["s"]), "t": float(cfg["t"]), "sigma": sigma,
-        "alpha": alpha, "kappa": kappa, "jmax": j_max,
+        "check": "bandwidth-containment", "regime": cell.regime,
+        "s": float(cfg["s"]), "t": float(cfg["t"]), "sigma": cell.sigma,
+        "alpha": alpha, "kappa": kappa, "jmax": cell.j_max,
         "seed": cfg["seed"], "reps": reps,
         "d": None, "nu": None, "v": None, "x": None,
         "p_hat": escape.p_hat, "se": escape.se, "bound": bound,

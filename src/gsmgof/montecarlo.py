@@ -107,21 +107,24 @@ def _chunk_ranges(n_reps: int, workers: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def _map_chunks(fn: Callable, args: tuple, n_reps: int, workers: int) -> list:
+    """Results of fn(*args, lo, hi) over the chunk ranges of range(n_reps), in
+    chunk order: one chunk in this process when workers <= 1, else one chunk
+    per pool process."""
+    if workers <= 1:
+        return [fn(*args, 0, n_reps)]
+    ranges = _chunk_ranges(n_reps, workers)
+    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        futures = [pool.submit(fn, *args, lo, hi) for lo, hi in ranges]
+        return [f.result() for f in futures]
+
+
 def _sum_over_chunks(fn: Callable, args: tuple, n_reps: int, workers: int) -> tuple:
     """Run fn(*args, lo, hi) -> tuple[int, ...] over chunk ranges, sum positionally."""
-    if workers <= 1:
-        return fn(*args, 0, n_reps)
-    ranges = _chunk_ranges(n_reps, workers)
-    futures = []
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        for lo, hi in ranges:
-            futures.append(pool.submit(fn, *args, lo, hi))
-        parts = [f.result() for f in futures]
-    return tuple(int(sum(col)) for col in zip(*parts))
+    return tuple(int(sum(col)) for col in zip(*_map_chunks(fn, args, n_reps, workers)))
 
 
-def _reject_counts(plan: ExperimentPlan, theta: Signal, override: float | None,
-                   lo: int, hi: int) -> tuple[int, int]:
+def _reject_counts(plan: ExperimentPlan, theta: Signal, lo: int, hi: int) -> tuple[int, int]:
     """(rejections, degenerate replications) over reps in [lo, hi)."""
     n_reject = 0
     n_degenerate = 0
@@ -129,11 +132,7 @@ def _reject_counts(plan: ExperimentPlan, theta: Signal, override: float | None,
         obs = simulate(theta, plan.spec, plan.noise, plan.master_seed,
                        plan.config.j_max, rep=rep)
         report = run_test(obs, plan.theta0, plan.spec, plan.noise, plan.config)
-        if override is None:
-            rejected = report.reject
-        else:
-            rejected = report.statistic > override
-        n_reject += rejected
+        n_reject += report.reject
         n_degenerate += report.degenerate
     return n_reject, n_degenerate
 
@@ -143,29 +142,21 @@ def _reject_counts(plan: ExperimentPlan, theta: Signal, override: float | None,
 # ---------------------------------------------------------------------------
 
 
-def estimate_alpha(plan: ExperimentPlan, workers: int = 1,
-                   threshold_override: float | None = None) -> ErrorEstimate:
-    """First-kind error estimate: rejection frequency with theta = theta0.
-
-    threshold_override replaces the data-driven threshold by a constant
-    (the rejection rule becomes statistic > override, even on degenerate
-    replications, where the statistic is 0); it exists so tests can pin the
-    rejection probability to exactly 0 or 1.
-    """
+def estimate_alpha(plan: ExperimentPlan, workers: int = 1) -> ErrorEstimate:
+    """First-kind error estimate: rejection frequency with theta = theta0."""
     n_reject, n_degen = _sum_over_chunks(
-        _reject_counts, (plan, plan.theta0, threshold_override), plan.n_reps, workers)
+        _reject_counts, (plan, plan.theta0), plan.n_reps, workers)
     return ErrorEstimate.from_counts(n_reject, plan.n_reps, n_degen)
 
 
-def estimate_beta(plan: ExperimentPlan, theta: Signal, workers: int = 1,
-                  threshold_override: float | None = None) -> ErrorEstimate:
+def estimate_beta(plan: ExperimentPlan, theta: Signal, workers: int = 1) -> ErrorEstimate:
     """Second-kind error estimate: acceptance frequency when the data come
     from `theta` but the test still targets plan.theta0.
 
     Degenerate replications never reject, so they count as acceptances.
     """
     n_reject, n_degen = _sum_over_chunks(
-        _reject_counts, (plan, theta, threshold_override), plan.n_reps, workers)
+        _reject_counts, (plan, theta), plan.n_reps, workers)
     return ErrorEstimate.from_counts(plan.n_reps - n_reject, plan.n_reps, n_degen)
 
 
@@ -186,20 +177,18 @@ class _RadiusRep(NamedTuple):
     threshold: float
     terms: list  # squared residual terms of the null statistic, length w
     x_win: np.ndarray | None
-    b_win: np.ndarray | None
     eps_xi_win: np.ndarray | None
     ref_win: np.ndarray | None  # null coefficients inside the window
 
 
 def _build_radius_cache(plan: ExperimentPlan, lo: int, hi: int) -> list[_RadiusRep]:
     spec, noise, config, theta0 = plan.spec, plan.noise, plan.config, plan.theta0
-    b = b_vector(spec, config.j_max)
     entries: list[_RadiusRep] = []
     for rep in range(lo, hi):
         obs = simulate(theta0, spec, noise, plan.master_seed, config.j_max, rep=rep)
         report = run_test(obs, theta0, spec, noise, config)
         if report.degenerate:
-            entries.append(_RadiusRep(True, False, math.nan, [], None, None, None, None))
+            entries.append(_RadiusRep(True, False, math.nan, [], None, None, None))
             continue
         w = report.window
         xs = obs.x[:w]
@@ -210,41 +199,26 @@ def _build_radius_cache(plan: ExperimentPlan, lo: int, hi: int) -> list[_RadiusR
             eps_xi = (noise.epsilon
                       * gaussian_draws(plan.master_seed, rep, SIGNAL_STREAM, config.j_max))[:w]
         entries.append(_RadiusRep(False, report.reject, report.threshold,
-                                  terms, xs, b[:w], eps_xi, ref))
+                                  terms, xs, eps_xi, ref))
     return entries
-
-
-def _collect_radius_cache(plan: ExperimentPlan, workers: int) -> list[_RadiusRep]:
-    if workers <= 1:
-        return _build_radius_cache(plan, 0, plan.n_reps)
-    ranges = _chunk_ranges(plan.n_reps, workers)
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        futures = [pool.submit(_build_radius_cache, plan, lo, hi) for lo, hi in ranges]
-        out: list[_RadiusRep] = []
-        for f in futures:
-            out.extend(f.result())
-    return out
 
 
 def _accept_counts_from_cache(cache: Sequence[_RadiusRep], spec: RegimeSpec,
                               noise: NoiseLevels, r: float, j_max: int) -> tuple[int, int]:
     """(acceptances, degenerate count) at spike radius r, replaying each
     cached replication with only the spiked term recomputed.  Bit-identical
-    to estimate_beta on the matching spike alternative."""
+    to estimate_beta on the matching spike alternative.  A degenerate entry
+    has no terms and never rejects, so it counts as an acceptance."""
     d_star = spike_index(spec, r, j_max)
     k = d_star - 1
+    b_k = b_vector(spec, j_max)[k]
     eps_pos = noise.epsilon > 0.0
     n_accept = 0
-    n_degen = 0
     for entry in cache:
-        if entry.degenerate:
-            n_accept += 1
-            n_degen += 1
-            continue
         if d_star > len(entry.terms):
             rejected = entry.null_reject
         else:
-            y_alt = entry.b_win[k] * (entry.ref_win[k] + r)
+            y_alt = b_k * (entry.ref_win[k] + r)
             if eps_pos:
                 y_alt = y_alt + entry.eps_xi_win[k]
             term = (y_alt / entry.x_win[k] - entry.ref_win[k]) ** 2
@@ -252,7 +226,7 @@ def _accept_counts_from_cache(cache: Sequence[_RadiusRep], spec: RegimeSpec,
             terms[k] = term
             rejected = math.fsum(terms) > entry.threshold
         n_accept += not rejected
-    return n_accept, n_degen
+    return n_accept, sum(entry.degenerate for entry in cache)
 
 
 def empirical_separation_radius(plan: ExperimentPlan, beta_target: float,
@@ -278,7 +252,8 @@ def empirical_separation_radius(plan: ExperimentPlan, beta_target: float,
         raise ValueError(f"need finite radii with 0 < r_lo <= r_hi, got {r_lo!r}, {r_hi!r}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    cache = _collect_radius_cache(plan, workers)
+    cache = [entry for part in _map_chunks(_build_radius_cache, (plan,), plan.n_reps, workers)
+             for entry in part]
     n = plan.n_reps
     j_max = plan.config.j_max
 
@@ -336,15 +311,14 @@ class RateFit(NamedTuple):
 
 def fit_rate_slope(plan_template: ExperimentPlan, epsilon_grid: Sequence[float],
                    beta_target: float, r_lo: float | None = None,
-                   r_hi: float | None = None, tol: float = 0.05, workers: int = 1,
-                   radius_fn: Callable | None = None) -> RateFit:
+                   r_hi: float | None = None, tol: float = 0.05,
+                   workers: int = 1) -> RateFit:
     """Empirical rate exponent: fit log r_hat^2 ~ slope * log eps + intercept.
 
-    One separation radius is estimated per grid point, holding everything in
-    plan_template fixed except the signal noise level.  radius_fn(plan, eps)
-    replaces the bisection search when provided (testing hook).  Default
-    bracket: r_hi at the class ceiling for a first-coordinate spike, r_lo a
-    factor 2^-14 below it.
+    One separation radius is estimated per grid point by
+    empirical_separation_radius, holding everything in plan_template fixed
+    except the signal noise level.  Default bracket: r_hi at the class
+    ceiling for a first-coordinate spike, r_lo a factor 2^-14 below it.
     """
     eps_values = [float(e) for e in epsilon_grid]
     if len(set(eps_values)) < 2:
@@ -358,11 +332,8 @@ def fit_rate_slope(plan_template: ExperimentPlan, epsilon_grid: Sequence[float],
     radii = []
     for eps in eps_values:
         plan = replace(plan_template, noise=NoiseLevels(eps, plan_template.noise.sigma))
-        if radius_fn is not None:
-            radii.append(float(radius_fn(plan, eps)))
-        else:
-            radii.append(empirical_separation_radius(plan, beta_target, r_lo, r_hi,
-                                                     tol, workers))
+        radii.append(empirical_separation_radius(plan, beta_target, r_lo, r_hi,
+                                                 tol, workers))
     slope, intercept = np.polyfit(np.log(eps_values), np.log(np.square(radii)), 1)
     return RateFit(float(slope), float(intercept), tuple(eps_values), tuple(radii))
 

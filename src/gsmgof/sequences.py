@@ -181,23 +181,24 @@ def cumulative_b_inv4(spec: RegimeSpec, d: int) -> float:
     return float(math.fsum(_b_inv4_terms(spec, d)))
 
 
-def cumulative_b_inv4_prefix(spec: RegimeSpec, d: int) -> np.ndarray:
-    """All partial sums of b_j**(-4) up to d in one pass.
-
-    Kahan-compensated running accumulation: each prefix agrees with an
-    exactly rounded sum to a few ulps even when terms span many orders of
-    magnitude, and the output is monotone nondecreasing.
-    """
-    out = np.empty(int(d))
+def _b_inv4_running_sums(spec: RegimeSpec, d: int):
+    """Yield the partial sums of b_j**(-4) for j = 1..d, Kahan-compensated:
+    each agrees with an exactly rounded sum to a few ulps even when the terms
+    span many orders of magnitude, and the sequence is nondecreasing."""
     total = 0.0
     carry = 0.0
-    for idx, term in enumerate(_b_inv4_terms(spec, d)):
+    for term in _b_inv4_terms(spec, d):
         y = term - carry
         tmp = total + y
         carry = (tmp - total) - y
         total = tmp
-        out[idx] = total
-    return out
+        yield total
+
+
+def cumulative_b_inv4_prefix(spec: RegimeSpec, d: int) -> np.ndarray:
+    """All partial sums of b_j**(-4) up to d in one pass (Kahan-compensated,
+    monotone nondecreasing)."""
+    return np.fromiter(_b_inv4_running_sums(spec, d), dtype=float)
 
 
 def ellipsoid_weighted_norm(spec: RegimeSpec, theta) -> float:

@@ -159,6 +159,17 @@ def bandwidth_bracket(spec: RegimeSpec, sigma: float, alpha: float,
 # ---------------------------------------------------------------------------
 
 
+def _window(x, w: int) -> np.ndarray:
+    """The first w observed operator coefficients.  One that is exactly zero
+    (a probability-zero event) would divide by zero, so it is refused."""
+    xs = np.asarray(x, dtype=float)[:w]
+    if np.any(xs == 0.0):
+        raise DegenerateObservationError(
+            f"observed operator coefficient is exactly zero within the first {w}"
+        )
+    return xs
+
+
 def statistic(y, x, theta0: Signal, d: int, m: int) -> float:
     """Cut-off statistic: sum over j <= min(d, m) of (y_j/x_j - theta0_j)**2.
 
@@ -173,12 +184,7 @@ def statistic(y, x, theta0: Signal, d: int, m: int) -> float:
     if w == 0:
         return 0.0
     y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    xs = x[:w]
-    if np.any(xs == 0.0):
-        raise DegenerateObservationError(
-            "observed operator coefficient is exactly zero inside the active window"
-        )
+    xs = _window(x, w)
     ref = theta0.padded(max(w, len(theta0)))[:w]
     terms = (y[:w] / xs - ref) ** 2
     return float(math.fsum(terms.tolist()))
@@ -200,12 +206,7 @@ def threshold_parts(x, spec: RegimeSpec, d: int, m: int, epsilon: float,
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    xs = x[:w]
-    if np.any(xs == 0.0):
-        raise DegenerateObservationError(
-            "observed operator coefficient is exactly zero inside the active window"
-        )
+    xs = _window(x, w)
     sum_inv2 = math.fsum((xs ** -2.0).tolist())
     sum_inv4 = math.fsum((xs ** -4.0).tolist())
     x_tail = tail_exponent(alpha)
@@ -242,13 +243,8 @@ def dimension_objective(x, spec: RegimeSpec, m: int, epsilon: float, sigma: floa
         raise DegenerateBandwidthError("bandwidth is zero; no dimension to select")
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
-    x = np.asarray(x, dtype=float)
     n = int(m) if n is None else min(int(n), int(m))
-    xs = x[:n]
-    if np.any(xs == 0.0):
-        raise DegenerateObservationError(
-            "observed operator coefficient is exactly zero inside the scan range"
-        )
+    xs = _window(x, n)
     j = np.arange(1, n + 1)
     deviation = adaptive_constant(alpha, beta) * epsilon ** 2 * np.sqrt(np.cumsum(xs ** -4.0))
     floor = sigma * sigma * math.log(1.0 / sigma) ** 1.5

@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gsmgof
 from gsmgof import RegimeSpec, evaluate_bounds, spike_index
 from gsmgof.cli import main
 
@@ -237,3 +242,13 @@ class TestChecks:
         rows = read_csv(out)
         assert float(rows[1]["bound"]) == pytest.approx(math.exp(-1.0))
         assert float(rows[3]["bound"]) == pytest.approx(math.exp(-2.0))
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_optimize_out(self):
+        """The command line's start-up cost excludes scipy.optimize."""
+        env = dict(os.environ, PYTHONPATH=str(Path(gsmgof.__file__).parents[1]))
+        probe = "import sys, gsmgof.cli; print('scipy.optimize' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "False"

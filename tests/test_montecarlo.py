@@ -1,11 +1,13 @@
 """Monte Carlo harness: error estimates, radius search, rate fits, concentration checks."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gsmgof import montecarlo
 from gsmgof import (
     KAPPA_DEFAULT,
     BracketingError,
@@ -30,6 +32,24 @@ from gsmgof.montecarlo import (
     _build_radius_cache,
     _chunk_ranges,
 )
+
+
+def fix_threshold(monkeypatch, cutoff):
+    """Make every in-process test run reject exactly when statistic > cutoff."""
+    real = montecarlo.run_test
+
+    def fixed(*args):
+        report = real(*args)
+        return dataclasses.replace(report, threshold=cutoff,
+                                   reject=report.statistic > cutoff)
+
+    monkeypatch.setattr(montecarlo, "run_test", fixed)
+
+
+def fix_radius(monkeypatch, radius_fn):
+    """Replace the separation-radius search by radius_fn(plan, epsilon)."""
+    monkeypatch.setattr(montecarlo, "empirical_separation_radius",
+                        lambda plan, *args: radius_fn(plan, plan.noise.epsilon))
 
 
 def make_plan(spec=None, epsilon=1e-2, sigma=1e-2, alpha=0.05, beta=0.5,
@@ -85,15 +105,17 @@ class TestErrorEstimation:
         est = estimate_alpha(plan)
         assert est.p_hat <= 0.05 + 3.0 * est.se
 
-    def test_override_plus_infinity_never_rejects(self):
+    def test_override_plus_infinity_never_rejects(self, monkeypatch):
         plan = make_plan(n_reps=100, j_max=100)
-        est = estimate_alpha(plan, threshold_override=math.inf)
+        fix_threshold(monkeypatch, math.inf)
+        est = estimate_alpha(plan, workers=1)
         assert est.p_hat == 0.0
 
-    def test_override_zero_always_rejects(self):
+    def test_override_zero_always_rejects(self, monkeypatch):
         # any amount of signal noise makes the statistic strictly positive
         plan = make_plan(n_reps=100, j_max=100)
-        est = estimate_alpha(plan, threshold_override=0.0)
+        fix_threshold(monkeypatch, 0.0)
+        est = estimate_alpha(plan, workers=1)
         assert est.p_hat == 1.0
 
     def test_alpha_beta_complement_on_same_draws(self):
@@ -210,33 +232,34 @@ class TestSeparationRadius:
 
 
 class TestRateFit:
-    def test_constant_radius_gives_zero_slope(self):
+    def test_constant_radius_gives_zero_slope(self, monkeypatch):
         plan = make_plan(n_reps=100)
-        fit = fit_rate_slope(plan, [0.1, 0.05, 0.01], 0.5,
-                             radius_fn=lambda p, e: 0.5)
+        fix_radius(monkeypatch, lambda p, e: 0.5)
+        fit = fit_rate_slope(plan, [0.1, 0.05, 0.01], 0.5, workers=1)
         assert abs(fit.slope) < 1e-12
         assert fit.radii == (0.5, 0.5, 0.5)
 
-    def test_square_root_radius_gives_unit_slope(self):
+    def test_square_root_radius_gives_unit_slope(self, monkeypatch):
         plan = make_plan(n_reps=100)
-        fit = fit_rate_slope(plan, [0.1, 0.01], 0.5,
-                             radius_fn=lambda p, e: math.sqrt(e))
+        fix_radius(monkeypatch, lambda p, e: math.sqrt(e))
+        fit = fit_rate_slope(plan, [0.1, 0.01], 0.5, workers=1)
         assert_allclose(fit.slope, 1.0, rtol=1e-12)
         assert fit.epsilons == (0.1, 0.01)
 
-    def test_radius_fn_sees_the_rescaled_plan(self):
+    def test_radius_fn_sees_the_rescaled_plan(self, monkeypatch):
         plan = make_plan(epsilon=0.5, sigma=1e-3, n_reps=100)
         seen = []
-        fit_rate_slope(plan, [0.1, 0.01], 0.5,
-                       radius_fn=lambda p, e: seen.append(p.noise.epsilon) or 1.0)
+        fix_radius(monkeypatch, lambda p, e: seen.append(p.noise.epsilon) or 1.0)
+        fit_rate_slope(plan, [0.1, 0.01], 0.5, workers=1)
         assert seen == [0.1, 0.01]
 
-    def test_needs_two_distinct_points(self):
+    def test_needs_two_distinct_points(self, monkeypatch):
         plan = make_plan(n_reps=100)
+        fix_radius(monkeypatch, lambda p, e: 1.0)
         with pytest.raises(ValueError):
-            fit_rate_slope(plan, [0.1, 0.1], 0.5, radius_fn=lambda p, e: 1.0)
+            fit_rate_slope(plan, [0.1, 0.1], 0.5, workers=1)
         with pytest.raises(ValueError):
-            fit_rate_slope(plan, [0.1, 1.5], 0.5, radius_fn=lambda p, e: 1.0)
+            fit_rate_slope(plan, [0.1, 1.5], 0.5, workers=1)
 
 
 class TestBandwidthContainment:
