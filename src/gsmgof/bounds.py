@@ -29,7 +29,7 @@ from .sequences import (
     b_vector,
     cumulative_b_inv4_prefix,
 )
-from .testproc import KAPPA_DEFAULT, adaptive_constant, bandwidth_bracket, tail_exponent
+from .testproc import KAPPA_DEFAULT, _objective, bandwidth_bracket
 
 __all__ = [
     "BoundReport",
@@ -69,13 +69,11 @@ class BoundReport:
 def upper_bound_radius_sq(spec: RegimeSpec, epsilon: float, sigma: float,
                           alpha: float, beta: float, j_max: int,
                           kappa: float = KAPPA_DEFAULT) -> tuple[float, int]:
-    """Guaranteed-power squared radius: the minimum over cut-off dimensions of
-
-        adaptive_constant * eps^2 * sqrt(sum_{j<=d} b_j^-4)
-        + (7 + 4*sqrt(tail_exponent(alpha))) * max(sigma^2 ln^1.5(1/sigma), a_{min(d, low)}^-2)
-
-    scanned for d up to the high end of the deterministic bandwidth bracket
-    (the objective is constant past it).  Returns (value, smallest argmin).
+    """Guaranteed-power squared radius: the minimum over cut-off dimensions d
+    of the adaptive-dimension objective (testproc.dimension_objective) with
+    b_j in place of x_j and the bias floor taken at a_{min(d, low)}, scanned
+    for d up to the high end of the deterministic bandwidth bracket (the
+    objective is constant past it).  Returns (value, smallest argmin).
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -90,13 +88,9 @@ def upper_bound_radius_sq(spec: RegimeSpec, epsilon: float, sigma: float,
             "the bound has no admissible dimension"
         )
     n = min(bracket.high, int(j_max))
-    prefix = cumulative_b_inv4_prefix(spec, n)
-    j = np.arange(1, n + 1)
-    deviation = adaptive_constant(alpha, beta) * epsilon ** 2 * np.sqrt(prefix)
-    floor = sigma * sigma * math.log(1.0 / sigma) ** 1.5
-    bias_weight = 7.0 + 4.0 * math.sqrt(tail_exponent(alpha))
-    bias = bias_weight * np.maximum(floor, a_inv_sq(spec, np.minimum(j, bracket.low)))
-    objective = deviation + bias
+    objective = _objective(spec, cumulative_b_inv4_prefix(spec, n),
+                           np.minimum(np.arange(1, n + 1), bracket.low),
+                           epsilon, sigma, alpha, beta)
     k = int(np.argmin(objective))
     return float(objective[k]), k + 1
 
@@ -109,11 +103,8 @@ def upper_bound_radius_sq(spec: RegimeSpec, epsilon: float, sigma: float,
 def critical_snr(alpha: float, beta: float, c0: float = 0.5, c1: float = 2.0) -> float:
     """Signal-to-noise ratio at which the operator window mass reaches
     (1 + 4(1-alpha-beta)^2)^(-1/2), solved by bisection to 1e-10."""
+    divergence_budget(alpha, beta)  # validates the levels
     gap = 1.0 - alpha - beta
-    if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0 and gap > 0.0):
-        raise InvalidLevelsError(
-            f"need alpha, beta in (0, 1) with alpha + beta < 1, got {alpha}, {beta}"
-        )
     target = 1.0 / math.sqrt(1.0 + 4.0 * gap * gap)
 
     def gap_fn(u: float) -> float:

@@ -73,6 +73,7 @@ _DEFAULTS = {
 }
 
 _CONFIG_KEYS = frozenset(_DEFAULTS)
+_GRID_KEYS = frozenset({"regime", "epsilon", "sigma", "radii"})  # may hold JSON lists
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +159,13 @@ def _load_config(path: str) -> dict:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        if value is None and _DEFAULTS[key] is None:
+            continue
+        items = value if key in _GRID_KEYS and isinstance(value, list) else [value]
+        if any(isinstance(v, bool) or not isinstance(v, (int, float, str)) for v in items):
+            kinds = "a number or a string" + (", or a list of them" if key in _GRID_KEYS else "")
+            raise ValueError(f"config entry {key!r} must be {kinds}, got {json.dumps(value)}")
     return data
 
 

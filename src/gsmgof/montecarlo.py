@@ -28,7 +28,7 @@ from .gsm import (
     spike_index,
 )
 from .sequences import RegimeSpec, a_value, b_vector
-from .testproc import TestConfig, bandwidth_bracket, empirical_bandwidth, run_test
+from .testproc import TestConfig, bandwidth_bracket, empirical_bandwidth, run_test, statistic
 
 __all__ = [
     "ErrorEstimate",
@@ -167,18 +167,17 @@ def estimate_beta(plan: ExperimentPlan, theta: Signal, workers: int = 1) -> Erro
 
 class _RadiusRep(NamedTuple):
     """Everything one replication needs to re-decide the test at any spike
-    radius without re-simulating.  Only the spiked coordinate of the statistic
-    changes with the radius; the bandwidth, selected dimension, threshold and
-    the remaining terms are radius-independent because they depend on x and
-    the null signal only."""
+    radius without re-simulating: the observations inside its window w and
+    the signal noise there.  Only the spiked coordinate of y changes with the
+    radius; the bandwidth, selected dimension and threshold depend on x only.
+    Each array is an owned copy of length w; w = 0 marks a degenerate
+    replication, which never rejects."""
 
-    degenerate: bool
     null_reject: bool
     threshold: float
-    terms: list  # squared residual terms of the null statistic, length w
-    x_win: np.ndarray | None
-    eps_xi_win: np.ndarray | None
-    ref_win: np.ndarray | None  # null coefficients inside the window
+    y_win: np.ndarray
+    x_win: np.ndarray
+    eps_xi_win: np.ndarray
 
 
 def _build_radius_cache(plan: ExperimentPlan, lo: int, hi: int) -> list[_RadiusRep]:
@@ -187,46 +186,36 @@ def _build_radius_cache(plan: ExperimentPlan, lo: int, hi: int) -> list[_RadiusR
     for rep in range(lo, hi):
         obs = simulate(theta0, spec, noise, plan.master_seed, config.j_max, rep=rep)
         report = run_test(obs, theta0, spec, noise, config)
-        if report.degenerate:
-            entries.append(_RadiusRep(True, False, math.nan, [], None, None, None))
-            continue
         w = report.window
-        xs = obs.x[:w]
-        ref = theta0.padded(max(w, len(theta0)))[:w]
-        terms = ((obs.y[:w] / xs - ref) ** 2).tolist()
-        eps_xi = None
-        if noise.epsilon > 0.0:
-            eps_xi = (noise.epsilon
-                      * gaussian_draws(plan.master_seed, rep, SIGNAL_STREAM, config.j_max))[:w]
-        entries.append(_RadiusRep(False, report.reject, report.threshold,
-                                  terms, xs, eps_xi, ref))
+        # Philox is counter-based: these w draws are the prefix of the
+        # signal stream that simulate drew.
+        eps_xi = noise.epsilon * gaussian_draws(plan.master_seed, rep, SIGNAL_STREAM, w)
+        entries.append(_RadiusRep(report.reject, report.threshold,
+                                  obs.y[:w].copy(), obs.x[:w].copy(), eps_xi))
     return entries
 
 
-def _accept_counts_from_cache(cache: Sequence[_RadiusRep], spec: RegimeSpec,
-                              noise: NoiseLevels, r: float, j_max: int) -> tuple[int, int]:
+def _accept_counts_from_cache(cache: Sequence[_RadiusRep], plan: ExperimentPlan,
+                              r: float) -> tuple[int, int]:
     """(acceptances, degenerate count) at spike radius r, replaying each
-    cached replication with only the spiked term recomputed.  Bit-identical
-    to estimate_beta on the matching spike alternative.  A degenerate entry
-    has no terms and never rejects, so it counts as an acceptance."""
-    d_star = spike_index(spec, r, j_max)
+    cached replication with only the spiked coordinate of y recomputed.
+    Bit-identical to estimate_beta on the matching spike alternative."""
+    j_max = plan.config.j_max
+    d_star = spike_index(plan.spec, r, j_max)
     k = d_star - 1
-    b_k = b_vector(spec, j_max)[k]
-    eps_pos = noise.epsilon > 0.0
+    theta0_k = plan.theta0.padded(max(d_star, len(plan.theta0)))[k]
+    spiked = b_vector(plan.spec, j_max)[k] * (theta0_k + r)
     n_accept = 0
     for entry in cache:
-        if d_star > len(entry.terms):
+        w = entry.y_win.size
+        if d_star > w:  # the spike is outside the window: the null decision stands
             rejected = entry.null_reject
         else:
-            y_alt = b_k * (entry.ref_win[k] + r)
-            if eps_pos:
-                y_alt = y_alt + entry.eps_xi_win[k]
-            term = (y_alt / entry.x_win[k] - entry.ref_win[k]) ** 2
-            terms = list(entry.terms)
-            terms[k] = term
-            rejected = math.fsum(terms) > entry.threshold
+            y = entry.y_win.copy()
+            y[k] = spiked + entry.eps_xi_win[k]
+            rejected = statistic(y, entry.x_win, plan.theta0, w, w) > entry.threshold
         n_accept += not rejected
-    return n_accept, sum(entry.degenerate for entry in cache)
+    return n_accept, sum(entry.y_win.size == 0 for entry in cache)
 
 
 def empirical_separation_radius(plan: ExperimentPlan, beta_target: float,
@@ -255,10 +244,9 @@ def empirical_separation_radius(plan: ExperimentPlan, beta_target: float,
     cache = [entry for part in _map_chunks(_build_radius_cache, (plan,), plan.n_reps, workers)
              for entry in part]
     n = plan.n_reps
-    j_max = plan.config.j_max
 
     def beta_at(r: float) -> float:
-        n_accept, _ = _accept_counts_from_cache(cache, plan.spec, plan.noise, r, j_max)
+        n_accept, _ = _accept_counts_from_cache(cache, plan, r)
         return n_accept / n
 
     if r_lo == r_hi:

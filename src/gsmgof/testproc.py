@@ -31,6 +31,7 @@ __all__ = [
     "bandwidth_bracket",
     "bracket_envelope_high",
     "bracket_envelope_low",
+    "dimension_objective",
     "empirical_bandwidth",
     "run_test",
     "scan_envelope",
@@ -229,12 +230,24 @@ def threshold(x, spec: RegimeSpec, d: int, m: int, epsilon: float,
     return parts.centering + parts.deviation + parts.bias
 
 
-def dimension_objective(x, spec: RegimeSpec, m: int, epsilon: float, sigma: float,
-                        alpha: float, beta: float, n: int | None = None) -> np.ndarray:
-    """Adaptive-dimension objective evaluated at every d in {1..n} (n = m by default):
+def _objective(spec: RegimeSpec, inv4_sums, dims, epsilon: float, sigma: float,
+               alpha: float, beta: float) -> np.ndarray:
+    """Deviation-plus-bias objective from the running sums of the inverse
+    fourth powers and the dimensions that set the bias floor:
 
-        adaptive_constant * eps^2 * sqrt(sum_{j<=d} x_j^-4)
-        + (7 + 4*sqrt(tail_exponent(alpha))) * max(sigma^2 ln^1.5(1/sigma), a_d^-2)
+        adaptive_constant * eps^2 * sqrt(inv4_sums)
+        + (7 + 4*sqrt(tail_exponent(alpha))) * max(sigma^2 ln^1.5(1/sigma), a_dims^-2)
+    """
+    deviation = adaptive_constant(alpha, beta) * epsilon ** 2 * np.sqrt(inv4_sums)
+    floor = sigma * sigma * math.log(1.0 / sigma) ** 1.5
+    bias = (7.0 + 4.0 * math.sqrt(tail_exponent(alpha))) * np.maximum(floor, a_inv_sq(spec, dims))
+    return deviation + bias
+
+
+def dimension_objective(x, spec: RegimeSpec, m: int, epsilon: float, sigma: float,
+                        alpha: float, beta: float) -> np.ndarray:
+    """Adaptive-dimension objective evaluated at every d in {1..m}, with the
+    running sums of x_j^-4 (see _objective).
 
     Every occurrence of the dimension is through min(d, m), so the objective
     is constant beyond m and the scan never needs to look past it.
@@ -243,22 +256,19 @@ def dimension_objective(x, spec: RegimeSpec, m: int, epsilon: float, sigma: floa
         raise DegenerateBandwidthError("bandwidth is zero; no dimension to select")
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
-    n = int(m) if n is None else min(int(n), int(m))
-    xs = _window(x, n)
-    j = np.arange(1, n + 1)
-    deviation = adaptive_constant(alpha, beta) * epsilon ** 2 * np.sqrt(np.cumsum(xs ** -4.0))
-    floor = sigma * sigma * math.log(1.0 / sigma) ** 1.5
-    bias = (7.0 + 4.0 * math.sqrt(tail_exponent(alpha))) * np.maximum(floor, a_inv_sq(spec, j))
-    return deviation + bias
+    m = int(m)
+    xs = _window(x, m)
+    return _objective(spec, np.cumsum(xs ** -4.0), np.arange(1, m + 1),
+                      epsilon, sigma, alpha, beta)
 
 
 def select_dimension(x, spec: RegimeSpec, m: int, epsilon: float, sigma: float,
-                     alpha: float, beta: float, j_max: int | None = None) -> int:
-    """Smallest minimizer of the adaptive-dimension objective over {1..j_max}.
+                     alpha: float, beta: float) -> int:
+    """Smallest minimizer of the adaptive-dimension objective over {1..m}.
 
     Ties break toward the smaller dimension (cheapest statistic among equals).
     """
-    obj = dimension_objective(x, spec, m, epsilon, sigma, alpha, beta, j_max)
+    obj = dimension_objective(x, spec, m, epsilon, sigma, alpha, beta)
     return int(np.argmin(obj)) + 1
 
 
@@ -339,7 +349,7 @@ def run_test(obs: Observations, theta0: Signal, spec: RegimeSpec,
         d = config.dimension
     else:
         d = select_dimension(obs.x, spec, band.value, noise.epsilon, noise.sigma,
-                             config.alpha, config.beta, config.j_max)
+                             config.alpha, config.beta)
     value = statistic(obs.y, obs.x, theta0, d, band.value)
     cutoff = threshold(obs.x, spec, d, band.value, noise.epsilon, noise.sigma, config.alpha)
     return TestReport(

@@ -48,6 +48,16 @@ class TestCriticalSnr:
         with pytest.raises(InvalidLevelsError):
             critical_snr(0.6, 0.5)
 
+    def test_refuses_what_divergence_budget_refuses(self):
+        """Pairs such as (0.7, 0.3) sum to 1 up to rounding: both functions
+        refuse them, whichever way 1 - alpha - beta rounds."""
+        for k in range(1, 100):
+            alpha, beta = k / 100, (100 - k) / 100
+            with pytest.raises(InvalidLevelsError):
+                divergence_budget(alpha, beta)
+            with pytest.raises(InvalidLevelsError):
+                critical_snr(alpha, beta)
+
 
 class TestPriorDepth:
     def test_pinned_value(self, severe_ordinary):

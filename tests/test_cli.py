@@ -108,6 +108,24 @@ class TestPrecedence:
         assert main(["test", "--config", str(config)]) == 2
         assert "sigma_x" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [
+        {"alpha": [0.1]}, {"s": None}, {"kappa": {}}, {"jmax": [1, 2]}, {"dimension": [3]},
+        {"seed": True}, {"tol": None}, {"epsilon": [None]}, {"radii": [[0.1]]},
+    ], ids=json.dumps)
+    def test_config_entry_of_wrong_type_exits_2(self, tmp_path, capsys, entry):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps(entry))
+        assert main(["test", "--config", str(config)]) == 2
+        assert repr(next(iter(entry))) in capsys.readouterr().err
+
+    def test_config_null_keeps_a_none_default(self, tmp_path):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"dimension": None, "epsilon": [0.01], "jmax": 100}))
+        out = tmp_path / "run.json"
+        assert main(["test", "--config", str(config), "--format", "json",
+                     "--out", str(out)]) == 0
+        assert read_json(out)["meta"]["dimension"] is None
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["test", "--config", str(tmp_path / "absent.json")]) == 2
 

@@ -26,6 +26,8 @@ from gsmgof import (
     fit_rate_slope,
     make_spike_alternative,
     make_two_point_pair,
+    run_test,
+    simulate,
 )
 from gsmgof.montecarlo import (
     _accept_counts_from_cache,
@@ -141,18 +143,54 @@ class TestErrorEstimation:
         assert est.p_hat == 0.0
 
 
+def _two_point_null():
+    theta0, _ = make_two_point_pair(RegimeSpec.from_name("mild-ordinary"),
+                                    NoiseLevels(1e-3, 1e-3), 0.05, 0.5, d=3)
+    return theta0
+
+
+def assert_replay_matches_direct(plan):
+    """The cached replay must reproduce estimate_beta bit for bit."""
+    cache = _build_radius_cache(plan, 0, plan.n_reps)
+    for r in (0.05, 0.1, 0.15, 0.3, 0.8595):
+        n_accept, n_degen = _accept_counts_from_cache(cache, plan, r)
+        theta = make_spike_alternative(plan.spec, plan.theta0, r, plan.config.j_max)
+        direct = estimate_beta(plan, theta)
+        assert n_accept / plan.n_reps == direct.p_hat
+        assert n_degen == direct.n_degenerate
+
+
 class TestRadiusCache:
     def test_replay_matches_direct_estimates(self):
-        """The cached replay must reproduce estimate_beta bit for bit."""
-        plan = make_plan(epsilon=1e-2, sigma=1e-2, n_reps=100, j_max=200, seed=42)
+        assert_replay_matches_direct(
+            make_plan(epsilon=1e-2, sigma=1e-2, n_reps=100, j_max=200, seed=42))
+
+    @pytest.mark.parametrize("case", [
+        # the spike lands on theta0's bump at r = 0.3
+        dict(epsilon=1e-3, sigma=1e-3, theta0=_two_point_null()),
+        dict(epsilon=0.0, sigma=1e-3),
+        dict(epsilon=1e-3, sigma=1e-3, dimension=3),
+    ], ids=["two-point-null", "zero-epsilon", "fixed-dimension"])
+    def test_replay_matches_direct_estimates_on_other_plans(self, case):
+        assert_replay_matches_direct(make_plan(n_reps=100, j_max=200, seed=42, **case))
+
+    def test_entries_own_their_windows(self):
+        """Every cached array is a fresh copy of the replication's window,
+        not a view that keeps a horizon-length array alive; a degenerate
+        replication caches empty arrays."""
+        spec = RegimeSpec.from_name("severe-ordinary")
+        plan = make_plan(spec=spec, epsilon=1e-2, sigma=8.4e-3, n_reps=100, j_max=200)
         cache = _build_radius_cache(plan, 0, plan.n_reps)
-        for r in (0.05, 0.3, 0.8595):
-            n_accept, n_degen = _accept_counts_from_cache(
-                cache, plan.spec, plan.noise, r, plan.config.j_max)
-            theta = make_spike_alternative(plan.spec, plan.theta0, r, plan.config.j_max)
-            direct = estimate_beta(plan, theta)
-            assert n_accept / plan.n_reps == direct.p_hat
-            assert n_degen == direct.n_degenerate
+        windows = set()
+        for rep, entry in enumerate(cache):
+            obs = simulate(plan.theta0, spec, plan.noise, plan.master_seed,
+                           plan.config.j_max, rep=rep)
+            w = run_test(obs, plan.theta0, spec, plan.noise, plan.config).window
+            windows.add(w)
+            for arr in (entry.y_win, entry.x_win, entry.eps_xi_win):
+                assert arr.shape == (w,)
+                assert arr.base is None
+        assert 0 in windows and len(windows) > 1
 
     def test_power_curve_monotone_under_common_randomness(self):
         plan = make_plan(epsilon=1e-3, sigma=1e-3, n_reps=300, j_max=200, seed=13)
@@ -160,8 +198,7 @@ class TestRadiusCache:
         radii = (0.05, 0.1, 0.15, 0.2, 0.3)
         betas = []
         for r in radii:
-            n_accept, _ = _accept_counts_from_cache(
-                cache, plan.spec, plan.noise, r, plan.config.j_max)
+            n_accept, _ = _accept_counts_from_cache(cache, plan, r)
             betas.append(n_accept / plan.n_reps)
         assert betas[0] > 0.9  # spike falls outside the window: blind
         assert betas[-1] == 0.0  # far radius: always caught
