@@ -26,6 +26,7 @@ from .errors import (
     SequenceOverflowError,
 )
 from .gsm import (
+    GaussianStream,
     NoiseLevels,
     Observations,
     OPERATOR_STREAM,
@@ -102,7 +103,7 @@ __all__ = [
     "b_vector", "cumulative_b_inv4", "cumulative_b_inv4_prefix",
     "ellipsoid_weighted_norm",
     # model
-    "NoiseLevels", "Observations", "Signal", "default_j_max",
+    "GaussianStream", "NoiseLevels", "Observations", "Signal", "default_j_max",
     "OPERATOR_STREAM", "QUADFORM_STREAM", "SIGNAL_STREAM",
     "divergence_budget", "gaussian_draws", "make_spike_alternative",
     "make_two_point_pair", "simulate", "spike_index",

@@ -163,6 +163,8 @@ def _load_config(path: str) -> dict:
         if value is None and _DEFAULTS[key] is None:
             continue
         items = value if key in _GRID_KEYS and isinstance(value, list) else [value]
+        if key == "out" and not isinstance(value, str):
+            raise ValueError(f"config entry 'out' must be a path string, got {json.dumps(value)}")
         if any(isinstance(v, bool) or not isinstance(v, (int, float, str)) for v in items):
             kinds = "a number or a string" + (", or a list of them" if key in _GRID_KEYS else "")
             raise ValueError(f"config entry {key!r} must be {kinds}, got {json.dumps(value)}")

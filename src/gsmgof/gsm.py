@@ -28,6 +28,8 @@ from .errors import InfeasibleConstructionError, InfeasibleRadiusError, InvalidL
 from .sequences import DecayKind, GrowthKind, RegimeSpec, a_value, b_value, b_vector
 
 __all__ = [
+    "DRAW_BOUND",
+    "GaussianStream",
     "NoiseLevels",
     "Observations",
     "Signal",
@@ -57,17 +59,35 @@ _INV_2_53 = 2.0 ** -53
 _HALF_ULP = 2.0 ** -54
 
 
-def gaussian_draws(seed: int, rep: int, stream: int, n: int) -> np.ndarray:
-    """n standard Gaussian draws for one (seed, replication, stream) triple.
+class GaussianStream:
+    """The standard Gaussian draws of one (seed, replication, stream) triple,
+    taken in order.
 
     The k-th draw is a pure function of (seed, rep, stream, k): the counter
     of a Philox generator starts at (0, 0, rep, stream) and the raw 64-bit
     words are pushed through the inverse normal CDF.  Distinct (rep, stream)
     pairs can never overlap, so worker scheduling cannot change any value.
+    Each take(k) continues where the last one stopped, so takes of any sizes
+    concatenate to the same values as one take of their total.  Every finite
+    draw lies within DRAW_BOUND of zero.
     """
-    bits = Philox(key=seed, counter=[0, 0, rep, stream]).random_raw(n)
-    u = (bits >> np.uint64(11)) * _INV_2_53 + _HALF_ULP
-    return ndtri(u)
+
+    def __init__(self, seed: int, rep: int, stream: int) -> None:
+        self._bits = Philox(key=seed, counter=[0, 0, rep, stream])
+
+    def take(self, n: int) -> np.ndarray:
+        """The next n draws of the stream."""
+        u = (self._bits.random_raw(n) >> np.uint64(11)) * _INV_2_53 + _HALF_ULP
+        return ndtri(u)
+
+
+DRAW_BOUND = 8.3  # -ndtri(2**-54) = 8.2924 bounds the smallest draw
+
+
+def gaussian_draws(seed: int, rep: int, stream: int, n: int) -> np.ndarray:
+    """The first n draws of the (seed, replication, stream) triple (see
+    GaussianStream)."""
+    return GaussianStream(seed, rep, stream).take(n)
 
 
 # ---------------------------------------------------------------------------

@@ -18,17 +18,26 @@ import numpy as np
 
 from .errors import BracketingError
 from .gsm import (
+    DRAW_BOUND,
     OPERATOR_STREAM,
     QUADFORM_STREAM,
     SIGNAL_STREAM,
+    GaussianStream,
     NoiseLevels,
     Signal,
     gaussian_draws,
-    simulate,
+    simulate,  # noqa: F401 -- unused here; perfbench/test_perfbench.py reads it
     spike_index,
 )
 from .sequences import RegimeSpec, a_value, b_vector
-from .testproc import TestConfig, bandwidth_bracket, empirical_bandwidth, run_test, statistic
+from .testproc import (
+    Bandwidth,
+    TestConfig,
+    _decide,
+    _scan_table,
+    bandwidth_bracket,
+    statistic,
+)
 
 __all__ = [
     "ErrorEstimate",
@@ -124,14 +133,102 @@ def _sum_over_chunks(fn: Callable, args: tuple, n_reps: int, workers: int) -> tu
     return tuple(int(sum(col)) for col in zip(*_map_chunks(fn, args, n_reps, workers)))
 
 
+# ---------------------------------------------------------------------------
+# One replication, drawn only as far as the test reads it
+# ---------------------------------------------------------------------------
+
+_FIRST_BLOCK = 64
+
+
+def _finite(name: str, values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+    return values
+
+
+def _signal_noise(epsilon: float, seed: int, rep: int, n: int) -> np.ndarray:
+    """epsilon * xi[:n] of one replication; nothing is drawn when epsilon or n is 0."""
+    if epsilon > 0.0 and n > 0:
+        return epsilon * gaussian_draws(seed, rep, SIGNAL_STREAM, n)
+    return np.zeros(n)
+
+
+def _scan(eta: GaussianStream, b: np.ndarray, sigma: float, envelope: np.ndarray,
+          x: np.ndarray) -> tuple[Bandwidth, np.ndarray]:
+    """Bandwidth of x = b + sigma*eta and the prefix of x drawn to find it.
+
+    Starting from the prefix x already drawn, the scan draws blocks of 64,
+    128, 256, ... coordinates (the last one cut at the horizon b.size) and
+    stops at the block holding the first index inside the envelope.  Every
+    step is element by element, so the result is empirical_bandwidth's on the
+    whole of x."""
+    j_max = b.size
+    blocks, block = [], x
+    n, size = 0, _FIRST_BLOCK
+    while True:
+        blocks.append(block)
+        hits = np.flatnonzero(np.abs(block) <= envelope[n:n + block.size])
+        if hits.size:
+            return Bandwidth(n + int(hits[0]), False), np.concatenate(blocks)
+        n += block.size
+        if n == j_max:
+            return Bandwidth(j_max, True), np.concatenate(blocks)
+        k = min(size, j_max - n)
+        block = b[n:n + k] + sigma * eta.take(k)
+        size *= 2
+
+
+def _replications(plan: ExperimentPlan, theta: Signal, lo: int, hi: int):
+    """For each replication in [lo, hi), yield (report, x, y_win, eps_xi_win):
+    the report of run_test(simulate(theta, ..., rep=rep), plan.theta0, ...),
+    the drawn prefix of x, and y and the signal noise inside the report's
+    window, as owned arrays.
+
+    Only what the test reads is drawn: x until the bandwidth scan stops, and
+    the signal stream up to the window.  The streams are counter-based, so
+    these are prefixes of simulate's draws and every value is the same.  The
+    checks of simulate and run_test come in their order: theta must fit the
+    horizon, y and x must be finite, sigma must be positive.  A finite draw
+    is at most DRAW_BOUND in size, so a value the test does not read can only
+    overflow when epsilon or sigma is near the float range; that channel is
+    then drawn to the horizon and checked first, as simulate does.  (A draw
+    is infinite with chance 2**-53; one past what is drawn goes unseen.)
+    """
+    spec, noise, config = plan.spec, plan.noise, plan.config
+    seed, j_max, eps, sigma = plan.master_seed, config.j_max, noise.epsilon, noise.sigma
+    if len(theta) > j_max:
+        raise ValueError("theta does not fit inside the horizon")
+    b = b_vector(spec, j_max)
+    bt = b * theta.padded(j_max)
+    y_ahead = not math.isfinite(float(np.max(np.abs(bt))) + eps * DRAW_BOUND)
+    x_ahead = not math.isfinite(float(np.max(b)) + sigma * DRAW_BOUND)
+    envelope = sigma * _scan_table(config.alpha, config.kappa, j_max)
+    for rep in range(lo, hi):
+        eps_xi = _signal_noise(eps, seed, rep, j_max if y_ahead else 0)
+        if y_ahead:
+            _finite("y", bt + eps_xi)
+        eta = GaussianStream(seed, rep, OPERATOR_STREAM)
+        x = _finite("x", b + sigma * eta.take(j_max)) if x_ahead else b[:0]
+        if sigma <= 0.0:
+            raise ValueError("sigma must be positive")
+        band, x = _scan(eta, b, sigma, envelope, x)
+        _finite("x", x)
+        window = [np.zeros(0), np.zeros(0)]
+
+        def y_window(w: int) -> np.ndarray:
+            window[1] = eps_xi[:w].copy() if y_ahead else _signal_noise(eps, seed, rep, w)
+            window[0] = _finite("y", bt[:w] + window[1] if eps > 0.0 else bt[:w].copy())
+            return window[0]
+
+        report = _decide(band, x, y_window, plan.theta0, spec, noise, config)
+        yield report, x, window[0], window[1]
+
+
 def _reject_counts(plan: ExperimentPlan, theta: Signal, lo: int, hi: int) -> tuple[int, int]:
     """(rejections, degenerate replications) over reps in [lo, hi)."""
     n_reject = 0
     n_degenerate = 0
-    for rep in range(lo, hi):
-        obs = simulate(theta, plan.spec, plan.noise, plan.master_seed,
-                       plan.config.j_max, rep=rep)
-        report = run_test(obs, plan.theta0, plan.spec, plan.noise, plan.config)
+    for report, *_ in _replications(plan, theta, lo, hi):
         n_reject += report.reject
         n_degenerate += report.degenerate
     return n_reject, n_degenerate
@@ -181,18 +278,9 @@ class _RadiusRep(NamedTuple):
 
 
 def _build_radius_cache(plan: ExperimentPlan, lo: int, hi: int) -> list[_RadiusRep]:
-    spec, noise, config, theta0 = plan.spec, plan.noise, plan.config, plan.theta0
-    entries: list[_RadiusRep] = []
-    for rep in range(lo, hi):
-        obs = simulate(theta0, spec, noise, plan.master_seed, config.j_max, rep=rep)
-        report = run_test(obs, theta0, spec, noise, config)
-        w = report.window
-        # Philox is counter-based: these w draws are the prefix of the
-        # signal stream that simulate drew.
-        eps_xi = noise.epsilon * gaussian_draws(plan.master_seed, rep, SIGNAL_STREAM, w)
-        entries.append(_RadiusRep(report.reject, report.threshold,
-                                  obs.y[:w].copy(), obs.x[:w].copy(), eps_xi))
-    return entries
+    return [_RadiusRep(report.reject, report.threshold, y_win, x[:report.window].copy(),
+                       eps_xi_win)
+            for report, x, y_win, eps_xi_win in _replications(plan, plan.theta0, lo, hi)]
 
 
 def _accept_counts_from_cache(cache: Sequence[_RadiusRep], plan: ExperimentPlan,
@@ -339,14 +427,13 @@ def bandwidth_escape_bound(alpha: float, kappa: float) -> float:
 
 def _containment_failures(plan: ExperimentPlan, low: int, high: int,
                           high_truncated: bool, lo: int, hi: int) -> tuple[int, int]:
-    spec, noise, config = plan.spec, plan.noise, plan.config
-    b = b_vector(spec, config.j_max)
+    sigma, config = plan.noise.sigma, plan.config
+    b = b_vector(plan.spec, config.j_max)
+    envelope = sigma * _scan_table(config.alpha, config.kappa, config.j_max)
     n_fail = 0
     for rep in range(lo, hi):
-        x = b + noise.sigma * gaussian_draws(plan.master_seed, rep, OPERATOR_STREAM,
-                                             config.j_max)
-        band = empirical_bandwidth(x, noise.sigma, config.alpha, config.kappa,
-                                   config.j_max)
+        eta = GaussianStream(plan.master_seed, rep, OPERATOR_STREAM)
+        band, _ = _scan(eta, b, sigma, envelope, b[:0])
         inside = band.value >= low and (band.value < high
                                         or (high_truncated and band.truncated))
         n_fail += not inside

@@ -10,9 +10,10 @@ balances the deviation term against the bias floor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -105,6 +106,16 @@ def bracket_envelope_high(j, alpha: float, kappa: float = KAPPA_DEFAULT):
     return _envelope(j, alpha, kappa, 16.0, False)
 
 
+@functools.lru_cache(maxsize=16)
+def _scan_table(alpha: float, kappa: float, n: int) -> np.ndarray:
+    """scan_envelope at j = 1..n, built once per (alpha, kappa, n) and
+    read-only.  The envelope is computed index by index, so a prefix of this
+    table equals the envelope built at that shorter length."""
+    table = scan_envelope(np.arange(1, n + 1), alpha, kappa)
+    table.setflags(write=False)
+    return table
+
+
 class Bandwidth(NamedTuple):
     value: int
     truncated: bool  # the scan reached the horizon without triggering
@@ -131,7 +142,7 @@ def empirical_bandwidth(x, sigma: float, alpha: float, kappa: float = KAPPA_DEFA
     n = x.size if j_max is None else min(int(j_max), x.size)
     if n < 1:
         raise ValueError("empty observation vector")
-    envelope = sigma * scan_envelope(np.arange(1, n + 1), alpha, kappa)
+    envelope = sigma * _scan_table(alpha, kappa, n)
     hits = np.nonzero(np.abs(x[:n]) <= envelope)[0]
     if hits.size == 0:
         return Bandwidth(n, True)
@@ -340,6 +351,14 @@ def run_test(obs: Observations, theta0: Signal, spec: RegimeSpec,
             f"observations of length {len(obs)} are shorter than the horizon {config.j_max}"
         )
     band = empirical_bandwidth(obs.x, noise.sigma, config.alpha, config.kappa, config.j_max)
+    return _decide(band, obs.x, lambda w: obs.y, theta0, spec, noise, config)
+
+
+def _decide(band: Bandwidth, x, y_window: Callable[[int], np.ndarray], theta0: Signal,
+            spec: RegimeSpec, noise: NoiseLevels, config: TestConfig) -> TestReport:
+    """The test once the bandwidth is known: dimension choice on x[:m], then
+    statistic vs threshold.  y_window(w) supplies y (at least its first w
+    entries) for the window w = min(d, m); it is not called when m = 0."""
     if band.value == 0:
         return TestReport(
             bandwidth=0, window=0, statistic=0.0, threshold=math.nan,
@@ -348,13 +367,14 @@ def run_test(obs: Observations, theta0: Signal, spec: RegimeSpec,
     if config.dimension is not None:
         d = config.dimension
     else:
-        d = select_dimension(obs.x, spec, band.value, noise.epsilon, noise.sigma,
+        d = select_dimension(x, spec, band.value, noise.epsilon, noise.sigma,
                              config.alpha, config.beta)
-    value = statistic(obs.y, obs.x, theta0, d, band.value)
-    cutoff = threshold(obs.x, spec, d, band.value, noise.epsilon, noise.sigma, config.alpha)
+    window = min(d, band.value)
+    value = statistic(y_window(window), x, theta0, d, band.value)
+    cutoff = threshold(x, spec, d, band.value, noise.epsilon, noise.sigma, config.alpha)
     return TestReport(
         bandwidth=band.value,
-        window=min(d, band.value),
+        window=window,
         statistic=value,
         threshold=cutoff,
         reject=bool(value > cutoff),

@@ -118,6 +118,16 @@ class TestPrecedence:
         assert main(["test", "--config", str(config)]) == 2
         assert repr(next(iter(entry))) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", [1, 2.5, ["run.csv"]], ids=json.dumps)
+    def test_config_out_must_be_a_path(self, tmp_path, capsys, out):
+        """A number would be taken by open() as a file descriptor (and closed)."""
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"out": out, "jmax": 100}))
+        assert main(["test", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert "'out'" in captured.err
+        assert captured.out == ""
+
     def test_config_null_keeps_a_none_default(self, tmp_path):
         config = tmp_path / "settings.json"
         config.write_text(json.dumps({"dimension": None, "epsilon": [0.01], "jmax": 100}))

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ndtri
 
 from gsmgof import (
+    GaussianStream,
     InfeasibleConstructionError,
     InfeasibleRadiusError,
     InvalidLevelsError,
@@ -31,6 +33,7 @@ from gsmgof import (
     two_point_shift_constant,
     window_mass,
 )
+from gsmgof.gsm import DRAW_BOUND
 
 
 class TestSignal:
@@ -106,6 +109,23 @@ class TestGaussianDraws:
     def test_all_finite(self):
         draws = gaussian_draws(0, 0, QUADFORM_STREAM, 10_000)
         assert np.all(np.isfinite(draws))
+
+    @pytest.mark.parametrize("sizes", [
+        (0,), (1,), (63,), (64,), (65,), (0, 1, 63, 64, 65, 0, 200), (64, 128, 256, 512),
+        (1, 1, 1, 5), (65, 63),
+    ], ids=str)
+    def test_takes_continue_the_stream(self, sizes):
+        """Takes of any sizes concatenate to one draw of their total, bit for bit."""
+        stream = GaussianStream(42, 3, OPERATOR_STREAM)
+        parts = [stream.take(k) for k in sizes]
+        assert [part.shape for part in parts] == [(k,) for k in sizes]
+        whole = gaussian_draws(42, 3, OPERATOR_STREAM, sum(sizes))
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    def test_draw_bound_covers_every_finite_draw(self):
+        # the transform maps raw words into [2**-54, 1]; below 1 the largest is 1 - 2**-53
+        assert -ndtri(2.0 ** -54) < DRAW_BOUND
+        assert ndtri(np.nextafter(1.0, 0.0)) < DRAW_BOUND
 
 
 class TestSimulateNoiseFree:

@@ -1,6 +1,7 @@
 """Monte Carlo harness: error estimates, radius search, rate fits, concentration checks."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -33,19 +34,23 @@ from gsmgof.montecarlo import (
     _accept_counts_from_cache,
     _build_radius_cache,
     _chunk_ranges,
+    _replications,
 )
+
+REGIMES = ("mild-ordinary", "mild-super", "severe-ordinary", "severe-super")
 
 
 def fix_threshold(monkeypatch, cutoff):
-    """Make every in-process test run reject exactly when statistic > cutoff."""
-    real = montecarlo.run_test
+    """Make every in-process test run reject exactly when statistic > cutoff
+    (the Monte Carlo loops decide through the step they share with run_test)."""
+    real = montecarlo._decide
 
     def fixed(*args):
         report = real(*args)
         return dataclasses.replace(report, threshold=cutoff,
                                    reject=report.statistic > cutoff)
 
-    monkeypatch.setattr(montecarlo, "run_test", fixed)
+    monkeypatch.setattr(montecarlo, "_decide", fixed)
 
 
 def fix_radius(monkeypatch, radius_fn):
@@ -141,6 +146,105 @@ class TestErrorEstimation:
         est = estimate_alpha(plan)
         assert est.n_degenerate == 100
         assert est.p_hat == 0.0
+
+
+def _outcome(fn):
+    """repr of fn()'s result, or the type and message of what it raised."""
+    try:
+        return repr(fn())
+    except Exception as exc:  # noqa: BLE001 -- the comparison is the point
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _reference(plan, theta, rep):
+    """simulate + run_test: the report and the windows of x and y it read."""
+    obs = simulate(theta, plan.spec, plan.noise, plan.master_seed, plan.config.j_max, rep=rep)
+    report = run_test(obs, plan.theta0, plan.spec, plan.noise, plan.config)
+    return report, obs.x[:report.window].tobytes(), obs.y[:report.window].tobytes()
+
+
+def _kernel(plan, theta, rep):
+    report, x, y_win, eps_xi_win = next(_replications(plan, theta, rep, rep + 1))
+    assert eps_xi_win.shape == y_win.shape == (report.window,)
+    return report, x[:report.window].tobytes(), y_win.tobytes()
+
+
+def assert_kernel_matches_reference(plan, theta):
+    """Every replication's report (or error) and windows equal those of
+    simulate + run_test, bit for bit."""
+    for rep in range(plan.n_reps):
+        expected = _outcome(lambda: _reference(plan, theta, rep))
+        assert _outcome(lambda: _kernel(plan, theta, rep)) == expected, rep
+
+
+def reference_estimate(plan, theta, second_kind):
+    reports = [_reference(plan, theta, rep)[0] for rep in range(plan.n_reps)]
+    n_reject = sum(report.reject for report in reports)
+    count = plan.n_reps - n_reject if second_kind else n_reject
+    return ErrorEstimate.from_counts(count, plan.n_reps,
+                                     sum(report.degenerate for report in reports))
+
+
+class TestKernel:
+    """The Monte Carlo loops draw only what the test reads; every report, error
+    and estimate must equal the reference path simulate + run_test."""
+
+    @pytest.mark.parametrize("sigma", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_reports_match_reference(self, regime, sigma):
+        for j_max in (1, 63, 64, 65, 200):
+            plan = make_plan(spec=RegimeSpec.from_name(regime), sigma=sigma, j_max=j_max)
+            assert_kernel_matches_reference(plan, plan.theta0)
+
+    @pytest.mark.parametrize("case", [
+        dict(epsilon=0.0),
+        dict(dimension=3),
+        dict(dimension=70),
+        dict(sigma=0.5),
+        dict(sigma=0.9),
+    ], ids=json.dumps)
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_reports_match_reference_on_other_plans(self, regime, case):
+        case = {"sigma": 1e-3, **case}
+        for j_max in (1, 64, 65, 200):
+            plan = make_plan(spec=RegimeSpec.from_name(regime), j_max=j_max, **case)
+            assert_kernel_matches_reference(plan, plan.theta0)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_reports_match_reference_on_a_two_point_pair(self, regime):
+        spec = RegimeSpec.from_name(regime)
+        theta0, theta = make_two_point_pair(spec, NoiseLevels(1e-3, 1e-3), 0.05, 0.5, d=2)
+        plan = make_plan(spec=spec, epsilon=1e-3, sigma=1e-3, theta0=theta0)
+        assert_kernel_matches_reference(plan, theta0)
+        assert_kernel_matches_reference(plan, theta)
+
+    @pytest.mark.parametrize("case", [
+        dict(theta0=Signal.zeros(201)),  # theta does not fit inside the horizon
+        dict(sigma=0.0),  # sigma must be positive
+        dict(sigma=1.5),  # sigma must lie in (0, 1), unless the bandwidth is 0
+        dict(epsilon=1e308),  # y overflows outside any window
+        dict(sigma=1e308),  # x overflows
+        dict(sigma=5e307, j_max=10_000),  # x overflows, mostly past where the scan stops
+        dict(epsilon=1e308, sigma=1e308),  # both: y is named first
+        dict(theta0=Signal([1e308] * 5), epsilon=1e307),  # y drawn whole; the statistic overflows
+        dict(theta0=Signal([1e308] * 5), epsilon=0.0,  # b * theta overflows
+             spec=RegimeSpec("mild", "ordinary", 1.0, 1.0, c_b=10.0)),
+    ], ids=["long-theta", "zero-sigma", "large-sigma", "huge-epsilon", "huge-sigma",
+            "huge-sigma-deep", "huge-both", "huge-theta", "overflowing-theta"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_errors_match_reference(self, case):
+        plan = make_plan(**case)
+        assert_kernel_matches_reference(plan, plan.theta0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_estimates_match_a_reference_loop(self, workers):
+        spec = RegimeSpec.from_name("mild-ordinary")
+        theta0, theta = make_two_point_pair(spec, NoiseLevels(0.05, 0.05), 0.05, 0.5, d=2)
+        for sigma in (0.05, 1e-4):
+            plan = make_plan(epsilon=0.05, sigma=sigma, n_reps=150, j_max=200, seed=9,
+                             theta0=theta0)
+            assert estimate_alpha(plan, workers) == reference_estimate(plan, theta0, False)
+            assert estimate_beta(plan, theta, workers) == reference_estimate(plan, theta, True)
 
 
 def _two_point_null():
