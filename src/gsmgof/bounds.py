@@ -25,11 +25,10 @@ from .sequences import (
     RegimeSpec,
     _b_inv4_running_sums,
     a_inv_sq,
-    b_value,
     b_vector,
     cumulative_b_inv4_prefix,
 )
-from .testproc import KAPPA_DEFAULT, _objective, bandwidth_bracket
+from .testproc import KAPPA_DEFAULT, BandwidthBracket, _objective, bandwidth_bracket
 
 __all__ = [
     "BoundReport",
@@ -75,6 +74,12 @@ def upper_bound_radius_sq(spec: RegimeSpec, epsilon: float, sigma: float,
     for d up to the high end of the deterministic bandwidth bracket (the
     objective is constant past it).  Returns (value, smallest argmin).
     """
+    return _upper_bound(spec, epsilon, sigma, alpha, beta, j_max, kappa)[:2]
+
+
+def _upper_bound(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float, beta: float,
+                 j_max: int, kappa: float) -> tuple[float, int, BandwidthBracket]:
+    """upper_bound_radius_sq's value and argmin, and the bracket they came from."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     if not 0.0 < sigma < 1.0:
@@ -92,7 +97,7 @@ def upper_bound_radius_sq(spec: RegimeSpec, epsilon: float, sigma: float,
                            np.minimum(np.arange(1, n + 1), bracket.low),
                            epsilon, sigma, alpha, beta)
     k = int(np.argmin(objective))
-    return float(objective[k]), k + 1
+    return float(objective[k]), k + 1, bracket
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +105,15 @@ def upper_bound_radius_sq(spec: RegimeSpec, epsilon: float, sigma: float,
 # ---------------------------------------------------------------------------
 
 
-def critical_snr(alpha: float, beta: float, c0: float = 0.5, c1: float = 2.0) -> float:
-    """Signal-to-noise ratio at which the operator window mass reaches
-    (1 + 4(1-alpha-beta)^2)^(-1/2), solved by bisection to 1e-10."""
+def critical_snr(alpha: float, beta: float) -> float:
+    """Signal-to-noise ratio at which the mass of the operator window [b/2, 2b]
+    reaches (1 + 4(1-alpha-beta)^2)^(-1/2), solved by bisection to 1e-10."""
     divergence_budget(alpha, beta)  # validates the levels
     gap = 1.0 - alpha - beta
     target = 1.0 / math.sqrt(1.0 + 4.0 * gap * gap)
 
     def gap_fn(u: float) -> float:
-        return window_mass(u, c0, c1) - target
+        return window_mass(u) - target
 
     hi = 1.0
     while gap_fn(hi) < 0.0:
@@ -129,34 +134,20 @@ def critical_snr(alpha: float, beta: float, c0: float = 0.5, c1: float = 2.0) ->
     raise RuntimeError("bisection failed to converge")  # pragma: no cover
 
 
-def prior_depth(spec: RegimeSpec, sigma: float, alpha: float, beta: float,
-                j_max: int, c0: float = 0.5, c1: float = 2.0) -> int:
+def prior_depth(spec: RegimeSpec, sigma: float, alpha: float, beta: float, j_max: int) -> int:
     """Deepest coordinate at which the operator-noise channel can still hide
     a detectable shift: the largest d <= j_max with
-    b_d >= sigma * max(critical_snr, divergence_budget / 2); 0 if none."""
+    b_d >= sigma * max(critical_snr, divergence_budget / 2); 0 if none.
+    b is nonincreasing, so that is the number of such d."""
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    level = sigma * max(critical_snr(alpha, beta, c0, c1),
-                        divergence_budget(alpha, beta) / 2.0)
-    if b_value(spec, 1) < level:
-        return 0
-    j_max = int(j_max)
-    # Closed-form seed, then exact local adjustment against the predicate.
-    if spec.b_kind is DecayKind.MILD:
-        guess = int((spec.c_b / level) ** (1.0 / spec.t)) if level <= spec.c_b else 1
-    else:
-        guess = int(math.log(spec.c_b / level) / spec.t) if level <= spec.c_b else 1
-    d = min(max(guess, 1), j_max)
-    while d > 1 and b_value(spec, d) < level:
-        d -= 1
-    while d < j_max and b_value(spec, d + 1) >= level:
-        d += 1
-    return d
+    level = sigma * max(critical_snr(alpha, beta), divergence_budget(alpha, beta) / 2.0)
+    return int(np.count_nonzero(b_vector(spec, j_max) >= level))
 
 
 def lower_bound_radius_sq(spec: RegimeSpec, epsilon: float, sigma: float,
-                          alpha: float, beta: float, j_max: int,
-                          c0: float = 0.5, c1: float = 2.0) -> tuple[float, tuple[float, float]]:
+                          alpha: float, beta: float,
+                          j_max: int) -> tuple[float, tuple[float, float]]:
     """Combined two-channel lower bound on the squared separation radius.
 
     sigma channel:  (budget^2 / 16) * sigma^2 * max_{d <= prior_depth} b_d^-2 a_d^-2
@@ -166,16 +157,20 @@ def lower_bound_radius_sq(spec: RegimeSpec, epsilon: float, sigma: float,
     The epsilon scan stops early once the running maximum can no longer
     improve (the weight term decreases past the crossing point).
     """
+    return _lower_bound(spec, epsilon, sigma, alpha, beta, j_max)[:2]
+
+
+def _lower_bound(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float, beta: float,
+                 j_max: int) -> tuple[float, tuple[float, float], int]:
+    """lower_bound_radius_sq's value and parts, and the prior depth of its
+    sigma channel (0 when sigma is 0)."""
     budget = divergence_budget(alpha, beta)  # validates the levels
     j_max = int(j_max)
 
-    if sigma > 0.0:
-        depth = prior_depth(spec, sigma, alpha, beta, j_max, c0, c1)
-    else:
-        depth = 0
+    depth = prior_depth(spec, sigma, alpha, beta, j_max) if sigma > 0.0 else 0
     if depth >= 1:
-        j = np.arange(1, depth + 1)
-        hardest = float(np.max(b_vector(spec, depth) ** -2.0 * a_inv_sq(spec, j)))
+        weights = a_inv_sq(spec, np.arange(1, depth + 1))
+        hardest = float(np.max(b_vector(spec, depth) ** -2.0 * weights))
         sigma_part = (budget * budget / 16.0) * sigma * sigma * hardest
     else:
         sigma_part = 0.0
@@ -183,35 +178,25 @@ def lower_bound_radius_sq(spec: RegimeSpec, epsilon: float, sigma: float,
     epsilon_part = 0.0
     if epsilon > 0.0:
         scale = (2.0 * budget) ** 0.25 * epsilon ** 2
-        running = 0.0
         for d, total in enumerate(_b_inv4_running_sums(spec, j_max), start=1):
             grow = scale * math.sqrt(total)
             decay = a_inv_sq(spec, d)
-            running = max(running, min(grow, decay))
+            epsilon_part = max(epsilon_part, min(grow, decay))
             if grow >= decay:
                 break  # past the crossing the candidate only decreases
-        epsilon_part = running
 
-    return max(sigma_part, epsilon_part), (sigma_part, epsilon_part)
+    return max(sigma_part, epsilon_part), (sigma_part, epsilon_part), depth
 
 
 def evaluate_bounds(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float,
-                    beta: float, j_max: int, kappa: float = KAPPA_DEFAULT,
-                    c0: float = 0.5, c1: float = 2.0) -> BoundReport:
-    """One-stop report: both bounds plus the bandwidth diagnostics."""
-    upper, argmin_dim = upper_bound_radius_sq(spec, epsilon, sigma, alpha, beta, j_max, kappa)
-    lower, components = lower_bound_radius_sq(spec, epsilon, sigma, alpha, beta, j_max, c0, c1)
-    bracket = bandwidth_bracket(spec, sigma, alpha, kappa, j_max)
-    depth = prior_depth(spec, sigma, alpha, beta, j_max, c0, c1)
-    return BoundReport(
-        upper_sq=upper,
-        upper_argmin_dim=argmin_dim,
-        lower_sq=lower,
-        lower_components=components,
-        bracket_low=bracket.low,
-        bracket_high=bracket.high,
-        prior_depth=depth,
-    )
+                    beta: float, j_max: int, kappa: float = KAPPA_DEFAULT) -> BoundReport:
+    """One-stop report: both bounds plus the bandwidth bracket and the prior
+    depth they were computed from."""
+    upper, argmin_dim, bracket = _upper_bound(spec, epsilon, sigma, alpha, beta, j_max, kappa)
+    lower, components, depth = _lower_bound(spec, epsilon, sigma, alpha, beta, j_max)
+    return BoundReport(upper_sq=upper, upper_argmin_dim=argmin_dim, lower_sq=lower,
+                       lower_components=components, bracket_low=bracket.low,
+                       bracket_high=bracket.high, prior_depth=depth)
 
 
 # ---------------------------------------------------------------------------

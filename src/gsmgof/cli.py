@@ -34,6 +34,7 @@ from .gsm import (
 )
 from .montecarlo import (
     ExperimentPlan,
+    _radius_bracket,
     bandwidth_escape_bound,
     check_bandwidth_containment,
     check_quadform_concentration,
@@ -41,7 +42,7 @@ from .montecarlo import (
     estimate_alpha,
     estimate_beta,
 )
-from .sequences import DecayKind, GrowthKind, RegimeSpec, a_value
+from .sequences import DecayKind, GrowthKind, RegimeSpec
 from .testproc import KAPPA_DEFAULT, TestConfig, run_test
 
 __all__ = ["main"]
@@ -392,15 +393,14 @@ def _cmd_power_curve(cfg: dict) -> int:
 def _cmd_sep_radius(cfg: dict) -> int:
     [cell] = _cells(cfg, grid=False)
     plan = _plan(cfg, cell)
-    r_hi = cfg["r_hi"] if cfg["r_hi"] is not None else 1.0 / float(a_value(cell.spec, 1))
-    r_lo = cfg["r_lo"] if cfg["r_lo"] is not None else r_hi * 2.0 ** -14
+    r_lo, r_hi = _radius_bracket(cell.spec, cfg["r_lo"], cfg["r_hi"])
     beta_target = float(cfg["beta"])
-    radius = empirical_separation_radius(plan, beta_target, float(r_lo), float(r_hi),
+    radius = empirical_separation_radius(plan, beta_target, r_lo, r_hi,
                                          tol=float(cfg["tol"]),
                                          workers=int(cfg["workers"]))
     rows = [{
         **_prefix(cfg, cell), "seed": cfg["seed"], "reps": int(cfg["reps"]),
-        "beta_target": beta_target, "r_lo": float(r_lo), "r_hi": float(r_hi),
+        "beta_target": beta_target, "r_lo": r_lo, "r_hi": r_hi,
         "tol": float(cfg["tol"]), "radius": radius,
     }]
     _emit(rows, cfg)
@@ -447,44 +447,40 @@ _QUADFORM_CASES = (
     {"d": 10, "nu": 0.1, "v": 0.5, "x": 2.0},
 )
 
+_CHECK_COLUMNS = ("check", "regime", "s", "t", "sigma", "alpha", "kappa", "jmax", "seed",
+                  "reps", "d", "nu", "v", "x", "p_hat", "se", "bound", "passed")
+
+
+def _check_row(check: str, estimate, bound: float, **columns) -> dict:
+    """One checks row: the columns given, the others blank.  The check passes
+    when its frequency is within three standard errors above the bound."""
+    row = dict.fromkeys(_CHECK_COLUMNS)
+    row.update(columns, check=check, p_hat=estimate.p_hat, se=estimate.se, bound=bound,
+               passed=estimate.p_hat <= bound + 3.0 * estimate.se)
+    return row
+
 
 def _cmd_checks(cfg: dict) -> int:
     [cell] = _cells(cfg, grid=False)
     plan = _plan(cfg, cell)
-    alpha = float(cfg["alpha"])
-    kappa = float(cfg["kappa"])
     reps = int(cfg["reps"])
     workers = int(cfg["workers"])
-    rows = []
+    run = {"seed": cfg["seed"], "reps": reps}
 
     escape = check_bandwidth_containment(plan, workers=workers)
-    bound = bandwidth_escape_bound(alpha, kappa)
-    rows.append({
-        "check": "bandwidth-containment", "regime": cell.regime,
-        "s": float(cfg["s"]), "t": float(cfg["t"]), "sigma": cell.sigma,
-        "alpha": alpha, "kappa": kappa, "jmax": cell.j_max,
-        "seed": cfg["seed"], "reps": reps,
-        "d": None, "nu": None, "v": None, "x": None,
-        "p_hat": escape.p_hat, "se": escape.se, "bound": bound,
-        "passed": escape.p_hat <= bound + 3.0 * escape.se,
-    })
+    columns = {k: v for k, v in _prefix(cfg, cell).items() if k in _CHECK_COLUMNS}
+    rows = [_check_row("bandwidth-containment", escape,
+                       bandwidth_escape_bound(plan.config.alpha, plan.config.kappa),
+                       **columns, **run)]
 
     for case in _QUADFORM_CASES:
         tails = check_quadform_concentration(case["d"], case["nu"], case["v"],
                                              case["x"], reps,
                                              master_seed=cfg["seed"],
                                              workers=workers)
-        bound = math.exp(-case["x"])
         for side, estimate in (("quadform-upper", tails.upper),
                                ("quadform-lower", tails.lower)):
-            rows.append({
-                "check": side, "regime": None, "s": None, "t": None, "sigma": None,
-                "alpha": None, "kappa": None, "jmax": None,
-                "seed": cfg["seed"], "reps": reps,
-                "d": case["d"], "nu": case["nu"], "v": case["v"], "x": case["x"],
-                "p_hat": estimate.p_hat, "se": estimate.se, "bound": bound,
-                "passed": estimate.p_hat <= bound + 3.0 * estimate.se,
-            })
+            rows.append(_check_row(side, estimate, math.exp(-case["x"]), **case, **run))
 
     _emit(rows, cfg)
     return 0 if all(row["passed"] for row in rows) else 1

@@ -228,26 +228,28 @@ def divergence_budget(alpha: float, beta: float) -> float:
     return math.log1p(4.0 * gap * gap)
 
 
+# The two-point prior keeps each noisy operator coefficient inside [b/2, 2b].
+_WINDOW_LOW, _WINDOW_HIGH = 0.5, 2.0
+
+
 def _phi(z: float) -> float:
     """Standard normal CDF via erfc (accurate far into both tails)."""
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def window_mass(u: float, c0: float = 0.5, c1: float = 2.0) -> float:
+def window_mass(u: float) -> float:
     """Gaussian probability that a noisy operator coefficient stays inside
-    the window [c0*b, c1*b], at signal-to-noise ratio u = b/sigma.
+    the window [b/2, 2b], at signal-to-noise ratio u = b/sigma.
 
-    Equals Phi((c1-1)*u) - Phi((c0-1)*u); increases from 0 to 1 in u.
+    Equals Phi(u) - Phi(-u/2); increases from 0 to 1 in u.
     """
-    if not (0.0 <= c0 < 1.0 < c1):
-        raise ValueError(f"window constants must satisfy 0 <= c0 < 1 < c1, got {c0}, {c1}")
     if u < 0.0:
         raise ValueError("signal-to-noise ratio must be nonnegative")
-    return _phi((c1 - 1.0) * u) - _phi((c0 - 1.0) * u)
+    return _phi((_WINDOW_HIGH - 1.0) * u) - _phi((_WINDOW_LOW - 1.0) * u)
 
 
 def two_point_shift_constant(spec: RegimeSpec, sigma: float, alpha: float, beta: float,
-                             d: int, c0: float = 0.5, c1: float = 2.0) -> float:
+                             d: int) -> float:
     """Shift multiplier for the hardest two-point pair at coordinate d.
 
     The divergence budget plus the log window mass at u = b_d / sigma.  In
@@ -257,7 +259,7 @@ def two_point_shift_constant(spec: RegimeSpec, sigma: float, alpha: float, beta:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0.0:
         return divergence_budget(alpha, beta)
-    mass = window_mass(b_value(spec, d) / sigma, c0, c1)
+    mass = window_mass(b_value(spec, d) / sigma)
     if mass <= 0.0:
         raise InfeasibleConstructionError(
             f"operator window mass vanished at coordinate {d} (sigma={sigma}); "
@@ -267,7 +269,7 @@ def two_point_shift_constant(spec: RegimeSpec, sigma: float, alpha: float, beta:
 
 
 def make_two_point_pair(spec: RegimeSpec, noise: NoiseLevels, alpha: float, beta: float,
-                        d: int, c0: float = 0.5, c1: float = 2.0) -> tuple[Signal, Signal]:
+                        d: int) -> tuple[Signal, Signal]:
     """Hardest two-point pair (theta0, theta) concentrated on coordinate d.
 
     theta puts half the admissible amplitude at d; theta0 shifts it up by the
@@ -282,7 +284,7 @@ def make_two_point_pair(spec: RegimeSpec, noise: NoiseLevels, alpha: float, beta
     if noise.sigma == 0.0:
         theta0_d = base  # zero separation
     else:
-        shift = two_point_shift_constant(spec, noise.sigma, alpha, beta, d, c0, c1)
+        shift = two_point_shift_constant(spec, noise.sigma, alpha, beta, d)
         if shift <= 0.0:
             raise InfeasibleConstructionError(
                 f"nonpositive shift constant {shift:.6g} at coordinate {d}; "
@@ -295,13 +297,9 @@ def make_two_point_pair(spec: RegimeSpec, noise: NoiseLevels, alpha: float, beta
                 "the shifted signal would leave the smoothness class"
             )
         theta0_d = base + relative * base
-    coeffs = np.zeros(d)
-    coeffs[d - 1] = theta0_d
-    theta0 = Signal(coeffs)
-    coeffs = np.zeros(d)
-    coeffs[d - 1] = base
-    theta = Signal(coeffs)
-    return theta0, theta
+    pair = np.zeros((2, d))
+    pair[:, d - 1] = theta0_d, base
+    return Signal(pair[0]), Signal(pair[1])
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,13 @@ def empirical_separation_radius(plan: ExperimentPlan, beta_target: float,
     return 0.5 * (lo + hi)
 
 
+def _radius_bracket(spec: RegimeSpec, r_lo, r_hi) -> tuple[float, float]:
+    """(r_lo, r_hi) as floats, a missing one set as fit_rate_slope documents."""
+    r_hi = 1.0 / float(a_value(spec, 1)) if r_hi is None else float(r_hi)
+    r_lo = r_hi * 2.0 ** -14 if r_lo is None else float(r_lo)
+    return r_lo, r_hi
+
+
 class RateFit(NamedTuple):
     """Least-squares slope of log squared radius against log signal noise."""
 
@@ -401,10 +408,7 @@ def fit_rate_slope(plan_template: ExperimentPlan, epsilon_grid: Sequence[float],
         raise ValueError("epsilon_grid needs at least two distinct values")
     if any(not 0.0 < e < 1.0 for e in eps_values):
         raise ValueError("epsilon grid values must lie in (0, 1)")
-    if r_hi is None:
-        r_hi = 1.0 / float(a_value(plan_template.spec, 1))
-    if r_lo is None:
-        r_lo = r_hi * 2.0 ** -14
+    r_lo, r_hi = _radius_bracket(plan_template.spec, r_lo, r_hi)
     radii = []
     for eps in eps_values:
         plan = replace(plan_template, noise=NoiseLevels(eps, plan_template.noise.sigma))

@@ -186,7 +186,7 @@ def statistic(y, x, theta0: Signal, d: int, m: int) -> float:
     """Cut-off statistic: sum over j <= min(d, m) of (y_j/x_j - theta0_j)**2.
 
     The empty window returns 0.  A zero observed operator coefficient inside
-    the window (a probability-zero event) is refused explicitly.
+    the window (a probability-zero event) and a sum that is not finite are refused.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -199,7 +199,13 @@ def statistic(y, x, theta0: Signal, d: int, m: int) -> float:
     xs = _window(x, w)
     ref = theta0.padded(max(w, len(theta0)))[:w]
     terms = (y[:w] / xs - ref) ** 2
-    return float(math.fsum(terms.tolist()))
+    try:
+        total = math.fsum(terms.tolist())
+    except OverflowError:  # finite terms whose sum is not
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"the statistic over the first {w} coefficients is not finite")
+    return total
 
 
 class ThresholdParts(NamedTuple):
@@ -249,7 +255,10 @@ def _objective(spec: RegimeSpec, inv4_sums, dims, epsilon: float, sigma: float,
         adaptive_constant * eps^2 * sqrt(inv4_sums)
         + (7 + 4*sqrt(tail_exponent(alpha))) * max(sigma^2 ln^1.5(1/sigma), a_dims^-2)
     """
-    deviation = adaptive_constant(alpha, beta) * epsilon ** 2 * np.sqrt(inv4_sums)
+    try:
+        deviation = adaptive_constant(alpha, beta) * epsilon ** 2 * np.sqrt(inv4_sums)
+    except OverflowError:
+        raise ValueError(f"epsilon={epsilon!r} squared exceeds the float range") from None
     floor = sigma * sigma * math.log(1.0 / sigma) ** 1.5
     bias = (7.0 + 4.0 * math.sqrt(tail_exponent(alpha))) * np.maximum(floor, a_inv_sq(spec, dims))
     return deviation + bias

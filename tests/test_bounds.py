@@ -1,5 +1,6 @@
 """Separation-radius bounds: pinned reports, brute-force scans, rate formulas."""
 
+import collections
 import math
 
 import numpy as np
@@ -26,6 +27,9 @@ from gsmgof import (
     upper_bound_radius_sq,
     window_mass,
 )
+from gsmgof import bounds
+
+REGIMES = ("mild-ordinary", "mild-super", "severe-ordinary", "severe-super")
 
 
 class TestCriticalSnr:
@@ -80,6 +84,29 @@ class TestPriorDepth:
     def test_sigma_validation(self, mild_ordinary):
         with pytest.raises(ValueError):
             prior_depth(mild_ordinary, 0.0, 0.05, 0.05, j_max=100)
+
+    def test_horizon_validation(self, mild_ordinary):
+        with pytest.raises(ValueError):
+            prior_depth(mild_ordinary, 0.01, 0.05, 0.05, j_max=0)
+
+    @pytest.mark.parametrize("j_max", [1, 5, 200, 10_000])
+    @pytest.mark.parametrize("s, t", [(1.0, 1.0), (0.5, 2.0), (3.0, 0.25)])
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_matches_scalar_scan(self, regime, s, t, j_max):
+        """The depth is max{d <= j_max : b_d >= level}, found by trying every
+        d with the scalar b_value; sigma runs up to levels above b_1."""
+        spec = RegimeSpec.from_name(regime, s=s, t=t)
+        b = [b_value(spec, d) for d in range(1, j_max + 1)]
+        depths = set()
+        for alpha, beta in [(0.05, 0.5), (0.05, 0.05), (0.3, 0.4)]:
+            snr = max(critical_snr(alpha, beta), divergence_budget(alpha, beta) / 2.0)
+            for sigma in np.geomspace(1e-9, 2.0, 25):
+                level = sigma * snr
+                expected = max((d for d in range(1, j_max + 1) if b[d - 1] >= level), default=0)
+                depth = prior_depth(spec, sigma, alpha, beta, j_max)
+                assert depth == expected, (alpha, beta, sigma)
+                depths.add(depth)
+        assert 0 in depths and len(depths) > 1
 
 
 class TestUpperBound:
@@ -205,6 +232,47 @@ class TestEvaluateBounds:
         assert report.bracket_low == 15
         assert report.bracket_high == 18
         assert report.prior_depth == 609
+
+    def test_bracket_and_depth_computed_once(self, mild_ordinary, monkeypatch):
+        """Both bounds and the report share one bracket and one prior depth."""
+        calls = collections.Counter()
+
+        def counted(name):
+            original = getattr(bounds, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("bandwidth_bracket", "prior_depth"):
+            monkeypatch.setattr(bounds, name, counted(name))
+        report = evaluate_bounds(mild_ordinary, 1e-3, 1e-3, 0.05, 0.5, 10_000)
+        assert calls == {"bandwidth_bracket": 1, "prior_depth": 1}
+        monkeypatch.undo()
+        bracket = bandwidth_bracket(mild_ordinary, 1e-3, 0.05, j_max=10_000)
+        assert (report.bracket_low, report.bracket_high) == (bracket.low, bracket.high)
+        assert report.prior_depth == prior_depth(mild_ordinary, 1e-3, 0.05, 0.5, 10_000)
+        assert (report.upper_sq, report.upper_argmin_dim) == upper_bound_radius_sq(
+            mild_ordinary, 1e-3, 1e-3, 0.05, 0.5, 10_000)
+        assert (report.lower_sq, report.lower_components) == lower_bound_radius_sq(
+            mild_ordinary, 1e-3, 1e-3, 0.05, 0.5, 10_000)
+
+    @pytest.mark.parametrize("args, error, message", [
+        ((0.0, 2.0, 0.9, 0.5, 0), ValueError, "epsilon must be positive"),
+        ((1e-3, 2.0, 0.9, 0.5, 0), ValueError, "sigma must lie in"),
+        ((1e-3, 1e-3, 0.9, 0.5, 0), InvalidLevelsError, "the power guarantee needs"),
+        ((1e-3, 1e-3, 0.05, 1.0, 0), ValueError, "n must be >= 1"),
+        ((1e-3, 0.5, 0.05, 1.0, 100), DegenerateBoundError, "drowns the first"),
+        ((1e-3, 1e-3, 0.05, 1.0, 100), ValueError, "level must lie in"),
+        ((1e-3, 1e-3, 0.5, 0.5, 100), InvalidLevelsError, "need alpha, beta"),
+    ])
+    def test_first_fault_wins(self, mild_ordinary, args, error, message):
+        """With several faults at once, the upper bound's checks come first,
+        then the lower bound's, as when the report called both in turn."""
+        with pytest.raises(error, match=message):
+            evaluate_bounds(mild_ordinary, *args)
 
     def test_report_internally_consistent(self, severe_ordinary):
         report = evaluate_bounds(severe_ordinary, 1e-3, 1e-3, 0.05, 0.5, 200)

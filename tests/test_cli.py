@@ -200,6 +200,18 @@ class TestSepRadius:
         assert float(row["radius"]) == 0.859515625
         assert float(row["beta_target"]) == 0.5
 
+    def test_config_string_r_hi_sets_the_default_r_lo(self, tmp_path):
+        """A config-file r_hi given as a string is read as a number before the
+        default r_lo is taken from it."""
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"r_hi": "1.0"}))
+        out = tmp_path / "sep.csv"
+        assert main(["sep-radius", "--config", str(config), "--jmax", "200", "--reps", "200",
+                     "--seed", "42", "--workers", "1", "--out", str(out)]) == 0
+        row = read_csv(out)[0]
+        assert float(row["r_hi"]) == 1.0
+        assert float(row["r_lo"]) == 2.0 ** -14
+
 
 class TestRates:
     def test_pinned_value_round_trips_through_csv(self, tmp_path):
@@ -246,6 +258,10 @@ class TestBounds:
         assert "out" not in payload["meta"]
         assert payload["meta"]["command"] == "bounds"
         assert len(payload["rows"]) == 1
+
+    def test_epsilon_past_the_float_range_exits_2(self, capsys):
+        assert main(["bounds", "--epsilon", "1e200", "--jmax", "50"]) == 2
+        assert "epsilon=1e+200 squared" in capsys.readouterr().err
 
 
 class TestChecks:

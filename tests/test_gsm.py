@@ -252,10 +252,6 @@ class TestWindowMass:
     def test_validation(self):
         with pytest.raises(ValueError):
             window_mass(-1.0)
-        with pytest.raises(ValueError):
-            window_mass(1.0, c0=1.5, c1=2.0)
-        with pytest.raises(ValueError):
-            window_mass(1.0, c0=0.5, c1=0.9)
 
 
 class TestTwoPointPair:

@@ -10,6 +10,7 @@ from gsmgof import (
     KAPPA_DEFAULT,
     DegenerateBandwidthError,
     DegenerateObservationError,
+    ExperimentPlan,
     NoiseLevels,
     Observations,
     Signal,
@@ -21,6 +22,7 @@ from gsmgof import (
     bracket_envelope_low,
     dimension_objective,
     empirical_bandwidth,
+    estimate_beta,
     make_spike_alternative,
     run_test,
     scan_envelope,
@@ -212,6 +214,19 @@ class TestStatistic:
             statistic(np.ones(2), np.ones(2), Signal.zeros(0), d=0, m=2)
         with pytest.raises(ValueError):
             statistic(np.ones(2), np.ones(2), Signal.zeros(0), d=2, m=-1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_term_refused(self):
+        y = np.array([1.0, 1e200])
+        x = np.array([1.0, 1e-200])
+        with pytest.raises(ValueError, match="first 2 coefficients is not finite"):
+            statistic(y, x, Signal.zeros(0), d=2, m=2)
+
+    def test_overflowing_sum_refused(self):
+        # each term 1.69e308 is finite; their sum is not
+        y = np.full(2, 1.3e154)
+        with pytest.raises(ValueError, match="first 2 coefficients is not finite"):
+            statistic(y, np.ones(2), Signal.zeros(0), d=2, m=2)
 
 
 class TestThreshold:
@@ -409,3 +424,36 @@ class TestRunTest:
             for _ in range(2)
         ]
         assert reports[0] == reports[1]
+
+
+class TestOverflow:
+    """Coefficients near the floating-point range make the test's sums
+    overflow.  They are refused with a ValueError, the same on the reference
+    path (simulate + run_test) and in the Monte Carlo kernel."""
+
+    HUGE = Signal([1e308] * 5)
+    CASES = {
+        # b * theta is finite, but every term (y_j / x_j)^2 overflows
+        "huge-alternative": (Signal.zeros(0), HUGE, 1e-2, None,
+                             "the statistic over the first 2 coefficients"),
+        # the adaptive dimension weighs epsilon^2, which overflows
+        "huge-null": (HUGE, HUGE, 1e307, None, "epsilon=1e[+]307 squared"),
+        "huge-null-fixed-dimension": (HUGE, HUGE, 1e307, 1,
+                                      "the statistic over the first 1 coefficients"),
+    }
+
+    @pytest.mark.parametrize("path", ["reference", "kernel"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_refused_on_both_paths(self, mild_ordinary, case, path):
+        theta0, theta, epsilon, dimension, message = self.CASES[case]
+        noise = NoiseLevels(epsilon, 1e-2)
+        config = TestConfig(alpha=0.05, beta=0.5, j_max=200, dimension=dimension)
+        with pytest.raises(ValueError, match=message):
+            if path == "reference":
+                obs = simulate(theta, mild_ordinary, noise, seed=0, j_max=200)
+                run_test(obs, theta0, mild_ordinary, noise, config)
+            else:
+                plan = ExperimentPlan(spec=mild_ordinary, noise=noise, config=config,
+                                      theta0=theta0, n_reps=100, master_seed=0)
+                estimate_beta(plan, theta)
