@@ -89,3 +89,15 @@ def test_help_lists_regimes_and_which_choices(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == (GOLDEN / "rates-help.out").read_text(encoding="utf-8")
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("command", ["test", "calibrate", "power-curve", "sep-radius",
+                                     "bounds", "checks", None], ids=str)
+def test_help_text(command, capsys, monkeypatch):
+    """Every subcommand's --help, and the top level's, at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"] if command else ["--help"]) == 0
+    captured = capsys.readouterr()
+    name = f"{command}-help.out" if command else "help.out"
+    assert captured.out == (GOLDEN / name).read_text(encoding="utf-8")
+    assert captured.err == ""
