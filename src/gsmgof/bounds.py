@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBoundError, InvalidLevelsError
-from .gsm import divergence_budget, window_mass
+from .gsm import NoiseLevels, divergence_budget, window_mass
 from .sequences import (
     DecayKind,
     GrowthKind,
@@ -155,9 +155,13 @@ def lower_bound_radius_sq(spec: RegimeSpec, epsilon: float, sigma: float,
 
     Returns (value, (sigma_part, epsilon_part)) with value = max(parts).
     The epsilon scan stops early once the running maximum can no longer
-    improve (the weight term decreases past the crossing point).
+    improve (the weight term decreases past the crossing point).  Either
+    noise level may be 0, which drops its channel; a negative or non-finite
+    one is refused, after the levels are checked.
     """
-    return _lower_bound(spec, epsilon, sigma, alpha, beta, j_max)[:2]
+    divergence_budget(alpha, beta)
+    noise = NoiseLevels(epsilon, sigma)
+    return _lower_bound(spec, noise.epsilon, noise.sigma, alpha, beta, j_max)[:2]
 
 
 def _lower_bound(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float, beta: float,
@@ -177,7 +181,10 @@ def _lower_bound(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float, b
 
     epsilon_part = 0.0
     if epsilon > 0.0:
-        scale = (2.0 * budget) ** 0.25 * epsilon ** 2
+        try:
+            scale = (2.0 * budget) ** 0.25 * epsilon ** 2
+        except OverflowError:
+            raise ValueError(f"epsilon={epsilon!r} squared exceeds the float range") from None
         for d, total in enumerate(_b_inv4_running_sums(spec, j_max), start=1):
             grow = scale * math.sqrt(total)
             decay = a_inv_sq(spec, d)

@@ -13,13 +13,14 @@ its target; 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import os
 import sys
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .bounds import WHICH, evaluate_bounds, rate_formula
@@ -48,34 +49,50 @@ from .testproc import KAPPA_DEFAULT, TestConfig, run_test
 __all__ = ["main"]
 
 _REGIMES = tuple(f"{decay.value}-{growth.value}" for decay in DecayKind for growth in GrowthKind)
-_FORMATS = ("csv", "json")
+_GRID = None  # the kind of a grid setting: kept as given, parsed per cell
 
-_DEFAULTS = {
-    "seed": 12345,
-    "reps": 1000,
-    "workers": None,  # resolved to os.cpu_count() at run time
-    "format": "csv",
-    "out": None,
-    "alpha": 0.05,
-    "beta": 0.5,
-    "epsilon": "0.01",
-    "sigma": "0.01",
-    "s": 1.0,
-    "t": 1.0,
-    "regime": "mild-ordinary",
-    "jmax": None,  # resolved per regime
-    "kappa": KAPPA_DEFAULT,
-    "dimension": None,
-    "radii": None,
-    "which": "upper",
-    "r_lo": None,
-    "r_hi": None,
-    "tol": 0.05,
+
+class _Setting(NamedTuple):
+    """One setting: its default, the type a flag or config entry is read as
+    (int, float, str or _GRID), its choices, and its flag's help text, where
+    {grid} marks the note of a subcommand that takes grids.  `command` names
+    the one subcommand that alone takes the flag; None means all do."""
+
+    default: Any
+    kind: type | None
+    help: str = ""
+    choices: tuple | None = None
+    command: str | None = None
+    metavar: str | None = None
+
+
+_SETTINGS = {
+    "seed": _Setting(12345, int, "master seed (also settable via GSM_GOF_SEED)"),
+    "reps": _Setting(1000, int, "replications per cell"),
+    # workers None is os.cpu_count() at run time; jmax None is per regime
+    "workers": _Setting(None, int, "process pool size (default: logical CPUs)"),
+    "format": _Setting("csv", str, choices=("csv", "json")),
+    "out": _Setting(None, str, "output file (default: stdout)", metavar="PATH"),
+    "alpha": _Setting(0.05, float, "first-kind level"),
+    "beta": _Setting(0.5, float, "second-kind target (also the radius-search target)"),
+    "epsilon": _Setting("0.01", _GRID, "signal noise level{grid}"),
+    "sigma": _Setting("0.01", _GRID, "operator noise level{grid}"),
+    "s": _Setting(1.0, float, "smoothness exponent"),
+    "t": _Setting(1.0, float, "ill-posedness exponent"),
+    "regime": _Setting("mild-ordinary", _GRID,
+                       "decay/growth regime{grid}: " + ", ".join(_REGIMES)),
+    "jmax": _Setting(None, int, "horizon (default: 10000 mild, 200 severe)"),
+    "kappa": _Setting(KAPPA_DEFAULT, float, "envelope constant"),
+    "dimension": _Setting(None, int, "fixed cut-off dimension (default: adaptive)",
+                          command="test"),
+    "radii": _Setting(None, _GRID, "comma-separated spike radii (required)",
+                      command="power-curve"),
+    "which": _Setting("upper", str, choices=WHICH, command="rates"),
+    "r_lo": _Setting(None, float, command="sep-radius"),
+    "r_hi": _Setting(None, float, command="sep-radius"),
+    "tol": _Setting(0.05, float, "relative bracket width at which bisection stops",
+                    command="sep-radius"),
 }
-
-_CONFIG_KEYS = frozenset(_DEFAULTS)
-_GRID_KEYS = frozenset({"regime", "epsilon", "sigma", "radii"})  # may hold JSON lists
-
 
 # ---------------------------------------------------------------------------
 # Argument parsing and setting resolution
@@ -89,67 +106,46 @@ def _build_parser() -> argparse.ArgumentParser:
                     "models with noisy operator coefficients.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, grids: bool) -> None:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", metavar="PATH",
                        help="JSON file of settings; flags override its entries")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (also settable via GSM_GOF_SEED)")
-        p.add_argument("--reps", type=int, default=None, help="replications per cell")
-        p.add_argument("--workers", type=int, default=None,
-                       help="process pool size (default: logical CPUs)")
-        p.add_argument("--format", choices=_FORMATS, default=None, dest="format")
-        p.add_argument("--out", metavar="PATH", default=None,
-                       help="output file (default: stdout)")
-        p.add_argument("--alpha", type=float, default=None, help="first-kind level")
-        p.add_argument("--beta", type=float, default=None,
-                       help="second-kind target (also the radius-search target)")
-        grid_note = " (comma-separated list allowed)" if grids else ""
-        p.add_argument("--epsilon", default=None, help="signal noise level" + grid_note)
-        p.add_argument("--sigma", default=None, help="operator noise level" + grid_note)
-        p.add_argument("--s", type=float, default=None, help="smoothness exponent")
-        p.add_argument("--t", type=float, default=None, help="ill-posedness exponent")
-        p.add_argument("--regime", default=None,
-                       help="decay/growth regime" + grid_note + ": "
-                            + ", ".join(_REGIMES))
-        p.add_argument("--jmax", type=int, default=None,
-                       help="horizon (default: 10000 mild, 200 severe)")
-        p.add_argument("--kappa", type=float, default=None, help="envelope constant")
-
-    p_test = sub.add_parser("test", help="one simulated test run under the null")
-    add_common(p_test, grids=False)
-    p_test.add_argument("--dimension", type=int, default=None,
-                        help="fixed cut-off dimension (default: adaptive)")
-
-    p_cal = sub.add_parser("calibrate", help="first-kind error over a grid")
-    add_common(p_cal, grids=True)
-
-    p_pow = sub.add_parser("power-curve",
-                           help="second-kind error against spike alternatives")
-    add_common(p_pow, grids=False)
-    p_pow.add_argument("--radii", default=None,
-                       help="comma-separated spike radii (required)")
-
-    p_sep = sub.add_parser("sep-radius",
-                           help="bisection search for the separation radius")
-    add_common(p_sep, grids=False)
-    p_sep.add_argument("--r-lo", type=float, default=None, dest="r_lo")
-    p_sep.add_argument("--r-hi", type=float, default=None, dest="r_hi")
-    p_sep.add_argument("--tol", type=float, default=None,
-                       help="relative bracket width at which bisection stops")
-
-    p_rates = sub.add_parser("rates", help="benchmark rate formulas over a grid")
-    add_common(p_rates, grids=True)
-    p_rates.add_argument("--which", choices=WHICH, default=None)
-
-    p_bounds = sub.add_parser("bounds", help="separation-radius bounds over a grid")
-    add_common(p_bounds, grids=True)
-
-    p_checks = sub.add_parser(
-        "checks", help="concentration checks with pass/fail flags (exit 1 on failure)")
-    add_common(p_checks, grids=False)
-
+        note = " (comma-separated list allowed)" if command.grids else ""
+        for key, setting in _SETTINGS.items():
+            if setting.command in (None, name):
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=setting.kind,
+                               choices=setting.choices, metavar=setting.metavar,
+                               help=setting.help.format(grid=note))
     return parser
+
+
+_KINDS = {int: "an integer", float: "a number", str: "a string",
+          _GRID: "a number or a string, or a list of them"}
+
+
+def _read(key: str, value: Any, source: str) -> Any:
+    """A config entry or environment value as its setting's type, else a
+    ValueError naming `source`.  An integer setting takes an integral number
+    or a string int() parses, so nothing is truncated; a grid stays as given."""
+    setting = _SETTINGS[key]
+    kind = setting.kind
+    if value is None and setting.default is None:
+        return None
+    items = value if kind is _GRID and isinstance(value, list) else [value]
+    if all(isinstance(v, (int, float, str)) and not isinstance(v, bool) for v in items):
+        if kind is _GRID:
+            return value
+        if kind is str:  # a string, and one of the choices if there are any
+            if isinstance(value, str) and value in (setting.choices or [value]):
+                return value
+        elif kind is int and isinstance(value, float):  # 150.0 is 150; 150.9 is refused
+            if value.is_integer():
+                return int(value)
+        else:  # a number, or a string that int() or float() parses
+            with contextlib.suppress(ValueError, OverflowError):
+                return kind(value)
+    what = f"one of {setting.choices}" if setting.choices else _KINDS[kind]
+    raise ValueError(f"{source} must be {what}, got {json.dumps(value)}")
 
 
 def _load_config(path: str) -> dict:
@@ -157,43 +153,31 @@ def _load_config(path: str) -> dict:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_SETTINGS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in data.items():
-        if value is None and _DEFAULTS[key] is None:
-            continue
-        items = value if key in _GRID_KEYS and isinstance(value, list) else [value]
-        if key == "out" and not isinstance(value, str):
-            raise ValueError(f"config entry 'out' must be a path string, got {json.dumps(value)}")
-        if any(isinstance(v, bool) or not isinstance(v, (int, float, str)) for v in items):
-            kinds = "a number or a string" + (", or a list of them" if key in _GRID_KEYS else "")
-            raise ValueError(f"config entry {key!r} must be {kinds}, got {json.dumps(value)}")
-    return data
+    return {key: _read(key, value, f"config entry {key!r}") for key, value in data.items()}
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge flag > config > environment (seed only) > default."""
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
+    config = _load_config(args.config) if args.config else {}
     settings: dict[str, Any] = {}
-    for key, default in _DEFAULTS.items():
+    for key, setting in _SETTINGS.items():
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
         elif key in config:
             settings[key] = config[key]
         elif key == "seed" and "GSM_GOF_SEED" in os.environ:
-            settings[key] = int(os.environ["GSM_GOF_SEED"])
+            settings[key] = _read(key, os.environ["GSM_GOF_SEED"], "GSM_GOF_SEED")
         else:
-            settings[key] = default
+            settings[key] = setting.default
     settings["command"] = args.command
     if settings["workers"] is None:
         settings["workers"] = os.cpu_count() or 1
-    if settings["format"] not in _FORMATS:
-        raise ValueError(f"format must be one of {_FORMATS}")
-    if int(settings["seed"]) < 0:
+    if settings["seed"] < 0:
         raise ValueError("seed must be a nonnegative integer")
-    settings["seed"] = int(settings["seed"])
     return settings
 
 
@@ -230,12 +214,13 @@ class _Cell(NamedTuple):
     sigma: float
 
 
-def _cells(cfg: dict, grid: bool) -> Iterator[_Cell]:
+def _cells(cfg: dict) -> Iterator[_Cell]:
     """Every cell of the settings, regime outermost and sigma innermost.
 
-    Without grid, each of regime, epsilon and sigma must hold a single value.
-    The horizon defaults per regime (see default_j_max).
+    Unless the subcommand takes grids, each of regime, epsilon and sigma must
+    hold a single value.  The horizon defaults per regime (see default_j_max).
     """
+    grid = _COMMANDS[cfg["command"]].grids
     axes = []
     for field, parse in (("regime", _regime_list), ("epsilon", _float_list),
                          ("sigma", _float_list)):
@@ -245,8 +230,8 @@ def _cells(cfg: dict, grid: bool) -> Iterator[_Cell]:
         axes.append(values)
     regimes, epsilons, sigmas = axes
     for regime in regimes:
-        spec = RegimeSpec.from_name(regime, s=float(cfg["s"]), t=float(cfg["t"]))
-        j_max = int(cfg["jmax"]) if cfg["jmax"] is not None else default_j_max(spec)
+        spec = RegimeSpec.from_name(regime, s=cfg["s"], t=cfg["t"])
+        j_max = cfg["jmax"] if cfg["jmax"] is not None else default_j_max(spec)
         for epsilon in epsilons:
             for sigma in sigmas:
                 yield _Cell(regime, spec, j_max, epsilon, sigma)
@@ -263,24 +248,24 @@ def _noise(cell: _Cell) -> NoiseLevels:
 
 
 def _test_config(cfg: dict, cell: _Cell, dimension: int | None = None) -> TestConfig:
-    return TestConfig(alpha=float(cfg["alpha"]), beta=float(cfg["beta"]), j_max=cell.j_max,
-                      kappa=float(cfg["kappa"]), dimension=dimension)
+    return TestConfig(alpha=cfg["alpha"], beta=cfg["beta"], j_max=cell.j_max,
+                      kappa=cfg["kappa"], dimension=dimension)
 
 
 def _plan(cfg: dict, cell: _Cell) -> ExperimentPlan:
     """The null experiment (theta0 = 0) of one cell."""
     return ExperimentPlan(spec=cell.spec, config=_test_config(cfg, cell), noise=_noise(cell),
-                          theta0=Signal.zeros(), n_reps=int(cfg["reps"]),
+                          theta0=Signal.zeros(), n_reps=cfg["reps"],
                           master_seed=cfg["seed"])
 
 
 def _prefix(cfg: dict, cell: _Cell) -> dict:
     """The leading columns shared by the per-cell rows."""
     return {
-        "regime": cell.regime, "s": float(cfg["s"]), "t": float(cfg["t"]),
+        "regime": cell.regime, "s": cfg["s"], "t": cfg["t"],
         "epsilon": cell.epsilon, "sigma": cell.sigma,
-        "alpha": float(cfg["alpha"]), "beta": float(cfg["beta"]),
-        "jmax": cell.j_max, "kappa": float(cfg["kappa"]),
+        "alpha": cfg["alpha"], "beta": cfg["beta"],
+        "jmax": cell.j_max, "kappa": cfg["kappa"],
     }
 
 
@@ -339,10 +324,10 @@ def _emit(rows: list[dict], cfg: dict) -> None:
 
 
 def _cmd_test(cfg: dict) -> int:
-    [cell] = _cells(cfg, grid=False)
+    [cell] = _cells(cfg)
     noise = _noise(cell)
     dimension = cfg["dimension"]
-    config = _test_config(cfg, cell, None if dimension is None else int(dimension))
+    config = _test_config(cfg, cell, dimension)
     theta0 = Signal.zeros()
     obs = simulate(theta0, cell.spec, noise, cfg["seed"], cell.j_max, rep=0)
     report = run_test(obs, theta0, cell.spec, noise, config)
@@ -359,8 +344,8 @@ def _cmd_test(cfg: dict) -> int:
 
 def _cmd_calibrate(cfg: dict) -> int:
     rows = []
-    for cell in _cells(cfg, grid=True):
-        estimate = estimate_alpha(_plan(cfg, cell), workers=int(cfg["workers"]))
+    for cell in _cells(cfg):
+        estimate = estimate_alpha(_plan(cfg, cell), workers=cfg["workers"])
         rows.append({
             **_prefix(cfg, cell), "seed": cfg["seed"], "reps": estimate.n_reps,
             "alpha_hat": estimate.p_hat, "se": estimate.se,
@@ -374,12 +359,12 @@ def _cmd_power_curve(cfg: dict) -> int:
     if cfg["radii"] is None:
         raise ValueError("power-curve requires --radii")
     radii = _float_list(cfg["radii"], "radii")
-    [cell] = _cells(cfg, grid=False)
+    [cell] = _cells(cfg)
     plan = _plan(cfg, cell)
     rows = []
     for radius in radii:
         theta = make_spike_alternative(cell.spec, plan.theta0, radius, cell.j_max)
-        estimate = estimate_beta(plan, theta, workers=int(cfg["workers"]))
+        estimate = estimate_beta(plan, theta, workers=cfg["workers"])
         rows.append({
             **_prefix(cfg, cell), "seed": cfg["seed"], "reps": estimate.n_reps,
             "radius": radius, "spike_dim": spike_index(cell.spec, radius, cell.j_max),
@@ -391,17 +376,15 @@ def _cmd_power_curve(cfg: dict) -> int:
 
 
 def _cmd_sep_radius(cfg: dict) -> int:
-    [cell] = _cells(cfg, grid=False)
+    [cell] = _cells(cfg)
     plan = _plan(cfg, cell)
     r_lo, r_hi = _radius_bracket(cell.spec, cfg["r_lo"], cfg["r_hi"])
-    beta_target = float(cfg["beta"])
-    radius = empirical_separation_radius(plan, beta_target, r_lo, r_hi,
-                                         tol=float(cfg["tol"]),
-                                         workers=int(cfg["workers"]))
+    radius = empirical_separation_radius(plan, cfg["beta"], r_lo, r_hi,
+                                         tol=cfg["tol"], workers=cfg["workers"])
     rows = [{
-        **_prefix(cfg, cell), "seed": cfg["seed"], "reps": int(cfg["reps"]),
-        "beta_target": beta_target, "r_lo": r_lo, "r_hi": r_hi,
-        "tol": float(cfg["tol"]), "radius": radius,
+        **_prefix(cfg, cell), "seed": cfg["seed"], "reps": cfg["reps"],
+        "beta_target": cfg["beta"], "r_lo": r_lo, "r_hi": r_hi,
+        "tol": cfg["tol"], "radius": radius,
     }]
     _emit(rows, cfg)
     return 0
@@ -410,11 +393,9 @@ def _cmd_sep_radius(cfg: dict) -> int:
 def _cmd_rates(cfg: dict) -> int:
     rows = []
     which = cfg["which"]
-    if which not in WHICH:
-        raise ValueError(f"which must be one of {WHICH}")
-    for cell in _cells(cfg, grid=True):
+    for cell in _cells(cfg):
         rows.append({
-            "regime": cell.regime, "s": float(cfg["s"]), "t": float(cfg["t"]),
+            "regime": cell.regime, "s": cfg["s"], "t": cfg["t"],
             "epsilon": cell.epsilon, "sigma": cell.sigma, "which": which,
             "rate_sq": rate_formula(cell.spec, cell.epsilon, cell.sigma, which),
         })
@@ -424,9 +405,9 @@ def _cmd_rates(cfg: dict) -> int:
 
 def _cmd_bounds(cfg: dict) -> int:
     rows = []
-    for cell in _cells(cfg, grid=True):
-        report = evaluate_bounds(cell.spec, cell.epsilon, cell.sigma, float(cfg["alpha"]),
-                                 float(cfg["beta"]), cell.j_max, kappa=float(cfg["kappa"]))
+    for cell in _cells(cfg):
+        report = evaluate_bounds(cell.spec, cell.epsilon, cell.sigma, cfg["alpha"],
+                                 cfg["beta"], cell.j_max, kappa=cfg["kappa"])
         rows.append({
             **_prefix(cfg, cell),
             "upper_sq": report.upper_sq,
@@ -461,10 +442,10 @@ def _check_row(check: str, estimate, bound: float, **columns) -> dict:
 
 
 def _cmd_checks(cfg: dict) -> int:
-    [cell] = _cells(cfg, grid=False)
+    [cell] = _cells(cfg)
     plan = _plan(cfg, cell)
-    reps = int(cfg["reps"])
-    workers = int(cfg["workers"])
+    reps = cfg["reps"]
+    workers = cfg["workers"]
     run = {"seed": cfg["seed"], "reps": reps}
 
     escape = check_bandwidth_containment(plan, workers=workers)
@@ -486,14 +467,26 @@ def _cmd_checks(cfg: dict) -> int:
     return 0 if all(row["passed"] for row in rows) else 1
 
 
-_HANDLERS = {
-    "test": _cmd_test,
-    "calibrate": _cmd_calibrate,
-    "power-curve": _cmd_power_curve,
-    "sep-radius": _cmd_sep_radius,
-    "rates": _cmd_rates,
-    "bounds": _cmd_bounds,
-    "checks": _cmd_checks,
+class _Command(NamedTuple):
+    """One subcommand: its help, whether regime, epsilon and sigma may be
+    grids, and its handler."""
+
+    help: str
+    grids: bool
+    run: Callable[[dict], int]
+
+
+_COMMANDS = {
+    "test": _Command("one simulated test run under the null", False, _cmd_test),
+    "calibrate": _Command("first-kind error over a grid", True, _cmd_calibrate),
+    "power-curve": _Command("second-kind error against spike alternatives", False,
+                            _cmd_power_curve),
+    "sep-radius": _Command("bisection search for the separation radius", False,
+                           _cmd_sep_radius),
+    "rates": _Command("benchmark rate formulas over a grid", True, _cmd_rates),
+    "bounds": _Command("separation-radius bounds over a grid", True, _cmd_bounds),
+    "checks": _Command("concentration checks with pass/fail flags (exit 1 on failure)",
+                       False, _cmd_checks),
 }
 
 
@@ -502,7 +495,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _resolve(args)
-        return _HANDLERS[args.command](cfg)
+        return _COMMANDS[args.command].run(cfg)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

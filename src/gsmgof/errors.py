@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GsmGofError",
+    "SequenceOverflowError",
+    "DegenerateObservationError",
+    "DegenerateBandwidthError",
+    "DegenerateBoundError",
+    "InfeasibleConstructionError",
+    "InfeasibleRadiusError",
+    "InvalidLevelsError",
+    "BracketingError",
+]
+
 
 class GsmGofError(Exception):
     """Base class for all library-specific failures."""

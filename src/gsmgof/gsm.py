@@ -28,7 +28,6 @@ from .errors import InfeasibleConstructionError, InfeasibleRadiusError, InvalidL
 from .sequences import DecayKind, GrowthKind, RegimeSpec, a_value, b_value, b_vector
 
 __all__ = [
-    "DRAW_BOUND",
     "GaussianStream",
     "NoiseLevels",
     "Observations",

@@ -220,6 +220,24 @@ class TestLowerBound:
         with pytest.raises(InvalidLevelsError):
             lower_bound_radius_sq(mild_ordinary, 0.01, 0.01, 0.7, 0.5, 1000)
 
+    @pytest.mark.parametrize("sigma", [0.01, 0.0])
+    def test_epsilon_past_the_float_range(self, mild_ordinary, sigma):
+        with pytest.raises(ValueError, match=r"epsilon=1e\+200 squared exceeds the float range"):
+            lower_bound_radius_sq(mild_ordinary, 1e200, sigma, 0.05, 0.5, 100)
+
+    @pytest.mark.parametrize("name,epsilon,sigma", [
+        ("epsilon", -1.0, 0.01), ("sigma", 0.01, -0.5), ("epsilon", math.nan, 0.01),
+        ("sigma", 0.01, math.nan), ("epsilon", math.inf, 0.01), ("sigma", 0.01, math.inf),
+    ])
+    def test_refuses_a_negative_or_non_finite_noise_level(self, mild_ordinary, name,
+                                                          epsilon, sigma):
+        with pytest.raises(ValueError, match=f"{name} must be a finite nonnegative number"):
+            lower_bound_radius_sq(mild_ordinary, epsilon, sigma, 0.05, 0.5, 100)
+
+    def test_levels_are_checked_before_the_noise(self, mild_ordinary):
+        with pytest.raises(InvalidLevelsError):
+            lower_bound_radius_sq(mild_ordinary, -1.0, math.nan, 0.7, 0.5, 100)
+
 
 class TestEvaluateBounds:
     def test_pinned_report(self, mild_ordinary):

@@ -1,14 +1,19 @@
 """Command-line driver: exit codes, precedence rules, output formats."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gsmgof
 from gsmgof import RegimeSpec, evaluate_bounds, spike_index
@@ -77,6 +82,11 @@ class TestPrecedence:
                      "--out", str(out)]) == 0
         assert read_json(out)["meta"]["seed"] == 777
 
+    def test_env_seed_must_be_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("GSM_GOF_SEED", "7.5")
+        assert main(["rates"]) == 2
+        assert "GSM_GOF_SEED" in capsys.readouterr().err
+
     def test_flag_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GSM_GOF_SEED", "777")
         out = tmp_path / "flag.json"
@@ -111,6 +121,9 @@ class TestPrecedence:
     @pytest.mark.parametrize("entry", [
         {"alpha": [0.1]}, {"s": None}, {"kappa": {}}, {"jmax": [1, 2]}, {"dimension": [3]},
         {"seed": True}, {"tol": None}, {"epsilon": [None]}, {"radii": [[0.1]]},
+        {"jmax": 150.9}, {"seed": 1.5}, {"reps": 100.9}, {"dimension": 2.7}, {"seed": "7.0"},
+        {"jmax": float("nan")}, {"alpha": "abc"}, {"format": "xml"}, {"which": 1},
+        {"format": 0},
     ], ids=json.dumps)
     def test_config_entry_of_wrong_type_exits_2(self, tmp_path, capsys, entry):
         config = tmp_path / "settings.json"
@@ -138,6 +151,59 @@ class TestPrecedence:
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["test", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+def run_with_config(entries, *argv):
+    """main(argv + --config FILE --format json) with FILE holding the entries:
+    (exit code, parsed JSON payload or None, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "settings.json"
+        config.write_text(json.dumps(entries), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--config", str(config), "--format", "json"])
+    return code, json.loads(out.getvalue()) if code == 0 else None, err.getvalue()
+
+
+_INT_KEYS = ("seed", "reps", "workers", "jmax", "dimension")
+
+
+class TestConfigTyping:
+    """A config entry is read as its flag's type when the file is loaded."""
+
+    def test_numeric_string_is_read_as_a_number(self):
+        code, payload, _ = run_with_config({"alpha": "0.05", "s": "2"}, "rates")
+        assert code == 0
+        assert payload["meta"]["alpha"] == 0.05
+        assert payload["meta"]["s"] == 2.0 and isinstance(payload["meta"]["s"], float)
+
+    def test_integral_float_is_read_as_an_integer(self):
+        code, payload, _ = run_with_config({"jmax": 150.0, "reps": "7"}, "rates")
+        assert code == 0
+        assert payload["meta"]["jmax"] == 150 and isinstance(payload["meta"]["jmax"], int)
+        assert payload["meta"]["reps"] == 7
+
+    def test_string_dimension_fixes_an_integer_dimension(self):
+        code, payload, _ = run_with_config({"dimension": "3"}, "test", "--jmax", "100",
+                                           "--workers", "1")
+        assert code == 0
+        assert payload["meta"]["dimension"] == 3
+        assert payload["rows"][0]["dimension"] == 3
+        assert isinstance(payload["rows"][0]["dimension"], int)
+
+    @settings(max_examples=150, deadline=None)
+    @given(key=st.sampled_from(_INT_KEYS),
+           value=st.one_of(st.integers(), st.floats(),
+                           st.integers().map(str), st.floats().map(str),
+                           st.from_regex(r"\s*[+-]?[0-9_]{1,12}(\.[0-9]*)?\s*", fullmatch=True)))
+    def test_integer_entry_is_exact_or_refused(self, key, value):
+        code, payload, err = run_with_config({key: value}, "rates")
+        if code == 2:
+            assert key in err  # a negative seed is refused after loading
+        else:
+            assert code == 0
+            assert payload["meta"][key] == int(value)
+            assert isinstance(payload["meta"][key], int)
 
 
 class TestCalibrate:
