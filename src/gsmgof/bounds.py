@@ -80,6 +80,8 @@ def upper_bound_radius_sq(spec: RegimeSpec, epsilon: float, sigma: float,
 def _upper_bound(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float, beta: float,
                  j_max: int, kappa: float) -> tuple[float, int, BandwidthBracket]:
     """upper_bound_radius_sq's value and argmin, and the bracket they came from."""
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon!r}")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     if not 0.0 < sigma < 1.0:
@@ -95,7 +97,7 @@ def _upper_bound(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float, b
     n = min(bracket.high, int(j_max))
     objective = _objective(spec, cumulative_b_inv4_prefix(spec, n),
                            np.minimum(np.arange(1, n + 1), bracket.low),
-                           epsilon, sigma, alpha, beta)
+                           float(epsilon), sigma, alpha, beta)
     k = int(np.argmin(objective))
     return float(objective[k]), k + 1, bracket
 

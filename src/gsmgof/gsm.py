@@ -35,6 +35,7 @@ __all__ = [
     "SIGNAL_STREAM",
     "OPERATOR_STREAM",
     "QUADFORM_STREAM",
+    "RekeyedDraws",
     "default_j_max",
     "divergence_budget",
     "gaussian_draws",
@@ -58,6 +59,13 @@ _INV_2_53 = 2.0 ** -53
 _HALF_ULP = 2.0 ** -54
 
 
+def _gaussian(words: np.ndarray) -> np.ndarray:
+    """Standard Gaussian draws from raw 64-bit Philox words, element by
+    element: the top 53 bits, centred in their interval, through the inverse
+    normal CDF."""
+    return ndtri((words >> np.uint64(11)) * _INV_2_53 + _HALF_ULP)
+
+
 class GaussianStream:
     """The standard Gaussian draws of one (seed, replication, stream) triple,
     taken in order.
@@ -76,8 +84,7 @@ class GaussianStream:
 
     def take(self, n: int) -> np.ndarray:
         """The next n draws of the stream."""
-        u = (self._bits.random_raw(n) >> np.uint64(11)) * _INV_2_53 + _HALF_ULP
-        return ndtri(u)
+        return _gaussian(self._bits.random_raw(n))
 
 
 DRAW_BOUND = 8.3  # -ndtri(2**-54) = 8.2924 bounds the smallest draw
@@ -87,6 +94,41 @@ def gaussian_draws(seed: int, rep: int, stream: int, n: int) -> np.ndarray:
     """The first n draws of the (seed, replication, stream) triple (see
     GaussianStream)."""
     return GaussianStream(seed, rep, stream).take(n)
+
+
+class RekeyedDraws:
+    """The draws of any (replication, stream) pair under one seed, from a
+    single Philox generator re-keyed through its state: building a generator
+    per pair costs several times more than setting its counter.
+
+    Philox turns counter c into four words, so draw k of a pair comes from
+    counter (k // 4 + 1, 0, rep, stream): the draws are GaussianStream's.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._bits = Philox(key=seed)
+        self._state = self._bits.state
+        self._counter = self._state["state"]["counter"]
+
+    def _words(self, rep: int, stream: int, start: int, n: int) -> np.ndarray:
+        block, skip = divmod(start, 4)
+        self._counter[0] = block
+        self._counter[2] = rep
+        self._counter[3] = stream
+        self._bits.state = self._state
+        if skip:
+            self._bits.random_raw(skip)
+        return self._bits.random_raw(n)
+
+    def rows(self, reps, stream: int, start: int, widths) -> np.ndarray:
+        """Row i holds draws start .. start + widths[i] - 1 of (reps[i],
+        stream), all pushed through the inverse CDF at once; a row shorter
+        than the widest is padded with finite values no one should read."""
+        words = np.empty((len(reps), max(widths, default=0)), dtype=np.uint64)
+        for row, rep, width in zip(words, reps, widths):
+            row[:width] = self._words(rep, stream, start, width)
+            row[width:] = 0
+        return _gaussian(words)
 
 
 # ---------------------------------------------------------------------------

@@ -22,19 +22,22 @@ from .gsm import (
     OPERATOR_STREAM,
     QUADFORM_STREAM,
     SIGNAL_STREAM,
-    GaussianStream,
     NoiseLevels,
+    RekeyedDraws,
     Signal,
-    gaussian_draws,
     simulate,  # noqa: F401 -- unused here; perfbench/test_perfbench.py reads it
     spike_index,
 )
-from .sequences import RegimeSpec, a_value, b_vector
+from .sequences import RegimeSpec, a_inv_sq, a_value, b_vector
 from .testproc import (
     Bandwidth,
     TestConfig,
+    TestReport,
     _decide,
+    _objective,
+    _parts_from_sums,
     _scan_table,
+    _statistic_sum,
     bandwidth_bracket,
     statistic,
 )
@@ -134,10 +137,22 @@ def _sum_over_chunks(fn: Callable, args: tuple, n_reps: int, workers: int) -> tu
 
 
 # ---------------------------------------------------------------------------
-# One replication, drawn only as far as the test reads it
+# The kernel: replications a row group at a time, drawn only as far as the
+# test reads them
 # ---------------------------------------------------------------------------
 
+# A row group holds at most _CAP float64 elements per matrix: the first scan
+# blocks of its replications, and the arrays of those decided together.  A
+# replication whose scan runs past its first block is decided alone.
+_CAP = 2 ** 14
 _FIRST_BLOCK = 64
+_GROUP_ROWS = _CAP // _FIRST_BLOCK
+
+
+def _row_groups(lo: int, hi: int, rows: int):
+    """range(lo, hi) in consecutive pieces of at most `rows`."""
+    for start in range(lo, hi, rows):
+        yield range(start, min(start + rows, hi))
 
 
 def _finite(name: str, values: np.ndarray) -> np.ndarray:
@@ -146,82 +161,227 @@ def _finite(name: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _signal_noise(epsilon: float, seed: int, rep: int, n: int) -> np.ndarray:
-    """epsilon * xi[:n] of one replication; nothing is drawn when epsilon or n is 0."""
-    if epsilon > 0.0 and n > 0:
-        return epsilon * gaussian_draws(seed, rep, SIGNAL_STREAM, n)
-    return np.zeros(n)
+class _Batch(NamedTuple):
+    """The replications decided together, one row each (rows are padded to
+    the widest window; entries past a row's window are never read)."""
+
+    window: list
+    x: np.ndarray
+    y: np.ndarray
+    eps_xi: np.ndarray
+    terms: np.ndarray  # the statistic's (y/x - theta0)**2
+    inv2: np.ndarray  # x**-2
+    inv4: np.ndarray  # x**-4, also read by the dimension objective
+    a_inv_sq: list  # a_w**-2 at each row's window w
+    y_finite: np.ndarray
 
 
-def _scan(eta: GaussianStream, b: np.ndarray, sigma: float, envelope: np.ndarray,
-          x: np.ndarray) -> tuple[Bandwidth, np.ndarray]:
-    """Bandwidth of x = b + sigma*eta and the prefix of x drawn to find it.
-
-    Starting from the prefix x already drawn, the scan draws blocks of 64,
-    128, 256, ... coordinates (the last one cut at the horizon b.size) and
-    stops at the block holding the first index inside the envelope.  Every
-    step is element by element, so the result is empirical_bandwidth's on the
-    whole of x."""
-    j_max = b.size
-    blocks, block = [], x
-    n, size = 0, _FIRST_BLOCK
-    while True:
-        blocks.append(block)
-        hits = np.flatnonzero(np.abs(block) <= envelope[n:n + block.size])
-        if hits.size:
-            return Bandwidth(n + int(hits[0]), False), np.concatenate(blocks)
-        n += block.size
-        if n == j_max:
-            return Bandwidth(j_max, True), np.concatenate(blocks)
-        k = min(size, j_max - n)
-        block = b[n:n + k] + sigma * eta.take(k)
-        size *= 2
-
-
-def _replications(plan: ExperimentPlan, theta: Signal, lo: int, hi: int):
-    """For each replication in [lo, hi), yield (report, x, y_win, eps_xi_win):
-    the report of run_test(simulate(theta, ..., rep=rep), plan.theta0, ...),
-    the drawn prefix of x, and y and the signal noise inside the report's
-    window, as owned arrays.
+class _Kernel:
+    """run_test(simulate(theta, ..., rep=rep), plan.theta0, ...) over many
+    replications, a row group of them at a time.
 
     Only what the test reads is drawn: x until the bandwidth scan stops, and
     the signal stream up to the window.  The streams are counter-based, so
-    these are prefixes of simulate's draws and every value is the same.  The
-    checks of simulate and run_test come in their order: theta must fit the
-    horizon, y and x must be finite, sigma must be positive.  A finite draw
-    is at most DRAW_BOUND in size, so a value the test does not read can only
-    overflow when epsilon or sigma is near the float range; that channel is
-    then drawn to the horizon and checked first, as simulate does.  (A draw
-    is infinite with chance 2**-53; one past what is drawn goes unseen.)
+    these are prefixes of simulate's draws, and every step works element by
+    element (numpy's power included) or sums one row in index order, so every
+    value is the reference path's.  The checks of simulate and run_test come
+    in their order: theta must fit the horizon, y and x must be finite, sigma
+    must be positive.  A finite draw is at most DRAW_BOUND in size, so a
+    value the test does not read can only overflow when epsilon or sigma is
+    near the float range; that channel is then drawn to the horizon and
+    checked first, as simulate does.  (A draw is infinite with chance 2**-53;
+    one past what is drawn goes unseen.)
     """
-    spec, noise, config = plan.spec, plan.noise, plan.config
-    seed, j_max, eps, sigma = plan.master_seed, config.j_max, noise.epsilon, noise.sigma
-    if len(theta) > j_max:
-        raise ValueError("theta does not fit inside the horizon")
-    b = b_vector(spec, j_max)
-    bt = b * theta.padded(j_max)
-    y_ahead = not math.isfinite(float(np.max(np.abs(bt))) + eps * DRAW_BOUND)
-    x_ahead = not math.isfinite(float(np.max(b)) + sigma * DRAW_BOUND)
-    envelope = sigma * _scan_table(config.alpha, config.kappa, j_max)
-    for rep in range(lo, hi):
-        eps_xi = _signal_noise(eps, seed, rep, j_max if y_ahead else 0)
-        if y_ahead:
-            _finite("y", bt + eps_xi)
-        eta = GaussianStream(seed, rep, OPERATOR_STREAM)
-        x = _finite("x", b + sigma * eta.take(j_max)) if x_ahead else b[:0]
-        if sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        band, x = _scan(eta, b, sigma, envelope, x)
-        _finite("x", x)
+
+    def __init__(self, plan: ExperimentPlan, theta: Signal) -> None:
+        self.plan = plan
+        self.j_max = j_max = plan.config.j_max
+        if len(theta) > j_max:
+            raise ValueError("theta does not fit inside the horizon")
+        self.eps, self.sigma = plan.noise.epsilon, plan.noise.sigma
+        self.b = b_vector(plan.spec, j_max)
+        self.bt = self.b * theta.padded(j_max)
+        self.theta0 = plan.theta0.padded(max(j_max, len(plan.theta0)))
+        self.y_ahead = not math.isfinite(float(np.max(np.abs(self.bt))) + self.eps * DRAW_BOUND)
+        self.x_ahead = not math.isfinite(float(np.max(self.b)) + self.sigma * DRAW_BOUND)
+        self.envelope = self.sigma * _scan_table(plan.config.alpha, plan.config.kappa, j_max)
+        self.draws = RekeyedDraws(plan.master_seed)
+
+    # -- bandwidth scan ------------------------------------------------------
+
+    def first_blocks(self, reps: range) -> tuple[np.ndarray, list]:
+        """x[:n], n = min(64, j_max), of each replication (one row each), and
+        its bandwidth where the scan ends inside that block (None where the
+        scan goes on)."""
+        n = min(_FIRST_BLOCK, self.j_max)
+        x = self.b[:n] + self.sigma * self.draws.rows(reps, OPERATOR_STREAM, 0, [n] * len(reps))
+        hits = np.abs(x) <= self.envelope[:n]
+        first = np.where(hits.any(axis=1), hits.argmax(axis=1), -1).tolist()
+        end = Bandwidth(n, True) if n == self.j_max else None
+        return x, [end if k < 0 else Bandwidth(k, False) for k in first]
+
+    def deepen(self, rep: int, x: np.ndarray) -> tuple[Bandwidth, np.ndarray]:
+        """Bandwidth of a replication whose first block x holds no index
+        inside the envelope, and the prefix of x drawn to find it: blocks of
+        128, 256, ... coordinates (the last one cut at the horizon) until one
+        holds such an index.  Element by element, this is
+        empirical_bandwidth on the whole of x."""
+        blocks, n, size = [x], x.size, 2 * _FIRST_BLOCK
+        while n < self.j_max:
+            k = min(size, self.j_max - n)
+            eta = self.draws.rows([rep], OPERATOR_STREAM, n, [k])[0]
+            block = self.b[n:n + k] + self.sigma * eta
+            blocks.append(block)
+            hits = np.flatnonzero(np.abs(block) <= self.envelope[n:n + k])
+            if hits.size:
+                return Bandwidth(n + int(hits[0]), False), np.concatenate(blocks)
+            n += k
+            size *= 2
+        return Bandwidth(self.j_max, True), np.concatenate(blocks)
+
+    # -- one row group ----------------------------------------------------------
+
+    def group(self, reps: range):
+        """(report, x_win, y_win, eps_xi_win) of each replication in reps, in
+        order, until the first one whose reference path raises: its error is
+        raised there."""
+        stop, error = len(reps), None
+        if self.y_ahead or self.x_ahead:
+            for i, rep in enumerate(reps):
+                error = self._ahead_error(rep)
+                if error is not None:
+                    stop = i
+                    break
+        if self.sigma <= 0.0 and stop > 0:
+            stop, error = 0, ValueError("sigma must be positive")
+        if stop == 0:
+            raise error
+        reps = reps[:stop]
+        x, bands = self.first_blocks(reps)
+        finite = np.isfinite(x).all(axis=1)
+        done = [i for i, band in enumerate(bands) if band is not None]
+        decided = self.decide([reps[i] for i in done], x[done], [bands[i] for i in done])
+        for i, rep in enumerate(reps):
+            if not finite[i]:
+                raise ValueError("x must be finite")
+            if bands[i] is None:
+                band, prefix = self.deepen(rep, x[i])
+                yield from self.decide([rep], _finite("x", prefix)[None], [band])
+            else:
+                yield next(decided)
+        if error is not None:
+            raise error
+
+    def _ahead_error(self, rep: int) -> ValueError | None:
+        """The error of a replication whose y or x can overflow past what the
+        test reads, from that channel drawn to the horizon."""
+        whole = [self.j_max]
+        if self.y_ahead:
+            eps_xi = self.eps * self.draws.rows([rep], SIGNAL_STREAM, 0, whole)[0]
+            if not np.isfinite(self.bt + eps_xi).all():
+                return ValueError("y must be finite")
+        if self.x_ahead:
+            eta = self.draws.rows([rep], OPERATOR_STREAM, 0, whole)[0]
+            if not np.isfinite(self.b + self.sigma * eta).all():
+                return ValueError("x must be finite")
+        return None
+
+    # -- decisions --------------------------------------------------------------
+
+    def decide(self, reps, x: np.ndarray, bands: list):
+        """(report, x_win, y_win, eps_xi_win) of replications whose scan has
+        ended, in order; row i of x holds the prefix drawn for reps[i].
+
+        Most are decided together.  One with a zero bandwidth (nothing to
+        batch) or whose test raises (sigma outside (0, 1), an observed
+        coefficient that is exactly zero, epsilon**2 past the float range, a
+        y that is not finite) is decided by testproc's own step, alone.
+        """
+        m = np.array([band.value for band in bands], dtype=np.int64)
+        live = m > 0
+        zero = x[:, :m.max(initial=0)] == 0.0
+        if zero.any():
+            live &= ~(zero & (np.arange(zero.shape[1]) < m[:, None])).any(axis=1)
+        rows = np.flatnonzero(live) if 0.0 < self.sigma < 1.0 else np.zeros(0, dtype=np.int64)
+        batch = None
+        if rows.size:
+            xs = x if rows.size == len(reps) else x[rows]  # no copy when every row is batched
+            batch = self._batch([reps[i] for i in rows], xs, m[rows])
+        slots = {} if batch is None else dict(zip(rows.tolist(), range(rows.size)))
+        eps, sigma, alpha = self.eps, self.sigma, self.plan.config.alpha
+        for i, rep in enumerate(reps):
+            r = slots.get(i)
+            if r is None or not batch.y_finite[r]:
+                yield self._by_reference(rep, bands[i], x[i])
+                continue
+            w = batch.window[r]
+            value = _statistic_sum(batch.terms[r, :w])
+            cutoff = _parts_from_sums(math.fsum(batch.inv2[r, :w].tolist()),
+                                      math.fsum(batch.inv4[r, :w].tolist()),
+                                      batch.a_inv_sq[r], eps, sigma, alpha).total
+            report = TestReport(bandwidth=bands[i].value, window=w, statistic=value,
+                                threshold=cutoff, reject=bool(value > cutoff), degenerate=False,
+                                bandwidth_truncated=bands[i].truncated)
+            yield report, batch.x[r, :w].copy(), batch.y[r, :w].copy(), batch.eps_xi[r, :w].copy()
+
+    def _batch(self, reps: list, x: np.ndarray, m: np.ndarray) -> _Batch | None:
+        """The arrays of replications decided together, or None when
+        epsilon**2 overflows (then the test of every one raises).  The
+        dimension objective runs on the running sums of x**-4 along each row,
+        past each row's bandwidth masked."""
+        spec, config = self.plan.spec, self.plan.config
+        with np.errstate(all="ignore"):  # entries past a row's window may overflow
+            if config.dimension is None:
+                inv4 = x[:, :m.max()] ** -4.0
+                try:
+                    objective = _objective(spec, np.cumsum(inv4, axis=1),
+                                           np.arange(1, inv4.shape[1] + 1),
+                                           self.eps, self.sigma, config.alpha, config.beta)
+                except ValueError:
+                    return None
+                if m.min() < inv4.shape[1]:
+                    objective[np.arange(inv4.shape[1]) >= m[:, None]] = np.inf
+                window = np.minimum(objective.argmin(axis=1) + 1, m)
+            else:
+                window = np.minimum(config.dimension, m)
+                inv4 = x[:, :window.max()] ** -4.0
+            n = int(window.max())
+            y, eps_xi = self._signal_windows(reps, window.tolist())
+            xs = x[:, :n]
+            return _Batch(window.tolist(), x, y, eps_xi, (y / xs - self.theta0[:n]) ** 2,
+                          xs ** -2.0, inv4, a_inv_sq(spec, window).tolist(),
+                          np.isfinite(y).all(axis=1))
+
+    def _signal_windows(self, reps: list, widths: list) -> tuple[np.ndarray, np.ndarray]:
+        """y and epsilon*xi over each replication's window, one row each."""
+        n = max(widths)
+        if self.eps > 0.0:
+            eps_xi = self.eps * self.draws.rows(reps, SIGNAL_STREAM, 0, widths)
+            return self.bt[:n] + eps_xi, eps_xi
+        return np.tile(self.bt[:n], (len(reps), 1)), np.zeros((len(reps), n))
+
+    def _by_reference(self, rep: int, band: Bandwidth, x: np.ndarray):
+        """One replication decided by testproc's own step."""
         window = [np.zeros(0), np.zeros(0)]
 
         def y_window(w: int) -> np.ndarray:
-            window[1] = eps_xi[:w].copy() if y_ahead else _signal_noise(eps, seed, rep, w)
-            window[0] = _finite("y", bt[:w] + window[1] if eps > 0.0 else bt[:w].copy())
+            y, eps_xi = self._signal_windows([rep], [w])
+            window[:] = _finite("y", y[0].copy()), eps_xi[0].copy()
             return window[0]
 
-        report = _decide(band, x, y_window, plan.theta0, spec, noise, config)
-        yield report, x, window[0], window[1]
+        plan = self.plan
+        report = _decide(band, x, y_window, plan.theta0, plan.spec, plan.noise, plan.config)
+        return report, x[:report.window].copy(), window[0], window[1]
+
+
+def _replications(plan: ExperimentPlan, theta: Signal, lo: int, hi: int):
+    """For each replication in [lo, hi), yield (report, x_win, y_win,
+    eps_xi_win): the report of run_test(simulate(theta, ..., rep=rep),
+    plan.theta0, ...) and the windows of x, y and the signal noise it read,
+    as owned arrays.  An error is raised where that loop would raise first."""
+    kernel = _Kernel(plan, theta)
+    for reps in _row_groups(lo, hi, _GROUP_ROWS):
+        yield from kernel.group(reps)
 
 
 def _reject_counts(plan: ExperimentPlan, theta: Signal, lo: int, hi: int) -> tuple[int, int]:
@@ -278,9 +438,8 @@ class _RadiusRep(NamedTuple):
 
 
 def _build_radius_cache(plan: ExperimentPlan, lo: int, hi: int) -> list[_RadiusRep]:
-    return [_RadiusRep(report.reject, report.threshold, y_win, x[:report.window].copy(),
-                       eps_xi_win)
-            for report, x, y_win, eps_xi_win in _replications(plan, plan.theta0, lo, hi)]
+    return [_RadiusRep(report.reject, report.threshold, y_win, x_win, eps_xi_win)
+            for report, x_win, y_win, eps_xi_win in _replications(plan, plan.theta0, lo, hi)]
 
 
 def _accept_counts_from_cache(cache: Sequence[_RadiusRep], plan: ExperimentPlan,
@@ -431,16 +590,16 @@ def bandwidth_escape_bound(alpha: float, kappa: float) -> float:
 
 def _containment_failures(plan: ExperimentPlan, low: int, high: int,
                           high_truncated: bool, lo: int, hi: int) -> tuple[int, int]:
-    sigma, config = plan.noise.sigma, plan.config
-    b = b_vector(plan.spec, config.j_max)
-    envelope = sigma * _scan_table(config.alpha, config.kappa, config.j_max)
+    kernel = _Kernel(plan, Signal.zeros(0))
     n_fail = 0
-    for rep in range(lo, hi):
-        eta = GaussianStream(plan.master_seed, rep, OPERATOR_STREAM)
-        band, _ = _scan(eta, b, sigma, envelope, b[:0])
-        inside = band.value >= low and (band.value < high
-                                        or (high_truncated and band.truncated))
-        n_fail += not inside
+    for reps in _row_groups(lo, hi, _GROUP_ROWS):
+        x, bands = kernel.first_blocks(reps)
+        for rep, row, band in zip(reps, x, bands):
+            if band is None:
+                band, _ = kernel.deepen(rep, row)
+            inside = band.value >= low and (band.value < high
+                                            or (high_truncated and band.truncated))
+            n_fail += not inside
     return (n_fail,)
 
 
@@ -470,14 +629,15 @@ class QuadformTails(NamedTuple):
 def _quadform_failures(d: int, nu: np.ndarray, v: np.ndarray, mean: float,
                        up_cut: float, low_cut: float, master_seed: int,
                        lo: int, hi: int) -> tuple[int, int]:
+    draws = RekeyedDraws(master_seed)
     n_up = 0
     n_low = 0
-    for rep in range(lo, hi):
-        omega = gaussian_draws(master_seed, rep, QUADFORM_STREAM, d)
-        value = math.fsum(((nu + v * omega) ** 2).tolist())
-        dev = value - mean
-        n_up += dev > up_cut
-        n_low += dev < low_cut
+    for reps in _row_groups(lo, hi, max(1, _CAP // d)):
+        omega = draws.rows(reps, QUADFORM_STREAM, 0, [d] * len(reps))
+        for terms in (nu + v * omega) ** 2:
+            dev = math.fsum(terms.tolist()) - mean
+            n_up += dev > up_cut
+            n_low += dev < low_cut
     return n_up, n_low
 
 

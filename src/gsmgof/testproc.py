@@ -198,13 +198,18 @@ def statistic(y, x, theta0: Signal, d: int, m: int) -> float:
     y = np.asarray(y, dtype=float)
     xs = _window(x, w)
     ref = theta0.padded(max(w, len(theta0)))[:w]
-    terms = (y[:w] / xs - ref) ** 2
+    return _statistic_sum((y[:w] / xs - ref) ** 2)
+
+
+def _statistic_sum(terms: np.ndarray) -> float:
+    """math.fsum of the statistic's terms over its window; a sum that is not
+    finite is refused."""
     try:
         total = math.fsum(terms.tolist())
     except OverflowError:  # finite terms whose sum is not
         total = math.inf
     if not math.isfinite(total):
-        raise ValueError(f"the statistic over the first {w} coefficients is not finite")
+        raise ValueError(f"the statistic over the first {terms.size} coefficients is not finite")
     return total
 
 
@@ -212,6 +217,11 @@ class ThresholdParts(NamedTuple):
     centering: float  # eps^2 * sum x_j^-2: null mean of the statistic given x
     deviation: float  # threshold_constant(alpha) * eps^2 * sqrt(sum x_j^-4)
     bias: float  # (1 + sqrt(tail_exponent(alpha))) * max(sigma^2 ln^1.5(1/sigma), a_w^-2)
+
+    @property
+    def total(self) -> float:
+        """The threshold: centering + deviation + bias."""
+        return self.centering + self.deviation + self.bias
 
 
 def threshold_parts(x, spec: RegimeSpec, d: int, m: int, epsilon: float,
@@ -225,10 +235,16 @@ def threshold_parts(x, spec: RegimeSpec, d: int, m: int, epsilon: float,
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     xs = _window(x, w)
-    sum_inv2 = math.fsum((xs ** -2.0).tolist())
-    sum_inv4 = math.fsum((xs ** -4.0).tolist())
+    return _parts_from_sums(math.fsum((xs ** -2.0).tolist()), math.fsum((xs ** -4.0).tolist()),
+                            a_inv_sq(spec, w), epsilon, sigma, alpha)
+
+
+def _parts_from_sums(sum_inv2: float, sum_inv4: float, a_w: float, epsilon: float,
+                     sigma: float, alpha: float) -> ThresholdParts:
+    """threshold_parts from the window's sums of x_j^-2 and x_j^-4 and its
+    a_w^-2 (Python floats)."""
     x_tail = tail_exponent(alpha)
-    floor = max(sigma * sigma * math.log(1.0 / sigma) ** 1.5, a_inv_sq(spec, w))
+    floor = max(sigma * sigma * math.log(1.0 / sigma) ** 1.5, a_w)
     return ThresholdParts(
         centering=epsilon * epsilon * sum_inv2,
         deviation=threshold_constant(alpha) * epsilon * epsilon * math.sqrt(sum_inv4),
@@ -243,25 +259,29 @@ def threshold(x, spec: RegimeSpec, d: int, m: int, epsilon: float,
     Strictly decreasing in alpha, so rejection regions are nested across
     levels at fixed data.
     """
-    parts = threshold_parts(x, spec, d, m, epsilon, sigma, alpha)
-    return parts.centering + parts.deviation + parts.bias
+    return threshold_parts(x, spec, d, m, epsilon, sigma, alpha).total
 
 
 def _objective(spec: RegimeSpec, inv4_sums, dims, epsilon: float, sigma: float,
                alpha: float, beta: float) -> np.ndarray:
     """Deviation-plus-bias objective from the running sums of the inverse
-    fourth powers and the dimensions that set the bias floor:
+    fourth powers (one row per replication, or a single one) and the
+    dimensions that set the bias floor:
 
         adaptive_constant * eps^2 * sqrt(inv4_sums)
         + (7 + 4*sqrt(tail_exponent(alpha))) * max(sigma^2 ln^1.5(1/sigma), a_dims^-2)
     """
     try:
-        deviation = adaptive_constant(alpha, beta) * epsilon ** 2 * np.sqrt(inv4_sums)
+        weight = adaptive_constant(alpha, beta) * epsilon ** 2
     except OverflowError:
         raise ValueError(f"epsilon={epsilon!r} squared exceeds the float range") from None
     floor = sigma * sigma * math.log(1.0 / sigma) ** 1.5
-    bias = (7.0 + 4.0 * math.sqrt(tail_exponent(alpha))) * np.maximum(floor, a_inv_sq(spec, dims))
-    return deviation + bias
+    bias = np.maximum(floor, a_inv_sq(spec, dims))
+    bias *= 7.0 + 4.0 * math.sqrt(tail_exponent(alpha))
+    objective = np.sqrt(inv4_sums)
+    objective *= weight
+    objective += bias
+    return objective
 
 
 def dimension_objective(x, spec: RegimeSpec, m: int, epsilon: float, sigma: float,

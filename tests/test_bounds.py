@@ -292,6 +292,20 @@ class TestEvaluateBounds:
         with pytest.raises(error, match=message):
             evaluate_bounds(mild_ordinary, *args)
 
+    @pytest.mark.parametrize("epsilon, message", [
+        (math.nan, "epsilon must be finite, got nan"),
+        (math.inf, "epsilon must be finite, got inf"),
+        (np.float64(1e200), "squared exceeds the float range"),
+    ], ids=["nan", "inf", "numpy-overflow"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_epsilon_outside_the_float_range_is_refused(self, mild_ordinary, epsilon, message):
+        """No NaN or inf bound comes back: a non-finite epsilon is refused,
+        and a numpy float whose square overflows is refused like a Python one."""
+        with pytest.raises(ValueError, match=message):
+            evaluate_bounds(mild_ordinary, epsilon, 1e-3, 0.05, 0.5, 1000)
+        with pytest.raises(ValueError, match=message):
+            upper_bound_radius_sq(mild_ordinary, epsilon, 1e-3, 0.05, 0.5, 1000)
+
     def test_report_internally_consistent(self, severe_ordinary):
         report = evaluate_bounds(severe_ordinary, 1e-3, 1e-3, 0.05, 0.5, 200)
         assert report.upper_sq > 0.0

@@ -329,6 +329,11 @@ class TestBounds:
         assert main(["bounds", "--epsilon", "1e200", "--jmax", "50"]) == 2
         assert "epsilon=1e+200 squared" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_exits_2(self, capsys, epsilon):
+        assert main(["bounds", "--epsilon", epsilon, "--jmax", "50"]) == 2
+        assert f"epsilon must be finite, got {epsilon}" in capsys.readouterr().err
+
 
 class TestChecks:
     def test_all_checks_pass(self, tmp_path):

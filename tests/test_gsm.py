@@ -19,6 +19,7 @@ from gsmgof import (
     OPERATOR_STREAM,
     QUADFORM_STREAM,
     SIGNAL_STREAM,
+    RekeyedDraws,
     a_value,
     b_value,
     b_vector,
@@ -121,6 +122,39 @@ class TestGaussianDraws:
         assert [part.shape for part in parts] == [(k,) for k in sizes]
         whole = gaussian_draws(42, 3, OPERATOR_STREAM, sum(sizes))
         assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    def test_rekeyed_draws_equal_fresh_streams(self):
+        """One re-keyed generator gives every (seed, rep, stream) triple the
+        draws of its own GaussianStream, bit for bit, wherever a draw starts
+        and whatever the triples before it were."""
+        seeds = (0, 1, 12_345, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 7, 2 ** 64 + 3)
+        reps = (*range(1500), 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40 + 5, 2 ** 63 - 1)
+        splits = (0, 1, 63, 64, 65)
+        triples = 0
+        for seed in seeds:
+            rekeyed = RekeyedDraws(seed)
+            for rep in reps:
+                stream = (SIGNAL_STREAM, OPERATOR_STREAM, QUADFORM_STREAM)[rep % 3]
+                split = splits[rep % len(splits)]
+                fresh = GaussianStream(seed, rep, stream)
+                head, tail = fresh.take(split), fresh.take(67)
+                assert rekeyed.rows([rep], stream, 0, [split]).tobytes() == head.tobytes()
+                assert rekeyed.rows([rep], stream, split, [67]).tobytes() == tail.tobytes()
+                triples += 1
+        assert triples >= 10_000
+
+    def test_rekeyed_rows_hold_each_replication(self):
+        """Rows of any widths in one call: row i is the replication's own
+        draws up to its width."""
+        widths = [0, 1, 63, 64, 65, 5, 200]
+        reps = [0, 7, 2 ** 32 + 1, 3, 3, 10, 11]
+        rows = RekeyedDraws(42).rows(reps, SIGNAL_STREAM, 4, widths)
+        assert rows.shape == (len(reps), max(widths))
+        for row, rep, width in zip(rows, reps, widths):
+            stream = GaussianStream(42, rep, SIGNAL_STREAM)
+            stream.take(4)
+            assert row[:width].tobytes() == stream.take(width).tobytes()
+            assert np.isfinite(row).all()
 
     def test_draw_bound_covers_every_finite_draw(self):
         # the transform maps raw words into [2**-54, 1]; below 1 the largest is 1 - 2**-53

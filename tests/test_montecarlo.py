@@ -3,14 +3,18 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gsmgof import montecarlo
 from gsmgof import (
     KAPPA_DEFAULT,
+    SIGNAL_STREAM,
     BracketingError,
     ErrorEstimate,
     ExperimentPlan,
@@ -25,6 +29,7 @@ from gsmgof import (
     estimate_alpha,
     estimate_beta,
     fit_rate_slope,
+    gaussian_draws,
     make_spike_alternative,
     make_two_point_pair,
     run_test,
@@ -34,23 +39,25 @@ from gsmgof.montecarlo import (
     _accept_counts_from_cache,
     _build_radius_cache,
     _chunk_ranges,
+    _reject_counts,
     _replications,
 )
+from gsmgof.testproc import Bandwidth, _decide
 
 REGIMES = ("mild-ordinary", "mild-super", "severe-ordinary", "severe-super")
 
 
 def fix_threshold(monkeypatch, cutoff):
     """Make every in-process test run reject exactly when statistic > cutoff
-    (the Monte Carlo loops decide through the step they share with run_test)."""
-    real = montecarlo._decide
+    (the Monte Carlo loops read every report from the kernel)."""
+    real = montecarlo._replications
 
     def fixed(*args):
-        report = real(*args)
-        return dataclasses.replace(report, threshold=cutoff,
-                                   reject=report.statistic > cutoff)
+        for report, *windows in real(*args):
+            yield (dataclasses.replace(report, threshold=cutoff,
+                                       reject=report.statistic > cutoff), *windows)
 
-    monkeypatch.setattr(montecarlo, "_decide", fixed)
+    monkeypatch.setattr(montecarlo, "_replications", fixed)
 
 
 def fix_radius(monkeypatch, radius_fn):
@@ -245,6 +252,141 @@ class TestKernel:
                              theta0=theta0)
             assert estimate_alpha(plan, workers) == reference_estimate(plan, theta0, False)
             assert estimate_beta(plan, theta, workers) == reference_estimate(plan, theta, True)
+
+
+def serial_outcomes(plan, theta, lo, hi):
+    """simulate + run_test, one replication at a time: each report with the
+    windows of x, y and epsilon*xi it read, up to the first error."""
+    def one(rep):
+        report, x_win, y_win = _reference(plan, theta, rep)
+        w = report.window
+        eps = plan.noise.epsilon
+        eps_xi = eps * gaussian_draws(plan.master_seed, rep, SIGNAL_STREAM, w) \
+            if eps > 0.0 and w > 0 else np.zeros(w)
+        return report, x_win, y_win, eps_xi.tobytes()
+
+    out = []
+    for rep in range(lo, hi):
+        out.append(_outcome(lambda: one(rep)))
+        if not out[-1].startswith("("):
+            break
+    return out
+
+
+def batch_outcomes(plan, theta, lo, hi):
+    """The same from one kernel pass over [lo, hi), row group by row group."""
+    out = []
+    try:
+        for report, x_win, y_win, eps_xi_win in _replications(plan, theta, lo, hi):
+            out.append(repr((report, x_win.tobytes(), y_win.tobytes(), eps_xi_win.tobytes())))
+    except Exception as exc:  # noqa: BLE001 -- the comparison is the point
+        out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+# (j_max, chunk): chunks of 1, 63, 64, 65 and 200 replications that do not
+# start at 0, at horizons on either side of the first scan block, and one
+# chunk of two row groups
+CHUNKS = [(1, (7, 8)), (63, (1, 64)), (64, (100, 164)), (65, (3, 68)), (200, (11, 211)),
+          (200, (1, 301))]
+
+
+class TestBatch:
+    """The kernel decides a chunk's replications a row group at a time; every
+    report, window and error must be the serial reference loop's."""
+
+    @pytest.mark.parametrize("sigma", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_chunks_match_serial_loop(self, regime, sigma):
+        for j_max, (lo, hi) in CHUNKS:
+            plan = make_plan(spec=RegimeSpec.from_name(regime), sigma=sigma, j_max=j_max)
+            assert batch_outcomes(plan, plan.theta0, lo, hi) == \
+                serial_outcomes(plan, plan.theta0, lo, hi)
+
+    @pytest.mark.parametrize("case", [
+        dict(epsilon=0.0),
+        dict(epsilon=1e-6, sigma=1e-3),
+        dict(dimension=3),
+        dict(dimension=70),
+        dict(sigma=0.5),
+        dict(theta=Signal([-0.0, 0.5, -0.25])),  # a negative zero stays negative in y
+        dict(theta=Signal([-0.0, 0.5, -0.25]), epsilon=0.0),
+    ], ids=["zero-epsilon", "small-epsilon", "dimension-3", "dimension-70", "large-sigma",
+            "signed-theta", "signed-theta-zero-epsilon"])
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_chunks_match_serial_loop_on_other_plans(self, regime, case):
+        case = {"sigma": 1e-3, **case}
+        theta = case.pop("theta", None)
+        for j_max, (lo, hi) in CHUNKS[1:]:
+            plan = make_plan(spec=RegimeSpec.from_name(regime), j_max=j_max, **case)
+            target = plan.theta0 if theta is None else theta
+            assert batch_outcomes(plan, target, lo, hi) == serial_outcomes(plan, target, lo, hi)
+
+    def test_decisions_match_the_reference_step_on_any_prefix(self):
+        """Row by row, the batched decision equals testproc's own step on
+        prefixes and bandwidths no scan would produce, so the dimension
+        objective past a row's bandwidth is never read."""
+        rng = np.random.default_rng(5)
+        reps = range(9, 69)
+        for dimension in (None, 4):
+            plan = make_plan(epsilon=1e-3, sigma=1e-3, j_max=40, dimension=dimension)
+            x = rng.choice([-1.0, 1.0], (60, 40)) * 10.0 ** rng.uniform(-4.0, 2.0, (60, 40))
+            bands = [Bandwidth(int(m), bool(m == 40)) for m in rng.integers(0, 41, 60)]
+            decided = montecarlo._Kernel(plan, plan.theta0).decide(reps, x, bands)
+            for rep, row, band, (report, x_win, y_win, _) in zip(reps, x, bands, decided):
+                y = simulate(plan.theta0, plan.spec, plan.noise, plan.master_seed, 40, rep=rep).y
+                expected = _decide(band, row, lambda w: y, plan.theta0, plan.spec, plan.noise,
+                                   plan.config)
+                assert report == expected
+                assert x_win.tobytes() == row[:report.window].tobytes()
+                assert y_win.tobytes() == y[:report.window].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(regime=st.sampled_from(REGIMES), s=st.floats(0.25, 3.0), t=st.floats(0.25, 3.0),
+           epsilon=st.sampled_from([0.0, 1e-6, 1e-3, 1e-2, 0.3]),
+           sigma=st.floats(-7.0, -0.05).map(lambda e: 10.0 ** e),
+           j_max=st.integers(1, 300), dimension=st.none() | st.integers(1, 80),
+           spike=st.tuples(st.integers(0, 4), st.floats(-1.0, 1.0)),
+           lo=st.integers(0, 2 ** 40), size=st.integers(1, 80))
+    def test_property_matches_serial_loop(self, regime, s, t, epsilon, sigma, j_max,
+                                          dimension, spike, lo, size):
+        spec = RegimeSpec.from_name(regime, s=s, t=t)
+        plan = make_plan(spec=spec, epsilon=epsilon, sigma=sigma, j_max=j_max,
+                         dimension=dimension, seed=lo % 97)
+        k, r = spike
+        theta = Signal(np.eye(1, min(k + 1, j_max), min(k, j_max - 1))[0] * r)
+        for target in (plan.theta0, theta):
+            assert batch_outcomes(plan, target, lo, lo + size) == \
+                serial_outcomes(plan, target, lo, lo + size)
+
+    @pytest.mark.parametrize("case", [
+        dict(sigma=1e308, j_max=3),  # x overflows
+        dict(epsilon=1e308, sigma=0.5, j_max=1),  # y overflows
+        dict(epsilon=1e200, sigma=0.023, j_max=50),  # epsilon**2 overflows
+        dict(epsilon=1e160, sigma=0.023, j_max=50, dimension=3),  # the statistic overflows
+    ], ids=["x", "y", "epsilon-squared", "statistic"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_first_error_of_a_chunk_is_the_serial_loops(self, case):
+        """Replications before the first failing one are yielded, then its
+        error is raised, as the serial loop raises it."""
+        plan = make_plan(**case)
+        serial = serial_outcomes(plan, plan.theta0, 5, 300)
+        assert len(serial) > 1 and not serial[-1].startswith("(")
+        assert batch_outcomes(plan, plan.theta0, 5, 300) == serial
+
+    def test_working_set_stays_small_when_every_scan_runs_to_the_horizon(self):
+        """One row group's matrices plus one replication's full-horizon prefix:
+        nowhere near a chunk-by-horizon matrix (500 x 10 000 floats is 40 MB)."""
+        plan = make_plan(epsilon=1e-2, sigma=1e-6, j_max=10_000, n_reps=500)
+        assert all(report.bandwidth_truncated
+                   for report, *_ in _replications(plan, plan.theta0, 0, 5))
+        tracemalloc.start()
+        try:
+            _reject_counts(plan, plan.theta0, 0, 500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def _two_point_null():
