@@ -80,7 +80,9 @@ class GaussianStream:
     """
 
     def __init__(self, seed: int, rep: int, stream: int) -> None:
-        self._bits = Philox(key=seed, counter=[0, 0, rep, stream])
+        if not 0 <= rep < 2 ** 64:
+            raise ValueError(f"rep must lie in [0, 2**64), got {rep!r}")
+        self._bits = Philox(key=seed, counter=np.array([0, 0, rep, stream], dtype=np.uint64))
 
     def take(self, n: int) -> np.ndarray:
         """The next n draws of the stream."""

@@ -25,7 +25,8 @@ from .gsm import (
     NoiseLevels,
     RekeyedDraws,
     Signal,
-    simulate,  # noqa: F401 -- unused here; perfbench/test_perfbench.py reads it
+    gaussian_draws,
+    simulate,
     spike_index,
 )
 from .sequences import RegimeSpec, a_inv_sq, a_value, b_vector
@@ -39,6 +40,7 @@ from .testproc import (
     _scan_table,
     _statistic_sum,
     bandwidth_bracket,
+    run_test,
     statistic,
 )
 
@@ -176,34 +178,39 @@ class _Batch(NamedTuple):
     y_finite: np.ndarray
 
 
+def _batchable(plan: ExperimentPlan, theta: Signal) -> bool:
+    """Whether the kernel decides theta's replications under plan: sigma in
+    (0, 1), epsilon**2 finite, and no y that a finite draw can overflow.  Any
+    other plan runs simulate + run_test itself, one replication at a time."""
+    eps, sigma, j_max = plan.noise.epsilon, plan.noise.sigma, plan.config.j_max
+    if len(theta) > j_max or not (0.0 < sigma < 1.0 and math.isfinite(eps * eps)):
+        return False
+    with np.errstate(over="ignore"):
+        bt = b_vector(plan.spec, j_max) * theta.padded(j_max)
+    return math.isfinite(float(np.max(np.abs(bt))) + eps * DRAW_BOUND)
+
+
 class _Kernel:
     """run_test(simulate(theta, ..., rep=rep), plan.theta0, ...) over many
-    replications, a row group of them at a time.
+    replications of a plan that _batchable admits, a row group at a time.
 
     Only what the test reads is drawn: x until the bandwidth scan stops, and
     the signal stream up to the window.  The streams are counter-based, so
     these are prefixes of simulate's draws, and every step works element by
     element (numpy's power included) or sums one row in index order, so every
-    value is the reference path's.  The checks of simulate and run_test come
-    in their order: theta must fit the horizon, y and x must be finite, sigma
-    must be positive.  A finite draw is at most DRAW_BOUND in size, so a
-    value the test does not read can only overflow when epsilon or sigma is
-    near the float range; that channel is then drawn to the horizon and
-    checked first, as simulate does.  (A draw is infinite with chance 2**-53;
-    one past what is drawn goes unseen.)
+    value is the reference path's.  A finite draw is at most DRAW_BOUND in
+    size, so under such a plan only an infinite draw (chance 2**-53) makes x
+    or y overflow; one inside what is drawn raises as simulate does, one past
+    it goes unseen.
     """
 
     def __init__(self, plan: ExperimentPlan, theta: Signal) -> None:
         self.plan = plan
         self.j_max = j_max = plan.config.j_max
-        if len(theta) > j_max:
-            raise ValueError("theta does not fit inside the horizon")
         self.eps, self.sigma = plan.noise.epsilon, plan.noise.sigma
         self.b = b_vector(plan.spec, j_max)
         self.bt = self.b * theta.padded(j_max)
         self.theta0 = plan.theta0.padded(max(j_max, len(plan.theta0)))
-        self.y_ahead = not math.isfinite(float(np.max(np.abs(self.bt))) + self.eps * DRAW_BOUND)
-        self.x_ahead = not math.isfinite(float(np.max(self.b)) + self.sigma * DRAW_BOUND)
         self.envelope = self.sigma * _scan_table(plan.config.alpha, plan.config.kappa, j_max)
         self.draws = RekeyedDraws(plan.master_seed)
 
@@ -245,18 +252,6 @@ class _Kernel:
         """(report, x_win, y_win, eps_xi_win) of each replication in reps, in
         order, until the first one whose reference path raises: its error is
         raised there."""
-        stop, error = len(reps), None
-        if self.y_ahead or self.x_ahead:
-            for i, rep in enumerate(reps):
-                error = self._ahead_error(rep)
-                if error is not None:
-                    stop = i
-                    break
-        if self.sigma <= 0.0 and stop > 0:
-            stop, error = 0, ValueError("sigma must be positive")
-        if stop == 0:
-            raise error
-        reps = reps[:stop]
         x, bands = self.first_blocks(reps)
         finite = np.isfinite(x).all(axis=1)
         done = [i for i, band in enumerate(bands) if band is not None]
@@ -269,22 +264,6 @@ class _Kernel:
                 yield from self.decide([rep], _finite("x", prefix)[None], [band])
             else:
                 yield next(decided)
-        if error is not None:
-            raise error
-
-    def _ahead_error(self, rep: int) -> ValueError | None:
-        """The error of a replication whose y or x can overflow past what the
-        test reads, from that channel drawn to the horizon."""
-        whole = [self.j_max]
-        if self.y_ahead:
-            eps_xi = self.eps * self.draws.rows([rep], SIGNAL_STREAM, 0, whole)[0]
-            if not np.isfinite(self.bt + eps_xi).all():
-                return ValueError("y must be finite")
-        if self.x_ahead:
-            eta = self.draws.rows([rep], OPERATOR_STREAM, 0, whole)[0]
-            if not np.isfinite(self.b + self.sigma * eta).all():
-                return ValueError("x must be finite")
-        return None
 
     # -- decisions --------------------------------------------------------------
 
@@ -293,21 +272,19 @@ class _Kernel:
         ended, in order; row i of x holds the prefix drawn for reps[i].
 
         Most are decided together.  One with a zero bandwidth (nothing to
-        batch) or whose test raises (sigma outside (0, 1), an observed
-        coefficient that is exactly zero, epsilon**2 past the float range, a
-        y that is not finite) is decided by testproc's own step, alone.
+        batch), an observed coefficient that is exactly zero, or a y that is
+        not finite is decided by testproc's own step, alone.
         """
         m = np.array([band.value for band in bands], dtype=np.int64)
         live = m > 0
         zero = x[:, :m.max(initial=0)] == 0.0
         if zero.any():
             live &= ~(zero & (np.arange(zero.shape[1]) < m[:, None])).any(axis=1)
-        rows = np.flatnonzero(live) if 0.0 < self.sigma < 1.0 else np.zeros(0, dtype=np.int64)
-        batch = None
+        rows = np.flatnonzero(live)
+        slots = dict(zip(rows.tolist(), range(rows.size)))
         if rows.size:
             xs = x if rows.size == len(reps) else x[rows]  # no copy when every row is batched
             batch = self._batch([reps[i] for i in rows], xs, m[rows])
-        slots = {} if batch is None else dict(zip(rows.tolist(), range(rows.size)))
         eps, sigma, alpha = self.eps, self.sigma, self.plan.config.alpha
         for i, rep in enumerate(reps):
             r = slots.get(i)
@@ -324,21 +301,17 @@ class _Kernel:
                                 bandwidth_truncated=bands[i].truncated)
             yield report, batch.x[r, :w].copy(), batch.y[r, :w].copy(), batch.eps_xi[r, :w].copy()
 
-    def _batch(self, reps: list, x: np.ndarray, m: np.ndarray) -> _Batch | None:
-        """The arrays of replications decided together, or None when
-        epsilon**2 overflows (then the test of every one raises).  The
-        dimension objective runs on the running sums of x**-4 along each row,
-        past each row's bandwidth masked."""
+    def _batch(self, reps: list, x: np.ndarray, m: np.ndarray) -> _Batch:
+        """The arrays of replications decided together.  The dimension
+        objective runs on the running sums of x**-4 along each row, past each
+        row's bandwidth masked."""
         spec, config = self.plan.spec, self.plan.config
         with np.errstate(all="ignore"):  # entries past a row's window may overflow
             if config.dimension is None:
                 inv4 = x[:, :m.max()] ** -4.0
-                try:
-                    objective = _objective(spec, np.cumsum(inv4, axis=1),
-                                           np.arange(1, inv4.shape[1] + 1),
-                                           self.eps, self.sigma, config.alpha, config.beta)
-                except ValueError:
-                    return None
+                objective = _objective(spec, np.cumsum(inv4, axis=1),
+                                       np.arange(1, inv4.shape[1] + 1),
+                                       self.eps, self.sigma, config.alpha, config.beta)
                 if m.min() < inv4.shape[1]:
                     objective[np.arange(inv4.shape[1]) >= m[:, None]] = np.inf
                 window = np.minimum(objective.argmin(axis=1) + 1, m)
@@ -374,11 +347,23 @@ class _Kernel:
         return report, x[:report.window].copy(), window[0], window[1]
 
 
+def _simulated(plan: ExperimentPlan, theta: Signal, rep: int):
+    """One replication by simulate + run_test, with the windows it read."""
+    obs = simulate(theta, plan.spec, plan.noise, plan.master_seed, plan.config.j_max, rep=rep)
+    report = run_test(obs, plan.theta0, plan.spec, plan.noise, plan.config)
+    w, eps = report.window, plan.noise.epsilon
+    xi = gaussian_draws(plan.master_seed, rep, SIGNAL_STREAM, w) if eps > 0.0 else np.zeros(w)
+    return report, obs.x[:w].copy(), obs.y[:w].copy(), eps * xi
+
+
 def _replications(plan: ExperimentPlan, theta: Signal, lo: int, hi: int):
     """For each replication in [lo, hi), yield (report, x_win, y_win,
     eps_xi_win): the report of run_test(simulate(theta, ..., rep=rep),
     plan.theta0, ...) and the windows of x, y and the signal noise it read,
     as owned arrays.  An error is raised where that loop would raise first."""
+    if not _batchable(plan, theta):
+        yield from (_simulated(plan, theta, rep) for rep in range(lo, hi))
+        return
     kernel = _Kernel(plan, theta)
     for reps in _row_groups(lo, hi, _GROUP_ROWS):
         yield from kernel.group(reps)
@@ -486,8 +471,8 @@ def empirical_separation_radius(plan: ExperimentPlan, beta_target: float,
         raise ValueError(f"beta_target must lie in (0, 1), got {beta_target!r}")
     if not (math.isfinite(r_lo) and math.isfinite(r_hi) and 0.0 < r_lo <= r_hi):
         raise ValueError(f"need finite radii with 0 < r_lo <= r_hi, got {r_lo!r}, {r_hi!r}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     cache = [entry for part in _map_chunks(_build_radius_cache, (plan,), plan.n_reps, workers)
              for entry in part]
     n = plan.n_reps
@@ -653,8 +638,8 @@ def check_quadform_concentration(d: int, nu, v, x: float, n_reps: int,
     d = int(d)
     if d < 1:
         raise ValueError("d must be >= 1")
-    if x <= 0.0:
-        raise ValueError("x must be positive")
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"x must be positive and finite, got {x!r}")
     if int(n_reps) < 1:
         raise ValueError("n_reps must be >= 1")
     n_reps = int(n_reps)
@@ -662,9 +647,15 @@ def check_quadform_concentration(d: int, nu, v, x: float, n_reps: int,
     v = np.broadcast_to(np.asarray(v, dtype=float), (d,)).copy()
     if not (np.all(np.isfinite(nu)) and np.all(np.isfinite(v))):
         raise ValueError("nu and v must be finite")
-    mean = math.fsum((nu ** 2 + v ** 2).tolist())
-    proxy = math.fsum((v ** 4).tolist()) + 2.0 * math.fsum((v ** 2 * nu ** 2).tolist())
-    up_cut = 2.0 * math.sqrt(proxy * x) + 2.0 * x * float(np.max(v ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            mean = math.fsum((nu ** 2 + v ** 2).tolist())
+            proxy = math.fsum((v ** 4).tolist()) + 2.0 * math.fsum((v ** 2 * nu ** 2).tolist())
+            up_cut = 2.0 * math.sqrt(proxy * x) + 2.0 * x * float(np.max(v ** 2))
+        except OverflowError:  # finite terms whose sum is not
+            mean = proxy = up_cut = math.inf
+    if not all(map(math.isfinite, (mean, proxy, up_cut))):
+        raise ValueError("the mean, the variance proxy and the cuts must be finite")
     low_cut = -2.0 * math.sqrt(proxy * x)
     n_up, n_low = _sum_over_chunks(
         _quadform_failures, (d, nu, v, mean, up_cut, low_cut, master_seed),

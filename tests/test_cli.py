@@ -266,6 +266,12 @@ class TestSepRadius:
         assert float(row["radius"]) == 0.859515625
         assert float(row["beta_target"]) == 0.5
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_2(self, capsys, tol):
+        assert main(["sep-radius", "--tol", tol, "--jmax", "200", "--reps", "100",
+                     "--workers", "1"]) == 2
+        assert f"tol must be positive and finite, got {tol}" in capsys.readouterr().err
+
     def test_config_string_r_hi_sets_the_default_r_lo(self, tmp_path):
         """A config-file r_hi given as a string is read as a number before the
         default r_lo is taken from it."""

@@ -128,7 +128,8 @@ class TestGaussianDraws:
         draws of its own GaussianStream, bit for bit, wherever a draw starts
         and whatever the triples before it were."""
         seeds = (0, 1, 12_345, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 7, 2 ** 64 + 3)
-        reps = (*range(1500), 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40 + 5, 2 ** 63 - 1)
+        reps = (*range(1500), 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40 + 5, 2 ** 63 - 1,
+                2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1)
         splits = (0, 1, 63, 64, 65)
         triples = 0
         for seed in seeds:
@@ -142,6 +143,16 @@ class TestGaussianDraws:
                 assert rekeyed.rows([rep], stream, split, [67]).tobytes() == tail.tobytes()
                 triples += 1
         assert triples >= 10_000
+
+    def test_replications_past_the_int64_range_draw_apart(self):
+        """Every rep in [0, 2**64) has its own counter word, also past the
+        int64 range; a rep outside it is refused."""
+        draws = {gaussian_draws(0, rep, SIGNAL_STREAM, 4).tobytes()
+                 for rep in (2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 63 + 5, 2 ** 64 - 1)}
+        assert len(draws) == 5
+        for rep in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match="rep must lie in"):
+                gaussian_draws(0, rep, SIGNAL_STREAM, 4)
 
     def test_rekeyed_rows_hold_each_replication(self):
         """Rows of any widths in one call: row i is the replication's own

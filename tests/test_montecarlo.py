@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gsmgof import montecarlo
+from gsmgof import cli, montecarlo
 from gsmgof import (
     KAPPA_DEFAULT,
     SIGNAL_STREAM,
@@ -25,6 +25,7 @@ from gsmgof import (
     bandwidth_escape_bound,
     check_bandwidth_containment,
     check_quadform_concentration,
+    default_j_max,
     empirical_separation_radius,
     estimate_alpha,
     estimate_beta,
@@ -37,11 +38,13 @@ from gsmgof import (
 )
 from gsmgof.montecarlo import (
     _accept_counts_from_cache,
+    _batchable,
     _build_radius_cache,
     _chunk_ranges,
     _reject_counts,
     _replications,
 )
+from gsmgof.sequences import a_value
 from gsmgof.testproc import Bandwidth, _decide
 
 REGIMES = ("mild-ordinary", "mild-super", "severe-ordinary", "severe-super")
@@ -389,6 +392,73 @@ class TestBatch:
         assert peak < 1_000_000
 
 
+def _cases(test):
+    """The `case` parameters of a parametrized test."""
+    [mark] = [mark for mark in test.pytestmark if mark.args[0] == "case"]
+    return mark.args[1]
+
+
+def cli_plans(argv):
+    """The plan of every grid cell the CLI builds from argv."""
+    cfg = cli._resolve(cli._build_parser().parse_args(argv))
+    return [cli._plan(cfg, cell) for cell in cli._cells(cfg)]
+
+
+# The argv of each benchmark workload (perfbench/run.py's WORKLOADS)
+WORKLOAD_ARGV = {
+    "calibrate-mild": ["calibrate", "--regime", "mild-ordinary", "--epsilon", "1e-2",
+                       "--sigma", "1e-2,1e-4,1e-6", "--reps", "1500"],
+    "calibrate-severe": ["calibrate", "--regime", "severe-ordinary,severe-super",
+                         "--epsilon", "1e-2,1e-3", "--sigma", "1e-2,1e-4", "--reps", "2000"],
+    "sep-radius": ["sep-radius", "--regime", "mild-ordinary", "--epsilon", "1e-2",
+                   "--sigma", "1e-2", "--reps", "1000"],
+    "bounds-grid": ["bounds", "--regime", "mild-ordinary,mild-super",
+                    "--epsilon", "1e-1,3e-2,1e-2,3e-3,1e-3,3e-4,1e-4,3e-5",
+                    "--sigma", "1e-2,3e-3,1e-3,3e-4,1e-4,3e-5,1e-5,1e-6", "--jmax", "100000"],
+}
+
+
+class TestFastPath:
+    """The kernel batches a plan only inside the test's domain; any other
+    plan runs simulate + run_test itself.  The bit-identity tests cannot see
+    a plan that drops to that loop, so the boundary is pinned here."""
+
+    @pytest.mark.parametrize("workload", WORKLOAD_ARGV)
+    def test_every_benchmark_cell_is_batched(self, workload):
+        plans = cli_plans(WORKLOAD_ARGV[workload])
+        assert plans and all(_batchable(plan, plan.theta0) for plan in plans)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_power_curve_spikes_up_to_the_class_ceiling_are_batched(self, regime):
+        spec = RegimeSpec.from_name(regime)
+        j_max = default_j_max(spec)
+        ceiling = 1.0 / a_value(spec, 1)
+        for epsilon in (0.0, 1e-6, 1e-2, 0.5):
+            for sigma in (1e-6, 1e-2, 0.5):
+                plan = make_plan(spec=spec, epsilon=epsilon, sigma=sigma, j_max=j_max)
+                for k in range(15):
+                    theta = make_spike_alternative(spec, plan.theta0, ceiling * 2.0 ** -k, j_max)
+                    assert _batchable(plan, theta), (epsilon, sigma, k)
+
+    def test_plans_whose_reference_path_raises_are_not_batched(self):
+        for case in (*_cases(TestKernel.test_errors_match_reference),
+                     *_cases(TestBatch.test_first_error_of_a_chunk_is_the_serial_loops)):
+            plan = make_plan(**case)
+            assert not _batchable(plan, plan.theta0), case
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_first_error_of_a_batched_chunk_is_the_serial_loops(self):
+        """theta0 near the float range at coordinate 4 makes the statistic
+        overflow in every replication whose window reaches it."""
+        plan = make_plan(epsilon=1e-2, sigma=5e-3, j_max=50, theta0=Signal([0, 0, 0, 1e300]))
+        target = Signal.zeros(0)
+        assert _batchable(plan, target)
+        serial = serial_outcomes(plan, target, 5, 300)
+        assert len(serial) == 17
+        assert serial[-1] == "ValueError: the statistic over the first 4 coefficients is not finite"
+        assert batch_outcomes(plan, target, 5, 300) == serial
+
+
 def _two_point_null():
     theta0, _ = make_two_point_pair(RegimeSpec.from_name("mild-ordinary"),
                                     NoiseLevels(1e-3, 1e-3), 0.05, 0.5, d=3)
@@ -506,6 +576,15 @@ class TestSeparationRadius:
         with pytest.raises(ValueError):
             empirical_separation_radius(plan, 0.5, 0.1, 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol_is_refused(self, tol):
+        """A NaN or inf tol would end the bisection before its first step."""
+        plan = make_plan(n_reps=100)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            empirical_separation_radius(plan, 0.5, 0.1, 1.0, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            fit_rate_slope(plan, [1e-2, 1e-3], 0.5, tol=tol)
+
     @pytest.mark.slow
     def test_deep_noise_radius(self):
         """Pinned search result at the smallest noise level exercised here."""
@@ -616,3 +695,16 @@ class TestQuadformConcentration:
             check_quadform_concentration(1, np.zeros(2), 1.0, x=1.0, n_reps=100)
         with pytest.raises(ValueError):
             check_quadform_concentration(1, math.nan, 1.0, x=1.0, n_reps=100)
+
+    @pytest.mark.parametrize("nu, v, x", [
+        (0.0, 1.0, math.nan),
+        (0.0, 1.0, math.inf),
+        (1e200, 1.0, 1.0),  # the squares overflow
+        (1e154, 1.0, 1.0),  # finite squares whose sum overflows
+        (0.0, 1e100, 1.0),  # v**4 overflows: the variance proxy
+        (0.0, 1.0, 1e308),  # the cuts overflow
+    ], ids=["nan-x", "inf-x", "huge-nu", "large-nu", "huge-v", "huge-x"])
+    def test_non_finite_moments_are_refused(self, nu, v, x):
+        """A non-finite mean or cut would make every deviation compare false."""
+        with pytest.raises(ValueError, match="finite"):
+            check_quadform_concentration(3, nu, v, x=x, n_reps=100)
