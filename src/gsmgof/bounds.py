@@ -11,6 +11,7 @@ exponents and slopes, never absolute levels.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -23,7 +24,8 @@ from .sequences import (
     DecayKind,
     GrowthKind,
     RegimeSpec,
-    _b_inv4_running_sums,
+    _overflow_error,
+    _running_sums,
     a_inv_sq,
     b_vector,
     cumulative_b_inv4_prefix,
@@ -99,6 +101,8 @@ def _upper_bound(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float, b
                            np.minimum(np.arange(1, n + 1), bracket.low),
                            float(epsilon), sigma, alpha, beta)
     k = int(np.argmin(objective))
+    if not math.isfinite(objective[k]):
+        raise ValueError(f"the upper bound at epsilon={epsilon!r} exceeds the float range")
     return float(objective[k]), k + 1, bracket
 
 
@@ -107,9 +111,11 @@ def _upper_bound(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float, b
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def critical_snr(alpha: float, beta: float) -> float:
     """Signal-to-noise ratio at which the mass of the operator window [b/2, 2b]
-    reaches (1 + 4(1-alpha-beta)^2)^(-1/2), solved by bisection to 1e-10."""
+    reaches (1 + 4(1-alpha-beta)^2)^(-1/2), solved by bisection to 1e-10
+    (once per pair of levels)."""
     divergence_budget(alpha, beta)  # validates the levels
     gap = 1.0 - alpha - beta
     target = 1.0 / math.sqrt(1.0 + 4.0 * gap * gap)
@@ -166,6 +172,20 @@ def lower_bound_radius_sq(spec: RegimeSpec, epsilon: float, sigma: float,
     return _lower_bound(spec, noise.epsilon, noise.sigma, alpha, beta, j_max)[:2]
 
 
+@functools.lru_cache(maxsize=16)
+def _hardest_upto(spec: RegimeSpec, n: int) -> np.ndarray:
+    """max_{j <= d} b_j^-2 a_j^-2 at d = 1..n, built once per (spec, n) and
+    read-only.  Each product is taken element by element and max is exact, so
+    entry d - 1 is the maximum over the first d products (NaN if one of them
+    is).  Products past a cell's prior depth may overflow (b_j may even
+    underflow to 0); they are not read."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        products = b_vector(spec, n) ** -2.0 * a_inv_sq(spec, np.arange(1, n + 1))
+    table = np.maximum.accumulate(products)
+    table.setflags(write=False)
+    return table
+
+
 def _lower_bound(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float, beta: float,
                  j_max: int) -> tuple[float, tuple[float, float], int]:
     """lower_bound_radius_sq's value and parts, and the prior depth of its
@@ -175,8 +195,7 @@ def _lower_bound(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float, b
 
     depth = prior_depth(spec, sigma, alpha, beta, j_max) if sigma > 0.0 else 0
     if depth >= 1:
-        weights = a_inv_sq(spec, np.arange(1, depth + 1))
-        hardest = float(np.max(b_vector(spec, depth) ** -2.0 * weights))
+        hardest = float(_hardest_upto(spec, j_max)[depth - 1])
         sigma_part = (budget * budget / 16.0) * sigma * sigma * hardest
     else:
         sigma_part = 0.0
@@ -187,14 +206,43 @@ def _lower_bound(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float, b
             scale = (2.0 * budget) ** 0.25 * epsilon ** 2
         except OverflowError:
             raise ValueError(f"epsilon={epsilon!r} squared exceeds the float range") from None
-        for d, total in enumerate(_b_inv4_running_sums(spec, j_max), start=1):
-            grow = scale * math.sqrt(total)
-            decay = a_inv_sq(spec, d)
-            epsilon_part = max(epsilon_part, min(grow, decay))
-            if grow >= decay:
-                break  # past the crossing the candidate only decreases
+        epsilon_part = _epsilon_channel(spec, scale, j_max)
 
     return max(sigma_part, epsilon_part), (sigma_part, epsilon_part), depth
+
+
+# First block of the epsilon channel's scan; each next block is twice as long.
+_SCAN_BLOCK = 64
+
+
+def _epsilon_channel(spec: RegimeSpec, scale: float, j_max: int) -> float:
+    """sup_{d <= j_max} min(grow_d, decay_d), grow_d = scale * sqrt(sum_{j<=d} b_j^-4)
+    and decay_d = a_d^-2, over blocks of the cached running sums.
+
+    It stops at the first d with grow_d >= decay_d: past it the candidate only
+    decreases.  A term of the sums past the float range raises
+    SequenceOverflowError only when no such d comes before it, as a scan
+    index by index would.  A NaN candidate (0 * inf) is skipped, as Python's
+    max skips it; np.fmax does the same.
+    """
+    sums = _running_sums(spec)
+    best = 0.0
+    lo, size = 0, _SCAN_BLOCK
+    while True:
+        block = sums.upto(min(lo + size, j_max))[lo:]
+        if block.size == 0:
+            raise _overflow_error(spec, lo + 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as with Python floats
+            grow = scale * np.sqrt(block)
+        decay = a_inv_sq(spec, np.arange(lo + 1, lo + block.size + 1))
+        crossed = grow >= decay
+        k = int(crossed.argmax())
+        end = k + 1 if crossed[k] else block.size
+        best = max(best, float(np.fmax.reduce(np.minimum(grow[:end], decay[:end]))))
+        lo += block.size
+        if crossed[k] or lo >= j_max:
+            return best
+        size *= 2
 
 
 def evaluate_bounds(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float,

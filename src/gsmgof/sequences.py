@@ -156,23 +156,25 @@ def b_vector(spec: RegimeSpec, n: int) -> np.ndarray:
     return _b_vector_cached(spec, int(n))
 
 
-def _b_inv4_terms(spec: RegimeSpec, d: int):
-    """Yield b_j**(-4) for j = 1..d, raising on floating-point overflow."""
+def _overflow_error(spec: RegimeSpec, j: int) -> SequenceOverflowError:
+    return SequenceOverflowError(
+        f"b_{j}**(-4) exceeds the floating-point range (index {j}, t={spec.t})"
+    )
+
+
+def _b_inv4_terms(spec: RegimeSpec, d: int, start: int = 1):
+    """Yield b_j**(-4) for j = start..d, raising on floating-point overflow."""
     if d < 1:
         raise ValueError("d must be >= 1")
     scale = spec.c_b ** -4.0
     mild = spec.b_kind is DecayKind.MILD
-    for j in range(1, int(d) + 1):
+    for j in range(int(start), int(d) + 1):
         try:
             term = scale * (float(j) ** (4.0 * spec.t) if mild else math.exp(4.0 * j * spec.t))
         except OverflowError:
-            raise SequenceOverflowError(
-                f"b_{j}**(-4) exceeds the floating-point range (index {j}, t={spec.t})"
-            ) from None
+            raise _overflow_error(spec, j) from None
         if math.isinf(term):
-            raise SequenceOverflowError(
-                f"b_{j}**(-4) exceeds the floating-point range (index {j}, t={spec.t})"
-            )
+            raise _overflow_error(spec, j)
         yield term
 
 
@@ -181,24 +183,61 @@ def cumulative_b_inv4(spec: RegimeSpec, d: int) -> float:
     return float(math.fsum(_b_inv4_terms(spec, d)))
 
 
-def _b_inv4_running_sums(spec: RegimeSpec, d: int):
-    """Yield the partial sums of b_j**(-4) for j = 1..d, Kahan-compensated:
-    each agrees with an exactly rounded sum to a few ulps even when the terms
-    span many orders of magnitude, and the sequence is nondecreasing."""
-    total = 0.0
-    carry = 0.0
-    for term in _b_inv4_terms(spec, d):
-        y = term - carry
-        tmp = total + y
-        carry = (tmp - total) - y
-        total = tmp
-        yield total
+class _RunningSums:
+    """The partial sums of b_j**(-4) for one spec, Kahan-compensated: each
+    agrees with an exactly rounded sum to a few ulps even when the terms span
+    many orders of magnitude, and the sequence is nondecreasing.
+
+    They are read-only and grown on demand by resuming the compensated sum
+    (total, carry) where the last request stopped.  The sum is sequential, so
+    every prefix is the one a single pass to that length gives.  Growth stops
+    for good at the first term past the float range; its index is kept.
+    """
+
+    def __init__(self, spec: RegimeSpec) -> None:
+        self.spec = spec
+        self.sums = np.empty(0)
+        self.total = 0.0
+        self.carry = 0.0
+        self.overflow: int | None = None  # index of the first overflowing term, once met
+
+    def upto(self, d: int) -> np.ndarray:
+        """The sums for j = 1..d, cut before the first overflowing term when
+        that lies within d."""
+        d = int(d)
+        if d < 1:
+            raise ValueError("d must be >= 1")
+        n = self.sums.size
+        if d > n and self.overflow is None:
+            grown = []
+            total, carry = self.total, self.carry
+            try:
+                for term in _b_inv4_terms(self.spec, d, start=n + 1):
+                    y = term - carry
+                    tmp = total + y
+                    carry = (tmp - total) - y
+                    total = tmp
+                    grown.append(total)
+            except SequenceOverflowError:
+                self.overflow = n + len(grown) + 1
+            self.total, self.carry = total, carry
+            self.sums = np.concatenate((self.sums, grown))
+            self.sums.setflags(write=False)
+        return self.sums[:d]
+
+
+@lru_cache(maxsize=128)
+def _running_sums(spec: RegimeSpec) -> _RunningSums:
+    return _RunningSums(spec)
 
 
 def cumulative_b_inv4_prefix(spec: RegimeSpec, d: int) -> np.ndarray:
-    """All partial sums of b_j**(-4) up to d in one pass (Kahan-compensated,
-    monotone nondecreasing)."""
-    return np.fromiter(_b_inv4_running_sums(spec, d), dtype=float)
+    """Read-only array of the partial sums of b_j**(-4) for j = 1..d
+    (Kahan-compensated, monotone nondecreasing; cached per spec)."""
+    sums = _running_sums(spec).upto(d)
+    if sums.size < int(d):
+        raise _overflow_error(spec, sums.size + 1)
+    return sums
 
 
 def ellipsoid_weighted_norm(spec: RegimeSpec, theta) -> float:

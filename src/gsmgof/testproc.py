@@ -116,6 +116,23 @@ def _scan_table(alpha: float, kappa: float, n: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=16)
+def _bracket_tables(alpha: float, kappa: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """bracket_envelope_low and bracket_envelope_high at j = 1..n, built once
+    per (alpha, kappa, n) and read-only."""
+    j = np.arange(1, n + 1)
+    tables = (bracket_envelope_low(j, alpha, kappa), bracket_envelope_high(j, alpha, kappa))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _first_hit(hits: np.ndarray) -> int | None:
+    """Index of the first True in hits, None when there is none."""
+    k = int(hits.argmax())
+    return k if hits[k] else None
+
+
 class Bandwidth(NamedTuple):
     value: int
     truncated: bool  # the scan reached the horizon without triggering
@@ -157,13 +174,13 @@ def bandwidth_bracket(spec: RegimeSpec, sigma: float, alpha: float,
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     j_max = int(j_max)
-    j = np.arange(1, j_max + 1)
     b = b_vector(spec, j_max)
-    hits_low = np.nonzero(b <= sigma * bracket_envelope_low(j, alpha, kappa))[0]
-    hits_high = np.nonzero(b <= sigma * bracket_envelope_high(j, alpha, kappa))[0]
-    low, low_trunc = (int(hits_low[0]), False) if hits_low.size else (j_max, True)
-    high, high_trunc = (int(hits_high[0]) + 1, False) if hits_high.size else (j_max, True)
-    return BandwidthBracket(low, high, low_trunc, high_trunc)
+    low_table, high_table = _bracket_tables(alpha, kappa, j_max)
+    low = _first_hit(b <= sigma * low_table)
+    high = _first_hit(b <= sigma * high_table)
+    return BandwidthBracket(j_max if low is None else low,
+                            j_max if high is None else high + 1,
+                            low is None, high is None)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +259,17 @@ def threshold_parts(x, spec: RegimeSpec, d: int, m: int, epsilon: float,
 def _parts_from_sums(sum_inv2: float, sum_inv4: float, a_w: float, epsilon: float,
                      sigma: float, alpha: float) -> ThresholdParts:
     """threshold_parts from the window's sums of x_j^-2 and x_j^-4 and its
-    a_w^-2 (Python floats)."""
+    a_w^-2 (Python floats).  A threshold that is not finite is refused."""
     x_tail = tail_exponent(alpha)
     floor = max(sigma * sigma * math.log(1.0 / sigma) ** 1.5, a_w)
-    return ThresholdParts(
+    parts = ThresholdParts(
         centering=epsilon * epsilon * sum_inv2,
         deviation=threshold_constant(alpha) * epsilon * epsilon * math.sqrt(sum_inv4),
         bias=(1.0 + math.sqrt(x_tail)) * floor,
     )
+    if not math.isfinite(parts.total):
+        raise ValueError(f"the threshold is not finite: {parts}")
+    return parts
 
 
 def threshold(x, spec: RegimeSpec, d: int, m: int, epsilon: float,

@@ -2,15 +2,19 @@
 
 import collections
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gsmgof import (
     DegenerateBoundError,
     InvalidLevelsError,
     RegimeSpec,
+    SequenceOverflowError,
     a_inv_sq,
     a_value,
     adaptive_constant,
@@ -27,9 +31,24 @@ from gsmgof import (
     upper_bound_radius_sq,
     window_mass,
 )
-from gsmgof import bounds
+from gsmgof import bounds, cli, sequences
+from gsmgof.sequences import _b_inv4_terms
 
 REGIMES = ("mild-ordinary", "mild-super", "severe-ordinary", "severe-super")
+
+# The bounds-grid benchmark workload (perfbench/run.py's WORKLOADS)
+BOUNDS_GRID_ARGV = ["bounds", "--regime", "mild-ordinary,mild-super",
+                    "--epsilon", "1e-1,3e-2,1e-2,3e-3,1e-3,3e-4,1e-4,3e-5",
+                    "--sigma", "1e-2,3e-3,1e-3,3e-4,1e-4,3e-5,1e-5,1e-6",
+                    "--jmax", "100000"]
+
+
+def _outcome(fn):
+    """repr of fn()'s result, or the type and message of what it raised."""
+    try:
+        return repr(fn())
+    except Exception as exc:  # noqa: BLE001 -- the comparison is the point
+        return f"{type(exc).__name__}: {exc}"
 
 
 class TestCriticalSnr:
@@ -51,6 +70,23 @@ class TestCriticalSnr:
     def test_invalid_levels(self):
         with pytest.raises(InvalidLevelsError):
             critical_snr(0.6, 0.5)
+
+    def test_solved_once_per_pair_of_levels(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(u):
+            calls[u] += 1
+            return window_mass(u)
+
+        critical_snr.cache_clear()
+        monkeypatch.setattr(bounds, "window_mass", counted)
+        first = critical_snr(0.05, 0.05)
+        solved = sum(calls.values())
+        assert solved > 30
+        assert critical_snr(0.05, 0.05) == first == 0.8911932681803592
+        assert sum(calls.values()) == solved
+        critical_snr(0.05, 0.5)
+        assert sum(calls.values()) > solved
 
     def test_refuses_what_divergence_budget_refuses(self):
         """Pairs such as (0.7, 0.3) sum to 1 up to rounding: both functions
@@ -155,6 +191,15 @@ class TestUpperBound:
         with pytest.raises(InvalidLevelsError):
             upper_bound_radius_sq(mild_ordinary, 0.01, 0.01, 0.5, 0.05, 1000)
 
+    def test_objective_past_the_float_range_is_refused(self, mild_ordinary):
+        """epsilon**2 is finite at 1e153, but the objective's minimum is not."""
+        assert math.isfinite(evaluate_bounds(mild_ordinary, 1e150, 1e-2, 0.05, 0.1, 1000).upper_sq)
+        message = r"the upper bound at epsilon=1e\+153 exceeds the float range"
+        with pytest.raises(ValueError, match=message):
+            evaluate_bounds(mild_ordinary, 1e153, 1e-2, 0.05, 0.1, 1000)
+        with pytest.raises(ValueError, match=message):
+            upper_bound_radius_sq(mild_ordinary, 1e153, 1e-2, 0.05, 0.1, 1000)
+
     def test_epsilon_rate_at_negligible_sigma(self, mild_ordinary):
         """With the operator noise floor pushed away, the bound scales like
         the polynomial benchmark exponent 8/9 in epsilon."""
@@ -239,6 +284,124 @@ class TestLowerBound:
             lower_bound_radius_sq(mild_ordinary, -1.0, math.nan, 0.7, 0.5, 100)
 
 
+def _kahan_running_sums(spec, d):
+    """The running sums of b_j**-4 as the lower bound read them before they
+    were cached: one fresh Kahan pass."""
+    total = carry = 0.0
+    for term in _b_inv4_terms(spec, d):
+        y = term - carry
+        tmp = total + y
+        carry = (tmp - total) - y
+        total = tmp
+        yield total
+
+
+def _scalar_lower_bound(spec, epsilon, sigma, alpha, beta, j_max):
+    """bounds._lower_bound as a scalar loop over the dimensions, without the
+    cached tables: the oracle of the vectorised epsilon scan."""
+    budget = divergence_budget(alpha, beta)
+    depth = prior_depth(spec, sigma, alpha, beta, j_max) if sigma > 0.0 else 0
+    if depth >= 1:
+        j = np.arange(1, depth + 1)
+        hardest = float(np.max(b_value(spec, j) ** -2.0 * a_inv_sq(spec, j)))
+        sigma_part = (budget * budget / 16.0) * sigma * sigma * hardest
+    else:
+        sigma_part = 0.0
+    epsilon_part = 0.0
+    if epsilon > 0.0:
+        scale = (2.0 * budget) ** 0.25 * epsilon ** 2
+        for d, total in enumerate(_kahan_running_sums(spec, j_max), start=1):
+            grow = scale * math.sqrt(total)
+            decay = a_inv_sq(spec, d)
+            epsilon_part = max(epsilon_part, min(grow, decay))
+            if grow >= decay:
+                break
+    return max(sigma_part, epsilon_part), (sigma_part, epsilon_part), depth
+
+
+def _overflow_index(spec, horizon=1000):
+    """The first j <= horizon whose b_j**-4 exceeds the float range, or None."""
+    n = 0
+    try:
+        for _ in _b_inv4_terms(spec, horizon):
+            n += 1
+    except SequenceOverflowError:
+        return n + 1
+    return None
+
+
+def _epsilon_crossing_at(spec, budget, d):
+    """About the epsilon at which the scan's two terms meet at dimension d
+    (c_a = c_b = 1): (2*budget)^(1/4) eps^2 sqrt(sum_{j<=d} b_j^-4) = a_d^-2."""
+    if spec.b_kind.value == "mild":
+        log_sum = math.log(math.fsum(float(j) ** (4.0 * spec.t) for j in range(1, d + 1)))
+    else:
+        log_sum = 4.0 * d * spec.t - math.log1p(-math.exp(-4.0 * spec.t))
+    if spec.a_kind.value == "ordinary":
+        log_decay = -2.0 * spec.s * math.log(d)
+    else:
+        log_decay = -2.0 * spec.s * d
+    return math.exp(0.5 * (log_decay - 0.25 * math.log(2.0 * budget) - 0.5 * log_sum))
+
+
+@st.composite
+def lower_bound_cases(draw):
+    """Any regime and horizon up to 500; for severe decay, sometimes a t
+    whose first overflowing term lies next to the horizon.  epsilon either
+    anywhere in (1e-150, 1), or where the scan's crossing lands within 3 of
+    the overflowing index (of the horizon under mild decay)."""
+    regime = draw(st.sampled_from(REGIMES))
+    j_max = draw(st.integers(1, 500))
+    if regime.startswith("severe") and draw(st.booleans()):
+        m = max(1, j_max + draw(st.integers(-2, 2)))
+        t = math.log(sys.float_info.max) / (4.0 * (m - 0.5))  # b_m**-4 is the first to overflow
+    else:
+        t = draw(st.floats(0.3, 3.0))
+    spec = RegimeSpec.from_name(regime, s=draw(st.floats(0.2, 3.0)), t=t)
+    alpha = draw(st.floats(0.01, 0.3))
+    beta = draw(st.floats(alpha, 0.6))
+    sigma = draw(st.just(0.0) | st.floats(-9.0, -0.1).map(lambda e: 10.0 ** e))
+    if draw(st.booleans()):
+        edge = _overflow_index(spec) or j_max
+        target = max(1, edge + draw(st.integers(-3, 3)))
+        epsilon = _epsilon_crossing_at(spec, divergence_budget(alpha, beta), target)
+        epsilon *= draw(st.floats(0.5, 2.0))
+    else:
+        epsilon = 10.0 ** draw(st.floats(-150.0, 0.0))
+    return spec, epsilon, sigma, alpha, beta, j_max
+
+
+class TestLowerBoundScan:
+    """The lower bound reads cached tables and scans the epsilon channel a
+    block at a time; every value, part and error must be the scalar loop's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=lower_bound_cases())
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_property_matches_scalar_loop(self, case):
+        assert _outcome(lambda: bounds._lower_bound(*case)) == \
+            _outcome(lambda: _scalar_lower_bound(*case))
+
+    @pytest.mark.parametrize("epsilon, j_max", [
+        (1e-30, 500), (1e-80, 177), (1e-80, 178), (1e-80, 500), (1e-300, 500)])
+    def test_severe_overflow_edge(self, severe_ordinary, epsilon, j_max):
+        """exp(4j) overflows at j = 178: the scan raises only when its
+        crossing would come at or after that index and the horizon reaches it."""
+        case = (severe_ordinary, epsilon, 1e-3, 0.05, 0.5, j_max)
+        got = _outcome(lambda: bounds._lower_bound(*case))
+        assert got == _outcome(lambda: _scalar_lower_bound(*case))
+        raises = epsilon < 1e-70 and j_max >= 178
+        assert got.startswith("SequenceOverflowError: b_178**(-4)") == raises
+
+    def test_tables_are_shared_across_cells(self, mild_ordinary):
+        """Horizons and depths of earlier cells do not change a later cell."""
+        for j_max in (5, 300, 40, 1000, 1):
+            for sigma in (0.0, 1e-2, 1e-5):
+                for epsilon in (0.0, 0.3, 1e-4):
+                    case = (mild_ordinary, epsilon, sigma, 0.05, 0.5, j_max)
+                    assert repr(bounds._lower_bound(*case)) == repr(_scalar_lower_bound(*case))
+
+
 class TestEvaluateBounds:
     def test_pinned_report(self, mild_ordinary):
         report = evaluate_bounds(mild_ordinary, 1e-3, 1e-3, 0.05, 0.5, 10_000)
@@ -305,6 +468,41 @@ class TestEvaluateBounds:
             evaluate_bounds(mild_ordinary, epsilon, 1e-3, 0.05, 0.5, 1000)
         with pytest.raises(ValueError, match=message):
             upper_bound_radius_sq(mild_ordinary, epsilon, 1e-3, 0.05, 0.5, 1000)
+
+    def test_grid_sums_each_term_once(self, monkeypatch):
+        """Over the bounds-grid cells, each spec's running sums are built once:
+        no more terms than the longest prefix any cell asks for, where
+        building them per cell took the sum over the cells."""
+        terms = collections.Counter()
+        longest = collections.Counter()
+        per_cell = 0
+        requests = []
+        original_terms = sequences._b_inv4_terms
+        original_upto = sequences._RunningSums.upto
+
+        def counted_terms(spec, d, start=1):
+            for term in original_terms(spec, d, start):
+                terms[spec] += 1
+                yield term
+
+        def recorded_upto(self, d):
+            requests.append(d)
+            longest[self.spec] = max(longest[self.spec], d)
+            return original_upto(self, d)
+
+        monkeypatch.setattr(sequences, "_b_inv4_terms", counted_terms)
+        monkeypatch.setattr(sequences._RunningSums, "upto", recorded_upto)
+        sequences._running_sums.cache_clear()
+        cfg = cli._resolve(cli._build_parser().parse_args(BOUNDS_GRID_ARGV))
+        for cell in cli._cells(cfg):
+            evaluate_bounds(cell.spec, cell.epsilon, cell.sigma, cfg["alpha"], cfg["beta"],
+                            cell.j_max, kappa=cfg["kappa"])
+            per_cell += max(requests)
+            requests.clear()
+        assert len(terms) == 2 and set(terms) == set(longest)
+        for spec, count in terms.items():
+            assert count <= longest[spec]
+        assert 5 * sum(terms.values()) < per_cell
 
     def test_report_internally_consistent(self, severe_ordinary):
         report = evaluate_bounds(severe_ordinary, 1e-3, 1e-3, 0.05, 0.5, 200)

@@ -335,6 +335,12 @@ class TestBounds:
         assert main(["bounds", "--epsilon", "1e200", "--jmax", "50"]) == 2
         assert "epsilon=1e+200 squared" in capsys.readouterr().err
 
+    def test_bound_past_the_float_range_exits_2(self, capsys):
+        """epsilon**2 is finite at 1e153; the upper bound is not."""
+        assert main(["bounds", "--epsilon", "1e153"]) == 2
+        assert "the upper bound at epsilon=1e+153 exceeds the float range" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_non_finite_epsilon_exits_2(self, capsys, epsilon):
         assert main(["bounds", "--epsilon", epsilon, "--jmax", "50"]) == 2

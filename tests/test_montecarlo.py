@@ -377,6 +377,16 @@ class TestBatch:
         assert len(serial) > 1 and not serial[-1].startswith("(")
         assert batch_outcomes(plan, plan.theta0, 5, 300) == serial
 
+    def test_first_error_of_a_chunk_is_the_serial_loops_when_the_threshold_overflows(self):
+        """epsilon**2 is finite, so the kernel batches the plan, but the
+        threshold is not: both paths refuse it at the same replication."""
+        plan = make_plan(epsilon=1.3e154, sigma=0.023, j_max=50)
+        assert _batchable(plan, plan.theta0)
+        serial = serial_outcomes(plan, plan.theta0, 5, 300)
+        assert len(serial) > 1
+        assert serial[-1].startswith("ValueError: the threshold is not finite")
+        assert batch_outcomes(plan, plan.theta0, 5, 300) == serial
+
     def test_working_set_stays_small_when_every_scan_runs_to_the_horizon(self):
         """One row group's matrices plus one replication's full-horizon prefix:
         nowhere near a chunk-by-horizon matrix (500 x 10 000 floats is 40 MB)."""

@@ -18,7 +18,7 @@ from gsmgof import (
     cumulative_b_inv4_prefix,
     ellipsoid_weighted_norm,
 )
-from gsmgof.sequences import _b_inv4_terms
+from gsmgof.sequences import _b_inv4_terms, _running_sums
 
 
 class TestRegimeSpec:
@@ -167,6 +167,64 @@ class TestOverflow:
     def test_error_names_offending_index(self, severe_ordinary):
         with pytest.raises(SequenceOverflowError, match="178"):
             cumulative_b_inv4(severe_ordinary, 200)
+
+
+def _fresh_running_sums(spec, d):
+    """One Kahan pass over the terms, as the sums were built before they were
+    cached per spec."""
+    out = []
+    total = carry = 0.0
+    for term in _b_inv4_terms(spec, d):
+        y = term - carry
+        tmp = total + y
+        carry = (tmp - total) - y
+        total = tmp
+        out.append(total)
+    return np.array(out)
+
+
+class TestPrefixCache:
+    """cumulative_b_inv4_prefix slices one per-spec array of running sums
+    that grows on demand by resuming the compensated sum."""
+
+    @pytest.mark.parametrize("name, t", [("mild-ordinary", 1.0), ("mild-super", 0.37),
+                                         ("severe-ordinary", 0.017)])
+    def test_short_then_long_equals_long_then_short(self, name, t):
+        spec = RegimeSpec.from_name(name, t=t)
+        lengths = (1, 50, 51, 3000, 64, 10_000)
+        _running_sums.cache_clear()
+        growing = [cumulative_b_inv4_prefix(spec, d).tobytes() for d in lengths]
+        _running_sums.cache_clear()
+        shrinking = [cumulative_b_inv4_prefix(spec, d).tobytes()
+                     for d in sorted(lengths, reverse=True)]
+        assert sorted(growing, key=len) == sorted(shrinking, key=len)
+        assert growing[-1] == _fresh_running_sums(spec, 10_000).tobytes()
+
+    def test_returned_array_is_read_only(self, mild_ordinary):
+        prefix = cumulative_b_inv4_prefix(mild_ordinary, 20)
+        with pytest.raises(ValueError):
+            prefix[0] = 2.0
+        longer = cumulative_b_inv4_prefix(mild_ordinary, 40)
+        assert not longer.flags.writeable
+        assert prefix.tobytes() == longer[:20].tobytes()
+
+    def test_overflow_raises_at_the_same_index_after_growth(self, severe_ordinary):
+        with pytest.raises(SequenceOverflowError) as fresh:
+            cumulative_b_inv4(severe_ordinary, 200)
+        _running_sums.cache_clear()
+        assert cumulative_b_inv4_prefix(severe_ordinary, 100).size == 100
+        for d in (180, 178, 500):
+            with pytest.raises(SequenceOverflowError) as grown:
+                cumulative_b_inv4_prefix(severe_ordinary, d)
+            assert str(grown.value) == str(fresh.value)
+        assert str(fresh.value) == "b_178**(-4) exceeds the floating-point range (index 178, t=1.0)"
+        assert cumulative_b_inv4_prefix(severe_ordinary, 177).tobytes() == \
+            _fresh_running_sums(severe_ordinary, 177).tobytes()
+
+    def test_refuses_an_empty_prefix(self, mild_ordinary):
+        for d in (0, -3):
+            with pytest.raises(ValueError, match="d must be >= 1"):
+                cumulative_b_inv4_prefix(mild_ordinary, d)
 
 
 class TestEllipsoidNorm:

@@ -13,6 +13,7 @@ from gsmgof import (
     ExperimentPlan,
     NoiseLevels,
     Observations,
+    RegimeSpec,
     Signal,
     TestConfig,
     adaptive_constant,
@@ -34,6 +35,8 @@ from gsmgof import (
     threshold_constant,
     threshold_parts,
 )
+from gsmgof.testproc import _bracket_tables
+from test_acceptance import _oracle_bracket
 
 
 class TestConstants:
@@ -168,6 +171,35 @@ class TestBandwidthBracket:
     def test_tiny_sigma_truncates(self, mild_ordinary):
         bracket = bandwidth_bracket(mild_ordinary, sigma=1e-12, alpha=0.05, j_max=1000)
         assert bracket == (1000, 1000, True, True)
+
+    @pytest.mark.parametrize("sigma, j_max, expected", [
+        (1e-3, 17, (15, 17, False, True)),  # the narrow envelope's hit lies past the horizon
+        (1e-3, 16, (15, 16, False, True)),
+        (1e-3, 15, (15, 15, True, True)),  # the wide one's too
+        (1e-3, 18, (15, 18, False, False)),
+        (0.5, 1, (0, 1, False, False)),
+        (1e-3, 1, (1, 1, True, True)),
+    ])
+    def test_ends_at_and_past_the_horizon(self, mild_ordinary, sigma, j_max, expected):
+        bracket = bandwidth_bracket(mild_ordinary, sigma, 0.05, j_max=j_max)
+        assert bracket == expected
+        assert bracket[:2] == _oracle_bracket(mild_ordinary, sigma, 0.05, KAPPA_DEFAULT, j_max)
+
+    def test_one_table_serves_every_spec_and_sigma(self):
+        """The envelope tables are built once per (alpha, kappa, j_max) and
+        read by every spec and sigma; each bracket is the oracle scan's."""
+        _bracket_tables.cache_clear()
+        for name in ("mild-ordinary", "mild-super", "severe-ordinary", "severe-super"):
+            spec = RegimeSpec.from_name(name, s=0.8, t=0.6)
+            for sigma in (0.9, 1e-2, 1e-4, 1e-8, 1e-30):
+                bracket = bandwidth_bracket(spec, sigma, 0.07, kappa=40.0, j_max=300)
+                assert bracket[:2] == _oracle_bracket(spec, sigma, 0.07, 40.0, 300)
+                assert bracket.low_truncated == (bracket.low == 300)
+                assert not bracket.high_truncated or bracket.high == 300
+        info = _bracket_tables.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        low, high = _bracket_tables(0.07, 40.0, 300)
+        assert not low.flags.writeable and not high.flags.writeable
 
 
 class TestStatistic:
@@ -440,6 +472,9 @@ class TestOverflow:
         "huge-null": (HUGE, HUGE, 1e307, None, "epsilon=1e[+]307 squared"),
         "huge-null-fixed-dimension": (HUGE, HUGE, 1e307, 1,
                                       "the statistic over the first 1 coefficients"),
+        # epsilon**2 is finite, but the threshold's centering and deviation are not
+        "huge-epsilon": (Signal.zeros(0), Signal.zeros(0), 1.3e154, None,
+                         "the threshold is not finite"),
     }
 
     @pytest.mark.parametrize("path", ["reference", "kernel"])
