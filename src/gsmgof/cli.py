@@ -35,13 +35,14 @@ from .gsm import (
 )
 from .montecarlo import (
     ExperimentPlan,
+    _error_job,
     _radius_bracket,
+    _run_jobs,
+    _worker_pool,
     bandwidth_escape_bound,
     check_bandwidth_containment,
     check_quadform_concentration,
     empirical_separation_radius,
-    estimate_alpha,
-    estimate_beta,
 )
 from .sequences import DecayKind, GrowthKind, RegimeSpec
 from .testproc import KAPPA_DEFAULT, TestConfig, run_test
@@ -343,9 +344,10 @@ def _cmd_test(cfg: dict) -> int:
 
 
 def _cmd_calibrate(cfg: dict) -> int:
+    cells = list(_cells(cfg))
+    estimates = _run_jobs((_error_job(_plan(cfg, cell)) for cell in cells), cfg["workers"])
     rows = []
-    for cell in _cells(cfg):
-        estimate = estimate_alpha(_plan(cfg, cell), workers=cfg["workers"])
+    for cell, estimate in zip(cells, estimates):
         rows.append({
             **_prefix(cfg, cell), "seed": cfg["seed"], "reps": estimate.n_reps,
             "alpha_hat": estimate.p_hat, "se": estimate.se,
@@ -361,10 +363,10 @@ def _cmd_power_curve(cfg: dict) -> int:
     radii = _float_list(cfg["radii"], "radii")
     [cell] = _cells(cfg)
     plan = _plan(cfg, cell)
+    thetas = (make_spike_alternative(cell.spec, plan.theta0, r, cell.j_max) for r in radii)
+    estimates = _run_jobs((_error_job(plan, theta) for theta in thetas), cfg["workers"])
     rows = []
-    for radius in radii:
-        theta = make_spike_alternative(cell.spec, plan.theta0, radius, cell.j_max)
-        estimate = estimate_beta(plan, theta, workers=cfg["workers"])
+    for radius, estimate in zip(radii, estimates):
         rows.append({
             **_prefix(cfg, cell), "seed": cfg["seed"], "reps": estimate.n_reps,
             "radius": radius, "spike_dim": spike_index(cell.spec, radius, cell.j_max),
@@ -495,7 +497,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _resolve(args)
-        return _COMMANDS[args.command].run(cfg)
+        with _worker_pool():  # one pool for the command, shut down before main returns
+            return _COMMANDS[args.command].run(cfg)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

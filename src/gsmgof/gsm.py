@@ -66,6 +66,12 @@ def _gaussian(words: np.ndarray) -> np.ndarray:
     return ndtri((words >> np.uint64(11)) * _INV_2_53 + _HALF_ULP)
 
 
+def _check_rep(rep: int) -> None:
+    """Refuse a replication index that is not a counter word."""
+    if not 0 <= rep < 2 ** 64:
+        raise ValueError(f"rep must lie in [0, 2**64), got {rep!r}")
+
+
 class GaussianStream:
     """The standard Gaussian draws of one (seed, replication, stream) triple,
     taken in order.
@@ -80,8 +86,7 @@ class GaussianStream:
     """
 
     def __init__(self, seed: int, rep: int, stream: int) -> None:
-        if not 0 <= rep < 2 ** 64:
-            raise ValueError(f"rep must lie in [0, 2**64), got {rep!r}")
+        _check_rep(rep)
         self._bits = Philox(key=seed, counter=np.array([0, 0, rep, stream], dtype=np.uint64))
 
     def take(self, n: int) -> np.ndarray:
@@ -113,6 +118,7 @@ class RekeyedDraws:
         self._counter = self._state["state"]["counter"]
 
     def _words(self, rep: int, stream: int, start: int, n: int) -> np.ndarray:
+        _check_rep(rep)
         block, skip = divmod(start, 4)
         self._counter[0] = block
         self._counter[2] = rep

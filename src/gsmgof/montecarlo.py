@@ -9,10 +9,12 @@ summed, which is exact regardless of the split.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,21 +123,87 @@ def _chunk_ranges(n_reps: int, workers: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _map_chunks(fn: Callable, args: tuple, n_reps: int, workers: int) -> list:
-    """Results of fn(*args, lo, hi) over the chunk ranges of range(n_reps), in
-    chunk order: one chunk in this process when workers <= 1, else one chunk
-    per pool process."""
-    if workers <= 1:
-        return [fn(*args, 0, n_reps)]
-    ranges = _chunk_ranges(n_reps, workers)
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        futures = [pool.submit(fn, *args, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures]
+class _Scope(threading.local):
+    """This thread's open _worker_pool scopes and the pool they share."""
+
+    depth = 0
+    executor: ProcessPoolExecutor | None = None
 
 
-def _sum_over_chunks(fn: Callable, args: tuple, n_reps: int, workers: int) -> tuple:
-    """Run fn(*args, lo, hi) -> tuple[int, ...] over chunk ranges, sum positionally."""
-    return tuple(int(sum(col)) for col in zip(*_map_chunks(fn, args, n_reps, workers)))
+_SCOPE = _Scope()
+
+
+@contextlib.contextmanager
+def _worker_pool():
+    """A re-entrant scope in which every parallel chunk runs on one process
+    pool.  The pool starts on the first parallel submit (_executor) and is
+    shut down, its queued chunks cancelled, when the outermost scope exits."""
+    _SCOPE.depth += 1
+    try:
+        yield
+    finally:
+        _SCOPE.depth -= 1
+        if _SCOPE.depth == 0 and _SCOPE.executor is not None:
+            executor, _SCOPE.executor = _SCOPE.executor, None
+            executor.shutdown(cancel_futures=True)
+
+
+def _executor(size: int) -> ProcessPoolExecutor:
+    """The open scope's pool, started with `size` processes if it has none."""
+    if _SCOPE.executor is None:
+        _SCOPE.executor = ProcessPoolExecutor(max_workers=size)
+    return _SCOPE.executor
+
+
+def _done(fn: Callable, *args) -> Future:
+    """fn(*args) run in this process, as a completed future."""
+    future: Future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
+class _Job(NamedTuple):
+    """fn(*args, lo, hi) over the chunk ranges of range(n_reps); finish makes
+    the job's result of the chunk results, given in chunk order."""
+
+    fn: Callable
+    args: tuple
+    n_reps: int
+    finish: Callable[[list], Any]
+
+
+def _sums(parts: list) -> tuple:
+    """Chunk results of tuple[int, ...], summed positionally."""
+    return tuple(int(sum(col)) for col in zip(*parts))
+
+
+def _run_jobs(jobs: Iterable[_Job], workers: int) -> list:
+    """Each job's result, in job order.
+
+    At workers <= 1 each job runs whole in this process as the iterable
+    yields it.  Otherwise every chunk of every job goes to the scope's pool
+    (one process per chunk range of the first job) before any result is read.
+    Either way the error raised is the first one running the jobs one after
+    another meets: a chunk's, in job and chunk order, or that of building a
+    job, after the errors of the jobs before it.
+    """
+    with _worker_pool():
+        submitted, error = [], None
+        try:
+            for job in jobs:
+                if workers <= 1:
+                    futures = [_done(job.fn, *job.args, 0, job.n_reps)]
+                else:
+                    ranges = _chunk_ranges(job.n_reps, workers)
+                    pool = _executor(len(ranges))
+                    futures = [pool.submit(job.fn, *job.args, lo, hi) for lo, hi in ranges]
+                submitted.append((job.finish, futures))
+        except Exception as exc:  # the jobs already submitted may fail first
+            error = exc
+        results = [finish([f.result() for f in futures]) for finish, futures in submitted]
+    if error is not None:
+        raise error
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +452,20 @@ def _reject_counts(plan: ExperimentPlan, theta: Signal, lo: int, hi: int) -> tup
 # ---------------------------------------------------------------------------
 
 
+def _error_job(plan: ExperimentPlan, theta: Signal | None = None) -> _Job:
+    """estimate_alpha(plan) as a job, or estimate_beta(plan, theta) given theta."""
+    def finish(parts: list) -> ErrorEstimate:
+        n_reject, n_degen = _sums(parts)
+        count = n_reject if theta is None else plan.n_reps - n_reject
+        return ErrorEstimate.from_counts(count, plan.n_reps, n_degen)
+
+    data = plan.theta0 if theta is None else theta
+    return _Job(_reject_counts, (plan, data), plan.n_reps, finish)
+
+
 def estimate_alpha(plan: ExperimentPlan, workers: int = 1) -> ErrorEstimate:
     """First-kind error estimate: rejection frequency with theta = theta0."""
-    n_reject, n_degen = _sum_over_chunks(
-        _reject_counts, (plan, plan.theta0), plan.n_reps, workers)
-    return ErrorEstimate.from_counts(n_reject, plan.n_reps, n_degen)
+    return _run_jobs([_error_job(plan)], workers)[0]
 
 
 def estimate_beta(plan: ExperimentPlan, theta: Signal, workers: int = 1) -> ErrorEstimate:
@@ -397,9 +474,7 @@ def estimate_beta(plan: ExperimentPlan, theta: Signal, workers: int = 1) -> Erro
 
     Degenerate replications never reject, so they count as acceptances.
     """
-    n_reject, n_degen = _sum_over_chunks(
-        _reject_counts, (plan, theta), plan.n_reps, workers)
-    return ErrorEstimate.from_counts(plan.n_reps - n_reject, plan.n_reps, n_degen)
+    return _run_jobs([_error_job(plan, theta)], workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +548,9 @@ def empirical_separation_radius(plan: ExperimentPlan, beta_target: float,
         raise ValueError(f"need finite radii with 0 < r_lo <= r_hi, got {r_lo!r}, {r_hi!r}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    cache = [entry for part in _map_chunks(_build_radius_cache, (plan,), plan.n_reps, workers)
-             for entry in part]
+    [cache] = _run_jobs([_Job(_build_radius_cache, (plan,), plan.n_reps,
+                              lambda parts: [entry for part in parts for entry in part])],
+                        workers)
     n = plan.n_reps
 
     def beta_at(r: float) -> float:
@@ -597,10 +673,9 @@ def check_bandwidth_containment(plan: ExperimentPlan, workers: int = 1) -> Error
         raise ValueError("bandwidth containment needs a positive operator noise level")
     bracket = bandwidth_bracket(plan.spec, plan.noise.sigma, plan.config.alpha,
                                 plan.config.kappa, plan.config.j_max)
-    (n_fail,) = _sum_over_chunks(
-        _containment_failures,
-        (plan, bracket.low, bracket.high, bracket.high_truncated),
-        plan.n_reps, workers)
+    [(n_fail,)] = _run_jobs([_Job(_containment_failures,
+                                  (plan, bracket.low, bracket.high, bracket.high_truncated),
+                                  plan.n_reps, _sums)], workers)
     return ErrorEstimate.from_counts(n_fail, plan.n_reps)
 
 
@@ -657,9 +732,9 @@ def check_quadform_concentration(d: int, nu, v, x: float, n_reps: int,
     if not all(map(math.isfinite, (mean, proxy, up_cut))):
         raise ValueError("the mean, the variance proxy and the cuts must be finite")
     low_cut = -2.0 * math.sqrt(proxy * x)
-    n_up, n_low = _sum_over_chunks(
-        _quadform_failures, (d, nu, v, mean, up_cut, low_cut, master_seed),
-        n_reps, workers)
+    [(n_up, n_low)] = _run_jobs([_Job(_quadform_failures,
+                                      (d, nu, v, mean, up_cut, low_cut, master_seed),
+                                      n_reps, _sums)], workers)
     return QuadformTails(
         upper=ErrorEstimate.from_counts(n_up, n_reps),
         lower=ErrorEstimate.from_counts(n_low, n_reps),

@@ -125,6 +125,18 @@ def a_value(spec: RegimeSpec, j):
     return out if out.ndim else float(out)
 
 
+def _inverse_power(spec: RegimeSpec, name: str, power: float) -> float:
+    """The constant spec.<name> to the power -power, or a
+    SequenceOverflowError naming the constant when that leaves the float range."""
+    value = getattr(spec, name)
+    try:
+        return value ** -power
+    except OverflowError:
+        raise SequenceOverflowError(
+            f"{name}**(-{power:g}) exceeds the floating-point range ({name}={value!r})"
+        ) from None
+
+
 def a_inv_sq(spec: RegimeSpec, j):
     """Inverse squared smoothness weight a_j**(-2).
 
@@ -134,7 +146,7 @@ def a_inv_sq(spec: RegimeSpec, j):
     """
     j = np.asarray(j, dtype=float)
     _check_index(j)
-    scale = spec.c_a ** -2.0
+    scale = _inverse_power(spec, "c_a", 2.0)
     if spec.a_kind is GrowthKind.ORDINARY:
         out = scale * j ** (-2.0 * spec.s)
     else:
@@ -163,10 +175,14 @@ def _overflow_error(spec: RegimeSpec, j: int) -> SequenceOverflowError:
 
 
 def _b_inv4_terms(spec: RegimeSpec, d: int, start: int = 1):
-    """Yield b_j**(-4) for j = start..d, raising on floating-point overflow."""
+    """An iterator of b_j**(-4) for j = start..d, raising on floating-point
+    overflow; a c_b**(-4) past the float range is refused at once."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    scale = spec.c_b ** -4.0
+    return _scaled_b_inv4_terms(spec, _inverse_power(spec, "c_b", 4.0), d, start)
+
+
+def _scaled_b_inv4_terms(spec: RegimeSpec, scale: float, d: int, start: int):
     mild = spec.b_kind is DecayKind.MILD
     for j in range(int(start), int(d) + 1):
         try:
@@ -211,8 +227,9 @@ class _RunningSums:
         if d > n and self.overflow is None:
             grown = []
             total, carry = self.total, self.carry
+            terms = _b_inv4_terms(self.spec, d, start=n + 1)
             try:
-                for term in _b_inv4_terms(self.spec, d, start=n + 1):
+                for term in terms:
                     y = term - carry
                     tmp = total + y
                     carry = (tmp - total) - y

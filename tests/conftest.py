@@ -1,6 +1,20 @@
+import multiprocessing
+
 import pytest
 
 from gsmgof import RegimeSpec
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Fail a test that leaves worker processes alive, and end them, so that
+    no later test meets a stale pool."""
+    yield
+    leaked = multiprocessing.active_children()
+    for proc in leaked:
+        proc.kill()
+        proc.join(timeout=10)
+    assert not leaked, f"worker processes left alive: {leaked}"
 
 
 @pytest.fixture

@@ -154,6 +154,19 @@ class TestGaussianDraws:
             with pytest.raises(ValueError, match="rep must lie in"):
                 gaussian_draws(0, rep, SIGNAL_STREAM, 4)
 
+    def test_rekeyed_rows_refuse_what_gaussian_stream_refuses(self):
+        """RekeyedDraws takes the reps GaussianStream takes, both ends of
+        [0, 2**64) included, and refuses the others with its message."""
+        draws = RekeyedDraws(0)
+        for rep in (0, 2 ** 64 - 1):
+            row = draws.rows([rep], SIGNAL_STREAM, 0, [4])[0]
+            assert row.tobytes() == gaussian_draws(0, rep, SIGNAL_STREAM, 4).tobytes()
+        for rep in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match=rf"rep must lie in \[0, 2\*\*64\), got {rep}"):
+                draws.rows([rep], SIGNAL_STREAM, 0, [4])
+            with pytest.raises(ValueError, match=rf"rep must lie in \[0, 2\*\*64\), got {rep}"):
+                draws.rows([0, rep], SIGNAL_STREAM, 0, [4, 4])
+
     def test_rekeyed_rows_hold_each_replication(self):
         """Rows of any widths in one call: row i is the replication's own
         draws up to its width."""

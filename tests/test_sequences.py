@@ -17,6 +17,8 @@ from gsmgof import (
     cumulative_b_inv4,
     cumulative_b_inv4_prefix,
     ellipsoid_weighted_norm,
+    evaluate_bounds,
+    lower_bound_radius_sq,
 )
 from gsmgof.sequences import _b_inv4_terms, _running_sums
 
@@ -167,6 +169,30 @@ class TestOverflow:
     def test_error_names_offending_index(self, severe_ordinary):
         with pytest.raises(SequenceOverflowError, match="178"):
             cumulative_b_inv4(severe_ordinary, 200)
+
+    def test_tiny_c_a_is_refused_by_name(self):
+        """c_a**-2 past the float range is a typed error naming c_a, also
+        through the bound evaluators."""
+        spec = RegimeSpec.from_name("mild-ordinary", c_a=1e-200)
+        with pytest.raises(SequenceOverflowError, match=r"c_a\*\*\(-2\).*c_a=1e-200"):
+            a_inv_sq(spec, 1)
+        with pytest.raises(SequenceOverflowError, match="c_a"):
+            evaluate_bounds(spec, 1e-3, 1e-3, 0.05, 0.5, 100)
+
+    def test_tiny_c_b_is_refused_by_name(self):
+        """c_b**-4 past the float range is a typed error naming c_b, from
+        every b_j**-4 sum and through the lower bound."""
+        spec = RegimeSpec.from_name("mild-ordinary", c_b=1e-100)
+        for call in (lambda: cumulative_b_inv4(spec, 3),
+                     lambda: cumulative_b_inv4_prefix(spec, 3),
+                     lambda: lower_bound_radius_sq(spec, 1e-3, 0.0, 0.05, 0.5, 100)):
+            with pytest.raises(SequenceOverflowError, match=r"c_b\*\*\(-4\).*c_b=1e-100"):
+                call()
+
+    def test_constants_inside_the_float_range_still_evaluate(self):
+        spec = RegimeSpec.from_name("mild-ordinary", c_a=1e-150, c_b=1e-75)
+        assert a_inv_sq(spec, 1) == pytest.approx(1e300)
+        assert cumulative_b_inv4(spec, 1) == pytest.approx(1e300)
 
 
 def _fresh_running_sums(spec, d):
