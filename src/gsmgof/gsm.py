@@ -28,7 +28,6 @@ from .errors import InfeasibleConstructionError, InfeasibleRadiusError, InvalidL
 from .sequences import DecayKind, GrowthKind, RegimeSpec, a_value, b_value, b_vector
 
 __all__ = [
-    "GaussianStream",
     "NoiseLevels",
     "Observations",
     "Signal",
@@ -66,50 +65,20 @@ def _gaussian(words: np.ndarray) -> np.ndarray:
     return ndtri((words >> np.uint64(11)) * _INV_2_53 + _HALF_ULP)
 
 
-def _check_rep(rep: int) -> None:
-    """Refuse a replication index that is not a counter word."""
-    if not 0 <= rep < 2 ** 64:
-        raise ValueError(f"rep must lie in [0, 2**64), got {rep!r}")
-
-
-class GaussianStream:
-    """The standard Gaussian draws of one (seed, replication, stream) triple,
-    taken in order.
-
-    The k-th draw is a pure function of (seed, rep, stream, k): the counter
-    of a Philox generator starts at (0, 0, rep, stream) and the raw 64-bit
-    words are pushed through the inverse normal CDF.  Distinct (rep, stream)
-    pairs can never overlap, so worker scheduling cannot change any value.
-    Each take(k) continues where the last one stopped, so takes of any sizes
-    concatenate to the same values as one take of their total.  Every finite
-    draw lies within DRAW_BOUND of zero.
-    """
-
-    def __init__(self, seed: int, rep: int, stream: int) -> None:
-        _check_rep(rep)
-        self._bits = Philox(key=seed, counter=np.array([0, 0, rep, stream], dtype=np.uint64))
-
-    def take(self, n: int) -> np.ndarray:
-        """The next n draws of the stream."""
-        return _gaussian(self._bits.random_raw(n))
-
-
 DRAW_BOUND = 8.3  # -ndtri(2**-54) = 8.2924 bounds the smallest draw
 
 
-def gaussian_draws(seed: int, rep: int, stream: int, n: int) -> np.ndarray:
-    """The first n draws of the (seed, replication, stream) triple (see
-    GaussianStream)."""
-    return GaussianStream(seed, rep, stream).take(n)
-
-
 class RekeyedDraws:
-    """The draws of any (replication, stream) pair under one seed, from a
-    single Philox generator re-keyed through its state: building a generator
-    per pair costs several times more than setting its counter.
+    """The standard Gaussian draws of any (replication, stream) pair under one
+    seed, from a single Philox generator re-keyed through its state: building
+    a generator per pair costs several times more than setting its counter.
 
-    Philox turns counter c into four words, so draw k of a pair comes from
-    counter (k // 4 + 1, 0, rep, stream): the draws are GaussianStream's.
+    Draw k is a pure function of (seed, rep, stream, k): Philox turns counter
+    c into four words, and draw k is word k % 4 of counter (k // 4 + 1, 0,
+    rep, stream) pushed through the inverse normal CDF.  Distinct
+    (rep, stream) pairs can never overlap, so worker scheduling cannot change
+    any value, and rows from any start offset continue the same stream.
+    Every finite draw lies within DRAW_BOUND of zero.
     """
 
     def __init__(self, seed: int) -> None:
@@ -118,7 +87,8 @@ class RekeyedDraws:
         self._counter = self._state["state"]["counter"]
 
     def _words(self, rep: int, stream: int, start: int, n: int) -> np.ndarray:
-        _check_rep(rep)
+        if not 0 <= rep < 2 ** 64:
+            raise ValueError(f"rep must lie in [0, 2**64), got {rep!r}")
         block, skip = divmod(start, 4)
         self._counter[0] = block
         self._counter[2] = rep
@@ -137,6 +107,12 @@ class RekeyedDraws:
             row[:width] = self._words(rep, stream, start, width)
             row[width:] = 0
         return _gaussian(words)
+
+
+def gaussian_draws(seed: int, rep: int, stream: int, n: int) -> np.ndarray:
+    """The first n draws of the (seed, replication, stream) triple (see
+    RekeyedDraws)."""
+    return RekeyedDraws(seed).rows([rep], stream, 0, [n])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +268,8 @@ def window_mass(u: float) -> float:
 
     Equals Phi(u) - Phi(-u/2); increases from 0 to 1 in u.
     """
-    if u < 0.0:
-        raise ValueError("signal-to-noise ratio must be nonnegative")
+    if not u >= 0.0:
+        raise ValueError(f"signal-to-noise ratio must be nonnegative, got {u!r}")
     return _phi((_WINDOW_HIGH - 1.0) * u) - _phi((_WINDOW_LOW - 1.0) * u)
 
 
@@ -370,12 +346,12 @@ def spike_index(spec: RegimeSpec, r: float, j_max: int) -> int:
             f"spike of norm {r:.6g} does not fit the smoothness class at any coordinate"
         )
     # Closed-form seed, then exact local adjustment against the predicate.
-    bound = 1.0 / (spec.c_a * r)
+    # The seed is taken in log space and capped at the horizon: 1/(c_a*r)
+    # and its power can leave the float range at a tiny r.
+    depth = max(-math.log(spec.c_a) - math.log(r), 0.0) / spec.s
     if spec.a_kind is GrowthKind.ORDINARY:
-        guess = int(bound ** (1.0 / spec.s)) if bound >= 1.0 else 1
-    else:
-        guess = int(math.log(bound) / spec.s) if bound >= 1.0 else 1
-    d = min(max(guess, 1), j_max)
+        depth = math.exp(min(depth, math.log(j_max)))
+    d = max(int(min(depth, j_max)), 1)
     while d > 1 and a_value(spec, d) * r > 1.0:
         d -= 1
     while d < j_max and a_value(spec, d + 1) * r <= 1.0:

@@ -36,7 +36,7 @@ from .testproc import (
     Bandwidth,
     TestConfig,
     TestReport,
-    _decide,
+    _degenerate,
     _objective,
     _parts_from_sums,
     _scan_table,
@@ -225,12 +225,6 @@ def _row_groups(lo: int, hi: int, rows: int):
         yield range(start, min(start + rows, hi))
 
 
-def _finite(name: str, values: np.ndarray) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite")
-    return values
-
-
 class _Batch(NamedTuple):
     """The replications decided together, one row each (rows are padded to
     the widest window; entries past a row's window are never read)."""
@@ -273,7 +267,7 @@ class _Kernel:
     """
 
     def __init__(self, plan: ExperimentPlan, theta: Signal) -> None:
-        self.plan = plan
+        self.plan, self.theta = plan, theta
         self.j_max = j_max = plan.config.j_max
         self.eps, self.sigma = plan.noise.epsilon, plan.noise.sigma
         self.b = b_vector(plan.spec, j_max)
@@ -329,7 +323,9 @@ class _Kernel:
                 raise ValueError("x must be finite")
             if bands[i] is None:
                 band, prefix = self.deepen(rep, x[i])
-                yield from self.decide([rep], _finite("x", prefix)[None], [band])
+                if not np.isfinite(prefix).all():
+                    raise ValueError("x must be finite")
+                yield from self.decide([rep], prefix[None], [band])
             else:
                 yield next(decided)
 
@@ -339,9 +335,10 @@ class _Kernel:
         """(report, x_win, y_win, eps_xi_win) of replications whose scan has
         ended, in order; row i of x holds the prefix drawn for reps[i].
 
-        Most are decided together.  One with a zero bandwidth (nothing to
-        batch), an observed coefficient that is exactly zero, or a y that is
-        not finite is decided by testproc's own step, alone.
+        Most are decided together.  One with a zero bandwidth gets the
+        degenerate report and empty windows.  One with an observed coefficient
+        that is exactly zero inside its bandwidth, or a y that is not finite
+        (chance 0 or 2**-53), is rerun alone by simulate + run_test.
         """
         m = np.array([band.value for band in bands], dtype=np.int64)
         live = m > 0
@@ -356,8 +353,11 @@ class _Kernel:
         eps, sigma, alpha = self.eps, self.sigma, self.plan.config.alpha
         for i, rep in enumerate(reps):
             r = slots.get(i)
+            if not m[i]:
+                yield _degenerate(bands[i]), np.zeros(0), np.zeros(0), np.zeros(0)
+                continue
             if r is None or not batch.y_finite[r]:
-                yield self._by_reference(rep, bands[i], x[i])
+                yield _simulated(self.plan, self.theta, rep)
                 continue
             w = batch.window[r]
             value = _statistic_sum(batch.terms[r, :w])
@@ -400,19 +400,6 @@ class _Kernel:
             eps_xi = self.eps * self.draws.rows(reps, SIGNAL_STREAM, 0, widths)
             return self.bt[:n] + eps_xi, eps_xi
         return np.tile(self.bt[:n], (len(reps), 1)), np.zeros((len(reps), n))
-
-    def _by_reference(self, rep: int, band: Bandwidth, x: np.ndarray):
-        """One replication decided by testproc's own step."""
-        window = [np.zeros(0), np.zeros(0)]
-
-        def y_window(w: int) -> np.ndarray:
-            y, eps_xi = self._signal_windows([rep], [w])
-            window[:] = _finite("y", y[0].copy()), eps_xi[0].copy()
-            return window[0]
-
-        plan = self.plan
-        report = _decide(band, x, y_window, plan.theta0, plan.spec, plan.noise, plan.config)
-        return report, x[:report.window].copy(), window[0], window[1]
 
 
 def _simulated(plan: ExperimentPlan, theta: Signal, rep: int):
@@ -630,10 +617,11 @@ def fit_rate_slope(plan_template: ExperimentPlan, epsilon_grid: Sequence[float],
         raise ValueError("epsilon grid values must lie in (0, 1)")
     r_lo, r_hi = _radius_bracket(plan_template.spec, r_lo, r_hi)
     radii = []
-    for eps in eps_values:
-        plan = replace(plan_template, noise=NoiseLevels(eps, plan_template.noise.sigma))
-        radii.append(empirical_separation_radius(plan, beta_target, r_lo, r_hi,
-                                                 tol, workers))
+    with _worker_pool():
+        for eps in eps_values:
+            plan = replace(plan_template, noise=NoiseLevels(eps, plan_template.noise.sigma))
+            radii.append(empirical_separation_radius(plan, beta_target, r_lo, r_hi,
+                                                     tol, workers))
     slope, intercept = np.polyfit(np.log(eps_values), np.log(np.square(radii)), 1)
     return RateFit(float(slope), float(intercept), tuple(eps_values), tuple(radii))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +52,11 @@ def _check_level(alpha: float) -> None:
         raise ValueError(f"level must lie in (0, 1), got {alpha!r}")
 
 
+def _check_kappa(kappa: float) -> None:
+    if not (math.isfinite(kappa) and kappa > math.e):
+        raise ValueError(f"kappa must be finite and exceed e, got {kappa!r}")
+
+
 def tail_exponent(alpha: float) -> float:
     """The x solving exp(-x) = alpha/2: tail budget for a two-sided split of alpha."""
     _check_level(alpha)
@@ -77,8 +82,7 @@ def adaptive_constant(alpha: float, beta: float) -> float:
 
 def _envelope(j, alpha: float, kappa: float, coefficient: float, shifted: bool):
     _check_level(alpha)
-    if not kappa > math.e:
-        raise ValueError(f"kappa must exceed e, got {kappa!r}")
+    _check_kappa(kappa)
     j = np.asarray(j, dtype=float)
     if j.size and np.min(j) < 1:
         raise ValueError("index must be >= 1")
@@ -358,8 +362,7 @@ class TestConfig:
     def __post_init__(self) -> None:
         _check_level(self.alpha)
         _check_level(self.beta)
-        if not self.kappa > math.e:
-            raise ValueError(f"kappa must exceed e, got {self.kappa!r}")
+        _check_kappa(self.kappa)
         if int(self.j_max) < 1:
             raise ValueError("j_max must be >= 1")
         object.__setattr__(self, "j_max", int(self.j_max))
@@ -400,26 +403,28 @@ def run_test(obs: Observations, theta0: Signal, spec: RegimeSpec,
             f"observations of length {len(obs)} are shorter than the horizon {config.j_max}"
         )
     band = empirical_bandwidth(obs.x, noise.sigma, config.alpha, config.kappa, config.j_max)
-    return _decide(band, obs.x, lambda w: obs.y, theta0, spec, noise, config)
+    return _decide(band, obs.x, obs.y, theta0, spec, noise, config)
 
 
-def _decide(band: Bandwidth, x, y_window: Callable[[int], np.ndarray], theta0: Signal,
-            spec: RegimeSpec, noise: NoiseLevels, config: TestConfig) -> TestReport:
+def _degenerate(band: Bandwidth) -> TestReport:
+    """The accepting report of a zero bandwidth (see TestReport)."""
+    return TestReport(bandwidth=0, window=0, statistic=0.0, threshold=math.nan,
+                      reject=False, degenerate=True, bandwidth_truncated=band.truncated)
+
+
+def _decide(band: Bandwidth, x, y, theta0: Signal, spec: RegimeSpec, noise: NoiseLevels,
+            config: TestConfig) -> TestReport:
     """The test once the bandwidth is known: dimension choice on x[:m], then
-    statistic vs threshold.  y_window(w) supplies y (at least its first w
-    entries) for the window w = min(d, m); it is not called when m = 0."""
+    statistic vs threshold over the window min(d, m) of y."""
     if band.value == 0:
-        return TestReport(
-            bandwidth=0, window=0, statistic=0.0, threshold=math.nan,
-            reject=False, degenerate=True, bandwidth_truncated=band.truncated,
-        )
+        return _degenerate(band)
     if config.dimension is not None:
         d = config.dimension
     else:
         d = select_dimension(x, spec, band.value, noise.epsilon, noise.sigma,
                              config.alpha, config.beta)
     window = min(d, band.value)
-    value = statistic(y_window(window), x, theta0, d, band.value)
+    value = statistic(y, x, theta0, d, band.value)
     cutoff = threshold(x, spec, d, band.value, noise.epsilon, noise.sigma, config.alpha)
     return TestReport(
         bandwidth=band.value,

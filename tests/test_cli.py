@@ -73,6 +73,18 @@ class TestTestCommand:
         assert main(["test", "--epsilon", ""]) == 2
         assert "epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["test", "--jmax", "50"],
+        ["calibrate", "--jmax", "50", "--reps", "100", "--workers", "1"],
+        ["bounds", "--jmax", "50"],
+    ], ids=["test", "calibrate", "bounds"])
+    @pytest.mark.parametrize("kappa", ["inf", "nan"])
+    def test_non_finite_kappa_exits_2(self, capsys, argv, kappa):
+        """An infinite kappa would make every scan stop at once: every
+        replication degenerate, none ever rejecting."""
+        assert main(argv + ["--kappa", kappa]) == 2
+        assert f"kappa must be finite and exceed e, got {kappa}" in capsys.readouterr().err
+
 
 class TestPrecedence:
     def test_env_seed_honoured(self, tmp_path, monkeypatch):
@@ -248,6 +260,19 @@ class TestPowerCurve:
             assert 0.0 <= float(row["beta_hat"]) <= 1.0
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--s", "0.1", "--radii", "1e-40"],
+        ["--regime", "mild-super", "--radii", "5e-324"],
+    ], ids=["ordinary", "super"])
+    def test_tiny_radius_spikes_at_the_horizon(self, tmp_path, argv):
+        """A radius so small that 1/r, or its power, leaves the float range
+        still places the spike at the horizon."""
+        out = tmp_path / "power.csv"
+        assert main(["power-curve", *argv, "--reps", "100", "--jmax", "100",
+                     "--workers", "1", "--out", str(out)]) == 0
+        assert [int(row["spike_dim"]) for row in read_csv(out)] == [100]
+
+
 class TestSepRadius:
     def test_bracketing_failure_exits_1(self, tmp_path, capsys):
         code = main(["sep-radius", "--jmax", "200", "--reps", "100", "--seed", "42",
@@ -256,6 +281,13 @@ class TestSepRadius:
         assert code == 1
         err = capsys.readouterr().err
         assert "gsm-gof" in err and "0.05" in err
+
+    def test_tiny_r_lo_gives_a_bracketing_answer(self, capsys):
+        """At s=0.25 the spike at r_lo=1e-300 sits at the horizon; the search
+        then reports the class ceiling as undetectable, not an OverflowError."""
+        assert main(["sep-radius", "--s", "0.25", "--r-lo", "1e-300", "--reps", "100",
+                     "--jmax", "100", "--workers", "1"]) == 1
+        assert "at r_hi=1.0 is still above the target" in capsys.readouterr().err
 
     def test_found_radius_row(self, tmp_path):
         out = tmp_path / "sep.csv"

@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 from numpy.testing import assert_allclose
 from scipy.special import ndtri
 
 from gsmgof import (
-    GaussianStream,
     InfeasibleConstructionError,
     InfeasibleRadiusError,
     InvalidLevelsError,
@@ -34,7 +34,14 @@ from gsmgof import (
     two_point_shift_constant,
     window_mass,
 )
-from gsmgof.gsm import DRAW_BOUND
+from gsmgof.gsm import DRAW_BOUND, _gaussian
+
+
+def fresh_draws(seed, rep, stream, n):
+    """The first n draws of (seed, rep, stream) from a Philox generator of
+    their own, its counter started at (0, 0, rep, stream)."""
+    bits = Philox(key=seed, counter=np.array([0, 0, rep, stream], dtype=np.uint64))
+    return _gaussian(bits.random_raw(n))
 
 
 class TestSignal:
@@ -115,18 +122,21 @@ class TestGaussianDraws:
         (0,), (1,), (63,), (64,), (65,), (0, 1, 63, 64, 65, 0, 200), (64, 128, 256, 512),
         (1, 1, 1, 5), (65, 63),
     ], ids=str)
-    def test_takes_continue_the_stream(self, sizes):
-        """Takes of any sizes concatenate to one draw of their total, bit for bit."""
-        stream = GaussianStream(42, 3, OPERATOR_STREAM)
-        parts = [stream.take(k) for k in sizes]
+    def test_row_offsets_continue_the_stream(self, sizes):
+        """Rows of any widths, each starting where the last one stopped,
+        concatenate to one draw of their total, bit for bit."""
+        draws = RekeyedDraws(42)
+        starts = np.cumsum((0, *sizes[:-1])).tolist()
+        parts = [draws.rows([3], OPERATOR_STREAM, start, [k])[0]
+                 for start, k in zip(starts, sizes)]
         assert [part.shape for part in parts] == [(k,) for k in sizes]
         whole = gaussian_draws(42, 3, OPERATOR_STREAM, sum(sizes))
         assert np.concatenate(parts).tobytes() == whole.tobytes()
 
     def test_rekeyed_draws_equal_fresh_streams(self):
         """One re-keyed generator gives every (seed, rep, stream) triple the
-        draws of its own GaussianStream, bit for bit, wherever a draw starts
-        and whatever the triples before it were."""
+        draws of a Philox generator of its own, bit for bit, wherever a draw
+        starts and whatever the triples before it were."""
         seeds = (0, 1, 12_345, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 7, 2 ** 64 + 3)
         reps = (*range(1500), 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40 + 5, 2 ** 63 - 1,
                 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1)
@@ -137,8 +147,8 @@ class TestGaussianDraws:
             for rep in reps:
                 stream = (SIGNAL_STREAM, OPERATOR_STREAM, QUADFORM_STREAM)[rep % 3]
                 split = splits[rep % len(splits)]
-                fresh = GaussianStream(seed, rep, stream)
-                head, tail = fresh.take(split), fresh.take(67)
+                fresh = fresh_draws(seed, rep, stream, split + 67)
+                head, tail = fresh[:split], fresh[split:]
                 assert rekeyed.rows([rep], stream, 0, [split]).tobytes() == head.tobytes()
                 assert rekeyed.rows([rep], stream, split, [67]).tobytes() == tail.tobytes()
                 triples += 1
@@ -154,13 +164,13 @@ class TestGaussianDraws:
             with pytest.raises(ValueError, match="rep must lie in"):
                 gaussian_draws(0, rep, SIGNAL_STREAM, 4)
 
-    def test_rekeyed_rows_refuse_what_gaussian_stream_refuses(self):
-        """RekeyedDraws takes the reps GaussianStream takes, both ends of
-        [0, 2**64) included, and refuses the others with its message."""
+    def test_rekeyed_rows_refuse_reps_outside_the_counter_word(self):
+        """RekeyedDraws takes every rep a Philox counter word holds, both ends
+        of [0, 2**64) included, and refuses the others."""
         draws = RekeyedDraws(0)
         for rep in (0, 2 ** 64 - 1):
             row = draws.rows([rep], SIGNAL_STREAM, 0, [4])[0]
-            assert row.tobytes() == gaussian_draws(0, rep, SIGNAL_STREAM, 4).tobytes()
+            assert row.tobytes() == fresh_draws(0, rep, SIGNAL_STREAM, 4).tobytes()
         for rep in (-1, 2 ** 64):
             with pytest.raises(ValueError, match=rf"rep must lie in \[0, 2\*\*64\), got {rep}"):
                 draws.rows([rep], SIGNAL_STREAM, 0, [4])
@@ -175,9 +185,8 @@ class TestGaussianDraws:
         rows = RekeyedDraws(42).rows(reps, SIGNAL_STREAM, 4, widths)
         assert rows.shape == (len(reps), max(widths))
         for row, rep, width in zip(rows, reps, widths):
-            stream = GaussianStream(42, rep, SIGNAL_STREAM)
-            stream.take(4)
-            assert row[:width].tobytes() == stream.take(width).tobytes()
+            fresh = fresh_draws(42, rep, SIGNAL_STREAM, 4 + width)
+            assert row[:width].tobytes() == fresh[4:].tobytes()
             assert np.isfinite(row).all()
 
     def test_draw_bound_covers_every_finite_draw(self):
@@ -307,9 +316,13 @@ class TestWindowMass:
         vals = [window_mass(float(x)) for x in u]
         assert np.all(np.diff(vals) > 0)
 
-    def test_validation(self):
+    def test_validation(self, mild_ordinary):
         with pytest.raises(ValueError):
             window_mass(-1.0)
+        with pytest.raises(ValueError):
+            window_mass(math.nan)
+        with pytest.raises(ValueError):
+            two_point_shift_constant(mild_ordinary, math.nan, 0.05, 0.5, 3)
 
 
 class TestTwoPointPair:
@@ -386,6 +399,23 @@ class TestSpike:
 
     def test_index_capped_by_horizon(self, mild_ordinary):
         assert spike_index(mild_ordinary, 1e-6, j_max=50) == 50
+
+    @pytest.mark.parametrize("s", [0.1, 0.25, 1.0])
+    @pytest.mark.parametrize("regime", ["mild-ordinary", "mild-super", "severe-ordinary",
+                                        "severe-super"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_index_is_the_brute_force_maximum(self, regime, s):
+        """spike_index is max{d <= j_max : a_d * r <= 1}, also at radii so
+        small that 1/(c_a*r), or its power, leaves the float range."""
+        spec = RegimeSpec.from_name(regime, s=s)
+        for j_max in (1, 100, 1000):
+            for r in (5e-324, 1e-320, 1e-300, 1e-40, 1e-5, 0.01, 0.5, 1.0):
+                admitted = [d for d in range(1, j_max + 1) if a_value(spec, d) * r <= 1.0]
+                if admitted:
+                    assert spike_index(spec, r, j_max) == max(admitted), (j_max, r)
+                else:
+                    with pytest.raises(InfeasibleRadiusError):
+                        spike_index(spec, r, j_max)
 
     def test_infeasible_radius(self, mild_ordinary):
         with pytest.raises(InfeasibleRadiusError):

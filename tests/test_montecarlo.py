@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gsmgof import cli, montecarlo
+from gsmgof import cli, gsm, montecarlo
 from gsmgof import (
     KAPPA_DEFAULT,
+    OPERATOR_STREAM,
     SIGNAL_STREAM,
     BracketingError,
     ErrorEstimate,
@@ -338,11 +339,31 @@ class TestBatch:
             decided = montecarlo._Kernel(plan, plan.theta0).decide(reps, x, bands)
             for rep, row, band, (report, x_win, y_win, _) in zip(reps, x, bands, decided):
                 y = simulate(plan.theta0, plan.spec, plan.noise, plan.master_seed, 40, rep=rep).y
-                expected = _decide(band, row, lambda w: y, plan.theta0, plan.spec, plan.noise,
-                                   plan.config)
+                expected = _decide(band, row, y, plan.theta0, plan.spec, plan.noise, plan.config)
                 assert report == expected
                 assert x_win.tobytes() == row[:report.window].tobytes()
                 assert y_win.tobytes() == y[:report.window].tobytes()
+
+    @pytest.mark.parametrize("stream, error", [(SIGNAL_STREAM, "ValueError: y must be finite"),
+                                               (OPERATOR_STREAM, "ValueError: x must be finite")])
+    def test_an_infinite_draw_raises_where_the_serial_loop_does(self, monkeypatch, stream,
+                                                                 error):
+        """A raw word of all ones draws +inf (chance 2**-53 a draw).  Planted
+        as the first draw of one stream of replication 20, it stops the kernel
+        where it stops simulate + run_test, with the same error."""
+        real = gsm.RekeyedDraws._words
+
+        def words(self, rep, tag, start, n):
+            out = real(self, rep, tag, start, n)
+            if (rep, tag, start) == (20, stream, 0) and n:
+                out[0] = 2 ** 64 - 1
+            return out
+
+        monkeypatch.setattr(gsm.RekeyedDraws, "_words", words)
+        plan = make_plan()
+        outcomes = batch_outcomes(plan, plan.theta0, 0, 64)
+        assert outcomes == serial_outcomes(plan, plan.theta0, 0, 64)
+        assert (len(outcomes), outcomes[-1]) == (21, error)
 
     @settings(max_examples=60, deadline=None)
     @given(regime=st.sampled_from(REGIMES), s=st.floats(0.25, 3.0), t=st.floats(0.25, 3.0),
@@ -690,6 +711,33 @@ class TestQuadformConcentration:
         b = check_quadform_concentration(3, np.full(3, 0.1), np.full(3, 0.5),
                                          x=2.0, n_reps=500)
         assert a == b
+
+    @pytest.mark.parametrize("case", [
+        *cli._QUADFORM_CASES,
+        {"d": 4, "nu": [0.3, -1.0, 0.0, 2.5], "v": [0.5, 2.0, 1.0, 0.1], "x": 3.0},
+    ], ids=["checks-d1", "checks-d10", "vector"])
+    def test_cuts_are_the_documented_ones(self, monkeypatch, case):
+        """The chunks compare each deviation from the mean sum(nu^2 + v^2)
+        against 2*sqrt(S*x) + 2*x*max(v^2) above and -2*sqrt(S*x) below,
+        with S = sum v^4 + 2 sum v^2 nu^2."""
+        seen = []
+        real = montecarlo._quadform_failures
+
+        def recording(d, nu, v, mean, up_cut, low_cut, *rest):
+            seen.append((mean, up_cut, low_cut))
+            return real(d, nu, v, mean, up_cut, low_cut, *rest)
+
+        monkeypatch.setattr(montecarlo, "_quadform_failures", recording)
+        d, x = case["d"], case["x"]
+        check_quadform_concentration(d, case["nu"], case["v"], x, n_reps=100, workers=1)
+        nu = [float(a) for a in np.broadcast_to(case["nu"], d)]
+        v = [float(b) for b in np.broadcast_to(case["v"], d)]
+        proxy = sum(b * b * b * b for b in v) + 2.0 * sum(b * b * a * a for a, b in zip(nu, v))
+        expected = (sum(a * a + b * b for a, b in zip(nu, v)),
+                    2.0 * math.sqrt(proxy * x) + 2.0 * x * max(b * b for b in v),
+                    -2.0 * math.sqrt(proxy * x))
+        [cuts] = seen
+        assert cuts == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_worker_invariance(self):
         a = check_quadform_concentration(2, 0.0, 1.0, x=1.0, n_reps=400, workers=1)

@@ -8,7 +8,7 @@ import pytest
 from gsmgof import montecarlo
 from gsmgof.cli import main
 from gsmgof.gsm import NoiseLevels, Signal
-from gsmgof.montecarlo import ExperimentPlan, _worker_pool, estimate_alpha
+from gsmgof.montecarlo import ExperimentPlan, _worker_pool, estimate_alpha, fit_rate_slope
 from gsmgof.sequences import RegimeSpec
 from gsmgof.testproc import TestConfig
 
@@ -124,3 +124,11 @@ def test_calls_inside_one_scope_share_its_pool(pools_made):
     assert multiprocessing.active_children() == []
     assert pools_made == [2]
     assert first == estimate_alpha(plan, workers=1)
+
+
+def test_a_rate_fit_shares_one_pool_across_its_grid(pools_made):
+    """fit_rate_slope runs every grid point's radius search on one pool."""
+    fit = fit_rate_slope(_plan(), [0.01, 0.005], 0.5, r_lo=1e-3, r_hi=1.0, workers=2)
+    assert multiprocessing.active_children() == []
+    assert pools_made == [2]
+    assert fit == fit_rate_slope(_plan(), [0.01, 0.005], 0.5, r_lo=1e-3, r_hi=1.0, workers=1)
