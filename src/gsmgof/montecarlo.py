@@ -38,6 +38,7 @@ from .testproc import (
     TestReport,
     _degenerate,
     _objective,
+    _objective_weight,
     _parts_from_sums,
     _scan_table,
     _statistic_sum,
@@ -211,12 +212,14 @@ def _run_jobs(jobs: Iterable[_Job], workers: int) -> list:
 # test reads them
 # ---------------------------------------------------------------------------
 
-# A row group holds at most _CAP float64 elements per matrix: the first scan
+# A row group holds at most _CAP float64 elements per matrix: the batched scan
 # blocks of its replications, and the arrays of those decided together.  A
-# replication whose scan runs past its first block is decided alone.
+# replication whose scan runs past that block, or whose window depends on x
+# past what the group drew, is decided alone.
 _CAP = 2 ** 14
 _FIRST_BLOCK = 64
 _GROUP_ROWS = _CAP // _FIRST_BLOCK
+_PREFIX = 16  # columns of the dimension objective run for every row
 
 
 def _row_groups(lo: int, hi: int, rows: int):
@@ -235,7 +238,7 @@ class _Batch(NamedTuple):
     eps_xi: np.ndarray
     terms: np.ndarray  # the statistic's (y/x - theta0)**2
     inv2: np.ndarray  # x**-2
-    inv4: np.ndarray  # x**-4, also read by the dimension objective
+    inv4: np.ndarray  # x**-4
     a_inv_sq: list  # a_w**-2 at each row's window w
     y_finite: np.ndarray
 
@@ -256,57 +259,101 @@ class _Kernel:
     """run_test(simulate(theta, ..., rep=rep), plan.theta0, ...) over many
     replications of a plan that _batchable admits, a row group at a time.
 
-    Only what the test reads is drawn: x until the bandwidth scan stops, and
-    the signal stream up to the window.  The streams are counter-based, so
-    these are prefixes of simulate's draws, and every step works element by
-    element (numpy's power included) or sums one row in index order, so every
-    value is the reference path's.  A finite draw is at most DRAW_BOUND in
-    size, so under such a plan only an infinite draw (chance 2**-53) makes x
-    or y overflow; one inside what is drawn raises as simulate does, one past
-    it goes unseen.
+    Only the x coordinates that can change a decision are drawn, with two
+    certificates:
+
+    - the scan's certain prefix: every finite draw is under DRAW_BOUND in
+      size, so below `start`, the first j with b_j <= sigma * (envelope_j +
+      DRAW_BOUND), no |x_j| can reach the envelope (nor be zero; the slack
+      of 8.3 over the largest draw, 8.2924, covers the rounding of x).  The
+      scan starts there; when start is the horizon it draws nothing.
+    - the dimension objective's certain argmin: it runs over the first
+      _PREFIX coordinates, and a row whose longer objective cannot beat the
+      minimum found there is decided from them (see _windows).
+
+    Besides those, x is drawn up to the bandwidth where the argmin is not
+    certain (or up to a fixed dimension past the prefix), and the signal
+    stream up to the window.  The streams are counter-based, so these are
+    slices of simulate's draws, and every step works element by element
+    (numpy's power included) or sums one row in index order, so every value
+    is the reference path's.  A finite draw is at most DRAW_BOUND in size, so
+    under such a plan only an infinite draw (chance 2**-53) makes x or y
+    overflow; one inside what is drawn raises as simulate does, one past it
+    or in a skipped coordinate goes unseen.
     """
 
     def __init__(self, plan: ExperimentPlan, theta: Signal) -> None:
         self.plan, self.theta = plan, theta
-        self.j_max = j_max = plan.config.j_max
+        config = plan.config
+        self.j_max = j_max = config.j_max
         self.eps, self.sigma = plan.noise.epsilon, plan.noise.sigma
         self.b = b_vector(plan.spec, j_max)
         self.bt = self.b * theta.padded(j_max)
         self.theta0 = plan.theta0.padded(max(j_max, len(plan.theta0)))
-        self.envelope = self.sigma * _scan_table(plan.config.alpha, plan.config.kappa, j_max)
+        self.envelope = self.sigma * _scan_table(config.alpha, config.kappa, j_max)
         self.draws = RekeyedDraws(plan.master_seed)
+        reach = np.flatnonzero(self.b <= self.envelope + self.sigma * DRAW_BOUND)
+        self.start = start = int(reach[0]) if reach.size else j_max
+        # The scan's batched block starts at 0 if start falls in the first
+        # block, at start past it; None: nothing below the horizon triggers.
+        self.scan_from = None if start >= j_max else 0 if start < _FIRST_BLOCK else start
+        # tail_dim: the dimension past the prefix with the smallest bias; None
+        # turns the argmin certificate off (a fixed dimension, or a deviation
+        # weight of 0 or inf, where x**-4 overflowing past the prefix can
+        # make the objective NaN there).
+        self.prefix = min(_PREFIX, j_max)
+        self.tail_dim = None
+        if (config.dimension is None and self.prefix < j_max
+                and 0.0 < _objective_weight(self.eps, config.alpha, config.beta) < math.inf):
+            bias = self.objective(np.zeros(j_max - self.prefix),
+                                  np.arange(self.prefix + 1, j_max + 1))
+            self.tail_dim = np.array([self.prefix + 1 + int(bias.argmin())])
+
+    def _operator(self, reps, start: int, n: int) -> np.ndarray:
+        """x[start:start + n] of each replication, one row each."""
+        eta = self.draws.rows(reps, OPERATOR_STREAM, start, [n] * len(reps))
+        return self.b[start:start + n] + self.sigma * eta
+
+    def objective(self, inv4_sums, dims) -> np.ndarray:
+        """testproc's dimension objective under the plan."""
+        config = self.plan.config
+        return _objective(self.plan.spec, inv4_sums, dims, self.eps, self.sigma,
+                          config.alpha, config.beta)
 
     # -- bandwidth scan ------------------------------------------------------
 
-    def first_blocks(self, reps: range) -> tuple[np.ndarray, list]:
-        """x[:n], n = min(64, j_max), of each replication (one row each), and
-        its bandwidth where the scan ends inside that block (None where the
-        scan goes on)."""
-        n = min(_FIRST_BLOCK, self.j_max)
-        x = self.b[:n] + self.sigma * self.draws.rows(reps, OPERATOR_STREAM, 0, [n] * len(reps))
-        hits = np.abs(x) <= self.envelope[:n]
-        first = np.where(hits.any(axis=1), hits.argmax(axis=1), -1).tolist()
-        end = Bandwidth(n, True) if n == self.j_max else None
+    def scan(self, reps: range) -> tuple[np.ndarray | None, list]:
+        """The batched scan block x[lo:lo + 64] of each replication (one row
+        each; lo = scan_from, the block cut at the horizon), and its
+        bandwidth where the scan ends inside that block (None where it goes
+        on).  No block is drawn when no index below the horizon triggers."""
+        lo = self.scan_from
+        if lo is None:
+            return None, [Bandwidth(self.j_max, True)] * len(reps)
+        n = min(_FIRST_BLOCK, self.j_max - lo)
+        x = self._operator(reps, lo, n)
+        hits = np.abs(x) <= self.envelope[lo:lo + n]
+        first = np.where(hits.any(axis=1), hits.argmax(axis=1) + lo, -1).tolist()
+        end = Bandwidth(self.j_max, True) if lo + n == self.j_max else None
         return x, [end if k < 0 else Bandwidth(k, False) for k in first]
 
-    def deepen(self, rep: int, x: np.ndarray) -> tuple[Bandwidth, np.ndarray]:
-        """Bandwidth of a replication whose first block x holds no index
-        inside the envelope, and the prefix of x drawn to find it: blocks of
-        128, 256, ... coordinates (the last one cut at the horizon) until one
-        holds such an index.  Element by element, this is
+    def deepen(self, rep: int, n: int) -> tuple[Bandwidth, bool]:
+        """Bandwidth of a replication whose scan has not stopped before index
+        n, and whether every x drawn to find it is finite: blocks of 128,
+        256, ... coordinates from n (the last one cut at the horizon) until
+        one holds an index inside the envelope.  Element by element, this is
         empirical_bandwidth on the whole of x."""
-        blocks, n, size = [x], x.size, 2 * _FIRST_BLOCK
+        size, finite = 2 * _FIRST_BLOCK, True
         while n < self.j_max:
             k = min(size, self.j_max - n)
-            eta = self.draws.rows([rep], OPERATOR_STREAM, n, [k])[0]
-            block = self.b[n:n + k] + self.sigma * eta
-            blocks.append(block)
+            block = self._operator([rep], n, k)[0]
+            finite = finite and bool(np.isfinite(block).all())
             hits = np.flatnonzero(np.abs(block) <= self.envelope[n:n + k])
             if hits.size:
-                return Bandwidth(n + int(hits[0]), False), np.concatenate(blocks)
+                return Bandwidth(n + int(hits[0]), False), finite
             n += k
             size *= 2
-        return Bandwidth(self.j_max, True), np.concatenate(blocks)
+        return Bandwidth(self.j_max, True), finite
 
     # -- one row group ----------------------------------------------------------
 
@@ -314,49 +361,57 @@ class _Kernel:
         """(report, x_win, y_win, eps_xi_win) of each replication in reps, in
         order, until the first one whose reference path raises: its error is
         raised there."""
-        x, bands = self.first_blocks(reps)
-        finite = np.isfinite(x).all(axis=1)
+        block, bands = self.scan(reps)
+        head = block if self.scan_from == 0 else self._operator(reps, 0, self.prefix)
+        finite = np.isfinite(head).all(axis=1)
+        if block is not None and block is not head:
+            finite &= np.isfinite(block).all(axis=1)
         done = [i for i, band in enumerate(bands) if band is not None]
-        decided = self.decide([reps[i] for i in done], x[done], [bands[i] for i in done])
+        decided = self.decide([reps[i] for i in done], head[done], [bands[i] for i in done])
         for i, rep in enumerate(reps):
             if not finite[i]:
                 raise ValueError("x must be finite")
-            if bands[i] is None:
-                band, prefix = self.deepen(rep, x[i])
-                if not np.isfinite(prefix).all():
-                    raise ValueError("x must be finite")
-                yield from self.decide([rep], prefix[None], [band])
-            else:
+            if bands[i] is not None:
                 yield next(decided)
+                continue
+            band, deep_finite = self.deepen(rep, self.scan_from + _FIRST_BLOCK)
+            if not deep_finite:
+                raise ValueError("x must be finite")
+            yield from self.decide([rep], head[i:i + 1], [band])
 
     # -- decisions --------------------------------------------------------------
 
-    def decide(self, reps, x: np.ndarray, bands: list):
+    def decide(self, reps, head: np.ndarray, bands: list):
         """(report, x_win, y_win, eps_xi_win) of replications whose scan has
-        ended, in order; row i of x holds the prefix drawn for reps[i].
+        ended, in order; row i of head holds x[:h] of reps[i] (h the same
+        for every row).
 
-        Most are decided together.  One with a zero bandwidth gets the
-        degenerate report and empty windows.  One with an observed coefficient
-        that is exactly zero inside its bandwidth, or a y that is not finite
-        (chance 0 or 2**-53), is rerun alone by simulate + run_test.
+        Most are decided together from head.  One with a zero bandwidth gets
+        the degenerate report and empty windows.  One whose window depends on
+        x past head draws what its decision reads, at its turn, and is
+        decided alone.  One whose y is not finite (chance 2**-53) is rerun
+        alone by simulate + run_test.  No x that a decision reads is exactly
+        zero, which the reference path would refuse: a zero x_j at or past
+        start ends the scan at or before j, and below start |x_j| > 0 is
+        certain.
         """
         m = np.array([band.value for band in bands], dtype=np.int64)
-        live = m > 0
-        zero = x[:, :m.max(initial=0)] == 0.0
-        if zero.any():
-            live &= ~(zero & (np.arange(zero.shape[1]) < m[:, None])).any(axis=1)
-        rows = np.flatnonzero(live)
+        window = self._windows(head, m)
+        rows = np.flatnonzero(window > 0)
         slots = dict(zip(rows.tolist(), range(rows.size)))
         if rows.size:
-            xs = x if rows.size == len(reps) else x[rows]  # no copy when every row is batched
-            batch = self._batch([reps[i] for i in rows], xs, m[rows])
+            xs = head if rows.size == len(reps) else head[rows]  # no copy when every row is batched
+            batch = self._batch([reps[i] for i in rows], xs, window[rows])
         eps, sigma, alpha = self.eps, self.sigma, self.plan.config.alpha
         for i, rep in enumerate(reps):
             r = slots.get(i)
             if not m[i]:
                 yield _degenerate(bands[i]), np.zeros(0), np.zeros(0), np.zeros(0)
                 continue
-            if r is None or not batch.y_finite[r]:
+            if r is None:
+                yield from self._alone(rep, bands[i])
+                continue
+            if not batch.y_finite[r]:
                 yield _simulated(self.plan, self.theta, rep)
                 continue
             w = batch.window[r]
@@ -369,28 +424,69 @@ class _Kernel:
                                 bandwidth_truncated=bands[i].truncated)
             yield report, batch.x[r, :w].copy(), batch.y[r, :w].copy(), batch.eps_xi[r, :w].copy()
 
-    def _batch(self, reps: list, x: np.ndarray, m: np.ndarray) -> _Batch:
-        """The arrays of replications decided together.  The dimension
-        objective runs on the running sums of x**-4 along each row, past each
-        row's bandwidth masked."""
-        spec, config = self.plan.spec, self.plan.config
+    def _alone(self, rep: int, band: Bandwidth):
+        """The decision of one replication, on the x[:n] it reads (n = the
+        bandwidth, or a fixed dimension below it) drawn here."""
+        dimension = self.plan.config.dimension
+        n = band.value if dimension is None else min(dimension, band.value)
+        x = self._operator([rep], 0, n)
+        if not np.isfinite(x).all():
+            raise ValueError("x must be finite")
+        return self.decide([rep], x, [band])
+
+    def _windows(self, head: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """Each row's window min(d, m) (0 where m is 0), or -1 where it
+        depends on x past head.
+
+        The selected d is the first argmin of the objective over 1..m.  It
+        runs over the first `prefix` columns; a row with a longer bandwidth is
+        decided there when the objective past the prefix cannot go below the
+        minimum found.  The running sum of x**-4 does not decrease and
+        rounding is monotone, so with a positive, finite weight every d' past
+        the prefix has objective(d') >= the objective of the prefix's sum at
+        tail_dim, the dimension past it with the smallest bias.  Any other
+        row runs the objective over 1..m; ties go to the smaller d, as
+        np.argmin's do.
+        """
+        dimension = self.plan.config.dimension
+        if dimension is not None:
+            window = np.minimum(dimension, m)
+            return np.where(window <= head.shape[1], window, -1)
+        window = np.where(m > 0, -1, 0)
+        n = min(head.shape[1], int(m.max(initial=0)))
+        cols = n if self.tail_dim is None else min(n, self.prefix)
+        if cols:
+            d, low, sums = self._select(head[:, :cols], m)
+            certain = (m <= cols) & (m > 0)
+            if self.tail_dim is not None and (m > cols).any():
+                certain |= (m > cols) & (self.objective(sums, self.tail_dim) >= low)
+            window[certain] = d[certain]
+        redo = np.flatnonzero((window < 0) & (m <= n))
+        if redo.size:
+            window[redo] = self._select(head[redo, :int(m[redo].max())], m[redo])[0]
+        return window
+
+    def _select(self, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The objective over x's columns, past each row's bandwidth masked:
+        its first argmin + 1 and its value there, and the running sum of
+        x**-4 at the last column, one each per row."""
+        n = x.shape[1]
+        with np.errstate(all="ignore"):  # entries past a row's bandwidth may overflow
+            sums = np.cumsum(x ** -4.0, axis=1)
+            objective = self.objective(sums, np.arange(1, n + 1))
+        if m.min() < n:
+            objective[np.arange(n) >= m[:, None]] = np.inf
+        d = objective.argmin(axis=1)
+        return d + 1, objective[np.arange(d.size), d], sums[:, -1]
+
+    def _batch(self, reps: list, x: np.ndarray, window: np.ndarray) -> _Batch:
+        """The arrays of replications decided together, over their windows."""
+        n = int(window.max())
+        xs = x[:, :n]
         with np.errstate(all="ignore"):  # entries past a row's window may overflow
-            if config.dimension is None:
-                inv4 = x[:, :m.max()] ** -4.0
-                objective = _objective(spec, np.cumsum(inv4, axis=1),
-                                       np.arange(1, inv4.shape[1] + 1),
-                                       self.eps, self.sigma, config.alpha, config.beta)
-                if m.min() < inv4.shape[1]:
-                    objective[np.arange(inv4.shape[1]) >= m[:, None]] = np.inf
-                window = np.minimum(objective.argmin(axis=1) + 1, m)
-            else:
-                window = np.minimum(config.dimension, m)
-                inv4 = x[:, :window.max()] ** -4.0
-            n = int(window.max())
             y, eps_xi = self._signal_windows(reps, window.tolist())
-            xs = x[:, :n]
             return _Batch(window.tolist(), x, y, eps_xi, (y / xs - self.theta0[:n]) ** 2,
-                          xs ** -2.0, inv4, a_inv_sq(spec, window).tolist(),
+                          xs ** -2.0, xs ** -4.0, a_inv_sq(self.plan.spec, window).tolist(),
                           np.isfinite(y).all(axis=1))
 
     def _signal_windows(self, reps: list, widths: list) -> tuple[np.ndarray, np.ndarray]:
@@ -642,10 +738,10 @@ def _containment_failures(plan: ExperimentPlan, low: int, high: int,
     kernel = _Kernel(plan, Signal.zeros(0))
     n_fail = 0
     for reps in _row_groups(lo, hi, _GROUP_ROWS):
-        x, bands = kernel.first_blocks(reps)
-        for rep, row, band in zip(reps, x, bands):
+        _, bands = kernel.scan(reps)
+        for rep, band in zip(reps, bands):
             if band is None:
-                band, _ = kernel.deepen(rep, row)
+                band, _ = kernel.deepen(rep, kernel.scan_from + _FIRST_BLOCK)
             inside = band.value >= low and (band.value < high
                                             or (high_truncated and band.truncated))
             n_fail += not inside

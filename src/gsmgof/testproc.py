@@ -286,6 +286,14 @@ def threshold(x, spec: RegimeSpec, d: int, m: int, epsilon: float,
     return threshold_parts(x, spec, d, m, epsilon, sigma, alpha).total
 
 
+def _objective_weight(epsilon: float, alpha: float, beta: float) -> float:
+    """adaptive_constant * eps^2, the dimension objective's deviation weight."""
+    try:
+        return adaptive_constant(alpha, beta) * epsilon ** 2
+    except OverflowError:
+        raise ValueError(f"epsilon={epsilon!r} squared exceeds the float range") from None
+
+
 def _objective(spec: RegimeSpec, inv4_sums, dims, epsilon: float, sigma: float,
                alpha: float, beta: float) -> np.ndarray:
     """Deviation-plus-bias objective from the running sums of the inverse
@@ -295,10 +303,7 @@ def _objective(spec: RegimeSpec, inv4_sums, dims, epsilon: float, sigma: float,
         adaptive_constant * eps^2 * sqrt(inv4_sums)
         + (7 + 4*sqrt(tail_exponent(alpha))) * max(sigma^2 ln^1.5(1/sigma), a_dims^-2)
     """
-    try:
-        weight = adaptive_constant(alpha, beta) * epsilon ** 2
-    except OverflowError:
-        raise ValueError(f"epsilon={epsilon!r} squared exceeds the float range") from None
+    weight = _objective_weight(epsilon, alpha, beta)
     floor = sigma * sigma * math.log(1.0 / sigma) ** 1.5
     bias = np.maximum(floor, a_inv_sq(spec, dims))
     bias *= 7.0 + 4.0 * math.sqrt(tail_exponent(alpha))

@@ -23,10 +23,12 @@ from gsmgof import (
     RegimeSpec,
     Signal,
     TestConfig,
+    bandwidth_bracket,
     bandwidth_escape_bound,
     check_bandwidth_containment,
     check_quadform_concentration,
     default_j_max,
+    empirical_bandwidth,
     empirical_separation_radius,
     estimate_alpha,
     estimate_beta,
@@ -35,6 +37,7 @@ from gsmgof import (
     make_spike_alternative,
     make_two_point_pair,
     run_test,
+    scan_envelope,
     simulate,
 )
 from gsmgof.montecarlo import (
@@ -45,7 +48,8 @@ from gsmgof.montecarlo import (
     _reject_counts,
     _replications,
 )
-from gsmgof.sequences import a_value
+from gsmgof.gsm import DRAW_BOUND
+from gsmgof.sequences import a_value, b_vector
 from gsmgof.testproc import Bandwidth, _decide
 
 REGIMES = ("mild-ordinary", "mild-super", "severe-ordinary", "severe-super")
@@ -313,11 +317,13 @@ class TestBatch:
         dict(dimension=3),
         dict(dimension=70),
         dict(sigma=0.5),
+        dict(sigma=1e-310),  # subnormal
         dict(theta=Signal([-0.0, 0.5, -0.25])),  # a negative zero stays negative in y
         dict(theta=Signal([-0.0, 0.5, -0.25]), epsilon=0.0),
     ], ids=["zero-epsilon", "small-epsilon", "dimension-3", "dimension-70", "large-sigma",
-            "signed-theta", "signed-theta-zero-epsilon"])
+            "subnormal-sigma", "signed-theta", "signed-theta-zero-epsilon"])
     @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_chunks_match_serial_loop_on_other_plans(self, regime, case):
         case = {"sigma": 1e-3, **case}
         theta = case.pop("theta", None)
@@ -343,6 +349,28 @@ class TestBatch:
                 assert report == expected
                 assert x_win.tobytes() == row[:report.window].tobytes()
                 assert y_win.tobytes() == y[:report.window].tobytes()
+
+    @pytest.mark.parametrize("epsilon, sigma, head, outcome", [
+        # x**-4 is ~0 past the prefix, so the bias alone keeps falling to d = 40
+        (1e-3, 1e-3, [1.0] * 15 + [0.0933] + [1e3] * 24, "TestReport(bandwidth=40, window=40,"),
+        # a zero weight: x**-4 = inf at d = 20 makes the objective NaN there
+        (0.0, 0.3, [1.0] * 19 + [1e-80] + [1.0] * 20, "ValueError: the threshold is not finite"),
+    ], ids=["bias-past-the-prefix", "zero-weight"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_an_argmin_past_the_prefix_is_not_taken_as_certain(self, epsilon, sigma, head,
+                                                               outcome):
+        """Hand-made prefixes whose objective's argmin lies past the first 16
+        coordinates, although the prefix's minimum (d = 15, or d = 3 where
+        the bias is flat) is at most the objective at d = 17."""
+        plan = make_plan(epsilon=epsilon, sigma=sigma, j_max=40)
+        x, band = np.array(head), Bandwidth(40, True)
+        y = simulate(plan.theta0, plan.spec, plan.noise, plan.master_seed, 40).y
+        expected = _outcome(lambda: _decide(band, x, y, plan.theta0, plan.spec, plan.noise,
+                                            plan.config))
+        assert expected.startswith(outcome)
+        decided = montecarlo._Kernel(plan, plan.theta0).decide([0], x[None], [band])
+        assert _outcome(lambda: next(decided)[0]) == expected
 
     @pytest.mark.parametrize("stream, error", [(SIGNAL_STREAM, "ValueError: y must be finite"),
                                                (OPERATOR_STREAM, "ValueError: x must be finite")])
@@ -408,8 +436,39 @@ class TestBatch:
         assert serial[-1].startswith("ValueError: the threshold is not finite")
         assert batch_outcomes(plan, plan.theta0, 5, 300) == serial
 
+    @pytest.mark.parametrize("t, epsilon, sigma, j_max, k", [
+        (1.0, 1e-2, 1e-4, 1000, 131),  # start 131: the scan's batched block
+        (0.25, 0.1, 2.8e-3, 470, 460),  # start 390: every scan runs on past 454
+        (0.25, 1e-2, 2.8e-3, 470, 100),  # the window needs x up to the bandwidth
+    ], ids=["batched-block", "deeper-block", "below-start"])
+    def test_an_infinite_draw_past_the_first_block_raises_at_its_replication(
+            self, monkeypatch, t, epsilon, sigma, j_max, k):
+        """The scan starts at `start`, past the first 64 coordinates.  +inf
+        planted at coordinate k of replication 20 stops the kernel there with
+        the error of simulate + run_test, whichever draw reads k: the scan's
+        batched block, a block drawn after it (the window being certain from
+        the first 16 coordinates), or x up to the bandwidth, drawn below
+        start where the window is not certain."""
+        plan = make_plan(spec=RegimeSpec.from_name("mild-ordinary", t=t), epsilon=epsilon,
+                         sigma=sigma, j_max=j_max)
+        start = montecarlo._Kernel(plan, plan.theta0).start
+        assert 64 <= start and start + 64 < j_max
+        real = gsm.RekeyedDraws._words
+
+        def words(self, rep, tag, lo, n):
+            out = real(self, rep, tag, lo, n)
+            if rep == 20 and tag == OPERATOR_STREAM and lo <= k < lo + n:
+                out[k - lo] = 2 ** 64 - 1
+            return out
+
+        monkeypatch.setattr(gsm.RekeyedDraws, "_words", words)
+        outcomes = batch_outcomes(plan, plan.theta0, 0, 64)
+        assert outcomes == serial_outcomes(plan, plan.theta0, 0, 64)
+        assert (len(outcomes), outcomes[-1]) == (21, "ValueError: x must be finite")
+
     def test_working_set_stays_small_when_every_scan_runs_to_the_horizon(self):
-        """One row group's matrices plus one replication's full-horizon prefix:
+        """No index below the horizon can trigger, so each row group draws
+        only the objective's 16-column prefix of x and the signal windows:
         nowhere near a chunk-by-horizon matrix (500 x 10 000 floats is 40 MB)."""
         plan = make_plan(epsilon=1e-2, sigma=1e-6, j_max=10_000, n_reps=500)
         assert all(report.bandwidth_truncated
@@ -421,6 +480,82 @@ class TestBatch:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+class TestCertificates:
+    """The kernel draws only the x coordinates that can change a decision:
+    the scan starts at `start`, and the dimension objective stops at a prefix
+    where its argmin is certain.  Neither may change an outcome."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(regime=st.sampled_from(REGIMES), s=st.floats(0.25, 3.0), t=st.floats(0.25, 3.0),
+           sigma=st.floats(-7.0, math.log10(0.9)).map(lambda e: 10.0 ** e),
+           j_max=st.integers(1, 300), seed=st.integers(0, 96))
+    def test_no_scan_triggers_below_start(self, regime, s, t, sigma, j_max, seed):
+        """start is sound: no full-horizon scan triggers below it, and when it
+        is the horizon every scan is truncated.  It is also tight: it is the
+        first index where a draw of size DRAW_BOUND reaches the envelope.  (A
+        start below the horizon can still see no trigger in the reps tried,
+        when its coordinates need a draw larger than theirs.)"""
+        plan = make_plan(spec=RegimeSpec.from_name(regime, s=s, t=t), sigma=sigma,
+                         j_max=j_max, seed=seed)
+        start = montecarlo._Kernel(plan, plan.theta0).start
+        bands = [empirical_bandwidth(simulate(plan.theta0, plan.spec, plan.noise, seed, j_max,
+                                              rep=rep).x, sigma, plan.config.alpha)
+                 for rep in range(20)]
+        assert all(band.value >= start for band in bands)
+        if start >= j_max:
+            assert all(band.truncated for band in bands)
+        reach = b_vector(plan.spec, j_max) <= \
+            sigma * scan_envelope(np.arange(1, j_max + 1), plan.config.alpha) + sigma * DRAW_BOUND
+        assert not reach[:start].any()
+        assert start == j_max or reach[start]
+
+    def test_operator_draws_stop_at_what_the_test_reads(self, monkeypatch):
+        """At sigma 1e-6 no index below the horizon can trigger and the window
+        is 4: each replication draws the objective's prefix of x, not the
+        10 000 coordinates of its truncated scan."""
+        plan = make_plan(epsilon=1e-2, sigma=1e-6, j_max=10_000, n_reps=500)
+        counted = []
+        real = gsm.RekeyedDraws._words
+
+        def words(self, rep, stream, start, n):
+            if stream == OPERATOR_STREAM:
+                counted.append(n)
+            return real(self, rep, stream, start, n)
+
+        monkeypatch.setattr(gsm.RekeyedDraws, "_words", words)
+        reports = [report for report, *_ in _replications(plan, plan.theta0, 0, 500)]
+        assert all(report.bandwidth_truncated for report in reports)
+        assert sum(counted) <= 500 * 64
+
+    @pytest.mark.parametrize("case", [dict(epsilon=0.0), dict(dimension=70)],
+                             ids=["zero-epsilon", "dimension-70"])
+    def test_plans_the_certificate_does_not_cover_match_the_serial_loop(self, case):
+        """A zero deviation weight leaves the argmin uncertain, and a fixed
+        dimension of 70 reads x past the prefix: both draw what they read."""
+        plan = make_plan(sigma=1e-6, j_max=10_000, **case)
+        assert batch_outcomes(plan, plan.theta0, 3, 43) == \
+            serial_outcomes(plan, plan.theta0, 3, 43)
+
+    @pytest.mark.parametrize("sigma", [1e-4, 1e-6])
+    def test_containment_scan_matches_a_brute_force_scan(self, sigma):
+        """The containment check scans as the kernel does, from start (1e-4:
+        the batched block starts at 131; 1e-6: nothing is drawn)."""
+        plan = make_plan(sigma=sigma, j_max=10_000, n_reps=200)
+        alpha, kappa = plan.config.alpha, plan.config.kappa
+        brute = [empirical_bandwidth(simulate(plan.theta0, plan.spec, plan.noise,
+                                              plan.master_seed, 10_000, rep=rep).x,
+                                     sigma, alpha, kappa) for rep in range(200)]
+        kernel = montecarlo._Kernel(plan, plan.theta0)
+        _, bands = kernel.scan(range(200))
+        assert [band if band is not None else kernel.deepen(rep, kernel.scan_from + 64)[0]
+                for rep, band in enumerate(bands)] == brute
+        bracket = bandwidth_bracket(plan.spec, sigma, alpha, kappa, 10_000)
+        n_fail = sum(not (band.value >= bracket.low and (
+            band.value < bracket.high or (bracket.high_truncated and band.truncated)))
+            for band in brute)
+        assert check_bandwidth_containment(plan) == ErrorEstimate.from_counts(n_fail, 200)
 
 
 def _cases(test):
