@@ -30,7 +30,8 @@ from .sequences import (
     b_vector,
     cumulative_b_inv4_prefix,
 )
-from .testproc import KAPPA_DEFAULT, BandwidthBracket, _objective, bandwidth_bracket
+from .testproc import (KAPPA_DEFAULT, BandwidthBracket, _check_sigma, _objective,
+                       bandwidth_bracket)
 
 __all__ = [
     "BoundReport",
@@ -147,8 +148,7 @@ def prior_depth(spec: RegimeSpec, sigma: float, alpha: float, beta: float, j_max
     a detectable shift: the largest d <= j_max with
     b_d >= sigma * max(critical_snr, divergence_budget / 2); 0 if none.
     b is nonincreasing, so that is the number of such d."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     level = sigma * max(critical_snr(alpha, beta), divergence_budget(alpha, beta) / 2.0)
     return int(np.count_nonzero(b_vector(spec, j_max) >= level))
 

@@ -177,8 +177,10 @@ def _resolve(args: argparse.Namespace) -> dict:
     settings["command"] = args.command
     if settings["workers"] is None:
         settings["workers"] = os.cpu_count() or 1
-    if settings["seed"] < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    if not 0 <= settings["seed"] < 2 ** 128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {settings['seed']}")
+    if settings["workers"] < 1:
+        raise ValueError(f"workers must be at least 1, got {settings['workers']}")
     return settings
 
 

@@ -56,16 +56,19 @@ QUADFORM_STREAM = 3  # omega: draws for the quadratic-form tail checker
 
 _INV_2_53 = 2.0 ** -53
 _HALF_ULP = 2.0 ** -54
+_U_MAX = 1.0 - _INV_2_53  # the largest float below 1
 
 
 def _gaussian(words: np.ndarray) -> np.ndarray:
     """Standard Gaussian draws from raw 64-bit Philox words, element by
     element: the top 53 bits, centred in their interval, through the inverse
-    normal CDF."""
-    return ndtri((words >> np.uint64(11)) * _INV_2_53 + _HALF_ULP)
+    normal CDF.  The top centre rounds to 1.0 (ndtri: +inf) and is clamped to
+    1 - 2**-53; every other one is at most 1 - 2**-52, so no draw is infinite."""
+    u = (words >> np.uint64(11)) * _INV_2_53 + _HALF_ULP
+    return ndtri(np.minimum(u, _U_MAX, out=u))
 
 
-DRAW_BOUND = 8.3  # -ndtri(2**-54) = 8.2924 bounds the smallest draw
+DRAW_BOUND = 8.3  # over -ndtri(2**-54) = 8.2924 and ndtri(1 - 2**-53) = 8.2095
 
 
 class RekeyedDraws:
@@ -78,7 +81,7 @@ class RekeyedDraws:
     rep, stream) pushed through the inverse normal CDF.  Distinct
     (rep, stream) pairs can never overlap, so worker scheduling cannot change
     any value, and rows from any start offset continue the same stream.
-    Every finite draw lies within DRAW_BOUND of zero.
+    Every draw lies within DRAW_BOUND of zero.
     """
 
     def __init__(self, seed: int) -> None:

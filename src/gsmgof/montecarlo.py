@@ -37,6 +37,7 @@ from .testproc import (
     TestConfig,
     TestReport,
     _degenerate,
+    _integer,
     _objective,
     _objective_weight,
     _parts_from_sums,
@@ -76,12 +77,12 @@ class ExperimentPlan:
     master_seed: int
 
     def __post_init__(self) -> None:
-        if int(self.n_reps) < MIN_REPS:
+        object.__setattr__(self, "n_reps", _integer("n_reps", self.n_reps))
+        if self.n_reps < MIN_REPS:
             raise ValueError(f"n_reps must be at least {MIN_REPS}, got {self.n_reps}")
-        object.__setattr__(self, "n_reps", int(self.n_reps))
-        if int(self.master_seed) < 0:
-            raise ValueError("master_seed must be a nonnegative integer")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed))
+        if not 0 <= self.master_seed < 2 ** 128:
+            raise ValueError(f"master_seed must lie in [0, 2**128), got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -214,8 +215,8 @@ def _run_jobs(jobs: Iterable[_Job], workers: int) -> list:
 
 # A row group holds at most _CAP float64 elements per matrix: the batched scan
 # blocks of its replications, and the arrays of those decided together.  A
-# replication whose scan runs past that block, or whose window depends on x
-# past what the group drew, is decided alone.
+# replication whose scan runs past that block scans on alone; one whose window
+# depends on x past what the group drew is decided alone.
 _CAP = 2 ** 14
 _FIRST_BLOCK = 64
 _GROUP_ROWS = _CAP // _FIRST_BLOCK
@@ -240,12 +241,11 @@ class _Batch(NamedTuple):
     inv2: np.ndarray  # x**-2
     inv4: np.ndarray  # x**-4
     a_inv_sq: list  # a_w**-2 at each row's window w
-    y_finite: np.ndarray
 
 
 def _batchable(plan: ExperimentPlan, theta: Signal) -> bool:
     """Whether the kernel decides theta's replications under plan: sigma in
-    (0, 1), epsilon**2 finite, and no y that a finite draw can overflow.  Any
+    (0, 1), epsilon**2 finite, and no y that a draw can overflow.  Any
     other plan runs simulate + run_test itself, one replication at a time."""
     eps, sigma, j_max = plan.noise.epsilon, plan.noise.sigma, plan.config.j_max
     if len(theta) > j_max or not (0.0 < sigma < 1.0 and math.isfinite(eps * eps)):
@@ -262,8 +262,8 @@ class _Kernel:
     Only the x coordinates that can change a decision are drawn, with two
     certificates:
 
-    - the scan's certain prefix: every finite draw is under DRAW_BOUND in
-      size, so below `start`, the first j with b_j <= sigma * (envelope_j +
+    - the scan's certain prefix: every draw is under DRAW_BOUND in size, so
+      below `start`, the first j with b_j <= sigma * (envelope_j +
       DRAW_BOUND), no |x_j| can reach the envelope (nor be zero; the slack
       of 8.3 over the largest draw, 8.2924, covers the rounding of x).  The
       scan starts there; when start is the horizon it draws nothing.
@@ -276,14 +276,12 @@ class _Kernel:
     stream up to the window.  The streams are counter-based, so these are
     slices of simulate's draws, and every step works element by element
     (numpy's power included) or sums one row in index order, so every value
-    is the reference path's.  A finite draw is at most DRAW_BOUND in size, so
-    under such a plan only an infinite draw (chance 2**-53) makes x or y
-    overflow; one inside what is drawn raises as simulate does, one past it
-    or in a skipped coordinate goes unseen.
+    is the reference path's.  Every draw is under DRAW_BOUND in size, so
+    under such a plan no x or y overflows.
     """
 
     def __init__(self, plan: ExperimentPlan, theta: Signal) -> None:
-        self.plan, self.theta = plan, theta
+        self.plan = plan
         config = plan.config
         self.j_max = j_max = config.j_max
         self.eps, self.sigma = plan.noise.epsilon, plan.noise.sigma
@@ -320,64 +318,42 @@ class _Kernel:
         return _objective(self.plan.spec, inv4_sums, dims, self.eps, self.sigma,
                           config.alpha, config.beta)
 
-    # -- bandwidth scan ------------------------------------------------------
+    # -- one row group ----------------------------------------------------------
 
-    def scan(self, reps: range) -> tuple[np.ndarray | None, list]:
+    def bandwidths(self, reps: range) -> tuple[np.ndarray | None, list]:
         """The batched scan block x[lo:lo + 64] of each replication (one row
-        each; lo = scan_from, the block cut at the horizon), and its
-        bandwidth where the scan ends inside that block (None where it goes
-        on).  No block is drawn when no index below the horizon triggers."""
+        each; lo = scan_from, the block cut at the horizon), and each one's
+        bandwidth.  A scan that goes on past that block continues alone in
+        blocks of 128, 256, ... coordinates (the last one cut at the horizon)
+        until one holds an index inside the envelope: element by element,
+        this is empirical_bandwidth on the whole of x.  No block is drawn when
+        no index below the horizon triggers."""
         lo = self.scan_from
         if lo is None:
             return None, [Bandwidth(self.j_max, True)] * len(reps)
         n = min(_FIRST_BLOCK, self.j_max - lo)
-        x = self._operator(reps, lo, n)
-        hits = np.abs(x) <= self.envelope[lo:lo + n]
+        block = self._operator(reps, lo, n)
+        hits = np.abs(block) <= self.envelope[lo:lo + n]
         first = np.where(hits.any(axis=1), hits.argmax(axis=1) + lo, -1).tolist()
-        end = Bandwidth(self.j_max, True) if lo + n == self.j_max else None
-        return x, [end if k < 0 else Bandwidth(k, False) for k in first]
-
-    def deepen(self, rep: int, n: int) -> tuple[Bandwidth, bool]:
-        """Bandwidth of a replication whose scan has not stopped before index
-        n, and whether every x drawn to find it is finite: blocks of 128,
-        256, ... coordinates from n (the last one cut at the horizon) until
-        one holds an index inside the envelope.  Element by element, this is
-        empirical_bandwidth on the whole of x."""
-        size, finite = 2 * _FIRST_BLOCK, True
-        while n < self.j_max:
-            k = min(size, self.j_max - n)
-            block = self._operator([rep], n, k)[0]
-            finite = finite and bool(np.isfinite(block).all())
-            hits = np.flatnonzero(np.abs(block) <= self.envelope[n:n + k])
-            if hits.size:
-                return Bandwidth(n + int(hits[0]), False), finite
-            n += k
-            size *= 2
-        return Bandwidth(self.j_max, True), finite
-
-    # -- one row group ----------------------------------------------------------
+        bands = []
+        for rep, k in zip(reps, first):
+            at, size = lo + n, 2 * _FIRST_BLOCK
+            while k < 0 and at < self.j_max:
+                width = min(size, self.j_max - at)
+                inside = np.flatnonzero(np.abs(self._operator([rep], at, width)[0])
+                                        <= self.envelope[at:at + width])
+                k = at + int(inside[0]) if inside.size else -1
+                at, size = at + width, 2 * size
+            bands.append(Bandwidth(self.j_max, True) if k < 0 else Bandwidth(k, False))
+        return block, bands
 
     def group(self, reps: range):
         """(report, x_win, y_win, eps_xi_win) of each replication in reps, in
         order, until the first one whose reference path raises: its error is
         raised there."""
-        block, bands = self.scan(reps)
+        block, bands = self.bandwidths(reps)
         head = block if self.scan_from == 0 else self._operator(reps, 0, self.prefix)
-        finite = np.isfinite(head).all(axis=1)
-        if block is not None and block is not head:
-            finite &= np.isfinite(block).all(axis=1)
-        done = [i for i, band in enumerate(bands) if band is not None]
-        decided = self.decide([reps[i] for i in done], head[done], [bands[i] for i in done])
-        for i, rep in enumerate(reps):
-            if not finite[i]:
-                raise ValueError("x must be finite")
-            if bands[i] is not None:
-                yield next(decided)
-                continue
-            band, deep_finite = self.deepen(rep, self.scan_from + _FIRST_BLOCK)
-            if not deep_finite:
-                raise ValueError("x must be finite")
-            yield from self.decide([rep], head[i:i + 1], [band])
+        yield from self.decide(reps, head, bands)
 
     # -- decisions --------------------------------------------------------------
 
@@ -389,11 +365,9 @@ class _Kernel:
         Most are decided together from head.  One with a zero bandwidth gets
         the degenerate report and empty windows.  One whose window depends on
         x past head draws what its decision reads, at its turn, and is
-        decided alone.  One whose y is not finite (chance 2**-53) is rerun
-        alone by simulate + run_test.  No x that a decision reads is exactly
-        zero, which the reference path would refuse: a zero x_j at or past
-        start ends the scan at or before j, and below start |x_j| > 0 is
-        certain.
+        decided alone.  No x that a decision reads is exactly zero, which the
+        reference path would refuse: a zero x_j at or past start ends the
+        scan at or before j, and below start |x_j| > 0 is certain.
         """
         m = np.array([band.value for band in bands], dtype=np.int64)
         window = self._windows(head, m)
@@ -411,9 +385,6 @@ class _Kernel:
             if r is None:
                 yield from self._alone(rep, bands[i])
                 continue
-            if not batch.y_finite[r]:
-                yield _simulated(self.plan, self.theta, rep)
-                continue
             w = batch.window[r]
             value = _statistic_sum(batch.terms[r, :w])
             cutoff = _parts_from_sums(math.fsum(batch.inv2[r, :w].tolist()),
@@ -429,10 +400,7 @@ class _Kernel:
         bandwidth, or a fixed dimension below it) drawn here."""
         dimension = self.plan.config.dimension
         n = band.value if dimension is None else min(dimension, band.value)
-        x = self._operator([rep], 0, n)
-        if not np.isfinite(x).all():
-            raise ValueError("x must be finite")
-        return self.decide([rep], x, [band])
+        return self.decide([rep], self._operator([rep], 0, n), [band])
 
     def _windows(self, head: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Each row's window min(d, m) (0 where m is 0), or -1 where it
@@ -486,8 +454,7 @@ class _Kernel:
         with np.errstate(all="ignore"):  # entries past a row's window may overflow
             y, eps_xi = self._signal_windows(reps, window.tolist())
             return _Batch(window.tolist(), x, y, eps_xi, (y / xs - self.theta0[:n]) ** 2,
-                          xs ** -2.0, xs ** -4.0, a_inv_sq(self.plan.spec, window).tolist(),
-                          np.isfinite(y).all(axis=1))
+                          xs ** -2.0, xs ** -4.0, a_inv_sq(self.plan.spec, window).tolist())
 
     def _signal_windows(self, reps: list, widths: list) -> tuple[np.ndarray, np.ndarray]:
         """y and epsilon*xi over each replication's window, one row each."""
@@ -738,13 +705,9 @@ def _containment_failures(plan: ExperimentPlan, low: int, high: int,
     kernel = _Kernel(plan, Signal.zeros(0))
     n_fail = 0
     for reps in _row_groups(lo, hi, _GROUP_ROWS):
-        _, bands = kernel.scan(reps)
-        for rep, band in zip(reps, bands):
-            if band is None:
-                band, _ = kernel.deepen(rep, kernel.scan_from + _FIRST_BLOCK)
-            inside = band.value >= low and (band.value < high
-                                            or (high_truncated and band.truncated))
-            n_fail += not inside
+        for band in kernel.bandwidths(reps)[1]:
+            n_fail += not (band.value >= low and (band.value < high
+                                                  or (high_truncated and band.truncated)))
     return (n_fail,)
 
 

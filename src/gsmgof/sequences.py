@@ -84,14 +84,14 @@ class RegimeSpec:
     def from_name(cls, name: str, s: float = 1.0, t: float = 1.0,
                   c_b: float = 1.0, c_a: float = 1.0) -> "RegimeSpec":
         """Build a spec from a ``"<decay>-<growth>"`` name like ``"mild-ordinary"``."""
-        parts = name.split("-")
         try:
-            decay, growth = parts
-            return cls(DecayKind(decay), GrowthKind(growth), t=t, s=s, c_b=c_b, c_a=c_a)
+            decay, growth = name.split("-")
+            kinds = DecayKind(decay), GrowthKind(growth)
         except ValueError:
             raise ValueError(
                 f"unknown regime name {name!r}; expected e.g. 'mild-ordinary' or 'severe-super'"
             ) from None
+        return cls(*kinds, t=t, s=s, c_b=c_b, c_a=c_a)
 
     @property
     def name(self) -> str:

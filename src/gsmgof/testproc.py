@@ -57,6 +57,22 @@ def _check_kappa(kappa: float) -> None:
         raise ValueError(f"kappa must be finite and exceed e, got {kappa!r}")
 
 
+def _check_sigma(sigma: float) -> None:
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+
+
+def _integer(name: str, value) -> int:
+    """int(value); a value that int() would truncate (or cannot read) is refused."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return number
+
+
 def tail_exponent(alpha: float) -> float:
     """The x solving exp(-x) = alpha/2: tail budget for a two-sided split of alpha."""
     _check_level(alpha)
@@ -157,8 +173,7 @@ def empirical_bandwidth(x, sigma: float, alpha: float, kappa: float = KAPPA_DEFA
     If no index triggers within the horizon the scan is truncated: the true
     bandwidth exceeds the horizon, which usually means j_max is undersized.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     x = np.asarray(x, dtype=float)
     n = x.size if j_max is None else min(int(j_max), x.size)
     if n < 1:
@@ -175,8 +190,7 @@ def bandwidth_bracket(spec: RegimeSpec, sigma: float, alpha: float,
     """Deterministic bracket [low, high) that contains the empirical bandwidth
     with high probability: low from the wide envelope (first trigger minus
     one), high from the narrow one (first trigger itself)."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     j_max = int(j_max)
     b = b_vector(spec, j_max)
     low_table, high_table = _bracket_tables(alpha, kappa, j_max)
@@ -368,13 +382,13 @@ class TestConfig:
         _check_level(self.alpha)
         _check_level(self.beta)
         _check_kappa(self.kappa)
-        if int(self.j_max) < 1:
+        object.__setattr__(self, "j_max", _integer("j_max", self.j_max))
+        if self.j_max < 1:
             raise ValueError("j_max must be >= 1")
-        object.__setattr__(self, "j_max", int(self.j_max))
         if self.dimension is not None:
-            if int(self.dimension) < 1:
+            object.__setattr__(self, "dimension", _integer("dimension", self.dimension))
+            if self.dimension < 1:
                 raise ValueError("dimension must be >= 1 when fixed")
-            object.__setattr__(self, "dimension", int(self.dimension))
         elif self.alpha > self.beta:
             raise ValueError("adaptive dimension selection requires alpha <= beta")
 

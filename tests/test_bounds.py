@@ -117,9 +117,10 @@ class TestPriorDepth:
         # level = 0.5 * 0.891... exceeds b_1 = e^-1
         assert prior_depth(severe_ordinary, 0.5, 0.05, 0.05, j_max=200) == 0
 
-    def test_sigma_validation(self, mild_ordinary):
-        with pytest.raises(ValueError):
-            prior_depth(mild_ordinary, 0.0, 0.05, 0.05, j_max=100)
+    @pytest.mark.parametrize("sigma", [0.0, math.nan, math.inf])
+    def test_sigma_validation(self, mild_ordinary, sigma):
+        with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {sigma}"):
+            prior_depth(mild_ordinary, sigma, 0.05, 0.05, j_max=100)
 
     def test_horizon_validation(self, mild_ordinary):
         with pytest.raises(ValueError):

@@ -69,6 +69,15 @@ class TestTestCommand:
         assert main(["test", "--regime", "gentle-ordinary"]) == 2
         assert "regime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds", "--t", "0"], "t must be a positive finite number, got 0.0"),
+        (["test", "--s", "nan"], "s must be a positive finite number, got nan"),
+    ], ids=["bounds-t", "test-s"])
+    def test_bad_regime_parameter_exits_2_naming_it(self, capsys, argv, message):
+        assert main(argv + ["--jmax", "50"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "unknown regime" not in err
+
     def test_empty_epsilon_grid_exits_2(self, capsys):
         assert main(["test", "--epsilon", ""]) == 2
         assert "epsilon" in capsys.readouterr().err
@@ -98,6 +107,25 @@ class TestPrecedence:
         monkeypatch.setenv("GSM_GOF_SEED", "7.5")
         assert main(["rates"]) == 2
         assert "GSM_GOF_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exits_2(self, capsys, workers):
+        """A pool of no process is refused, not run serially."""
+        assert main(["calibrate", "--jmax", "50", "--reps", "100", "--workers", workers]) == 2
+        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+
+    def test_seed_past_the_philox_key_exits_2(self, monkeypatch, capsys):
+        assert main(["test", "--jmax", "50", "--seed", str(2 ** 128)]) == 2
+        assert f"seed must lie in [0, 2**128), got {2 ** 128}" in capsys.readouterr().err
+        monkeypatch.setenv("GSM_GOF_SEED", str(2 ** 128 + 5))
+        assert main(["test", "--jmax", "50"]) == 2
+        assert f"seed must lie in [0, 2**128), got {2 ** 128 + 5}" in capsys.readouterr().err
+
+    def test_largest_seed_runs(self, tmp_path):
+        out = tmp_path / "seed.json"
+        assert main(["test", "--jmax", "50", "--seed", str(2 ** 128 - 1), "--format", "json",
+                     "--out", str(out)]) == 0
+        assert read_json(out)["meta"]["seed"] == 2 ** 128 - 1
 
     def test_flag_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GSM_GOF_SEED", "777")

@@ -190,9 +190,28 @@ class TestGaussianDraws:
             assert np.isfinite(row).all()
 
     def test_draw_bound_covers_every_finite_draw(self):
-        # the transform maps raw words into [2**-54, 1]; below 1 the largest is 1 - 2**-53
+        # the transform maps raw words into [2**-54, 1 - 2**-53]
         assert -ndtri(2.0 ** -54) < DRAW_BOUND
         assert ndtri(np.nextafter(1.0, 0.0)) < DRAW_BOUND
+
+    def test_only_the_all_ones_words_change_and_they_draw_a_finite_value(self):
+        """The 2**11 words whose top 53 bits are all ones draw ndtri(1 -
+        2**-53), finite and under DRAW_BOUND, where the unclamped transform
+        draws +inf; every other word draws what it did before the clamp."""
+        def unclamped(words):
+            return ndtri((words >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54)
+
+        top = (np.uint64(2 ** 53 - 1) << np.uint64(11)) | np.arange(2 ** 11, dtype=np.uint64)
+        with np.errstate(divide="ignore"):
+            assert np.isposinf(unclamped(top)).all()
+        largest = ndtri(np.nextafter(1.0, 0.0))
+        assert math.isfinite(largest) and largest < DRAW_BOUND
+        assert (_gaussian(top) == largest).all()
+        edges = np.array([0, 2 ** 63, (2 ** 53 - 2) << 11], dtype=np.uint64)
+        words = np.random.default_rng(2011).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64,
+                                                     endpoint=False)
+        for sample in (edges, words):
+            assert _gaussian(sample).tobytes() == unclamped(sample).tobytes()
 
 
 class TestSimulateNoiseFree:

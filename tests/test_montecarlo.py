@@ -97,6 +97,23 @@ class TestPlanAndEstimate:
         with pytest.raises(ValueError):
             make_plan(seed=-1)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_reps", 100.9, "n_reps must be an integer, got 100.9"),
+        ("seed", 3.9, "master_seed must be an integer, got 3.9"),
+        ("seed", math.inf, "master_seed must be an integer, got inf"),
+        ("seed", 2 ** 128, f"master_seed must lie in [0, 2**128), got {2 ** 128}"),
+    ], ids=["n_reps", "seed", "infinite-seed", "seed-past-the-key"])
+    def test_plan_refuses_what_int_would_truncate_and_a_seed_past_the_key(self, field, value,
+                                                                          message):
+        with pytest.raises(ValueError) as info:
+            make_plan(**{field: value})
+        assert str(info.value) == message
+
+    def test_plan_takes_integral_floats_and_the_largest_key(self):
+        plan = make_plan(n_reps=1e2, seed=2 ** 128 - 1)
+        assert (plan.n_reps, plan.master_seed) == (100, 2 ** 128 - 1)
+        assert type(plan.n_reps) is int
+
     def test_from_counts(self):
         est = ErrorEstimate.from_counts(25, 100)
         assert est.p_hat == 0.25
@@ -372,26 +389,29 @@ class TestBatch:
         decided = montecarlo._Kernel(plan, plan.theta0).decide([0], x[None], [band])
         assert _outcome(lambda: next(decided)[0]) == expected
 
-    @pytest.mark.parametrize("stream, error", [(SIGNAL_STREAM, "ValueError: y must be finite"),
-                                               (OPERATOR_STREAM, "ValueError: x must be finite")])
-    def test_an_infinite_draw_raises_where_the_serial_loop_does(self, monkeypatch, stream,
-                                                                 error):
-        """A raw word of all ones draws +inf (chance 2**-53 a draw).  Planted
-        as the first draw of one stream of replication 20, it stops the kernel
-        where it stops simulate + run_test, with the same error."""
+    @pytest.mark.parametrize("stream", [SIGNAL_STREAM, OPERATOR_STREAM],
+                             ids=["signal", "operator"])
+    def test_the_all_ones_word_draws_what_the_serial_loop_draws(self, monkeypatch, stream):
+        """A raw word of all ones (chance 2**-53 a draw) draws the largest
+        draw, ndtri(1 - 2**-53).  Planted as the first draw of one stream of
+        replication 20, it gives the kernel the outcomes of simulate +
+        run_test over every replication, with no error."""
         real = gsm.RekeyedDraws._words
+        planted = []
 
         def words(self, rep, tag, start, n):
             out = real(self, rep, tag, start, n)
             if (rep, tag, start) == (20, stream, 0) and n:
                 out[0] = 2 ** 64 - 1
+                planted.append(n)
             return out
 
         monkeypatch.setattr(gsm.RekeyedDraws, "_words", words)
         plan = make_plan()
         outcomes = batch_outcomes(plan, plan.theta0, 0, 64)
+        assert planted
         assert outcomes == serial_outcomes(plan, plan.theta0, 0, 64)
-        assert (len(outcomes), outcomes[-1]) == (21, error)
+        assert len(outcomes) == 64 and all(outcome.startswith("(") for outcome in outcomes)
 
     @settings(max_examples=60, deadline=None)
     @given(regime=st.sampled_from(REGIMES), s=st.floats(0.25, 3.0), t=st.floats(0.25, 3.0),
@@ -440,15 +460,17 @@ class TestBatch:
         (1.0, 1e-2, 1e-4, 1000, 131),  # start 131: the scan's batched block
         (0.25, 0.1, 2.8e-3, 470, 460),  # start 390: every scan runs on past 454
         (0.25, 1e-2, 2.8e-3, 470, 100),  # the window needs x up to the bandwidth
-    ], ids=["batched-block", "deeper-block", "below-start"])
-    def test_an_infinite_draw_past_the_first_block_raises_at_its_replication(
+        (1.0, 1e-2, 1e-4, 1000, 50),  # below start, a coordinate the kernel never draws
+    ], ids=["batched-block", "deeper-block", "below-start", "skipped-coordinate"])
+    def test_the_all_ones_word_past_the_first_block_matches_the_serial_loop(
             self, monkeypatch, t, epsilon, sigma, j_max, k):
-        """The scan starts at `start`, past the first 64 coordinates.  +inf
-        planted at coordinate k of replication 20 stops the kernel there with
-        the error of simulate + run_test, whichever draw reads k: the scan's
-        batched block, a block drawn after it (the window being certain from
-        the first 16 coordinates), or x up to the bandwidth, drawn below
-        start where the window is not certain."""
+        """The scan starts at `start`, past the first 64 coordinates.  The
+        all-ones word planted at coordinate k of replication 20 leaves every
+        outcome that of simulate + run_test, whichever draw reads k: the
+        scan's batched block, a block drawn after it (the window being
+        certain from the first 16 coordinates), x up to the bandwidth, drawn
+        below start where the window is not certain, or none (k between the
+        objective's prefix and start, which only simulate draws)."""
         plan = make_plan(spec=RegimeSpec.from_name("mild-ordinary", t=t), epsilon=epsilon,
                          sigma=sigma, j_max=j_max)
         start = montecarlo._Kernel(plan, plan.theta0).start
@@ -464,7 +486,7 @@ class TestBatch:
         monkeypatch.setattr(gsm.RekeyedDraws, "_words", words)
         outcomes = batch_outcomes(plan, plan.theta0, 0, 64)
         assert outcomes == serial_outcomes(plan, plan.theta0, 0, 64)
-        assert (len(outcomes), outcomes[-1]) == (21, "ValueError: x must be finite")
+        assert len(outcomes) == 64 and all(outcome.startswith("(") for outcome in outcomes)
 
     def test_working_set_stays_small_when_every_scan_runs_to_the_horizon(self):
         """No index below the horizon can trigger, so each row group draws
@@ -538,19 +560,18 @@ class TestCertificates:
         assert batch_outcomes(plan, plan.theta0, 3, 43) == \
             serial_outcomes(plan, plan.theta0, 3, 43)
 
-    @pytest.mark.parametrize("sigma", [1e-4, 1e-6])
+    @pytest.mark.parametrize("sigma", [1e-4, 1.6e-5, 1e-6])
     def test_containment_scan_matches_a_brute_force_scan(self, sigma):
         """The containment check scans as the kernel does, from start (1e-4:
-        the batched block starts at 131; 1e-6: nothing is drawn)."""
+        the batched block starts at 131; 1.6e-5: it starts at 755, and 7 of
+        the 200 scans end at 819, the first index past it; 1e-6: nothing is
+        drawn)."""
         plan = make_plan(sigma=sigma, j_max=10_000, n_reps=200)
         alpha, kappa = plan.config.alpha, plan.config.kappa
         brute = [empirical_bandwidth(simulate(plan.theta0, plan.spec, plan.noise,
                                               plan.master_seed, 10_000, rep=rep).x,
                                      sigma, alpha, kappa) for rep in range(200)]
-        kernel = montecarlo._Kernel(plan, plan.theta0)
-        _, bands = kernel.scan(range(200))
-        assert [band if band is not None else kernel.deepen(rep, kernel.scan_from + 64)[0]
-                for rep, band in enumerate(bands)] == brute
+        assert montecarlo._Kernel(plan, plan.theta0).bandwidths(range(200))[1] == brute
         bracket = bandwidth_bracket(plan.spec, sigma, alpha, kappa, 10_000)
         n_fail = sum(not (band.value >= bracket.low and (
             band.value < bracket.high or (bracket.high_truncated and band.truncated)))

@@ -32,10 +32,17 @@ class TestRegimeSpec:
             assert spec.t == 0.5
 
     def test_from_name_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            RegimeSpec.from_name("gentle-ordinary")
-        with pytest.raises(ValueError):
-            RegimeSpec.from_name("mild")
+        for name in ("gentle-ordinary", "mild"):
+            with pytest.raises(ValueError, match=f"unknown regime name '{name}'"):
+                RegimeSpec.from_name(name)
+
+    @pytest.mark.parametrize("field, bad", [("s", float("nan")), ("t", 0.0),
+                                            ("c_b", float("inf")), ("c_a", -1.0)])
+    def test_from_name_names_a_bad_parameter(self, field, bad):
+        """A known name with a bad parameter is refused for the parameter."""
+        with pytest.raises(ValueError) as info:
+            RegimeSpec.from_name("mild-ordinary", **{field: bad})
+        assert str(info.value) == f"{field} must be a positive finite number, got {bad!r}"
 
     @pytest.mark.parametrize("field", ["s", "t", "c_b", "c_a"])
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])

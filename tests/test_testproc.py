@@ -140,6 +140,11 @@ class TestEmpiricalBandwidth:
         with pytest.raises(ValueError):
             empirical_bandwidth(np.ones(0), sigma=0.1, alpha=0.05)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_refused(self, sigma):
+        with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {sigma}"):
+            empirical_bandwidth(np.ones(3), sigma, alpha=0.05)
+
 
 class TestBandwidthBracket:
     def test_pinned_bracket(self, mild_ordinary):
@@ -167,6 +172,11 @@ class TestBandwidthBracket:
         # sigma * wide envelope exceeds b_1 already at the first index
         bracket = bandwidth_bracket(mild_ordinary, sigma=0.5, alpha=0.05)
         assert bracket.low == 0
+
+    @pytest.mark.parametrize("sigma", [0.0, math.nan, math.inf])
+    def test_sigma_validation(self, mild_ordinary, sigma):
+        with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {sigma}"):
+            bandwidth_bracket(mild_ordinary, sigma, 0.05, j_max=100)
 
     def test_tiny_sigma_truncates(self, mild_ordinary):
         bracket = bandwidth_bracket(mild_ordinary, sigma=1e-12, alpha=0.05, j_max=1000)
@@ -391,6 +401,19 @@ class TestTestConfig:
     def test_j_max_validation(self):
         with pytest.raises(ValueError):
             TestConfig(alpha=0.05, beta=0.5, j_max=0)
+
+    @pytest.mark.parametrize("field, value", [("j_max", 150.9), ("dimension", 2.7),
+                                              ("j_max", math.nan), ("dimension", math.inf)])
+    def test_refuses_what_int_would_truncate(self, field, value):
+        settings = {"alpha": 0.05, "beta": 0.5, "j_max": 150, field: value}
+        with pytest.raises(ValueError) as info:
+            TestConfig(**settings)
+        assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_integral_floats_are_integers(self):
+        config = TestConfig(alpha=0.05, beta=0.5, j_max=1e4, dimension=3.0)
+        assert (config.j_max, config.dimension) == (10_000, 3)
+        assert type(config.j_max) is int and type(config.dimension) is int
 
 
 class TestRunTest:
