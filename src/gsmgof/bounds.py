@@ -30,8 +30,8 @@ from .sequences import (
     b_vector,
     cumulative_b_inv4_prefix,
 )
-from .testproc import (KAPPA_DEFAULT, BandwidthBracket, _check_sigma, _objective,
-                       bandwidth_bracket)
+from .testproc import (KAPPA_DEFAULT, BandwidthBracket, _check_sigma, _check_unit,
+                       _objective, bandwidth_bracket)
 
 __all__ = [
     "BoundReport",
@@ -87,8 +87,7 @@ def _upper_bound(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float, b
         raise ValueError(f"epsilon must be finite, got {epsilon!r}")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
+    _check_unit("sigma", sigma)
     if alpha > beta:
         raise InvalidLevelsError("the power guarantee needs alpha <= beta")
     bracket = bandwidth_bracket(spec, sigma, alpha, kappa, j_max)
@@ -273,10 +272,8 @@ def rate_formula(spec: RegimeSpec, epsilon: float, sigma: float, which: str) -> 
     """
     if which not in WHICH:
         raise ValueError(f"which must be one of {WHICH}, got {which!r}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
+    _check_unit("epsilon", epsilon)
+    _check_unit("sigma", sigma)
     s, t = spec.s, spec.t
     log_eps = math.log(1.0 / epsilon)
     log_sigma = math.log(1.0 / sigma)

@@ -35,17 +35,16 @@ from .gsm import (
 )
 from .montecarlo import (
     ExperimentPlan,
+    _containment_job,
     _error_job,
+    _quadform_job,
     _radius_bracket,
     _run_jobs,
-    _worker_pool,
     bandwidth_escape_bound,
-    check_bandwidth_containment,
-    check_quadform_concentration,
     empirical_separation_radius,
 )
 from .sequences import DecayKind, GrowthKind, RegimeSpec
-from .testproc import KAPPA_DEFAULT, TestConfig, run_test
+from .testproc import KAPPA_DEFAULT, TestConfig, _check_unit, run_test
 
 __all__ = ["main"]
 
@@ -243,8 +242,7 @@ def _cells(cfg: dict) -> Iterator[_Cell]:
 def _noise(cell: _Cell) -> NoiseLevels:
     """Noise levels as the test procedure needs them: sigma strictly inside
     (0, 1) so the bandwidth scan and threshold are defined."""
-    if not 0.0 < cell.sigma < 1.0:
-        raise ValueError(f"sigma must lie in (0, 1), got {cell.sigma}")
+    _check_unit("sigma", cell.sigma)
     if cell.epsilon < 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {cell.epsilon}")
     return NoiseLevels(cell.epsilon, cell.sigma)
@@ -448,21 +446,17 @@ def _check_row(check: str, estimate, bound: float, **columns) -> dict:
 def _cmd_checks(cfg: dict) -> int:
     [cell] = _cells(cfg)
     plan = _plan(cfg, cell)
-    reps = cfg["reps"]
-    workers = cfg["workers"]
-    run = {"seed": cfg["seed"], "reps": reps}
+    run = {"seed": cfg["seed"], "reps": cfg["reps"]}
+    jobs = [_containment_job(plan),
+            *(_quadform_job(**case, n_reps=cfg["reps"], master_seed=cfg["seed"])
+              for case in _QUADFORM_CASES)]
+    escape, *quadform = _run_jobs(jobs, cfg["workers"])
 
-    escape = check_bandwidth_containment(plan, workers=workers)
     columns = {k: v for k, v in _prefix(cfg, cell).items() if k in _CHECK_COLUMNS}
     rows = [_check_row("bandwidth-containment", escape,
                        bandwidth_escape_bound(plan.config.alpha, plan.config.kappa),
                        **columns, **run)]
-
-    for case in _QUADFORM_CASES:
-        tails = check_quadform_concentration(case["d"], case["nu"], case["v"],
-                                             case["x"], reps,
-                                             master_seed=cfg["seed"],
-                                             workers=workers)
+    for case, tails in zip(_QUADFORM_CASES, quadform):
         for side, estimate in (("quadform-upper", tails.upper),
                                ("quadform-lower", tails.lower)):
             rows.append(_check_row(side, estimate, math.exp(-case["x"]), **case, **run))
@@ -498,9 +492,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _resolve(args)
-        with _worker_pool():  # one pool for the command, shut down before main returns
-            return _COMMANDS[args.command].run(cfg)
+        return _COMMANDS[args.command].run(_resolve(args))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -9,9 +9,8 @@ summed, which is exact regardless of the split.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import threading
+import os
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
@@ -36,6 +35,7 @@ from .testproc import (
     Bandwidth,
     TestConfig,
     TestReport,
+    _check_unit,
     _degenerate,
     _integer,
     _objective,
@@ -125,38 +125,6 @@ def _chunk_ranges(n_reps: int, workers: int) -> list[tuple[int, int]]:
     return ranges
 
 
-class _Scope(threading.local):
-    """This thread's open _worker_pool scopes and the pool they share."""
-
-    depth = 0
-    executor: ProcessPoolExecutor | None = None
-
-
-_SCOPE = _Scope()
-
-
-@contextlib.contextmanager
-def _worker_pool():
-    """A re-entrant scope in which every parallel chunk runs on one process
-    pool.  The pool starts on the first parallel submit (_executor) and is
-    shut down, its queued chunks cancelled, when the outermost scope exits."""
-    _SCOPE.depth += 1
-    try:
-        yield
-    finally:
-        _SCOPE.depth -= 1
-        if _SCOPE.depth == 0 and _SCOPE.executor is not None:
-            executor, _SCOPE.executor = _SCOPE.executor, None
-            executor.shutdown(cancel_futures=True)
-
-
-def _executor(size: int) -> ProcessPoolExecutor:
-    """The open scope's pool, started with `size` processes if it has none."""
-    if _SCOPE.executor is None:
-        _SCOPE.executor = ProcessPoolExecutor(max_workers=size)
-    return _SCOPE.executor
-
-
 def _done(fn: Callable, *args) -> Future:
     """fn(*args) run in this process, as a completed future."""
     future: Future = Future()
@@ -183,26 +151,33 @@ def _run_jobs(jobs: Iterable[_Job], workers: int) -> list:
     """Each job's result, in job order.
 
     At workers <= 1 each job runs whole in this process as the iterable
-    yields it.  Otherwise every chunk of every job goes to the scope's pool
-    (one process per chunk range of the first job) before any result is read.
-    Either way the error raised is the first one running the jobs one after
-    another meets: a chunk's, in job and chunk order, or that of building a
+    yields it.  Otherwise every chunk of every job goes to one process pool
+    before any result is read.  The pool starts on the first job, with one
+    process per chunk range of that job but at most one per CPU, and is shut
+    down, its queued chunks cancelled, before this returns.  Either way the
+    error raised is the first one running the jobs one after another meets:
+    a chunk's or a finish's, in job and chunk order, or that of building a
     job, after the errors of the jobs before it.
     """
-    with _worker_pool():
-        submitted, error = [], None
+    submitted, error, pool = [], None, None
+    try:
         try:
             for job in jobs:
                 if workers <= 1:
                     futures = [_done(job.fn, *job.args, 0, job.n_reps)]
                 else:
                     ranges = _chunk_ranges(job.n_reps, workers)
-                    pool = _executor(len(ranges))
+                    if pool is None:
+                        pool = ProcessPoolExecutor(max_workers=min(len(ranges),
+                                                                   os.cpu_count() or 1))
                     futures = [pool.submit(job.fn, *job.args, lo, hi) for lo, hi in ranges]
                 submitted.append((job.finish, futures))
         except Exception as exc:  # the jobs already submitted may fail first
             error = exc
         results = [finish([f.result() for f in futures]) for finish, futures in submitted]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     if error is not None:
         raise error
     return results
@@ -575,32 +550,9 @@ def _accept_counts_from_cache(cache: Sequence[_RadiusRep], plan: ExperimentPlan,
     return n_accept, sum(entry.y_win.size == 0 for entry in cache)
 
 
-def empirical_separation_radius(plan: ExperimentPlan, beta_target: float,
-                                r_lo: float, r_hi: float, tol: float = 0.05,
-                                workers: int = 1) -> float:
-    """Smallest spike radius whose estimated second-kind error hits the target.
-
-    Bisects on the radius of a single-coordinate spike placed at the deepest
-    coordinate the smoothness class allows for that radius.  All radii are
-    evaluated on common random numbers (one simulation pass per replication,
-    cached), so the comparison across radii is noise-free.  Stops when the
-    bracket width drops below tol times its midpoint and returns the midpoint.
-
-    Raises BracketingError if [r_lo, r_hi] does not straddle the target:
-    the second-kind error estimate must exceed beta_target at r_lo and fall
-    below it at r_hi.  The degenerate call with r_lo == r_hi is accepted when
-    that single radius already sits within three standard errors of the
-    target, and refused otherwise.
-    """
-    if not 0.0 < beta_target < 1.0:
-        raise ValueError(f"beta_target must lie in (0, 1), got {beta_target!r}")
-    if not (math.isfinite(r_lo) and math.isfinite(r_hi) and 0.0 < r_lo <= r_hi):
-        raise ValueError(f"need finite radii with 0 < r_lo <= r_hi, got {r_lo!r}, {r_hi!r}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    [cache] = _run_jobs([_Job(_build_radius_cache, (plan,), plan.n_reps,
-                              lambda parts: [entry for part in parts for entry in part])],
-                        workers)
+def _bisect(cache: Sequence[_RadiusRep], plan: ExperimentPlan, beta_target: float,
+            r_lo: float, r_hi: float, tol: float) -> float:
+    """empirical_separation_radius's search, on the radius cache of plan."""
     n = plan.n_reps
 
     def beta_at(r: float) -> float:
@@ -646,6 +598,43 @@ def empirical_separation_radius(plan: ExperimentPlan, beta_target: float,
     return 0.5 * (lo + hi)
 
 
+def _radius_job(plan: ExperimentPlan, beta_target: float, r_lo: float, r_hi: float,
+                tol: float) -> _Job:
+    """empirical_separation_radius(plan, ...) as a job: its chunks build the
+    radius cache, and its finish bisects on it."""
+    _check_unit("beta_target", beta_target)
+    if not (math.isfinite(r_lo) and math.isfinite(r_hi) and 0.0 < r_lo <= r_hi):
+        raise ValueError(f"need finite radii with 0 < r_lo <= r_hi, got {r_lo!r}, {r_hi!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+    def finish(parts: list) -> float:
+        cache = [entry for part in parts for entry in part]
+        return _bisect(cache, plan, beta_target, r_lo, r_hi, tol)
+
+    return _Job(_build_radius_cache, (plan,), plan.n_reps, finish)
+
+
+def empirical_separation_radius(plan: ExperimentPlan, beta_target: float,
+                                r_lo: float, r_hi: float, tol: float = 0.05,
+                                workers: int = 1) -> float:
+    """Smallest spike radius whose estimated second-kind error hits the target.
+
+    Bisects on the radius of a single-coordinate spike placed at the deepest
+    coordinate the smoothness class allows for that radius.  All radii are
+    evaluated on common random numbers (one simulation pass per replication,
+    cached), so the comparison across radii is noise-free.  Stops when the
+    bracket width drops below tol times its midpoint and returns the midpoint.
+
+    Raises BracketingError if [r_lo, r_hi] does not straddle the target:
+    the second-kind error estimate must exceed beta_target at r_lo and fall
+    below it at r_hi.  The degenerate call with r_lo == r_hi is accepted when
+    that single radius already sits within three standard errors of the
+    target, and refused otherwise.
+    """
+    return _run_jobs([_radius_job(plan, beta_target, r_lo, r_hi, tol)], workers)[0]
+
+
 def _radius_bracket(spec: RegimeSpec, r_lo, r_hi) -> tuple[float, float]:
     """(r_lo, r_hi) as floats, a missing one set as fit_rate_slope documents."""
     r_hi = 1.0 / float(a_value(spec, 1)) if r_hi is None else float(r_hi)
@@ -668,10 +657,12 @@ def fit_rate_slope(plan_template: ExperimentPlan, epsilon_grid: Sequence[float],
                    workers: int = 1) -> RateFit:
     """Empirical rate exponent: fit log r_hat^2 ~ slope * log eps + intercept.
 
-    One separation radius is estimated per grid point by
+    One separation radius is estimated per grid point as by
     empirical_separation_radius, holding everything in plan_template fixed
-    except the signal noise level.  Default bracket: r_hi at the class
-    ceiling for a first-coordinate spike, r_lo a factor 2^-14 below it.
+    except the signal noise level; every point's replications are in flight
+    at once, and the error raised is the first one of a loop over the grid.
+    Default bracket: r_hi at the class ceiling for a first-coordinate spike,
+    r_lo a factor 2^-14 below it.
     """
     eps_values = [float(e) for e in epsilon_grid]
     if len(set(eps_values)) < 2:
@@ -679,12 +670,10 @@ def fit_rate_slope(plan_template: ExperimentPlan, epsilon_grid: Sequence[float],
     if any(not 0.0 < e < 1.0 for e in eps_values):
         raise ValueError("epsilon grid values must lie in (0, 1)")
     r_lo, r_hi = _radius_bracket(plan_template.spec, r_lo, r_hi)
-    radii = []
-    with _worker_pool():
-        for eps in eps_values:
-            plan = replace(plan_template, noise=NoiseLevels(eps, plan_template.noise.sigma))
-            radii.append(empirical_separation_radius(plan, beta_target, r_lo, r_hi,
-                                                     tol, workers))
+    sigma = plan_template.noise.sigma
+    radii = _run_jobs((_radius_job(replace(plan_template, noise=NoiseLevels(eps, sigma)),
+                                   beta_target, r_lo, r_hi, tol) for eps in eps_values),
+                      workers)
     slope, intercept = np.polyfit(np.log(eps_values), np.log(np.square(radii)), 1)
     return RateFit(float(slope), float(intercept), tuple(eps_values), tuple(radii))
 
@@ -701,14 +690,27 @@ def bandwidth_escape_bound(alpha: float, kappa: float) -> float:
 
 
 def _containment_failures(plan: ExperimentPlan, low: int, high: int,
-                          high_truncated: bool, lo: int, hi: int) -> tuple[int, int]:
+                          high_truncated: bool, lo: int, hi: int) -> int:
     kernel = _Kernel(plan, Signal.zeros(0))
     n_fail = 0
     for reps in _row_groups(lo, hi, _GROUP_ROWS):
         for band in kernel.bandwidths(reps)[1]:
             n_fail += not (band.value >= low and (band.value < high
                                                   or (high_truncated and band.truncated)))
-    return (n_fail,)
+    return n_fail
+
+
+def _containment_job(plan: ExperimentPlan) -> _Job:
+    """check_bandwidth_containment(plan) as a job."""
+    _check_unit("sigma", plan.noise.sigma)
+    bracket = bandwidth_bracket(plan.spec, plan.noise.sigma, plan.config.alpha,
+                                plan.config.kappa, plan.config.j_max)
+
+    def finish(parts: list) -> ErrorEstimate:
+        return ErrorEstimate.from_counts(sum(parts), plan.n_reps)
+
+    return _Job(_containment_failures, (plan, bracket.low, bracket.high, bracket.high_truncated),
+                plan.n_reps, finish)
 
 
 def check_bandwidth_containment(plan: ExperimentPlan, workers: int = 1) -> ErrorEstimate:
@@ -716,14 +718,7 @@ def check_bandwidth_containment(plan: ExperimentPlan, workers: int = 1) -> Error
     [low, high).  A truncated scan is counted as contained only when the
     bracket's high end is itself truncated (both sides ran off the horizon).
     """
-    if plan.noise.sigma <= 0.0:
-        raise ValueError("bandwidth containment needs a positive operator noise level")
-    bracket = bandwidth_bracket(plan.spec, plan.noise.sigma, plan.config.alpha,
-                                plan.config.kappa, plan.config.j_max)
-    [(n_fail,)] = _run_jobs([_Job(_containment_failures,
-                                  (plan, bracket.low, bracket.high, bracket.high_truncated),
-                                  plan.n_reps, _sums)], workers)
-    return ErrorEstimate.from_counts(n_fail, plan.n_reps)
+    return _run_jobs([_containment_job(plan)], workers)[0]
 
 
 class QuadformTails(NamedTuple):
@@ -748,15 +743,8 @@ def _quadform_failures(d: int, nu: np.ndarray, v: np.ndarray, mean: float,
     return n_up, n_low
 
 
-def check_quadform_concentration(d: int, nu, v, x: float, n_reps: int,
-                                 master_seed: int = 0, workers: int = 1) -> QuadformTails:
-    """Tail frequencies of sum_j (nu_j + v_j * omega_j)^2 around its mean.
-
-    With variance proxy S = sum v^4 + 2 sum v^2 nu^2, the upper event is a
-    deviation above 2*sqrt(S*x) + 2*x*max(v^2) and the lower event a deviation
-    below -2*sqrt(S*x); each should occur with probability at most exp(-x).
-    Scalars nu, v broadcast to length d.
-    """
+def _quadform_job(d: int, nu, v, x: float, n_reps: int, master_seed: int = 0) -> _Job:
+    """check_quadform_concentration(d, nu, v, x, n_reps, master_seed) as a job."""
     d = int(d)
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -779,10 +767,23 @@ def check_quadform_concentration(d: int, nu, v, x: float, n_reps: int,
     if not all(map(math.isfinite, (mean, proxy, up_cut))):
         raise ValueError("the mean, the variance proxy and the cuts must be finite")
     low_cut = -2.0 * math.sqrt(proxy * x)
-    [(n_up, n_low)] = _run_jobs([_Job(_quadform_failures,
-                                      (d, nu, v, mean, up_cut, low_cut, master_seed),
-                                      n_reps, _sums)], workers)
-    return QuadformTails(
-        upper=ErrorEstimate.from_counts(n_up, n_reps),
-        lower=ErrorEstimate.from_counts(n_low, n_reps),
-    )
+
+    def finish(parts: list) -> QuadformTails:
+        n_up, n_low = _sums(parts)
+        return QuadformTails(upper=ErrorEstimate.from_counts(n_up, n_reps),
+                             lower=ErrorEstimate.from_counts(n_low, n_reps))
+
+    return _Job(_quadform_failures, (d, nu, v, mean, up_cut, low_cut, master_seed),
+                n_reps, finish)
+
+
+def check_quadform_concentration(d: int, nu, v, x: float, n_reps: int,
+                                 master_seed: int = 0, workers: int = 1) -> QuadformTails:
+    """Tail frequencies of sum_j (nu_j + v_j * omega_j)^2 around its mean.
+
+    With variance proxy S = sum v^4 + 2 sum v^2 nu^2, the upper event is a
+    deviation above 2*sqrt(S*x) + 2*x*max(v^2) and the lower event a deviation
+    below -2*sqrt(S*x); each should occur with probability at most exp(-x).
+    Scalars nu, v broadcast to length d.
+    """
+    return _run_jobs([_quadform_job(d, nu, v, x, n_reps, master_seed)], workers)[0]

@@ -47,9 +47,9 @@ __all__ = [
 KAPPA_DEFAULT = 5.0 * (3.0 * math.pi ** 2 + 12.0) / 6.0
 
 
-def _check_level(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {alpha!r}")
+def _check_unit(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
 
 def _check_kappa(kappa: float) -> None:
@@ -75,7 +75,7 @@ def _integer(name: str, value) -> int:
 
 def tail_exponent(alpha: float) -> float:
     """The x solving exp(-x) = alpha/2: tail budget for a two-sided split of alpha."""
-    _check_level(alpha)
+    _check_unit("level", alpha)
     return math.log(2.0 / alpha)
 
 
@@ -97,7 +97,7 @@ def adaptive_constant(alpha: float, beta: float) -> float:
 
 
 def _envelope(j, alpha: float, kappa: float, coefficient: float, shifted: bool):
-    _check_level(alpha)
+    _check_unit("level", alpha)
     _check_kappa(kappa)
     j = np.asarray(j, dtype=float)
     if j.size and np.min(j) < 1:
@@ -265,8 +265,7 @@ def threshold_parts(x, spec: RegimeSpec, d: int, m: int, epsilon: float,
     w = min(int(d), int(m))
     if w <= 0:
         raise DegenerateBandwidthError("empty active window: min(d, m) = 0")
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
+    _check_unit("sigma", sigma)
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     xs = _window(x, w)
@@ -337,8 +336,7 @@ def dimension_objective(x, spec: RegimeSpec, m: int, epsilon: float, sigma: floa
     """
     if m < 1:
         raise DegenerateBandwidthError("bandwidth is zero; no dimension to select")
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"sigma must lie in (0, 1), got {sigma!r}")
+    _check_unit("sigma", sigma)
     m = int(m)
     xs = _window(x, m)
     return _objective(spec, np.cumsum(xs ** -4.0), np.arange(1, m + 1),
@@ -379,8 +377,8 @@ class TestConfig:
     dimension: int | None = None
 
     def __post_init__(self) -> None:
-        _check_level(self.alpha)
-        _check_level(self.beta)
+        _check_unit("level", self.alpha)
+        _check_unit("level", self.beta)
         _check_kappa(self.kappa)
         object.__setattr__(self, "j_max", _integer("j_max", self.j_max))
         if self.j_max < 1:

@@ -69,9 +69,9 @@ def fix_threshold(monkeypatch, cutoff):
 
 
 def fix_radius(monkeypatch, radius_fn):
-    """Replace the separation-radius search by radius_fn(plan, epsilon)."""
-    monkeypatch.setattr(montecarlo, "empirical_separation_radius",
-                        lambda plan, *args: radius_fn(plan, plan.noise.epsilon))
+    """Replace the separation-radius bisection by radius_fn(plan, epsilon)."""
+    monkeypatch.setattr(montecarlo, "_bisect",
+                        lambda cache, plan, *args: radius_fn(plan, plan.noise.epsilon))
 
 
 def make_plan(spec=None, epsilon=1e-2, sigma=1e-2, alpha=0.05, beta=0.5,
@@ -810,6 +810,31 @@ class TestRateFit:
         with pytest.raises(ValueError):
             fit_rate_slope(plan, [0.1, 1.5], 0.5, workers=1)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("grid, error, message", [
+        ([0.9, 1e-2], BracketingError, "second-kind error"),
+        ([1e-2, 0.9], ValueError, "the statistic over the first 4 coefficients is not finite"),
+    ], ids=["bracketing-first", "statistic-first"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_first_error_a_serial_loop_meets_is_raised(self, grid, error, message,
+                                                           workers):
+        """theta0 near the float range at coordinate 4 makes the statistic
+        overflow at eps 1e-2, while eps 0.9 cannot bracket the target: the
+        error raised is the one of the earlier grid point."""
+        template = make_plan(sigma=5e-3, j_max=50, theta0=Signal([0, 0, 0, 1e300]))
+        serial = None
+        for eps in grid:
+            plan = dataclasses.replace(template, noise=NoiseLevels(eps, 5e-3))
+            try:
+                empirical_separation_radius(plan, 0.5, 1e-3, 1.0)
+            except (BracketingError, ValueError) as exc:
+                serial = exc
+                break
+        assert type(serial) is error and str(serial).startswith(message)
+        with pytest.raises(error) as info:
+            fit_rate_slope(template, grid, 0.5, r_lo=1e-3, r_hi=1.0, workers=workers)
+        assert str(info.value) == str(serial)
+
 
 class TestBandwidthContainment:
     def test_escape_bound_formula(self):
@@ -835,9 +860,13 @@ class TestBandwidthContainment:
             check_bandwidth_containment(plan, workers=3)
 
     def test_requires_operator_noise(self):
-        plan = make_plan(sigma=0.0, n_reps=100)
-        with pytest.raises(ValueError):
-            check_bandwidth_containment(plan)
+        """sigma must lie in (0, 1); above 1 the dimension objective's
+        ln(1/sigma)**1.5 would be complex."""
+        for sigma in (0.0, 1.0, 1.5):
+            plan = make_plan(sigma=sigma, n_reps=100)
+            with pytest.raises(ValueError) as info:
+                check_bandwidth_containment(plan)
+            assert str(info.value) == f"sigma must lie in (0, 1), got {sigma!r}"
 
 
 class TestQuadformConcentration:

@@ -1,14 +1,16 @@
-"""One worker pool per command: how many pools start, that none outlives
-`main`, and that putting every cell in flight changes no byte and no error."""
+"""One worker pool per command: how many pools start, how large, that none
+outlives `main`, and that putting every cell in flight changes no byte and no
+error."""
 
 import multiprocessing
+import os
 
 import pytest
 
 from gsmgof import montecarlo
 from gsmgof.cli import main
 from gsmgof.gsm import NoiseLevels, Signal
-from gsmgof.montecarlo import ExperimentPlan, _worker_pool, estimate_alpha, fit_rate_slope
+from gsmgof.montecarlo import ExperimentPlan, estimate_alpha, fit_rate_slope
 from gsmgof.sequences import RegimeSpec
 from gsmgof.testproc import TestConfig
 
@@ -18,6 +20,7 @@ CALIBRATE = ["calibrate", *_SMALL, "--regime", "mild-ordinary,severe-super",
              "--epsilon", "0.01,0.05", "--sigma", "0.001,0.05"]  # 8 cells
 POWER_CURVE = ["power-curve", *_SMALL, "--radii", "0.3,0.6,0.9,1.0"]
 CHECKS = ["checks", *_SMALL, "--sigma", "0.001"]
+SEP_RADIUS = ["sep-radius", *_SMALL, "--r-lo", "0.001", "--r-hi", "1"]
 
 
 @pytest.fixture
@@ -41,8 +44,28 @@ def _run(argv, capsys):
     return code, out, err
 
 
-@pytest.mark.parametrize("argv", [CALIBRATE, POWER_CURVE, CHECKS],
-                         ids=["calibrate", "power-curve", "checks"])
+@pytest.fixture
+def pools_asked(monkeypatch):
+    """A list that gets the size asked of each process pool; the stand-in
+    pool starts no process and runs each chunk inline as it is submitted."""
+    asked = []
+
+    class Inline:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def submit(self, fn, *args):
+            return montecarlo._done(fn, *args)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Inline)
+    return asked
+
+
+@pytest.mark.parametrize("argv", [CALIBRATE, POWER_CURVE, CHECKS, SEP_RADIUS],
+                         ids=["calibrate", "power-curve", "checks", "sep-radius"])
 def test_a_parallel_command_starts_one_pool(argv, pools_made, capsys):
     code, _, _ = _run(argv + ["--workers", "2"], capsys)
     assert code == 0
@@ -53,9 +76,11 @@ def test_a_parallel_command_starts_one_pool(argv, pools_made, capsys):
     CALIBRATE + ["--workers", "1"],
     POWER_CURVE + ["--workers", "1"],
     CHECKS + ["--workers", "1"],
+    SEP_RADIUS + ["--workers", "1"],
     ["bounds", "--jmax", "100", "--epsilon", "0.01,0.02", "--workers", "2"],
     ["rates", "--epsilon", "0.01,0.02", "--workers", "2"],
-], ids=["calibrate-w1", "power-curve-w1", "checks-w1", "bounds", "rates"])
+], ids=["calibrate-w1", "power-curve-w1", "checks-w1", "sep-radius-w1", "bounds",
+        "rates"])
 def test_a_serial_or_simulation_free_command_starts_none(argv, pools_made, capsys):
     code, _, _ = _run(argv, capsys)
     assert code == 0
@@ -106,24 +131,33 @@ def _plan():
                           theta0=Signal.zeros(), n_reps=100, master_seed=3)
 
 
-def test_a_library_call_outside_a_scope_has_a_pool_of_its_own(pools_made):
+def test_each_library_call_has_a_pool_of_its_own(pools_made):
     plan = _plan()
     first = estimate_alpha(plan, workers=2)
     assert multiprocessing.active_children() == []
     assert estimate_alpha(plan, workers=2) == first
     assert pools_made == [2, 2]
-
-
-def test_calls_inside_one_scope_share_its_pool(pools_made):
-    plan = _plan()
-    with _worker_pool():
-        with _worker_pool():  # re-entrant: the inner exit keeps the pool
-            first = estimate_alpha(plan, workers=2)
-        assert len(multiprocessing.active_children()) == 2
-        assert estimate_alpha(plan, workers=2) == first
-    assert multiprocessing.active_children() == []
-    assert pools_made == [2]
     assert first == estimate_alpha(plan, workers=1)
+
+
+def test_the_pool_has_at_most_one_process_per_cpu(pools_asked, capsys):
+    """3000 workers split 3000 replications into 3000 chunks, but the pool
+    asked for has one process per CPU, and the output is that of one worker."""
+    argv = ["calibrate", "--jmax", "50", "--reps", "3000"]
+    assert main(argv + ["--workers", "3000"]) == 0
+    many = capsys.readouterr()
+    assert pools_asked == [os.cpu_count() or 1]
+    assert main(argv + ["--workers", "1"]) == 0
+    assert capsys.readouterr() == many
+
+
+@pytest.mark.parametrize("cpus, size", [(1, 1), (None, 1), (500, 100)])
+def test_the_pool_size_is_capped_by_the_cpu_count(cpus, size, pools_asked, monkeypatch):
+    """At 1000 workers a 100-replication plan has 100 chunks; the pool gets
+    min(100, os.cpu_count() or 1) processes."""
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    assert estimate_alpha(_plan(), workers=1000) == estimate_alpha(_plan(), workers=1)
+    assert pools_asked == [size]
 
 
 def test_a_rate_fit_shares_one_pool_across_its_grid(pools_made):
