@@ -24,6 +24,7 @@ from .sequences import (
     DecayKind,
     GrowthKind,
     RegimeSpec,
+    _count,
     _overflow_error,
     _running_sums,
     a_inv_sq,
@@ -31,7 +32,7 @@ from .sequences import (
     cumulative_b_inv4_prefix,
 )
 from .testproc import (KAPPA_DEFAULT, BandwidthBracket, _check_sigma, _check_unit,
-                       _objective, bandwidth_bracket)
+                       _objective, _squared, bandwidth_bracket)
 
 __all__ = [
     "BoundReport",
@@ -96,7 +97,7 @@ def _upper_bound(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float, b
             f"operator noise sigma={sigma} drowns the first coefficient in this regime; "
             "the bound has no admissible dimension"
         )
-    n = min(bracket.high, int(j_max))
+    n = bracket.high  # at most j_max
     objective = _objective(spec, cumulative_b_inv4_prefix(spec, n),
                            np.minimum(np.arange(1, n + 1), bracket.low),
                            float(epsilon), sigma, alpha, beta)
@@ -149,7 +150,7 @@ def prior_depth(spec: RegimeSpec, sigma: float, alpha: float, beta: float, j_max
     b is nonincreasing, so that is the number of such d."""
     _check_sigma(sigma)
     level = sigma * max(critical_snr(alpha, beta), divergence_budget(alpha, beta) / 2.0)
-    return int(np.count_nonzero(b_vector(spec, j_max) >= level))
+    return int(np.count_nonzero(b_vector(spec, _count("j_max", j_max)) >= level))
 
 
 def lower_bound_radius_sq(spec: RegimeSpec, epsilon: float, sigma: float,
@@ -190,7 +191,7 @@ def _lower_bound(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float, b
     """lower_bound_radius_sq's value and parts, and the prior depth of its
     sigma channel (0 when sigma is 0)."""
     budget = divergence_budget(alpha, beta)  # validates the levels
-    j_max = int(j_max)
+    j_max = _count("j_max", j_max)
 
     depth = prior_depth(spec, sigma, alpha, beta, j_max) if sigma > 0.0 else 0
     if depth >= 1:
@@ -201,10 +202,7 @@ def _lower_bound(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float, b
 
     epsilon_part = 0.0
     if epsilon > 0.0:
-        try:
-            scale = (2.0 * budget) ** 0.25 * epsilon ** 2
-        except OverflowError:
-            raise ValueError(f"epsilon={epsilon!r} squared exceeds the float range") from None
+        scale = (2.0 * budget) ** 0.25 * _squared(epsilon)
         epsilon_part = _epsilon_channel(spec, scale, j_max)
 
     return max(sigma_part, epsilon_part), (sigma_part, epsilon_part), depth

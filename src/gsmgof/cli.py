@@ -70,7 +70,8 @@ _SETTINGS = {
     "seed": _Setting(12345, int, "master seed (also settable via GSM_GOF_SEED)"),
     "reps": _Setting(1000, int, "replications per cell"),
     # workers None is os.cpu_count() at run time; jmax None is per regime
-    "workers": _Setting(None, int, "process pool size (default: logical CPUs)"),
+    "workers": _Setting(None, int, "chunks per job; the pool runs at most one process per "
+                                   "CPU (default: logical CPUs)"),
     "format": _Setting("csv", str, choices=("csv", "json")),
     "out": _Setting(None, str, "output file (default: stdout)", metavar="PATH"),
     "alpha": _Setting(0.05, float, "first-kind level"),
@@ -324,7 +325,7 @@ def _emit(rows: list[dict], cfg: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_test(cfg: dict) -> int:
+def _cmd_test(cfg: dict) -> list[dict]:
     [cell] = _cells(cfg)
     noise = _noise(cell)
     dimension = cfg["dimension"]
@@ -332,18 +333,16 @@ def _cmd_test(cfg: dict) -> int:
     theta0 = Signal.zeros()
     obs = simulate(theta0, cell.spec, noise, cfg["seed"], cell.j_max, rep=0)
     report = run_test(obs, theta0, cell.spec, noise, config)
-    rows = [{
+    return [{
         **_prefix(cfg, cell), "seed": cfg["seed"], "dimension": dimension,
         "bandwidth": report.bandwidth, "window": report.window,
         "statistic": report.statistic, "threshold": report.threshold,
         "reject": report.reject, "degenerate": report.degenerate,
         "bandwidth_truncated": report.bandwidth_truncated,
     }]
-    _emit(rows, cfg)
-    return 0
 
 
-def _cmd_calibrate(cfg: dict) -> int:
+def _cmd_calibrate(cfg: dict) -> list[dict]:
     cells = list(_cells(cfg))
     estimates = _run_jobs((_error_job(_plan(cfg, cell)) for cell in cells), cfg["workers"])
     rows = []
@@ -353,11 +352,10 @@ def _cmd_calibrate(cfg: dict) -> int:
             "alpha_hat": estimate.p_hat, "se": estimate.se,
             "n_degenerate": estimate.n_degenerate,
         })
-    _emit(rows, cfg)
-    return 0
+    return rows
 
 
-def _cmd_power_curve(cfg: dict) -> int:
+def _cmd_power_curve(cfg: dict) -> list[dict]:
     if cfg["radii"] is None:
         raise ValueError("power-curve requires --radii")
     radii = _float_list(cfg["radii"], "radii")
@@ -373,26 +371,23 @@ def _cmd_power_curve(cfg: dict) -> int:
             "beta_hat": estimate.p_hat, "se": estimate.se,
             "n_degenerate": estimate.n_degenerate,
         })
-    _emit(rows, cfg)
-    return 0
+    return rows
 
 
-def _cmd_sep_radius(cfg: dict) -> int:
+def _cmd_sep_radius(cfg: dict) -> list[dict]:
     [cell] = _cells(cfg)
     plan = _plan(cfg, cell)
     r_lo, r_hi = _radius_bracket(cell.spec, cfg["r_lo"], cfg["r_hi"])
     radius = empirical_separation_radius(plan, cfg["beta"], r_lo, r_hi,
                                          tol=cfg["tol"], workers=cfg["workers"])
-    rows = [{
+    return [{
         **_prefix(cfg, cell), "seed": cfg["seed"], "reps": cfg["reps"],
         "beta_target": cfg["beta"], "r_lo": r_lo, "r_hi": r_hi,
         "tol": cfg["tol"], "radius": radius,
     }]
-    _emit(rows, cfg)
-    return 0
 
 
-def _cmd_rates(cfg: dict) -> int:
+def _cmd_rates(cfg: dict) -> list[dict]:
     rows = []
     which = cfg["which"]
     for cell in _cells(cfg):
@@ -401,11 +396,10 @@ def _cmd_rates(cfg: dict) -> int:
             "epsilon": cell.epsilon, "sigma": cell.sigma, "which": which,
             "rate_sq": rate_formula(cell.spec, cell.epsilon, cell.sigma, which),
         })
-    _emit(rows, cfg)
-    return 0
+    return rows
 
 
-def _cmd_bounds(cfg: dict) -> int:
+def _cmd_bounds(cfg: dict) -> list[dict]:
     rows = []
     for cell in _cells(cfg):
         report = evaluate_bounds(cell.spec, cell.epsilon, cell.sigma, cfg["alpha"],
@@ -421,8 +415,7 @@ def _cmd_bounds(cfg: dict) -> int:
             "bracket_high": report.bracket_high,
             "prior_depth": report.prior_depth,
         })
-    _emit(rows, cfg)
-    return 0
+    return rows
 
 
 _QUADFORM_CASES = (
@@ -443,7 +436,7 @@ def _check_row(check: str, estimate, bound: float, **columns) -> dict:
     return row
 
 
-def _cmd_checks(cfg: dict) -> int:
+def _cmd_checks(cfg: dict) -> list[dict]:
     [cell] = _cells(cfg)
     plan = _plan(cfg, cell)
     run = {"seed": cfg["seed"], "reps": cfg["reps"]}
@@ -460,9 +453,7 @@ def _cmd_checks(cfg: dict) -> int:
         for side, estimate in (("quadform-upper", tails.upper),
                                ("quadform-lower", tails.lower)):
             rows.append(_check_row(side, estimate, math.exp(-case["x"]), **case, **run))
-
-    _emit(rows, cfg)
-    return 0 if all(row["passed"] for row in rows) else 1
+    return rows
 
 
 class _Command(NamedTuple):
@@ -471,7 +462,7 @@ class _Command(NamedTuple):
 
     help: str
     grids: bool
-    run: Callable[[dict], int]
+    run: Callable[[dict], list[dict]]
 
 
 _COMMANDS = {
@@ -492,7 +483,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command].run(_resolve(args))
+        cfg = _resolve(args)
+        rows = _COMMANDS[args.command].run(cfg)
+        _emit(rows, cfg)
+        return 0 if all(row.get("passed", True) for row in rows) else 1
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -25,7 +25,7 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 from .errors import InfeasibleConstructionError, InfeasibleRadiusError, InvalidLevelsError
-from .sequences import DecayKind, GrowthKind, RegimeSpec, a_value, b_value, b_vector
+from .sequences import DecayKind, GrowthKind, RegimeSpec, _count, a_value, b_value, b_vector
 
 __all__ = [
     "NoiseLevels",
@@ -155,7 +155,7 @@ class Signal:
 
     @classmethod
     def zeros(cls, n: int = 0) -> "Signal":
-        return cls(np.zeros(int(n)))
+        return cls(np.zeros(_count("n", n, low=0)))
 
     def __len__(self) -> int:
         return self.coefficients.size
@@ -164,7 +164,7 @@ class Signal:
         """Coefficients extended with zeros to length n (writable copy)."""
         if len(self) > n:
             raise ValueError(f"signal of length {len(self)} does not fit in {n} coefficients")
-        out = np.zeros(int(n))
+        out = np.zeros(_count("n", n, low=0))
         out[: len(self)] = self.coefficients
         return out
 
@@ -220,9 +220,7 @@ def simulate(theta: Signal, spec: RegimeSpec, noise: NoiseLevels, seed: int,
         Replication index.  Monte Carlo loops pass consecutive values and
         obtain independent, order-insensitive draws.
     """
-    j_max = int(j_max)
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
+    j_max = _count("j_max", j_max)
     if len(theta) > j_max:
         raise ValueError("theta does not fit inside the horizon")
     b = b_vector(spec, j_max)
@@ -305,9 +303,7 @@ def make_two_point_pair(spec: RegimeSpec, noise: NoiseLevels, alpha: float, beta
     both signals to stay inside the smoothness class.  Their distance is then
     exactly (shift_constant / 2) * sigma / (a_d * b_d).
     """
-    d = int(d)
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    d = _count("d", d)
     base = 0.5 / a_value(spec, d)
     if noise.sigma == 0.0:
         theta0_d = base  # zero separation
@@ -343,7 +339,7 @@ def spike_index(spec: RegimeSpec, r: float, j_max: int) -> int:
     """
     if r <= 0.0 or not math.isfinite(r):
         raise ValueError("spike norm must be positive and finite")
-    j_max = int(j_max)
+    j_max = _count("j_max", j_max)
     if a_value(spec, 1) * r > 1.0:
         raise InfeasibleRadiusError(
             f"spike of norm {r:.6g} does not fit the smoothness class at any coordinate"

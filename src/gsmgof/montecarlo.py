@@ -30,17 +30,16 @@ from .gsm import (
     simulate,
     spike_index,
 )
-from .sequences import RegimeSpec, a_inv_sq, a_value, b_vector
+from .sequences import RegimeSpec, _count, a_inv_sq, a_value, b_vector
 from .testproc import (
     Bandwidth,
     TestConfig,
-    TestReport,
     _check_unit,
     _degenerate,
-    _integer,
     _objective,
     _objective_weight,
     _parts_from_sums,
+    _report,
     _scan_table,
     _statistic_sum,
     bandwidth_bracket,
@@ -77,11 +76,9 @@ class ExperimentPlan:
     master_seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_reps", _integer("n_reps", self.n_reps))
-        if self.n_reps < MIN_REPS:
-            raise ValueError(f"n_reps must be at least {MIN_REPS}, got {self.n_reps}")
-        object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed))
-        if not 0 <= self.master_seed < 2 ** 128:
+        object.__setattr__(self, "n_reps", _count("n_reps", self.n_reps, low=MIN_REPS))
+        object.__setattr__(self, "master_seed", _count("master_seed", self.master_seed, low=0))
+        if self.master_seed >= 2 ** 128:
             raise ValueError(f"master_seed must lie in [0, 2**128), got {self.master_seed}")
 
 
@@ -100,8 +97,7 @@ class ErrorEstimate:
 
     @classmethod
     def from_counts(cls, count: int, n_reps: int, n_degenerate: int = 0) -> "ErrorEstimate":
-        if n_reps < 1:
-            raise ValueError("n_reps must be >= 1")
+        n_reps = _count("n_reps", n_reps)
         p = count / n_reps
         return cls(p_hat=p, se=math.sqrt(p * (1.0 - p) / n_reps),
                    n_reps=n_reps, n_degenerate=n_degenerate)
@@ -114,7 +110,7 @@ class ErrorEstimate:
 
 def _chunk_ranges(n_reps: int, workers: int) -> list[tuple[int, int]]:
     """Split range(n_reps) into at most `workers` contiguous pieces."""
-    k = max(1, min(int(workers), n_reps))
+    k = min(workers, n_reps)
     base, extra = divmod(n_reps, k)
     ranges = []
     lo = 0
@@ -150,7 +146,7 @@ def _sums(parts: list) -> tuple:
 def _run_jobs(jobs: Iterable[_Job], workers: int) -> list:
     """Each job's result, in job order.
 
-    At workers <= 1 each job runs whole in this process as the iterable
+    At workers = 1 each job runs whole in this process as the iterable
     yields it.  Otherwise every chunk of every job goes to one process pool
     before any result is read.  The pool starts on the first job, with one
     process per chunk range of that job but at most one per CPU, and is shut
@@ -159,11 +155,12 @@ def _run_jobs(jobs: Iterable[_Job], workers: int) -> list:
     a chunk's or a finish's, in job and chunk order, or that of building a
     job, after the errors of the jobs before it.
     """
+    workers = _count("workers", workers)
     submitted, error, pool = [], None, None
     try:
         try:
             for job in jobs:
-                if workers <= 1:
+                if workers == 1:
                     futures = [_done(job.fn, *job.args, 0, job.n_reps)]
                 else:
                     ranges = _chunk_ranges(job.n_reps, workers)
@@ -365,9 +362,7 @@ class _Kernel:
             cutoff = _parts_from_sums(math.fsum(batch.inv2[r, :w].tolist()),
                                       math.fsum(batch.inv4[r, :w].tolist()),
                                       batch.a_inv_sq[r], eps, sigma, alpha).total
-            report = TestReport(bandwidth=bands[i].value, window=w, statistic=value,
-                                threshold=cutoff, reject=bool(value > cutoff), degenerate=False,
-                                bandwidth_truncated=bands[i].truncated)
+            report = _report(bands[i], w, value, cutoff)
             yield report, batch.x[r, :w].copy(), batch.y[r, :w].copy(), batch.eps_xi[r, :w].copy()
 
     def _alone(self, rep: int, band: Bandwidth):
@@ -745,14 +740,10 @@ def _quadform_failures(d: int, nu: np.ndarray, v: np.ndarray, mean: float,
 
 def _quadform_job(d: int, nu, v, x: float, n_reps: int, master_seed: int = 0) -> _Job:
     """check_quadform_concentration(d, nu, v, x, n_reps, master_seed) as a job."""
-    d = int(d)
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    d = _count("d", d)
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"x must be positive and finite, got {x!r}")
-    if int(n_reps) < 1:
-        raise ValueError("n_reps must be >= 1")
-    n_reps = int(n_reps)
+    n_reps = _count("n_reps", n_reps)
     nu = np.broadcast_to(np.asarray(nu, dtype=float), (d,)).copy()
     v = np.broadcast_to(np.asarray(v, dtype=float), (d,)).copy()
     if not (np.all(np.isfinite(nu)) and np.all(np.isfinite(v))):

@@ -98,6 +98,20 @@ class RegimeSpec:
         return f"{self.b_kind.value}-{self.a_kind.value}"
 
 
+def _count(name: str, value, low: int = 1) -> int:
+    """value as an int: one that int() would truncate (or cannot read) is
+    refused, and so is one below low."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if number < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return number
+
+
 def _check_index(j: np.ndarray) -> None:
     if j.size and np.min(j) < 1:
         raise ValueError("sequence index must be >= 1")
@@ -163,9 +177,7 @@ def _b_vector_cached(spec: RegimeSpec, n: int) -> np.ndarray:
 
 def b_vector(spec: RegimeSpec, n: int) -> np.ndarray:
     """Read-only array of the first n singular values (cached per spec)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _b_vector_cached(spec, int(n))
+    return _b_vector_cached(spec, _count("n", n))
 
 
 def _overflow_error(spec: RegimeSpec, j: int) -> SequenceOverflowError:
@@ -177,14 +189,13 @@ def _overflow_error(spec: RegimeSpec, j: int) -> SequenceOverflowError:
 def _b_inv4_terms(spec: RegimeSpec, d: int, start: int = 1):
     """An iterator of b_j**(-4) for j = start..d, raising on floating-point
     overflow; a c_b**(-4) past the float range is refused at once."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    d = _count("d", d)
     return _scaled_b_inv4_terms(spec, _inverse_power(spec, "c_b", 4.0), d, start)
 
 
 def _scaled_b_inv4_terms(spec: RegimeSpec, scale: float, d: int, start: int):
     mild = spec.b_kind is DecayKind.MILD
-    for j in range(int(start), int(d) + 1):
+    for j in range(start, d + 1):
         try:
             term = scale * (float(j) ** (4.0 * spec.t) if mild else math.exp(4.0 * j * spec.t))
         except OverflowError:
@@ -220,9 +231,7 @@ class _RunningSums:
     def upto(self, d: int) -> np.ndarray:
         """The sums for j = 1..d, cut before the first overflowing term when
         that lies within d."""
-        d = int(d)
-        if d < 1:
-            raise ValueError("d must be >= 1")
+        d = _count("d", d)
         n = self.sums.size
         if d > n and self.overflow is None:
             grown = []
@@ -251,8 +260,9 @@ def _running_sums(spec: RegimeSpec) -> _RunningSums:
 def cumulative_b_inv4_prefix(spec: RegimeSpec, d: int) -> np.ndarray:
     """Read-only array of the partial sums of b_j**(-4) for j = 1..d
     (Kahan-compensated, monotone nondecreasing; cached per spec)."""
+    d = _count("d", d)
     sums = _running_sums(spec).upto(d)
-    if sums.size < int(d):
+    if sums.size < d:
         raise _overflow_error(spec, sums.size + 1)
     return sums
 

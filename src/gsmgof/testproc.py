@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateBandwidthError, DegenerateObservationError
 from .gsm import NoiseLevels, Observations, Signal
-from .sequences import RegimeSpec, a_inv_sq, b_vector
+from .sequences import RegimeSpec, _count, a_inv_sq, b_vector
 
 __all__ = [
     "KAPPA_DEFAULT",
@@ -60,17 +60,6 @@ def _check_kappa(kappa: float) -> None:
 def _check_sigma(sigma: float) -> None:
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
-
-
-def _integer(name: str, value) -> int:
-    """int(value); a value that int() would truncate (or cannot read) is refused."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or number != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return number
 
 
 def tail_exponent(alpha: float) -> float:
@@ -175,7 +164,7 @@ def empirical_bandwidth(x, sigma: float, alpha: float, kappa: float = KAPPA_DEFA
     """
     _check_sigma(sigma)
     x = np.asarray(x, dtype=float)
-    n = x.size if j_max is None else min(int(j_max), x.size)
+    n = x.size if j_max is None else min(_count("j_max", j_max), x.size)
     if n < 1:
         raise ValueError("empty observation vector")
     envelope = sigma * _scan_table(alpha, kappa, n)
@@ -191,7 +180,7 @@ def bandwidth_bracket(spec: RegimeSpec, sigma: float, alpha: float,
     with high probability: low from the wide envelope (first trigger minus
     one), high from the narrow one (first trigger itself)."""
     _check_sigma(sigma)
-    j_max = int(j_max)
+    j_max = _count("j_max", j_max)
     b = b_vector(spec, j_max)
     low_table, high_table = _bracket_tables(alpha, kappa, j_max)
     low = _first_hit(b <= sigma * low_table)
@@ -223,11 +212,7 @@ def statistic(y, x, theta0: Signal, d: int, m: int) -> float:
     The empty window returns 0.  A zero observed operator coefficient inside
     the window (a probability-zero event) and a sum that is not finite are refused.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    w = min(int(d), int(m))
+    w = min(_count("d", d), _count("m", m, low=0))
     if w == 0:
         return 0.0
     y = np.asarray(y, dtype=float)
@@ -262,8 +247,8 @@ class ThresholdParts(NamedTuple):
 def threshold_parts(x, spec: RegimeSpec, d: int, m: int, epsilon: float,
                     sigma: float, alpha: float) -> ThresholdParts:
     """The three threshold summands over the active window w = min(d, m)."""
-    w = min(int(d), int(m))
-    if w <= 0:
+    w = min(_count("d", d), _count("m", m, low=0))
+    if w == 0:
         raise DegenerateBandwidthError("empty active window: min(d, m) = 0")
     _check_unit("sigma", sigma)
     if epsilon < 0.0:
@@ -299,12 +284,17 @@ def threshold(x, spec: RegimeSpec, d: int, m: int, epsilon: float,
     return threshold_parts(x, spec, d, m, epsilon, sigma, alpha).total
 
 
-def _objective_weight(epsilon: float, alpha: float, beta: float) -> float:
-    """adaptive_constant * eps^2, the dimension objective's deviation weight."""
+def _squared(epsilon: float) -> float:
+    """epsilon ** 2; one past the float range is refused."""
     try:
-        return adaptive_constant(alpha, beta) * epsilon ** 2
+        return epsilon ** 2
     except OverflowError:
         raise ValueError(f"epsilon={epsilon!r} squared exceeds the float range") from None
+
+
+def _objective_weight(epsilon: float, alpha: float, beta: float) -> float:
+    """adaptive_constant * eps^2, the dimension objective's deviation weight."""
+    return adaptive_constant(alpha, beta) * _squared(epsilon)
 
 
 def _objective(spec: RegimeSpec, inv4_sums, dims, epsilon: float, sigma: float,
@@ -334,10 +324,10 @@ def dimension_objective(x, spec: RegimeSpec, m: int, epsilon: float, sigma: floa
     Every occurrence of the dimension is through min(d, m), so the objective
     is constant beyond m and the scan never needs to look past it.
     """
-    if m < 1:
+    m = _count("m", m, low=0)
+    if m == 0:
         raise DegenerateBandwidthError("bandwidth is zero; no dimension to select")
     _check_unit("sigma", sigma)
-    m = int(m)
     xs = _window(x, m)
     return _objective(spec, np.cumsum(xs ** -4.0), np.arange(1, m + 1),
                       epsilon, sigma, alpha, beta)
@@ -380,13 +370,9 @@ class TestConfig:
         _check_unit("level", self.alpha)
         _check_unit("level", self.beta)
         _check_kappa(self.kappa)
-        object.__setattr__(self, "j_max", _integer("j_max", self.j_max))
-        if self.j_max < 1:
-            raise ValueError("j_max must be >= 1")
+        object.__setattr__(self, "j_max", _count("j_max", self.j_max))
         if self.dimension is not None:
-            object.__setattr__(self, "dimension", _integer("dimension", self.dimension))
-            if self.dimension < 1:
-                raise ValueError("dimension must be >= 1 when fixed")
+            object.__setattr__(self, "dimension", _count("dimension", self.dimension))
         elif self.alpha > self.beta:
             raise ValueError("adaptive dimension selection requires alpha <= beta")
 
@@ -429,6 +415,13 @@ def _degenerate(band: Bandwidth) -> TestReport:
                       reject=False, degenerate=True, bandwidth_truncated=band.truncated)
 
 
+def _report(band: Bandwidth, window: int, value: float, cutoff: float) -> TestReport:
+    """The report of a nonzero bandwidth: reject when the statistic exceeds the threshold."""
+    return TestReport(bandwidth=band.value, window=window, statistic=value, threshold=cutoff,
+                      reject=bool(value > cutoff), degenerate=False,
+                      bandwidth_truncated=band.truncated)
+
+
 def _decide(band: Bandwidth, x, y, theta0: Signal, spec: RegimeSpec, noise: NoiseLevels,
             config: TestConfig) -> TestReport:
     """The test once the bandwidth is known: dimension choice on x[:m], then
@@ -440,15 +433,7 @@ def _decide(band: Bandwidth, x, y, theta0: Signal, spec: RegimeSpec, noise: Nois
     else:
         d = select_dimension(x, spec, band.value, noise.epsilon, noise.sigma,
                              config.alpha, config.beta)
-    window = min(d, band.value)
     value = statistic(y, x, theta0, d, band.value)
     cutoff = threshold(x, spec, d, band.value, noise.epsilon, noise.sigma, config.alpha)
-    return TestReport(
-        bandwidth=band.value,
-        window=window,
-        statistic=value,
-        threshold=cutoff,
-        reject=bool(value > cutoff),
-        degenerate=False,
-        bandwidth_truncated=band.truncated,
-    )
+    return _report(band, min(d, band.value), value, cutoff)
+

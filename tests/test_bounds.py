@@ -445,7 +445,7 @@ class TestEvaluateBounds:
         ((0.0, 2.0, 0.9, 0.5, 0), ValueError, "epsilon must be positive"),
         ((1e-3, 2.0, 0.9, 0.5, 0), ValueError, "sigma must lie in"),
         ((1e-3, 1e-3, 0.9, 0.5, 0), InvalidLevelsError, "the power guarantee needs"),
-        ((1e-3, 1e-3, 0.05, 1.0, 0), ValueError, "n must be >= 1"),
+        ((1e-3, 1e-3, 0.05, 1.0, 0), ValueError, "j_max must be >= 1, got 0"),
         ((1e-3, 0.5, 0.05, 1.0, 100), DegenerateBoundError, "drowns the first"),
         ((1e-3, 1e-3, 0.05, 1.0, 100), ValueError, "level must lie in"),
         ((1e-3, 1e-3, 0.5, 0.5, 100), InvalidLevelsError, "need alpha, beta"),

@@ -422,6 +422,14 @@ class TestChecks:
             assert row["passed"] == "true"
             assert float(row["p_hat"]) <= float(row["bound"]) + 3.0 * float(row["se"])
 
+    def test_a_failed_check_exits_1_after_its_rows_are_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gsmgof.cli, "bandwidth_escape_bound", lambda alpha, kappa: -1.0)
+        out = tmp_path / "checks.csv"
+        code = main(["checks", "--sigma", "0.001", "--jmax", "200",
+                     "--reps", "500", "--workers", "1", "--out", str(out)])
+        assert code == 1
+        assert [row["passed"] for row in read_csv(out)] == ["false"] + ["true"] * 4
+
     def test_quadform_bound_is_exponential(self, tmp_path):
         out = tmp_path / "checks.csv"
         main(["checks", "--sigma", "0.001", "--jmax", "100", "--reps", "200",

@@ -1,4 +1,9 @@
-"""The package's public names: each module's __all__, exported once."""
+"""The package's public names: each module's __all__, exported once; and
+the one count rule, sequences._count, is the only place a parameter is cast
+with int()."""
+
+import ast
+from pathlib import Path
 
 import gsmgof
 from gsmgof import bounds, errors, gsm, montecarlo, sequences, testproc
@@ -22,3 +27,55 @@ def test_every_exported_name_resolves():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(gsmgof, name) is getattr(module, name), name
+
+
+# The functions that may cast a parameter with int(): the count rule itself,
+# and the config reader, which casts an entry after its own is_integer() check.
+_INT_CASTS_ALLOWED = {("sequences", "_count"), ("cli", "_read")}
+
+
+def _own_nodes(func: ast.AST):
+    """The nodes of func's body, nested function definitions left out."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _parameter_casts(source: str, module: str) -> list[str]:
+    """Every int(<parameter of the enclosing function>) call in source."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if (not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or (module, func.name) in _INT_CASTS_ALLOWED):
+            continue
+        args = func.args
+        params = {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if arg is not None}
+        for node in _own_nodes(func):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "int" and len(node.args) == 1
+                    and isinstance(node.args[0], ast.Name) and node.args[0].id in params):
+                found.append(f"{module}.{func.name}:{node.lineno}: int({node.args[0].id})")
+    return found
+
+
+def test_no_parameter_is_cast_with_int():
+    """int() truncates 2.5 to 2 and fails on NaN and inf with its own errors;
+    a count argument goes through sequences._count instead."""
+    found = []
+    for path in sorted(Path(gsmgof.__file__).parent.glob("*.py")):
+        found += _parameter_casts(path.read_text(encoding="utf-8"), path.stem)
+    assert not found, found
+
+
+def test_the_cast_guard_sees_nested_functions_on_their_own():
+    source = """
+def outer(n):
+    def inner(m):
+        return int(m), int(n)
+    return int(n) + int(len([]))
+"""
+    assert sorted(_parameter_casts(source, "m")) == ["m.inner:4: int(m)", "m.outer:5: int(n)"]
