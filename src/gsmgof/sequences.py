@@ -189,7 +189,6 @@ def _overflow_error(spec: RegimeSpec, j: int) -> SequenceOverflowError:
 def _b_inv4_terms(spec: RegimeSpec, d: int, start: int = 1):
     """An iterator of b_j**(-4) for j = start..d, raising on floating-point
     overflow; a c_b**(-4) past the float range is refused at once."""
-    d = _count("d", d)
     return _scaled_b_inv4_terms(spec, _inverse_power(spec, "c_b", 4.0), d, start)
 
 
@@ -207,7 +206,7 @@ def _scaled_b_inv4_terms(spec: RegimeSpec, scale: float, d: int, start: int):
 
 def cumulative_b_inv4(spec: RegimeSpec, d: int) -> float:
     """Sum of b_j**(-4) for j = 1..d, exactly rounded via compensated summation."""
-    return float(math.fsum(_b_inv4_terms(spec, d)))
+    return float(math.fsum(_b_inv4_terms(spec, _count("d", d))))
 
 
 class _RunningSums:
@@ -231,7 +230,6 @@ class _RunningSums:
     def upto(self, d: int) -> np.ndarray:
         """The sums for j = 1..d, cut before the first overflowing term when
         that lies within d."""
-        d = _count("d", d)
         n = self.sums.size
         if d > n and self.overflow is None:
             grown = []

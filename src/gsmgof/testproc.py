@@ -247,7 +247,7 @@ class ThresholdParts(NamedTuple):
 def threshold_parts(x, spec: RegimeSpec, d: int, m: int, epsilon: float,
                     sigma: float, alpha: float) -> ThresholdParts:
     """The three threshold summands over the active window w = min(d, m)."""
-    w = min(_count("d", d), _count("m", m, low=0))
+    w = min(_count("d", d, low=0), _count("m", m, low=0))
     if w == 0:
         raise DegenerateBandwidthError("empty active window: min(d, m) = 0")
     _check_unit("sigma", sigma)

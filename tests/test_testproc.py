@@ -316,9 +316,10 @@ class TestThreshold:
             assert np.all(np.diff(np.asarray(flags, dtype=int)) >= 0)
 
     def test_empty_window_refused(self, mild_ordinary):
-        with pytest.raises(DegenerateBandwidthError):
-            threshold(np.ones(2), mild_ordinary, d=2, m=0, epsilon=0.1, sigma=0.01,
-                      alpha=0.05)
+        for d, m in ((2, 0), (0, 2)):
+            with pytest.raises(DegenerateBandwidthError):
+                threshold(np.ones(2), mild_ordinary, d=d, m=m, epsilon=0.1, sigma=0.01,
+                          alpha=0.05)
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0, 1.5, -0.1])
     def test_sigma_domain(self, mild_ordinary, sigma):
