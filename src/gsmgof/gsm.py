@@ -281,6 +281,7 @@ def two_point_shift_constant(spec: RegimeSpec, sigma: float, alpha: float, beta:
     The divergence budget plus the log window mass at u = b_d / sigma.  In
     the zero-noise limit the window mass is 1 and only the budget remains.
     """
+    d = _count("d", d)
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0.0:

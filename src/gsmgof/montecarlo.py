@@ -502,57 +502,102 @@ def estimate_beta(plan: ExperimentPlan, theta: Signal, workers: int = 1) -> Erro
 # ---------------------------------------------------------------------------
 
 
-class _RadiusRep(NamedTuple):
-    """Everything one replication needs to re-decide the test at any spike
-    radius without re-simulating: the observations inside its window w and
-    the signal noise there.  Only the spiked coordinate of y changes with the
-    radius; the bandwidth, selected dimension and threshold depend on x only.
-    Each array is an owned copy of length w; w = 0 marks a degenerate
-    replication, which never rejects."""
+class _RadiusCache(NamedTuple):
+    """Everything the replications need to re-decide the test at any spike
+    radius without re-simulating, one array per field.  Only the spiked
+    coordinate of y changes with the radius; the bandwidth, selected
+    dimension and threshold depend on x only.  Entry i's windows of y, x and
+    the signal noise are y[starts[i]:starts[i] + width[i]] (and so on), laid
+    end to end; width 0 marks a degenerate replication, which never rejects."""
 
-    null_reject: bool
-    threshold: float
-    y_win: np.ndarray
-    x_win: np.ndarray
-    eps_xi_win: np.ndarray
-
-
-def _build_radius_cache(plan: ExperimentPlan, lo: int, hi: int) -> list[_RadiusRep]:
-    return [_RadiusRep(report.reject, report.threshold, y_win, x_win, eps_xi_win)
-            for report, x_win, y_win, eps_xi_win in _replications(plan, plan.theta0, lo, hi)]
+    width: np.ndarray  # the window w of each replication
+    null_reject: np.ndarray  # its decision under the null
+    threshold: np.ndarray
+    null_total: np.ndarray  # its null statistic: the fsum of the window's terms
+    starts: np.ndarray  # where its windows start in y, x and eps_xi
+    y: np.ndarray
+    x: np.ndarray
+    eps_xi: np.ndarray
 
 
-def _accept_counts_from_cache(cache: Sequence[_RadiusRep], plan: ExperimentPlan,
-                              r: float) -> tuple[int, int]:
-    """(acceptances, degenerate count) at spike radius r, replaying each
-    cached replication with only the spiked coordinate of y recomputed.
-    Bit-identical to estimate_beta on the matching spike alternative."""
+def _starts(width: np.ndarray) -> np.ndarray:
+    """The offsets of windows of these widths laid end to end."""
+    return np.cumsum(width) - width
+
+
+def _build_radius_cache(plan: ExperimentPlan, lo: int, hi: int) -> _RadiusCache:
+    """The radius cache of replications [lo, hi) under the null."""
+    reports, x_wins, y_wins, eps_xi_wins = zip(*_replications(plan, plan.theta0, lo, hi))
+    width = np.array([report.window for report in reports], dtype=np.int64)
+    return _RadiusCache(width, np.array([report.reject for report in reports]),
+                        np.array([report.threshold for report in reports]),
+                        np.array([report.statistic for report in reports]), _starts(width),
+                        np.concatenate(y_wins), np.concatenate(x_wins),
+                        np.concatenate(eps_xi_wins))
+
+
+def _joined(parts: Sequence[_RadiusCache]) -> _RadiusCache:
+    """The caches of consecutive chunks, in order, as one cache."""
+    cache = _RadiusCache(*map(np.concatenate, zip(*parts)))
+    return cache._replace(starts=_starts(cache.width))
+
+
+def _rejections(cache: _RadiusCache, plan: ExperimentPlan, r: float) -> np.ndarray:
+    """Each cached replication's decision at spike radius r, as estimate_beta
+    on the matching spike alternative makes it: statistic(y, x_win, theta0,
+    w, w) > threshold, where y is y_win with its spiked coordinate k
+    recomputed.  An entry whose window ends at or before k keeps its null
+    decision.
+
+    The others are decided together.  Only the term at k differs from the
+    null, so the replayed sum is approximated by approx = (null_total - old)
+    + new, the two terms computed by statistic's own float64 operations.
+    Let M be the larger of null_total and |approx|, and s = np.spacing(M).
+    The exact replayed sum E = T - old + new (T the exact null sum) and
+    approx differ by three roundings, each to a float of size at most M: T
+    to null_total (fsum is correctly rounded), null_total - old, and the last
+    addition.  Each moves by at most half the spacing at its result, so
+    |approx - E| <= 1.5 s, and statistic returns fl(E), again by fsum.  When
+    approx exceeds the threshold by more than 2 s, E exceeds it by more than
+    0.5 s, at least half the spacing above the threshold (which lies below
+    M), so fl(E) > threshold.  When approx falls below it by more than 1.5 s,
+    so does E, and fl(E) <= threshold.  The margin used is twice that, 4 s,
+    and approx decides only where approx + 4 s is finite, so fl(E) is finite
+    too.  The rest (within the margin, or a value that is not finite) are
+    decided by statistic itself, in order, which keeps its strict > and
+    raises its errors where a loop over the entries would.
+    """
     j_max = plan.config.j_max
     d_star = spike_index(plan.spec, r, j_max)
     k = d_star - 1
     theta0_k = plan.theta0.padded(max(d_star, len(plan.theta0)))[k]
     spiked = b_vector(plan.spec, j_max)[k] * (theta0_k + r)
-    n_accept = 0
-    for entry in cache:
-        w = entry.y_win.size
-        if d_star > w:  # the spike is outside the window: the null decision stands
-            rejected = entry.null_reject
-        else:
-            y = entry.y_win.copy()
-            y[k] = spiked + entry.eps_xi_win[k]
-            rejected = statistic(y, entry.x_win, plan.theta0, w, w) > entry.threshold
-        n_accept += not rejected
-    return n_accept, sum(entry.y_win.size == 0 for entry in cache)
+    reject = cache.null_reject.copy()
+    rows = np.flatnonzero(cache.width > k)
+    at = cache.starts[rows] + k
+    x_k, null_total, cutoff = cache.x[at], cache.null_total[rows], cache.threshold[rows]
+    with np.errstate(all="ignore"):  # statistic decides a value that is not finite
+        old = (cache.y[at] / x_k - theta0_k) ** 2
+        new = ((spiked + cache.eps_xi[at]) / x_k - theta0_k) ** 2
+        approx = (null_total - old) + new
+        margin = 4.0 * np.spacing(np.maximum(null_total, np.abs(approx)))
+        certain = (np.abs(approx - cutoff) > margin) & np.isfinite(approx + margin)
+        reject[rows] = approx > cutoff
+    for i in rows[~certain].tolist():
+        lo, w = cache.starts[i], cache.width[i]
+        y = cache.y[lo:lo + w].copy()
+        y[k] = spiked + cache.eps_xi[lo + k]
+        reject[i] = statistic(y, cache.x[lo:lo + w], plan.theta0, w, w) > cache.threshold[i]
+    return reject
 
 
-def _bisect(cache: Sequence[_RadiusRep], plan: ExperimentPlan, beta_target: float,
+def _bisect(cache: _RadiusCache, plan: ExperimentPlan, beta_target: float,
             r_lo: float, r_hi: float, tol: float) -> float:
     """empirical_separation_radius's search, on the radius cache of plan."""
     n = plan.n_reps
 
     def beta_at(r: float) -> float:
-        n_accept, _ = _accept_counts_from_cache(cache, plan, r)
-        return n_accept / n
+        return (n - np.count_nonzero(_rejections(cache, plan, r))) / n
 
     if r_lo == r_hi:
         p = beta_at(r_lo)
@@ -604,8 +649,7 @@ def _radius_job(plan: ExperimentPlan, beta_target: float, r_lo: float, r_hi: flo
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
     def finish(parts: list) -> float:
-        cache = [entry for part in parts for entry in part]
-        return _bisect(cache, plan, beta_target, r_lo, r_hi, tol)
+        return _bisect(_joined(parts), plan, beta_target, r_lo, r_hi, tol)
 
     return _Job(_build_radius_cache, (plan,), plan.n_reps, finish)
 
@@ -617,9 +661,16 @@ def empirical_separation_radius(plan: ExperimentPlan, beta_target: float,
 
     Bisects on the radius of a single-coordinate spike placed at the deepest
     coordinate the smoothness class allows for that radius.  All radii are
-    evaluated on common random numbers (one simulation pass per replication,
-    cached), so the comparison across radii is noise-free.  Stops when the
-    bracket width drops below tol times its midpoint and returns the midpoint.
+    evaluated on common random numbers, so the comparison across radii is
+    noise-free: one simulation pass under the null fills the radius cache,
+    flat arrays holding each replication's window of y, x and the signal
+    noise, its null statistic, threshold and decision.  At each radius only
+    the spiked coordinate's term changes, so every replication whose window
+    holds it is decided at once from its null statistic with that term
+    swapped; a rounding certificate (see _rejections) proves the decision
+    equal to the full statistic's, which decides the few it leaves open.
+    Stops when the bracket width drops below tol times its midpoint and
+    returns the midpoint.
 
     Raises BracketingError if [r_lo, r_hi] does not straddle the target:
     the second-kind error estimate must exceed beta_target at r_lo and fall

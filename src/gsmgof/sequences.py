@@ -112,15 +112,23 @@ def _count(name: str, value, low: int = 1) -> int:
     return number
 
 
-def _check_index(j: np.ndarray) -> None:
-    if j.size and np.min(j) < 1:
-        raise ValueError("sequence index must be >= 1")
+def _index(j) -> np.ndarray:
+    """j as a float array; an index that is not a positive integer (NaN and
+    inf among them) is refused, naming the first one."""
+    j = np.asarray(j)
+    integral = j.dtype.kind in "iub"  # integral and finite: only the sign can be wrong
+    j = j.astype(float, copy=False)
+    ok = j >= 1 if integral else (j >= 1) & (np.floor(j) == j) & np.isfinite(j)
+    if not ok.all():
+        bad = float(j.flat[np.flatnonzero(~ok)[0]])
+        shown = int(bad) if bad.is_integer() else bad
+        raise ValueError(f"sequence index must be a positive integer, got {shown!r}")
+    return j
 
 
 def b_value(spec: RegimeSpec, j):
     """Singular value at index j (positive integer or integer array)."""
-    j = np.asarray(j, dtype=float)
-    _check_index(j)
+    j = _index(j)
     if spec.b_kind is DecayKind.MILD:
         out = spec.c_b * j ** (-spec.t)
     else:
@@ -130,8 +138,7 @@ def b_value(spec: RegimeSpec, j):
 
 def a_value(spec: RegimeSpec, j):
     """Smoothness weight at index j (positive integer or integer array)."""
-    j = np.asarray(j, dtype=float)
-    _check_index(j)
+    j = _index(j)
     if spec.a_kind is GrowthKind.ORDINARY:
         out = spec.c_a * j ** spec.s
     else:
@@ -158,8 +165,7 @@ def a_inv_sq(spec: RegimeSpec, j):
     growth instead of overflowing on the way; used as the bias floor by the
     test threshold and both bound evaluators, so they all share one rounding.
     """
-    j = np.asarray(j, dtype=float)
-    _check_index(j)
+    j = _index(j)
     scale = _inverse_power(spec, "c_a", 2.0)
     if spec.a_kind is GrowthKind.ORDINARY:
         out = scale * j ** (-2.0 * spec.s)

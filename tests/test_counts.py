@@ -36,6 +36,7 @@ from gsmgof import (
     statistic,
     threshold,
     threshold_parts,
+    two_point_shift_constant,
     upper_bound_radius_sq,
 )
 
@@ -64,6 +65,11 @@ CASES = {
     "simulate": ("j_max", lambda j_max: simulate(THETA0, SPEC, NOISE, 1, j_max)),
     "make_two_point_pair": ("d", lambda d: make_two_point_pair(SPEC, NoiseLevels(1e-3, 1e-6),
                                                                *LEVELS, d)),
+    # the coordinate d is refused also where sigma = 0 leaves it unread
+    "two_point_shift_constant": ("d", lambda d: two_point_shift_constant(SPEC, 1e-3, *LEVELS,
+                                                                         d)),
+    "two_point_shift_constant-zero-sigma": ("d", lambda d: two_point_shift_constant(
+        SPEC, 0.0, *LEVELS, d)),
     "spike_index": ("j_max", lambda j_max: spike_index(SPEC, 0.01, j_max)),
     "make_spike_alternative": ("j_max",
                                lambda j_max: make_spike_alternative(SPEC, THETA0, 0.01, j_max)),

@@ -17,6 +17,7 @@ from gsmgof import (
     OPERATOR_STREAM,
     SIGNAL_STREAM,
     BracketingError,
+    DegenerateObservationError,
     ErrorEstimate,
     ExperimentPlan,
     NoiseLevels,
@@ -39,13 +40,16 @@ from gsmgof import (
     run_test,
     scan_envelope,
     simulate,
+    spike_index,
+    statistic,
 )
 from gsmgof.montecarlo import (
-    _accept_counts_from_cache,
     _batchable,
     _build_radius_cache,
     _chunk_ranges,
+    _joined,
     _reject_counts,
+    _rejections,
     _replications,
 )
 from gsmgof.gsm import DRAW_BOUND
@@ -652,15 +656,57 @@ def _two_point_null():
     return theta0
 
 
+def replayed_statistics(cache, plan, r):
+    """Each cached entry's full statistic at radius r, entry by entry:
+    statistic(y, x_win, theta0, w, w) with y_win's spiked coordinate
+    recomputed, or None where the spike lies past the window."""
+    j_max = plan.config.j_max
+    d = spike_index(plan.spec, r, j_max)
+    k = d - 1
+    theta0_k = plan.theta0.padded(max(d, len(plan.theta0)))[k]
+    spiked = b_vector(plan.spec, j_max)[k] * (theta0_k + r)
+    out = []
+    for lo, w in zip(cache.starts.tolist(), cache.width.tolist()):
+        if w <= k:
+            out.append(None)
+            continue
+        y = cache.y[lo:lo + w].copy()
+        y[k] = spiked + cache.eps_xi[lo + k]
+        out.append(statistic(y, cache.x[lo:lo + w], plan.theta0, w, w))
+    return out
+
+
+def direct_rejections(cache, plan, r):
+    """Each cached entry's decision at radius r by the full statistic, or
+    its null decision where the spike lies past its window."""
+    return [bool(cache.null_reject[i]) if value is None else value > cache.threshold[i]
+            for i, value in enumerate(replayed_statistics(cache, plan, r))]
+
+
+def radii_for_every_spike_index(plan, cache):
+    """One radius per spike index d = 1 .. w_max + 1, so the spiked
+    coordinate k = d - 1 runs over 0 .. w_max."""
+    radii = []
+    for d in range(1, int(cache.width.max()) + 2):
+        r = (1.0 - 1e-12) / a_value(plan.spec, d)
+        assert spike_index(plan.spec, r, plan.config.j_max) == d
+        radii.append(r)
+    return radii
+
+
 def assert_replay_matches_direct(plan):
-    """The cached replay must reproduce estimate_beta bit for bit."""
+    """At five radii (those the class admits) and at one for every spike
+    index, every entry's replayed decision equals the full statistic's, and
+    the acceptances and degenerate count reproduce estimate_beta bit for bit."""
     cache = _build_radius_cache(plan, 0, plan.n_reps)
-    for r in (0.05, 0.1, 0.15, 0.3, 0.8595):
-        n_accept, n_degen = _accept_counts_from_cache(cache, plan, r)
+    fixed = [r for r in (0.05, 0.1, 0.15, 0.3, 0.8595) if a_value(plan.spec, 1) * r <= 1.0]
+    for r in (*fixed, *radii_for_every_spike_index(plan, cache)):
+        reject = _rejections(cache, plan, r)
+        assert reject.tolist() == direct_rejections(cache, plan, r)
         theta = make_spike_alternative(plan.spec, plan.theta0, r, plan.config.j_max)
         direct = estimate_beta(plan, theta)
-        assert n_accept / plan.n_reps == direct.p_hat
-        assert n_degen == direct.n_degenerate
+        assert (plan.n_reps - np.count_nonzero(reject)) / plan.n_reps == direct.p_hat
+        assert np.count_nonzero(cache.width == 0) == direct.n_degenerate
 
 
 class TestRadiusCache:
@@ -677,35 +723,147 @@ class TestRadiusCache:
     def test_replay_matches_direct_estimates_on_other_plans(self, case):
         assert_replay_matches_direct(make_plan(n_reps=100, j_max=200, seed=42, **case))
 
+    @pytest.mark.parametrize("regime, epsilon, sigma", [
+        ("mild-ordinary", 1e-3, 1e-3),  # windows of 12 and 13
+        ("mild-super", 1e-3, 2e-3),
+        ("severe-ordinary", 1e-2, 8.4e-3),  # mostly degenerate
+        ("severe-super", 1e-3, 1e-3),
+    ])
+    def test_replay_matches_direct_estimates_in_every_regime(self, regime, epsilon, sigma):
+        plan = make_plan(spec=RegimeSpec.from_name(regime), epsilon=epsilon, sigma=sigma,
+                         n_reps=100, j_max=200, seed=42)
+        if regime == "severe-ordinary":
+            width = _build_radius_cache(plan, 0, plan.n_reps).width
+            assert 0 < np.count_nonzero(width == 0) < plan.n_reps
+        assert_replay_matches_direct(plan)
+
+    def test_null_decisions_past_the_window_stand(self, monkeypatch):
+        """With a threshold that the null statistic crosses in some
+        replications, an entry the spike misses keeps its null decision,
+        rejecting or not."""
+        plan = make_plan(epsilon=1e-3, sigma=1e-3, n_reps=100, j_max=200, seed=42)
+        cache = _build_radius_cache(plan, 0, plan.n_reps)
+        fix_threshold(monkeypatch, float(np.median(cache.null_total)))
+        cache = _build_radius_cache(plan, 0, plan.n_reps)
+        assert 0 < np.count_nonzero(cache.null_reject) < plan.n_reps
+        assert_replay_matches_direct(plan)
+
     def test_entries_own_their_windows(self):
-        """Every cached array is a fresh copy of the replication's window,
-        not a view that keeps a horizon-length array alive; a degenerate
-        replication caches empty arrays."""
+        """The flat arrays own their memory, and entry i's slices of them are
+        the windows of x, y and the signal noise that run_test read, with its
+        null statistic, threshold and decision; a degenerate replication has
+        an empty window."""
         spec = RegimeSpec.from_name("severe-ordinary")
         plan = make_plan(spec=spec, epsilon=1e-2, sigma=8.4e-3, n_reps=100, j_max=200)
         cache = _build_radius_cache(plan, 0, plan.n_reps)
+        for arr in cache:
+            assert arr.base is None and arr.ndim == 1
+        assert cache.starts.tolist() == np.cumsum([0, *cache.width.tolist()])[:-1].tolist()
+        assert cache.y.size == cache.x.size == cache.eps_xi.size == cache.width.sum()
         windows = set()
-        for rep, entry in enumerate(cache):
+        for rep in range(plan.n_reps):
             obs = simulate(plan.theta0, spec, plan.noise, plan.master_seed,
                            plan.config.j_max, rep=rep)
-            w = run_test(obs, plan.theta0, spec, plan.noise, plan.config).window
+            report = run_test(obs, plan.theta0, spec, plan.noise, plan.config)
+            w, lo = report.window, cache.starts[rep]
             windows.add(w)
-            for arr in (entry.y_win, entry.x_win, entry.eps_xi_win):
-                assert arr.shape == (w,)
-                assert arr.base is None
+            assert cache.width[rep] == w
+            assert cache.null_reject[rep] == report.reject
+            assert cache.null_total[rep] == report.statistic
+            assert cache.threshold[rep] == report.threshold or w == 0
+            xi = gaussian_draws(plan.master_seed, rep, SIGNAL_STREAM, w)
+            assert cache.x[lo:lo + w].tobytes() == obs.x[:w].tobytes()
+            assert cache.y[lo:lo + w].tobytes() == obs.y[:w].tobytes()
+            assert cache.eps_xi[lo:lo + w].tobytes() == (plan.noise.epsilon * xi).tobytes()
         assert 0 in windows and len(windows) > 1
+
+    def test_chunks_join_into_the_whole_cache(self):
+        """Caches built over [0, a) and [a, n) and joined equal the cache
+        over [0, n), field by field and byte for byte."""
+        spec = RegimeSpec.from_name("severe-ordinary")
+        plan = make_plan(spec=spec, epsilon=1e-2, sigma=8.4e-3, n_reps=300, j_max=200)
+        whole = _build_radius_cache(plan, 0, plan.n_reps)
+        for a in (1, 64, 150, 257, 299):
+            joined = _joined([_build_radius_cache(plan, 0, a),
+                              _build_radius_cache(plan, a, plan.n_reps)])
+            for field, got, want in zip(whole._fields, joined, whole):
+                assert got.dtype == want.dtype, (a, field)
+                assert got.tobytes() == want.tobytes(), (a, field)
+
+    def test_the_radius_is_the_same_at_every_worker_count(self):
+        """Five chunks exceed the CPU count of a small machine; the search
+        still returns the identical float."""
+        plan = make_plan(epsilon=1e-2, sigma=1e-2, n_reps=200, j_max=200, seed=42)
+        radii = {empirical_separation_radius(plan, 0.5, 1e-3, 1.0, tol=0.05, workers=w)
+                 for w in (1, 2, 5)}
+        assert radii == {0.859515625}
 
     def test_power_curve_monotone_under_common_randomness(self):
         plan = make_plan(epsilon=1e-3, sigma=1e-3, n_reps=300, j_max=200, seed=13)
         cache = _build_radius_cache(plan, 0, plan.n_reps)
         radii = (0.05, 0.1, 0.15, 0.2, 0.3)
-        betas = []
-        for r in radii:
-            n_accept, _ = _accept_counts_from_cache(cache, plan, r)
-            betas.append(n_accept / plan.n_reps)
+        betas = [1.0 - np.count_nonzero(_rejections(cache, plan, r)) / plan.n_reps
+                 for r in radii]
         assert betas[0] > 0.9  # spike falls outside the window: blind
         assert betas[-1] == 0.0  # far radius: always caught
         assert np.all(np.diff(betas) <= 0)
+
+
+class TestReplayFallback:
+    """The replay decides from the null statistic with one term swapped only
+    where a rounding margin proves the full statistic agrees; the rest go to
+    statistic itself."""
+
+    @staticmethod
+    def counted_replay(monkeypatch):
+        """A plan, its radius cache, and the list of the replay's statistic calls."""
+        plan = make_plan(epsilon=1e-3, sigma=1e-3, n_reps=100, j_max=200, seed=42)
+        cache = _build_radius_cache(plan, 0, plan.n_reps)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return statistic(*args)
+
+        monkeypatch.setattr(montecarlo, "statistic", counted)
+        return plan, cache, calls
+
+    def test_a_clear_margin_needs_no_statistic(self, monkeypatch):
+        plan, cache, calls = self.counted_replay(monkeypatch)
+        assert _rejections(cache, plan, 0.1).tolist() == direct_rejections(cache, plan, 0.1)
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("ulps, rejects", [(0, False), (-1, True), (1, False)],
+                             ids=["at-the-sum", "one-ulp-below", "one-ulp-above"])
+    def test_a_threshold_at_the_sum_keeps_the_strict_comparison(self, monkeypatch, ulps,
+                                                                 rejects):
+        plan, cache, calls = self.counted_replay(monkeypatch)
+        r = 0.1
+        sums = np.array(replayed_statistics(cache, plan, r))  # every window holds the spike
+        cutoff = sums if ulps == 0 else np.nextafter(sums, ulps * np.inf)
+        reject = _rejections(cache._replace(threshold=cutoff), plan, r)
+        assert reject.tolist() == [rejects] * plan.n_reps
+        assert len(calls) == plan.n_reps  # each one decided by statistic
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("field, value, error", [
+        ("eps_xi", 1e300, ValueError),  # the new term overflows
+        ("x", 0.0, DegenerateObservationError),  # the spiked coordinate's x is zero
+    ], ids=["overflow", "zero-x"])
+    def test_a_value_that_is_not_finite_raises_what_statistic_raises(self, monkeypatch,
+                                                                     field, value, error):
+        plan, cache, calls = self.counted_replay(monkeypatch)
+        r, i = 0.1, 7
+        k = spike_index(plan.spec, r, plan.config.j_max) - 1
+        arr = getattr(cache, field).copy()
+        arr[cache.starts[i] + k] = value
+        cache = cache._replace(**{field: arr})
+        with pytest.raises(error) as expected:
+            replayed_statistics(cache, plan, r)
+        with pytest.raises(error) as got:
+            _rejections(cache, plan, r)
+        assert str(got.value) == str(expected.value)
+        assert len(calls) == 1  # the replay sent entry i alone to statistic
 
 
 class TestSeparationRadius:

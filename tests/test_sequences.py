@@ -1,6 +1,7 @@
 """Coefficient sequences: pinned values, exact-rational cross-checks, shape rules."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -309,6 +310,22 @@ class TestHelpers:
         j = np.arange(1, 30)
         assert_allclose(a_inv_sq(mild_ordinary, j), a_value(mild_ordinary, j) ** -2.0, rtol=1e-14)
         assert_allclose(a_inv_sq(mild_super, j), a_value(mild_super, j) ** -2.0, rtol=1e-14)
+
+    @pytest.mark.parametrize("fn", [b_value, a_value, a_inv_sq])
+    @pytest.mark.parametrize("j, shown", [
+        (2.5, "2.5"), (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (0, "0"),
+        ([1, 2, 2.5, 3], "2.5"), (np.array([[1.0, math.nan], [2.0, 0.5]]), "nan"),
+        ([3, -2.0], "-2"), (np.array([3, -2]), "-2"),
+    ], ids=["half", "nan", "inf", "minus-inf", "zero", "array-half", "matrix-nan",
+            "array-negative", "integer-array-negative"])
+    def test_an_index_that_is_not_a_positive_integer_is_refused(self, mild_ordinary, fn, j,
+                                                                  shown):
+        """At mild-ordinary b_value(2.5) would be 0.4, a_value(2.5) 2.5 and
+        a_inv_sq(2.5) 0.16, and b_value(nan) nan; each is refused, naming
+        the first offending index."""
+        message = f"sequence index must be a positive integer, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fn(mild_ordinary, j)
 
     def test_a_inv_sq_underflows_gracefully(self):
         spec = RegimeSpec.from_name("mild-super", s=2.0, t=1.0)
