@@ -85,13 +85,11 @@ class RekeyedDraws:
     """
 
     def __init__(self, seed: int) -> None:
-        self._bits = Philox(key=seed)
+        self._bits = Philox(key=_word("seed", seed, 128))
         self._state = self._bits.state
         self._counter = self._state["state"]["counter"]
 
     def _words(self, rep: int, stream: int, start: int, n: int) -> np.ndarray:
-        if not 0 <= rep < 2 ** 64:
-            raise ValueError(f"rep must lie in [0, 2**64), got {rep!r}")
         block, skip = divmod(start, 4)
         self._counter[0] = block
         self._counter[2] = rep
@@ -104,18 +102,43 @@ class RekeyedDraws:
     def rows(self, reps, stream: int, start: int, widths) -> np.ndarray:
         """Row i holds draws start .. start + widths[i] - 1 of (reps[i],
         stream), all pushed through the inverse CDF at once; a row shorter
-        than the widest is padded with finite values no one should read."""
-        words = np.empty((len(reps), max(widths, default=0)), dtype=np.uint64)
-        for row, rep, width in zip(words, reps, widths):
-            row[:width] = self._words(rep, stream, start, width)
-            row[width:] = 0
-        return _gaussian(words)
+        than the widest is padded with finite values no one should read.
+        The arguments are checked once a call (see _word)."""
+        reps, widths = _words_of("rep", reps), _words_of("width", widths)
+        stream, start = _word("stream", stream, 64), _word("start", start, 66)
+        words = [self._words(rep, stream, start, width) for rep, width in zip(reps, widths)]
+        flat = np.concatenate(words) if words else np.zeros(0, dtype=np.uint64)
+        n = max(widths, default=0)
+        if n * len(words) == flat.size:  # equal widths
+            return _gaussian(flat.reshape(len(words), n))
+        padded = np.zeros((len(words), n), dtype=np.uint64)
+        padded[np.arange(n) < np.array(widths)[:, None]] = flat
+        return _gaussian(padded)
+
+
+def _word(name: str, value, bits: int) -> int:
+    """value as an int in [0, 2**bits), refused by name otherwise: a Philox
+    key has 128 bits, a counter word 64, and a start offset 66 (four draws
+    to a counter)."""
+    number = _count(name, value, low=-math.inf)
+    if not 0 <= number < 2 ** bits:
+        raise ValueError(f"{name} must lie in [0, 2**{bits}), got {value!r}")
+    return number
+
+
+def _words_of(name: str, values):
+    """values, each one an int in [0, 2**64): checked in one numpy pass when
+    numpy reads them as nonnegative integers, else one by one by _word."""
+    array = np.asarray(values)
+    if array.dtype.kind in "iu" and not (array.size and array.min() < 0):
+        return values
+    return [_word(name, value, 64) for value in values]
 
 
 def gaussian_draws(seed: int, rep: int, stream: int, n: int) -> np.ndarray:
     """The first n draws of the (seed, replication, stream) triple (see
     RekeyedDraws)."""
-    return RekeyedDraws(seed).rows([rep], stream, 0, [n])[0]
+    return RekeyedDraws(seed).rows([rep], stream, 0, [_count("n", n, low=0)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -35,13 +35,12 @@ from .testproc import (
     Bandwidth,
     TestConfig,
     _check_unit,
-    _degenerate,
     _objective,
     _objective_weight,
     _parts_from_sums,
-    _report,
     _scan_table,
     _statistic_sum,
+    _threshold_totals,
     bandwidth_bracket,
     run_test,
     statistic,
@@ -201,18 +200,34 @@ def _row_groups(lo: int, hi: int, rows: int):
         yield range(start, min(start + rows, hi))
 
 
-class _Batch(NamedTuple):
-    """The replications decided together, one row each (rows are padded to
-    the widest window; entries past a row's window are never read)."""
+class _Outcomes(NamedTuple):
+    """run_test's report of each replication of a run of consecutive ones, a
+    column per field, and the windows of x, y and the signal noise it read.
+    Replication i's windows are x[starts[i]:starts[i] + width[i]] (and so
+    on), laid end to end.  Width 0 marks a degenerate report: statistic 0,
+    threshold NaN, no rejection."""
 
-    window: list
+    bandwidth: np.ndarray
+    width: np.ndarray  # the report's window, min(d, m)
+    statistic: np.ndarray
+    threshold: np.ndarray
+    reject: np.ndarray
+    truncated: np.ndarray  # the report's bandwidth_truncated
+    starts: np.ndarray
     x: np.ndarray
     y: np.ndarray
     eps_xi: np.ndarray
-    terms: np.ndarray  # the statistic's (y/x - theta0)**2
-    inv2: np.ndarray  # x**-2
-    inv4: np.ndarray  # x**-4
-    a_inv_sq: list  # a_w**-2 at each row's window w
+
+
+def _starts(width: np.ndarray) -> np.ndarray:
+    """The offsets of windows of these widths laid end to end."""
+    return np.cumsum(width) - width
+
+
+def _joined(parts: Sequence[_Outcomes]) -> _Outcomes:
+    """The outcomes of consecutive runs, in order, as those of one run."""
+    outcomes = _Outcomes(*map(np.concatenate, zip(*parts)))
+    return outcomes._replace(starts=_starts(outcomes.width))
 
 
 def _batchable(plan: ExperimentPlan, theta: Signal) -> bool:
@@ -319,54 +334,83 @@ class _Kernel:
             bands.append(Bandwidth(self.j_max, True) if k < 0 else Bandwidth(k, False))
         return block, bands
 
-    def group(self, reps: range):
-        """(report, x_win, y_win, eps_xi_win) of each replication in reps, in
-        order, until the first one whose reference path raises: its error is
-        raised there."""
+    def group(self, reps: range) -> _Outcomes:
+        """The outcomes of the replications in reps (see decide)."""
         block, bands = self.bandwidths(reps)
         head = block if self.scan_from == 0 else self._operator(reps, 0, self.prefix)
-        yield from self.decide(reps, head, bands)
+        return self.decide(reps, head, bands)
 
     # -- decisions --------------------------------------------------------------
 
-    def decide(self, reps, head: np.ndarray, bands: list):
-        """(report, x_win, y_win, eps_xi_win) of replications whose scan has
-        ended, in order; row i of head holds x[:h] of reps[i] (h the same
-        for every row).
+    def decide(self, reps, head: np.ndarray, bands: list) -> _Outcomes:
+        """The outcomes of replications whose scan has ended; row i of head
+        holds x[:h] of reps[i] (h the same for every row).
 
-        Most are decided together from head.  One with a zero bandwidth gets
-        the degenerate report and empty windows.  One whose window depends on
-        x past head draws what its decision reads, at its turn, and is
-        decided alone.  No x that a decision reads is exactly zero, which the
-        reference path would refuse: a zero x_j at or past start ends the
-        scan at or before j, and below start |x_j| > 0 is certain.
+        Most are decided together from head, their windows gathered end to
+        end: only the math.fsums of each one's statistic terms, x**-2 and
+        x**-4 are taken one by one, and the thresholds come from those sums
+        at once (_threshold_totals).  One with a zero bandwidth is
+        degenerate.  One whose window depends on x past head draws what its
+        decision reads and is decided alone.  The error raised is the first
+        one the reference path meets over reps in order, as it raises it.
+        No x that a decision reads is exactly zero, which the reference path
+        would refuse: a zero x_j at or past start ends the scan at or before
+        j, and below start |x_j| > 0 is certain.
         """
         m = np.array([band.value for band in bands], dtype=np.int64)
         window = self._windows(head, m)
-        rows = np.flatnonzero(window > 0)
-        slots = dict(zip(rows.tolist(), range(rows.size)))
-        if rows.size:
-            xs = head if rows.size == len(reps) else head[rows]  # no copy when every row is batched
-            batch = self._batch([reps[i] for i in rows], xs, window[rows])
-        eps, sigma, alpha = self.eps, self.sigma, self.plan.config.alpha
-        for i, rep in enumerate(reps):
-            r = slots.get(i)
-            if not m[i]:
-                yield _degenerate(bands[i]), np.zeros(0), np.zeros(0), np.zeros(0)
-                continue
-            if r is None:
-                yield from self._alone(rep, bands[i])
-                continue
-            w = batch.window[r]
-            value = _statistic_sum(batch.terms[r, :w])
-            cutoff = _parts_from_sums(math.fsum(batch.inv2[r, :w].tolist()),
-                                      math.fsum(batch.inv4[r, :w].tolist()),
-                                      batch.a_inv_sq[r], eps, sigma, alpha).total
-            report = _report(bands[i], w, value, cutoff)
-            yield report, batch.x[r, :w].copy(), batch.y[r, :w].copy(), batch.eps_xi[r, :w].copy()
+        width = np.maximum(window, 0)  # 0 for now where decided alone
+        rows = np.flatnonzero(width)
+        w = width[rows]
+        n = int(w.max(initial=0))
+        inside = np.arange(n) < width[:, None]
+        x, col = head[:, :n][inside], np.nonzero(inside)[1]
+        if self.eps > 0.0:
+            xi = self.draws.rows([reps[i] for i in rows.tolist()], SIGNAL_STREAM, 0, w.tolist())
+            eps_xi = self.eps * xi[inside[rows]]
+            y = self.bt[col] + eps_xi
+        else:
+            y, eps_xi = self.bt[col], np.zeros(col.size)
+        with np.errstate(all="ignore"):  # a sum that is not finite is refused below
+            terms = (y / x - self.theta0[col]) ** 2
+            inv2, inv4 = x ** -2.0, x ** -4.0
+        lo = _starts(w)
+        t, i2, i4, sums = terms.tolist(), inv2.tolist(), inv4.tolist(), []
+        for a, b in zip(lo.tolist(), (lo + w).tolist()):
+            try:
+                sums.append((math.fsum(t[a:b]), math.fsum(i2[a:b]), math.fsum(i4[a:b])))
+            except OverflowError:  # finite terms whose sum is not: refused below
+                sums.append((math.inf,) * 3)
+        value, inv2_sum, inv4_sum = np.array(sums).reshape(-1, 3).T
+        alpha, a_w = self.plan.config.alpha, a_inv_sq(self.plan.spec, w)
+        cutoff = _threshold_totals(inv2_sum, inv4_sum, a_w, self.eps, self.sigma, alpha)
+        bad = np.flatnonzero(~(np.isfinite(value) & np.isfinite(cutoff)))
+        first = rows[bad[0]] if bad.size else len(reps)
+        alone = np.flatnonzero(window[:first] < 0)  # decided, or raising, before row first
+        solo = [self._alone(reps[i], bands[i]) for i in alone.tolist()]
+        if bad.size:  # the reference path's error there: the statistic's, else the threshold's
+            span = slice(lo[bad[0]], lo[bad[0]] + w[bad[0]])
+            _statistic_sum(terms[span])
+            _parts_from_sums(math.fsum(inv2[span].tolist()), math.fsum(inv4[span].tolist()),
+                             a_w[bad[0]].item(), self.eps, self.sigma, alpha)
+            raise AssertionError("_threshold_totals disagrees with _parts_from_sums")
+        statistic = np.zeros(len(reps))
+        statistic[rows] = value
+        threshold = np.full(len(reps), math.nan)
+        threshold[rows] = cutoff
+        windows = x, y, eps_xi
+        if solo:
+            solo = _joined(solo)
+            at = np.repeat(_starts(width)[alone], solo.width)
+            windows = [np.insert(flat, at, own)
+                       for flat, own in zip(windows, (solo.x, solo.y, solo.eps_xi))]
+            width[alone], statistic[alone], threshold[alone] = \
+                solo.width, solo.statistic, solo.threshold
+        return _Outcomes(m, width, statistic, threshold, statistic > threshold,
+                         np.array([band.truncated for band in bands]), _starts(width), *windows)
 
-    def _alone(self, rep: int, band: Bandwidth):
-        """The decision of one replication, on the x[:n] it reads (n = the
+    def _alone(self, rep: int, band: Bandwidth) -> _Outcomes:
+        """The outcome of one replication, on the x[:n] it reads (n = the
         bandwidth, or a fixed dimension below it) drawn here."""
         dimension = self.plan.config.dimension
         n = band.value if dimension is None else min(dimension, band.value)
@@ -417,53 +461,42 @@ class _Kernel:
         d = objective.argmin(axis=1)
         return d + 1, objective[np.arange(d.size), d], sums[:, -1]
 
-    def _batch(self, reps: list, x: np.ndarray, window: np.ndarray) -> _Batch:
-        """The arrays of replications decided together, over their windows."""
-        n = int(window.max())
-        xs = x[:, :n]
-        with np.errstate(all="ignore"):  # entries past a row's window may overflow
-            y, eps_xi = self._signal_windows(reps, window.tolist())
-            return _Batch(window.tolist(), x, y, eps_xi, (y / xs - self.theta0[:n]) ** 2,
-                          xs ** -2.0, xs ** -4.0, a_inv_sq(self.plan.spec, window).tolist())
 
-    def _signal_windows(self, reps: list, widths: list) -> tuple[np.ndarray, np.ndarray]:
-        """y and epsilon*xi over each replication's window, one row each."""
-        n = max(widths)
-        if self.eps > 0.0:
-            eps_xi = self.eps * self.draws.rows(reps, SIGNAL_STREAM, 0, widths)
-            return self.bt[:n] + eps_xi, eps_xi
-        return np.tile(self.bt[:n], (len(reps), 1)), np.zeros((len(reps), n))
-
-
-def _simulated(plan: ExperimentPlan, theta: Signal, rep: int):
-    """One replication by simulate + run_test, with the windows it read."""
-    obs = simulate(theta, plan.spec, plan.noise, plan.master_seed, plan.config.j_max, rep=rep)
-    report = run_test(obs, plan.theta0, plan.spec, plan.noise, plan.config)
-    w, eps = report.window, plan.noise.epsilon
-    xi = gaussian_draws(plan.master_seed, rep, SIGNAL_STREAM, w) if eps > 0.0 else np.zeros(w)
-    return report, obs.x[:w].copy(), obs.y[:w].copy(), eps * xi
+def _simulated(plan: ExperimentPlan, theta: Signal, reps: range) -> _Outcomes:
+    """The outcomes of reps by simulate + run_test, one replication at a time."""
+    eps, fields, windows = plan.noise.epsilon, [], []
+    for rep in reps:
+        obs = simulate(theta, plan.spec, plan.noise, plan.master_seed, plan.config.j_max, rep=rep)
+        report = run_test(obs, plan.theta0, plan.spec, plan.noise, plan.config)
+        w = report.window
+        xi = gaussian_draws(plan.master_seed, rep, SIGNAL_STREAM, w) if eps > 0.0 else np.zeros(w)
+        fields.append((report.bandwidth, w, report.statistic, report.threshold, report.reject,
+                       report.bandwidth_truncated))
+        windows.append((obs.x[:w], obs.y[:w], eps * xi))
+    bandwidth, width, statistic, threshold, reject, truncated = map(np.array, zip(*fields))
+    return _Outcomes(bandwidth, width, statistic, threshold, reject, truncated, _starts(width),
+                     *map(np.concatenate, zip(*windows)))
 
 
 def _replications(plan: ExperimentPlan, theta: Signal, lo: int, hi: int):
-    """For each replication in [lo, hi), yield (report, x_win, y_win,
-    eps_xi_win): the report of run_test(simulate(theta, ..., rep=rep),
-    plan.theta0, ...) and the windows of x, y and the signal noise it read,
-    as owned arrays.  An error is raised where that loop would raise first."""
+    """The outcomes of run_test(simulate(theta, ..., rep=rep), plan.theta0,
+    ...) over rep in [lo, hi), one _Outcomes per row group, in order.  The
+    error raised is the first one that loop meets, as it raises it, from the
+    row group where it meets it."""
+    groups = _row_groups(lo, hi, _GROUP_ROWS)
     if not _batchable(plan, theta):
-        yield from (_simulated(plan, theta, rep) for rep in range(lo, hi))
+        yield from (_simulated(plan, theta, reps) for reps in groups)
         return
-    kernel = _Kernel(plan, theta)
-    for reps in _row_groups(lo, hi, _GROUP_ROWS):
-        yield from kernel.group(reps)
+    yield from map(_Kernel(plan, theta).group, groups)
 
 
 def _reject_counts(plan: ExperimentPlan, theta: Signal, lo: int, hi: int) -> tuple[int, int]:
     """(rejections, degenerate replications) over reps in [lo, hi)."""
     n_reject = 0
     n_degenerate = 0
-    for report, *_ in _replications(plan, theta, lo, hi):
-        n_reject += report.reject
-        n_degenerate += report.degenerate
+    for outcomes in _replications(plan, theta, lo, hi):
+        n_reject += np.count_nonzero(outcomes.reject)
+        n_degenerate += np.count_nonzero(outcomes.width == 0)
     return n_reject, n_degenerate
 
 
@@ -502,47 +535,15 @@ def estimate_beta(plan: ExperimentPlan, theta: Signal, workers: int = 1) -> Erro
 # ---------------------------------------------------------------------------
 
 
-class _RadiusCache(NamedTuple):
-    """Everything the replications need to re-decide the test at any spike
-    radius without re-simulating, one array per field.  Only the spiked
-    coordinate of y changes with the radius; the bandwidth, selected
-    dimension and threshold depend on x only.  Entry i's windows of y, x and
-    the signal noise are y[starts[i]:starts[i] + width[i]] (and so on), laid
-    end to end; width 0 marks a degenerate replication, which never rejects."""
-
-    width: np.ndarray  # the window w of each replication
-    null_reject: np.ndarray  # its decision under the null
-    threshold: np.ndarray
-    null_total: np.ndarray  # its null statistic: the fsum of the window's terms
-    starts: np.ndarray  # where its windows start in y, x and eps_xi
-    y: np.ndarray
-    x: np.ndarray
-    eps_xi: np.ndarray
+def _build_radius_cache(plan: ExperimentPlan, lo: int, hi: int) -> _Outcomes:
+    """The outcomes of replications [lo, hi) under the null, as one run: a
+    spike radius changes only the spiked coordinate of y, and the bandwidth,
+    selected dimension and threshold depend on x only, so they are all the
+    replications need to be decided again at any radius (see _rejections)."""
+    return _joined(list(_replications(plan, plan.theta0, lo, hi)))
 
 
-def _starts(width: np.ndarray) -> np.ndarray:
-    """The offsets of windows of these widths laid end to end."""
-    return np.cumsum(width) - width
-
-
-def _build_radius_cache(plan: ExperimentPlan, lo: int, hi: int) -> _RadiusCache:
-    """The radius cache of replications [lo, hi) under the null."""
-    reports, x_wins, y_wins, eps_xi_wins = zip(*_replications(plan, plan.theta0, lo, hi))
-    width = np.array([report.window for report in reports], dtype=np.int64)
-    return _RadiusCache(width, np.array([report.reject for report in reports]),
-                        np.array([report.threshold for report in reports]),
-                        np.array([report.statistic for report in reports]), _starts(width),
-                        np.concatenate(y_wins), np.concatenate(x_wins),
-                        np.concatenate(eps_xi_wins))
-
-
-def _joined(parts: Sequence[_RadiusCache]) -> _RadiusCache:
-    """The caches of consecutive chunks, in order, as one cache."""
-    cache = _RadiusCache(*map(np.concatenate, zip(*parts)))
-    return cache._replace(starts=_starts(cache.width))
-
-
-def _rejections(cache: _RadiusCache, plan: ExperimentPlan, r: float) -> np.ndarray:
+def _rejections(cache: _Outcomes, plan: ExperimentPlan, r: float) -> np.ndarray:
     """Each cached replication's decision at spike radius r, as estimate_beta
     on the matching spike alternative makes it: statistic(y, x_win, theta0,
     w, w) > threshold, where y is y_win with its spiked coordinate k
@@ -572,10 +573,10 @@ def _rejections(cache: _RadiusCache, plan: ExperimentPlan, r: float) -> np.ndarr
     k = d_star - 1
     theta0_k = plan.theta0.padded(max(d_star, len(plan.theta0)))[k]
     spiked = b_vector(plan.spec, j_max)[k] * (theta0_k + r)
-    reject = cache.null_reject.copy()
+    reject = cache.reject.copy()
     rows = np.flatnonzero(cache.width > k)
     at = cache.starts[rows] + k
-    x_k, null_total, cutoff = cache.x[at], cache.null_total[rows], cache.threshold[rows]
+    x_k, null_total, cutoff = cache.x[at], cache.statistic[rows], cache.threshold[rows]
     with np.errstate(all="ignore"):  # statistic decides a value that is not finite
         old = (cache.y[at] / x_k - theta0_k) ** 2
         new = ((spiked + cache.eps_xi[at]) / x_k - theta0_k) ** 2
@@ -591,7 +592,7 @@ def _rejections(cache: _RadiusCache, plan: ExperimentPlan, r: float) -> np.ndarr
     return reject
 
 
-def _bisect(cache: _RadiusCache, plan: ExperimentPlan, beta_target: float,
+def _bisect(cache: _Outcomes, plan: ExperimentPlan, beta_target: float,
             r_lo: float, r_hi: float, tol: float) -> float:
     """empirical_separation_radius's search, on the radius cache of plan."""
     n = plan.n_reps

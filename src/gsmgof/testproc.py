@@ -274,6 +274,21 @@ def _parts_from_sums(sum_inv2: float, sum_inv4: float, a_w: float, epsilon: floa
     return parts
 
 
+def _threshold_totals(sum_inv2: np.ndarray, sum_inv4: np.ndarray, a_w: np.ndarray,
+                      epsilon: float, sigma: float, alpha: float) -> np.ndarray:
+    """_parts_from_sums(...).total of each window, from arrays of its sums and
+    a_w, by the same float64 operations in the same order.  The floor is the
+    one max picks: the first argument unless a_w exceeds it, so a NaN on
+    either side goes as it does (a subnormal sigma makes the first NaN).
+    Where _parts_from_sums refuses the threshold, the total is not finite."""
+    floor = sigma * sigma * math.log(1.0 / sigma) ** 1.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        centering = epsilon * epsilon * sum_inv2
+        deviation = threshold_constant(alpha) * epsilon * epsilon * np.sqrt(sum_inv4)
+        bias = (1.0 + math.sqrt(tail_exponent(alpha))) * np.where(a_w > floor, a_w, floor)
+        return centering + deviation + bias
+
+
 def threshold(x, spec: RegimeSpec, d: int, m: int, epsilon: float,
               sigma: float, alpha: float) -> float:
     """Data-driven rejection threshold: centering + deviation + bias.
@@ -409,25 +424,14 @@ def run_test(obs: Observations, theta0: Signal, spec: RegimeSpec,
     return _decide(band, obs.x, obs.y, theta0, spec, noise, config)
 
 
-def _degenerate(band: Bandwidth) -> TestReport:
-    """The accepting report of a zero bandwidth (see TestReport)."""
-    return TestReport(bandwidth=0, window=0, statistic=0.0, threshold=math.nan,
-                      reject=False, degenerate=True, bandwidth_truncated=band.truncated)
-
-
-def _report(band: Bandwidth, window: int, value: float, cutoff: float) -> TestReport:
-    """The report of a nonzero bandwidth: reject when the statistic exceeds the threshold."""
-    return TestReport(bandwidth=band.value, window=window, statistic=value, threshold=cutoff,
-                      reject=bool(value > cutoff), degenerate=False,
-                      bandwidth_truncated=band.truncated)
-
-
 def _decide(band: Bandwidth, x, y, theta0: Signal, spec: RegimeSpec, noise: NoiseLevels,
             config: TestConfig) -> TestReport:
     """The test once the bandwidth is known: dimension choice on x[:m], then
-    statistic vs threshold over the window min(d, m) of y."""
+    statistic vs threshold over the window min(d, m) of y.  A zero bandwidth
+    gives the accepting degenerate report (see TestReport)."""
     if band.value == 0:
-        return _degenerate(band)
+        return TestReport(bandwidth=0, window=0, statistic=0.0, threshold=math.nan,
+                          reject=False, degenerate=True, bandwidth_truncated=band.truncated)
     if config.dimension is not None:
         d = config.dimension
     else:
@@ -435,5 +439,6 @@ def _decide(band: Bandwidth, x, y, theta0: Signal, spec: RegimeSpec, noise: Nois
                              config.alpha, config.beta)
     value = statistic(y, x, theta0, d, band.value)
     cutoff = threshold(x, spec, d, band.value, noise.epsilon, noise.sigma, config.alpha)
-    return _report(band, min(d, band.value), value, cutoff)
-
+    return TestReport(bandwidth=band.value, window=min(d, band.value), statistic=value,
+                      threshold=cutoff, reject=bool(value > cutoff), degenerate=False,
+                      bandwidth_truncated=band.truncated)

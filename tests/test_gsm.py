@@ -177,6 +177,43 @@ class TestGaussianDraws:
             with pytest.raises(ValueError, match=rf"rep must lie in \[0, 2\*\*64\), got {rep}"):
                 draws.rows([0, rep], SIGNAL_STREAM, 0, [4, 4])
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: simulate(Signal.zeros(0), RegimeSpec.from_name("mild-ordinary"),
+                          NoiseLevels(0.1, 0.1), seed=1, j_max=3, rep=2.5),
+         "rep must be an integer, got 2.5"),
+        (lambda: gaussian_draws(1, 2.5, 1, 3), "rep must be an integer, got 2.5"),
+        (lambda: RekeyedDraws(1).rows([0, 1.5], 1, 0, [3, 3]), "rep must be an integer, got 1.5"),
+        (lambda: simulate(Signal.zeros(0), RegimeSpec.from_name("mild-ordinary"),
+                          NoiseLevels(0.1, 0.1), seed=1.5, j_max=3),
+         "seed must be an integer, got 1.5"),
+        (lambda: RekeyedDraws(1.5), "seed must be an integer, got 1.5"),
+        (lambda: RekeyedDraws(-1), "seed must lie in [0, 2**128), got -1"),
+        (lambda: RekeyedDraws(2 ** 128), "seed must lie in [0, 2**128), got 3402"),
+        (lambda: gaussian_draws(1, 2, 1.7, 3), "stream must be an integer, got 1.7"),
+        (lambda: gaussian_draws(1, 2, -1, 3), "stream must lie in [0, 2**64), got -1"),
+        (lambda: gaussian_draws(1, 2, 2 ** 64, 3), "stream must lie in [0, 2**64), got 1844"),
+        (lambda: RekeyedDraws(1).rows([2], 1, -4, [3]), "start must lie in [0, 2**66), got -4"),
+        (lambda: RekeyedDraws(1).rows([2], 1, 0.5, [3]), "start must be an integer, got 0.5"),
+        (lambda: gaussian_draws(1, 2, 1, 2.5), "n must be an integer, got 2.5"),
+        (lambda: gaussian_draws(1, 2, 1, -1), "n must be >= 0, got -1"),
+        (lambda: RekeyedDraws(1).rows([2, 3], 1, 0, [3, 2.5]), "width must be an integer, got 2.5"),
+        (lambda: RekeyedDraws(1).rows([2, 3], 1, 0, [3, -1]), "width must lie in [0, 2**64)"),
+    ], ids=["simulate-rep", "draws-rep", "rows-rep", "simulate-seed", "rekeyed-seed",
+            "negative-seed", "huge-seed", "draws-stream", "negative-stream", "huge-stream",
+            "negative-start", "fractional-start", "fractional-n", "negative-n",
+            "fractional-width", "negative-width"])
+    def test_draw_arguments_are_integers_in_range(self, call, message):
+        """Seed, rep, stream, start and n are refused by name when int() would
+        truncate them or they do not fit the Philox key or counter, never
+        truncated or turned into a raw OverflowError or TypeError."""
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value).startswith(message)
+
+    def test_draw_arguments_that_are_integral_floats_draw_their_integer(self):
+        draws = RekeyedDraws(42.0).rows([3.0, 2 ** 63], 1.0, 4.0, [5.0, 2])
+        assert draws.tobytes() == RekeyedDraws(42).rows([3, 2 ** 63], 1, 4, [5, 2]).tobytes()
+
     def test_rekeyed_rows_hold_each_replication(self):
         """Rows of any widths in one call: row i is the replication's own
         draws up to its width."""

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gsmgof import cli, gsm, montecarlo
+from gsmgof import cli, gsm, montecarlo, testproc
 from gsmgof import (
     KAPPA_DEFAULT,
     OPERATOR_STREAM,
@@ -54,20 +54,20 @@ from gsmgof.montecarlo import (
 )
 from gsmgof.gsm import DRAW_BOUND
 from gsmgof.sequences import a_value, b_vector
-from gsmgof.testproc import Bandwidth, _decide
+from gsmgof.testproc import Bandwidth, TestReport, _decide, _parts_from_sums, _threshold_totals
 
 REGIMES = ("mild-ordinary", "mild-super", "severe-ordinary", "severe-super")
 
 
 def fix_threshold(monkeypatch, cutoff):
     """Make every in-process test run reject exactly when statistic > cutoff
-    (the Monte Carlo loops read every report from the kernel)."""
+    (the Monte Carlo loops read every outcome from the kernel)."""
     real = montecarlo._replications
 
     def fixed(*args):
-        for report, *windows in real(*args):
-            yield (dataclasses.replace(report, threshold=cutoff,
-                                       reject=report.statistic > cutoff), *windows)
+        for outcomes in real(*args):
+            yield outcomes._replace(threshold=np.full(outcomes.threshold.shape, cutoff),
+                                    reject=outcomes.statistic > cutoff)
 
     monkeypatch.setattr(montecarlo, "_replications", fixed)
 
@@ -199,10 +199,23 @@ def _reference(plan, theta, rep):
     return report, obs.x[:report.window].tobytes(), obs.y[:report.window].tobytes()
 
 
+def reports(outcomes):
+    """Each replication's TestReport rebuilt from the kernel's columns, with
+    its windows of x, y and epsilon*xi."""
+    for i, (lo, w) in enumerate(zip(outcomes.starts.tolist(), outcomes.width.tolist())):
+        report = TestReport(bandwidth=int(outcomes.bandwidth[i]), window=w,
+                            statistic=float(outcomes.statistic[i]),
+                            threshold=float(outcomes.threshold[i]),
+                            reject=bool(outcomes.reject[i]), degenerate=w == 0,
+                            bandwidth_truncated=bool(outcomes.truncated[i]))
+        yield report, outcomes.x[lo:lo + w], outcomes.y[lo:lo + w], outcomes.eps_xi[lo:lo + w]
+
+
 def _kernel(plan, theta, rep):
-    report, x, y_win, eps_xi_win = next(_replications(plan, theta, rep, rep + 1))
+    [outcomes] = _replications(plan, theta, rep, rep + 1)
+    [(report, x_win, y_win, eps_xi_win)] = reports(outcomes)
     assert eps_xi_win.shape == y_win.shape == (report.window,)
-    return report, x[:report.window].tobytes(), y_win.tobytes()
+    return report, x_win.tobytes(), y_win.tobytes()
 
 
 def assert_kernel_matches_reference(plan, theta):
@@ -303,14 +316,27 @@ def serial_outcomes(plan, theta, lo, hi):
 
 
 def batch_outcomes(plan, theta, lo, hi):
-    """The same from one kernel pass over [lo, hi), row group by row group."""
+    """The same from one kernel pass over [lo, hi), row group by row group:
+    the outcomes of each group it finishes, then the error it raises."""
     out = []
     try:
-        for report, x_win, y_win, eps_xi_win in _replications(plan, theta, lo, hi):
-            out.append(repr((report, x_win.tobytes(), y_win.tobytes(), eps_xi_win.tobytes())))
+        for outcomes in _replications(plan, theta, lo, hi):
+            out.extend(repr((report, x_win.tobytes(), y_win.tobytes(), eps_xi_win.tobytes()))
+                       for report, x_win, y_win, eps_xi_win in reports(outcomes))
     except Exception as exc:  # noqa: BLE001 -- the comparison is the point
         out.append(f"{type(exc).__name__}: {exc}")
     return out
+
+
+def assert_batch_matches_serial(plan, theta, lo, hi):
+    """The kernel's outcomes over [lo, hi) are the serial loop's.  Where that
+    loop raises at replication i, the kernel's outcomes over [lo, i) are its
+    outcomes there, and the kernel raises its error over [lo, hi)."""
+    serial = serial_outcomes(plan, theta, lo, hi)
+    done = len(serial) - (not serial[-1].startswith("("))
+    assert batch_outcomes(plan, theta, lo, lo + done) == serial[:done]
+    if done < len(serial):
+        assert batch_outcomes(plan, theta, lo, hi)[-1] == serial[-1]
 
 
 # (j_max, chunk): chunks of 1, 63, 64, 65 and 200 replications that do not
@@ -329,8 +355,7 @@ class TestBatch:
     def test_chunks_match_serial_loop(self, regime, sigma):
         for j_max, (lo, hi) in CHUNKS:
             plan = make_plan(spec=RegimeSpec.from_name(regime), sigma=sigma, j_max=j_max)
-            assert batch_outcomes(plan, plan.theta0, lo, hi) == \
-                serial_outcomes(plan, plan.theta0, lo, hi)
+            assert_batch_matches_serial(plan, plan.theta0, lo, hi)
 
     @pytest.mark.parametrize("case", [
         dict(epsilon=0.0),
@@ -351,7 +376,7 @@ class TestBatch:
         for j_max, (lo, hi) in CHUNKS[1:]:
             plan = make_plan(spec=RegimeSpec.from_name(regime), j_max=j_max, **case)
             target = plan.theta0 if theta is None else theta
-            assert batch_outcomes(plan, target, lo, hi) == serial_outcomes(plan, target, lo, hi)
+            assert_batch_matches_serial(plan, target, lo, hi)
 
     def test_decisions_match_the_reference_step_on_any_prefix(self):
         """Row by row, the batched decision equals testproc's own step on
@@ -363,11 +388,12 @@ class TestBatch:
             plan = make_plan(epsilon=1e-3, sigma=1e-3, j_max=40, dimension=dimension)
             x = rng.choice([-1.0, 1.0], (60, 40)) * 10.0 ** rng.uniform(-4.0, 2.0, (60, 40))
             bands = [Bandwidth(int(m), bool(m == 40)) for m in rng.integers(0, 41, 60)]
-            decided = montecarlo._Kernel(plan, plan.theta0).decide(reps, x, bands)
-            for rep, row, band, (report, x_win, y_win, _) in zip(reps, x, bands, decided):
+            decided = reports(montecarlo._Kernel(plan, plan.theta0).decide(reps, x, bands))
+            for rep, row, band, (report, x_win, y_win, _) in zip(reps, x, bands, decided,
+                                                                  strict=True):
                 y = simulate(plan.theta0, plan.spec, plan.noise, plan.master_seed, 40, rep=rep).y
                 expected = _decide(band, row, y, plan.theta0, plan.spec, plan.noise, plan.config)
-                assert report == expected
+                assert repr(report) == repr(expected)
                 assert x_win.tobytes() == row[:report.window].tobytes()
                 assert y_win.tobytes() == y[:report.window].tobytes()
 
@@ -390,8 +416,48 @@ class TestBatch:
         expected = _outcome(lambda: _decide(band, x, y, plan.theta0, plan.spec, plan.noise,
                                             plan.config))
         assert expected.startswith(outcome)
-        decided = montecarlo._Kernel(plan, plan.theta0).decide([0], x[None], [band])
-        assert _outcome(lambda: next(decided)[0]) == expected
+        kernel = montecarlo._Kernel(plan, plan.theta0)
+        assert _outcome(lambda: next(reports(kernel.decide([0], x[None], [band])))[0]) == expected
+
+    # Rows of hand-made prefixes (x[:30], dimension 35, theta0 1e300 at
+    # coordinate 25, no noise on y): "ok" and "threshold" (x_4 = 1e-160, so
+    # x**-2 overflows and eps^2 * inf is NaN) have windows of 10, "statistic"
+    # and "both" (x_4 = 1e-160 too) of 28, where the statistic overflows;
+    # "alone" has a bandwidth of 38, is decided on its own 35 drawn
+    # coordinates, and its statistic overflows there.
+    ERROR_ROWS = {"ok": (10, None), "threshold": (10, 1e-160), "statistic": (28, None),
+                  "both": (28, 1e-160), "alone": (38, None)}
+
+    @pytest.mark.parametrize("kinds", [
+        "ok,alone,threshold", "ok,threshold,alone", "alone,threshold", "ok,both,threshold",
+        "threshold,statistic", "ok,statistic,alone,both", "ok,alone,ok,threshold",
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_the_first_error_in_row_order_is_raised(self, kinds):
+        """A row group's error is the serial loop's first, however batched and
+        alone rows and statistic and threshold errors interleave, and within a
+        row the statistic's comes first."""
+        plan = make_plan(epsilon=0.0, sigma=1e-3, j_max=40, dimension=35,
+                         theta0=Signal([0.0] * 24 + [1e300]))
+        target = Signal.zeros(0)
+        b = b_vector(plan.spec, 40)
+        reps = range(3, 3 + len(kinds.split(",")))
+        head, bands, serial = [], [], []
+        for rep, kind in zip(reps, kinds.split(",")):
+            m, tiny = self.ERROR_ROWS[kind]
+            x = simulate(target, plan.spec, plan.noise, plan.master_seed, 40, rep=rep).x
+            if kind != "alone":
+                x = b.copy()
+                if tiny is not None:
+                    x[3] = tiny
+            head.append(x[:30])
+            bands.append(Bandwidth(m, False))
+            serial.append(_outcome(lambda: _decide(bands[-1], x, np.zeros(40), plan.theta0,
+                                                   plan.spec, plan.noise, plan.config)))
+        first = next(outcome for outcome in serial if not outcome.startswith("TestReport("))
+        kernel = montecarlo._Kernel(plan, target)
+        assert _outcome(lambda: kernel.decide(reps, np.array(head), bands)) == first
 
     @pytest.mark.parametrize("stream", [SIGNAL_STREAM, OPERATOR_STREAM],
                              ids=["signal", "operator"])
@@ -432,8 +498,7 @@ class TestBatch:
         k, r = spike
         theta = Signal(np.eye(1, min(k + 1, j_max), min(k, j_max - 1))[0] * r)
         for target in (plan.theta0, theta):
-            assert batch_outcomes(plan, target, lo, lo + size) == \
-                serial_outcomes(plan, target, lo, lo + size)
+            assert_batch_matches_serial(plan, target, lo, lo + size)
 
     @pytest.mark.parametrize("case", [
         dict(sigma=1e308, j_max=3),  # x overflows
@@ -443,12 +508,12 @@ class TestBatch:
     ], ids=["x", "y", "epsilon-squared", "statistic"])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_first_error_of_a_chunk_is_the_serial_loops(self, case):
-        """Replications before the first failing one are yielded, then its
-        error is raised, as the serial loop raises it."""
+        """The replications before the first failing one have the serial
+        loop's outcomes, and its error is raised as that loop raises it."""
         plan = make_plan(**case)
         serial = serial_outcomes(plan, plan.theta0, 5, 300)
         assert len(serial) > 1 and not serial[-1].startswith("(")
-        assert batch_outcomes(plan, plan.theta0, 5, 300) == serial
+        assert_batch_matches_serial(plan, plan.theta0, 5, 300)
 
     def test_first_error_of_a_chunk_is_the_serial_loops_when_the_threshold_overflows(self):
         """epsilon**2 is finite, so the kernel batches the plan, but the
@@ -458,7 +523,7 @@ class TestBatch:
         serial = serial_outcomes(plan, plan.theta0, 5, 300)
         assert len(serial) > 1
         assert serial[-1].startswith("ValueError: the threshold is not finite")
-        assert batch_outcomes(plan, plan.theta0, 5, 300) == serial
+        assert_batch_matches_serial(plan, plan.theta0, 5, 300)
 
     @pytest.mark.parametrize("t, epsilon, sigma, j_max, k", [
         (1.0, 1e-2, 1e-4, 1000, 131),  # start 131: the scan's batched block
@@ -497,8 +562,8 @@ class TestBatch:
         only the objective's 16-column prefix of x and the signal windows:
         nowhere near a chunk-by-horizon matrix (500 x 10 000 floats is 40 MB)."""
         plan = make_plan(epsilon=1e-2, sigma=1e-6, j_max=10_000, n_reps=500)
-        assert all(report.bandwidth_truncated
-                   for report, *_ in _replications(plan, plan.theta0, 0, 5))
+        assert all(outcomes.truncated.all()
+                   for outcomes in _replications(plan, plan.theta0, 0, 5))
         tracemalloc.start()
         try:
             _reject_counts(plan, plan.theta0, 0, 500)
@@ -506,6 +571,51 @@ class TestBatch:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+class TestColumns:
+    """The kernel's unit of output is a row group's columns: no TestReport is
+    built per replication, and the thresholds of a group come from one numpy
+    pass equal to _parts_from_sums row by row."""
+
+    def test_counting_builds_no_report(self, monkeypatch):
+        spec = RegimeSpec.from_name("severe-ordinary")
+        plan = make_plan(spec=spec, epsilon=1e-2, sigma=8.4e-3, n_reps=500, j_max=200, seed=4)
+        assert _batchable(plan, plan.theta0)
+        expected = reference_estimate(plan, plan.theta0, False)
+        assert 0 < expected.n_degenerate < plan.n_reps
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a TestReport was built")
+
+        for name in ("_decide", "TestReport"):
+            monkeypatch.setattr(testproc, name, refuse)
+        counts = _reject_counts(plan, plan.theta0, 0, plan.n_reps)
+        cache = _build_radius_cache(plan, 0, plan.n_reps)
+        assert counts == (round(expected.p_hat * plan.n_reps), expected.n_degenerate)
+        assert counts == (np.count_nonzero(cache.reject), np.count_nonzero(cache.width == 0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(sums=st.lists(st.tuples(*[st.floats(1e-300, 1e300) | st.floats(0.0, math.inf)
+                                     | st.just(math.nan)] * 2,
+                                   st.floats(0.0, 1e300) | st.sampled_from([math.inf, math.nan])),
+                         min_size=1, max_size=12),
+           epsilon=st.sampled_from([0.0, 1e-300, 1e-6, 1e-2, 0.3, 1e150]) | st.floats(0.0, 1e200),
+           sigma=st.sampled_from([5e-324, 1e-310, 1e-300, 1e-8, 0.5, 1.0 - 2.0 ** -53])
+           | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           alpha=st.floats(1e-9, 0.99))
+    def test_threshold_totals_are_parts_from_sums_row_by_row(self, sums, epsilon, sigma, alpha):
+        """Every finite total is _parts_from_sums(...).total bit for bit, and
+        it is not finite exactly where that refuses the threshold, with its
+        message (at the first such row, a group raises it)."""
+        inv2, inv4, a_w = map(np.array, zip(*sums))
+        totals = _threshold_totals(inv2, inv4, a_w, epsilon, sigma, alpha)
+        for total, row in zip(totals.tolist(), sums, strict=True):
+            scalar = _outcome(lambda: _parts_from_sums(*row, epsilon, sigma, alpha).total)
+            if math.isfinite(total):
+                assert scalar == repr(total)
+            else:
+                assert scalar.startswith("ValueError: the threshold is not finite: ThresholdParts(")
 
 
 class TestCertificates:
@@ -551,8 +661,8 @@ class TestCertificates:
             return real(self, rep, stream, start, n)
 
         monkeypatch.setattr(gsm.RekeyedDraws, "_words", words)
-        reports = [report for report, *_ in _replications(plan, plan.theta0, 0, 500)]
-        assert all(report.bandwidth_truncated for report in reports)
+        assert all(outcomes.truncated.all()
+                   for outcomes in _replications(plan, plan.theta0, 0, 500))
         assert sum(counted) <= 500 * 64
 
     @pytest.mark.parametrize("case", [dict(epsilon=0.0), dict(dimension=70)],
@@ -561,8 +671,7 @@ class TestCertificates:
         """A zero deviation weight leaves the argmin uncertain, and a fixed
         dimension of 70 reads x past the prefix: both draw what they read."""
         plan = make_plan(sigma=1e-6, j_max=10_000, **case)
-        assert batch_outcomes(plan, plan.theta0, 3, 43) == \
-            serial_outcomes(plan, plan.theta0, 3, 43)
+        assert_batch_matches_serial(plan, plan.theta0, 3, 43)
 
     @pytest.mark.parametrize("sigma", [1e-4, 1.6e-5, 1e-6])
     def test_containment_scan_matches_a_brute_force_scan(self, sigma):
@@ -647,7 +756,7 @@ class TestFastPath:
         serial = serial_outcomes(plan, target, 5, 300)
         assert len(serial) == 17
         assert serial[-1] == "ValueError: the statistic over the first 4 coefficients is not finite"
-        assert batch_outcomes(plan, target, 5, 300) == serial
+        assert_batch_matches_serial(plan, target, 5, 300)
 
 
 def _two_point_null():
@@ -679,7 +788,7 @@ def replayed_statistics(cache, plan, r):
 def direct_rejections(cache, plan, r):
     """Each cached entry's decision at radius r by the full statistic, or
     its null decision where the spike lies past its window."""
-    return [bool(cache.null_reject[i]) if value is None else value > cache.threshold[i]
+    return [bool(cache.reject[i]) if value is None else value > cache.threshold[i]
             for i, value in enumerate(replayed_statistics(cache, plan, r))]
 
 
@@ -743,9 +852,9 @@ class TestRadiusCache:
         rejecting or not."""
         plan = make_plan(epsilon=1e-3, sigma=1e-3, n_reps=100, j_max=200, seed=42)
         cache = _build_radius_cache(plan, 0, plan.n_reps)
-        fix_threshold(monkeypatch, float(np.median(cache.null_total)))
+        fix_threshold(monkeypatch, float(np.median(cache.statistic)))
         cache = _build_radius_cache(plan, 0, plan.n_reps)
-        assert 0 < np.count_nonzero(cache.null_reject) < plan.n_reps
+        assert 0 < np.count_nonzero(cache.reject) < plan.n_reps
         assert_replay_matches_direct(plan)
 
     def test_entries_own_their_windows(self):
@@ -768,8 +877,10 @@ class TestRadiusCache:
             w, lo = report.window, cache.starts[rep]
             windows.add(w)
             assert cache.width[rep] == w
-            assert cache.null_reject[rep] == report.reject
-            assert cache.null_total[rep] == report.statistic
+            assert cache.bandwidth[rep] == report.bandwidth
+            assert cache.truncated[rep] == report.bandwidth_truncated
+            assert cache.reject[rep] == report.reject
+            assert cache.statistic[rep] == report.statistic
             assert cache.threshold[rep] == report.threshold or w == 0
             xi = gaussian_draws(plan.master_seed, rep, SIGNAL_STREAM, w)
             assert cache.x[lo:lo + w].tobytes() == obs.x[:w].tobytes()
