@@ -82,22 +82,31 @@ class RekeyedDraws:
     (rep, stream) pairs can never overlap, so worker scheduling cannot change
     any value, and rows from any start offset continue the same stream.
     Every draw lies within DRAW_BOUND of zero.
+
+    The state handed to Philox's setter holds plain ints, as reading numpy
+    scalars costs the setter more than drawing a short row; block and stream
+    are set once a rows call, and each row sets only its rep.
     """
 
     def __init__(self, seed: int) -> None:
         self._bits = Philox(key=_word("seed", seed, 128))
-        self._state = self._bits.state
-        self._counter = self._state["state"]["counter"]
+        self._state = state = self._bits.state
+        self._counter = state["state"]["counter"].tolist()
+        state.update(state={"counter": self._counter, "key": state["state"]["key"].tolist()},
+                     buffer=state["buffer"].tolist())
 
-    def _words(self, rep: int, stream: int, start: int, n: int) -> np.ndarray:
+    def _words(self, reps, stream: int, start: int, widths) -> list:
+        """The raw words of rows (see rows), one array each."""
         block, skip = divmod(start, 4)
-        self._counter[0] = block
-        self._counter[2] = rep
-        self._counter[3] = stream
-        self._bits.state = self._state
-        if skip:
-            self._bits.random_raw(skip)
-        return self._bits.random_raw(n)
+        counter, bits, state, rows = self._counter, self._bits, self._state, []
+        counter[0], counter[3] = block, stream
+        for rep, width in zip(reps, widths):
+            counter[2] = rep
+            bits.state = state
+            if skip:
+                bits.random_raw(skip)
+            rows.append(bits.random_raw(width))
+        return rows
 
     def rows(self, reps, stream: int, start: int, widths) -> np.ndarray:
         """Row i holds draws start .. start + widths[i] - 1 of (reps[i],
@@ -105,8 +114,10 @@ class RekeyedDraws:
         than the widest is padded with finite values no one should read.
         The arguments are checked once a call (see _word)."""
         reps, widths = _words_of("rep", reps), _words_of("width", widths)
+        if len(reps) != len(widths):
+            raise ValueError(f"reps and widths differ in length: {len(reps)} and {len(widths)}")
         stream, start = _word("stream", stream, 64), _word("start", start, 66)
-        words = [self._words(rep, stream, start, width) for rep, width in zip(reps, widths)]
+        words = self._words(reps, stream, start, widths)
         flat = np.concatenate(words) if words else np.zeros(0, dtype=np.uint64)
         n = max(widths, default=0)
         if n * len(words) == flat.size:  # equal widths

@@ -32,7 +32,6 @@ from .gsm import (
 )
 from .sequences import RegimeSpec, _count, a_inv_sq, a_value, b_vector
 from .testproc import (
-    Bandwidth,
     TestConfig,
     _check_unit,
     _objective,
@@ -307,44 +306,45 @@ class _Kernel:
 
     # -- one row group ----------------------------------------------------------
 
-    def bandwidths(self, reps: range) -> tuple[np.ndarray | None, list]:
+    def bandwidths(self, reps: range) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
         """The batched scan block x[lo:lo + 64] of each replication (one row
         each; lo = scan_from, the block cut at the horizon), and each one's
-        bandwidth.  A scan that goes on past that block continues alone in
+        bandwidth as two columns: m, and whether the scan ran to the horizon
+        (m = j_max).  A scan that goes on past that block continues alone in
         blocks of 128, 256, ... coordinates (the last one cut at the horizon)
         until one holds an index inside the envelope: element by element,
         this is empirical_bandwidth on the whole of x.  No block is drawn when
         no index below the horizon triggers."""
         lo = self.scan_from
         if lo is None:
-            return None, [Bandwidth(self.j_max, True)] * len(reps)
+            return None, np.full(len(reps), self.j_max), np.ones(len(reps), dtype=bool)
         n = min(_FIRST_BLOCK, self.j_max - lo)
         block = self._operator(reps, lo, n)
         hits = np.abs(block) <= self.envelope[lo:lo + n]
-        first = np.where(hits.any(axis=1), hits.argmax(axis=1) + lo, -1).tolist()
-        bands = []
-        for rep, k in zip(reps, first):
+        truncated = ~hits.any(axis=1)
+        m = np.where(truncated, self.j_max, hits.argmax(axis=1) + lo)
+        for i in np.flatnonzero(truncated).tolist():
             at, size = lo + n, 2 * _FIRST_BLOCK
-            while k < 0 and at < self.j_max:
+            while truncated[i] and at < self.j_max:
                 width = min(size, self.j_max - at)
-                inside = np.flatnonzero(np.abs(self._operator([rep], at, width)[0])
+                inside = np.flatnonzero(np.abs(self._operator([reps[i]], at, width)[0])
                                         <= self.envelope[at:at + width])
-                k = at + int(inside[0]) if inside.size else -1
+                if inside.size:
+                    m[i], truncated[i] = at + inside[0], False
                 at, size = at + width, 2 * size
-            bands.append(Bandwidth(self.j_max, True) if k < 0 else Bandwidth(k, False))
-        return block, bands
+        return block, m, truncated
 
     def group(self, reps: range) -> _Outcomes:
         """The outcomes of the replications in reps (see decide)."""
-        block, bands = self.bandwidths(reps)
+        block, m, truncated = self.bandwidths(reps)
         head = block if self.scan_from == 0 else self._operator(reps, 0, self.prefix)
-        return self.decide(reps, head, bands)
+        return self.decide(reps, head, m, truncated)
 
     # -- decisions --------------------------------------------------------------
 
-    def decide(self, reps, head: np.ndarray, bands: list) -> _Outcomes:
-        """The outcomes of replications whose scan has ended; row i of head
-        holds x[:h] of reps[i] (h the same for every row).
+    def decide(self, reps, head: np.ndarray, m: np.ndarray, truncated: np.ndarray) -> _Outcomes:
+        """The outcomes of replications whose scan has ended (bandwidths m,
+        truncated); row i of head holds x[:h] of reps[i] (h the same for all).
 
         Most are decided together from head, their windows gathered end to
         end: only the math.fsums of each one's statistic terms, x**-2 and
@@ -357,7 +357,6 @@ class _Kernel:
         would refuse: a zero x_j at or past start ends the scan at or before
         j, and below start |x_j| > 0 is certain.
         """
-        m = np.array([band.value for band in bands], dtype=np.int64)
         window = self._windows(head, m)
         width = np.maximum(window, 0)  # 0 for now where decided alone
         rows = np.flatnonzero(width)
@@ -387,7 +386,7 @@ class _Kernel:
         bad = np.flatnonzero(~(np.isfinite(value) & np.isfinite(cutoff)))
         first = rows[bad[0]] if bad.size else len(reps)
         alone = np.flatnonzero(window[:first] < 0)  # decided, or raising, before row first
-        solo = [self._alone(reps[i], bands[i]) for i in alone.tolist()]
+        solo = [self._alone(reps[i], m[i:i + 1], truncated[i:i + 1]) for i in alone.tolist()]
         if bad.size:  # the reference path's error there: the statistic's, else the threshold's
             span = slice(lo[bad[0]], lo[bad[0]] + w[bad[0]])
             _statistic_sum(terms[span])
@@ -406,15 +405,15 @@ class _Kernel:
                        for flat, own in zip(windows, (solo.x, solo.y, solo.eps_xi))]
             width[alone], statistic[alone], threshold[alone] = \
                 solo.width, solo.statistic, solo.threshold
-        return _Outcomes(m, width, statistic, threshold, statistic > threshold,
-                         np.array([band.truncated for band in bands]), _starts(width), *windows)
+        return _Outcomes(m, width, statistic, threshold, statistic > threshold, truncated,
+                         _starts(width), *windows)
 
-    def _alone(self, rep: int, band: Bandwidth) -> _Outcomes:
-        """The outcome of one replication, on the x[:n] it reads (n = the
-        bandwidth, or a fixed dimension below it) drawn here."""
+    def _alone(self, rep: int, m: np.ndarray, truncated: np.ndarray) -> _Outcomes:
+        """The outcome of one replication (one-row columns m, truncated), on
+        the x[:n] it reads (n = m, or a fixed dimension below it) drawn here."""
         dimension = self.plan.config.dimension
-        n = band.value if dimension is None else min(dimension, band.value)
-        return self.decide([rep], self._operator([rep], 0, n), [band])
+        n = m.item() if dimension is None else min(dimension, m.item())
+        return self.decide([rep], self._operator([rep], 0, n), m, truncated)
 
     def _windows(self, head: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Each row's window min(d, m) (0 where m is 0), or -1 where it
@@ -741,10 +740,9 @@ def _containment_failures(plan: ExperimentPlan, low: int, high: int,
     kernel = _Kernel(plan, Signal.zeros(0))
     n_fail = 0
     for reps in _row_groups(lo, hi, _GROUP_ROWS):
-        for band in kernel.bandwidths(reps)[1]:
-            n_fail += not (band.value >= low and (band.value < high
-                                                  or (high_truncated and band.truncated)))
-    return n_fail
+        _, m, truncated = kernel.bandwidths(reps)
+        n_fail += np.count_nonzero((m < low) | ((m >= high) & ~(high_truncated & truncated)))
+    return int(n_fail)
 
 
 def _containment_job(plan: ExperimentPlan) -> _Job:

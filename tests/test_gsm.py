@@ -37,10 +37,13 @@ from gsmgof import (
 from gsmgof.gsm import DRAW_BOUND, _gaussian
 
 
-def fresh_draws(seed, rep, stream, n):
-    """The first n draws of (seed, rep, stream) from a Philox generator of
-    their own, its counter started at (0, 0, rep, stream)."""
-    bits = Philox(key=seed, counter=np.array([0, 0, rep, stream], dtype=np.uint64))
+def fresh_draws(seed, rep, stream, n, start=0):
+    """Draws start .. start + n - 1 of (seed, rep, stream) from a Philox
+    generator of their own, its counter started at (start // 4, 0, rep,
+    stream) and start % 4 words skipped."""
+    block, skip = divmod(start, 4)
+    bits = Philox(key=seed, counter=np.array([block, 0, rep, stream], dtype=np.uint64))
+    bits.random_raw(skip)
     return _gaussian(bits.random_raw(n))
 
 
@@ -176,6 +179,34 @@ class TestGaussianDraws:
                 draws.rows([rep], SIGNAL_STREAM, 0, [4])
             with pytest.raises(ValueError, match=rf"rep must lie in \[0, 2\*\*64\), got {rep}"):
                 draws.rows([0, rep], SIGNAL_STREAM, 0, [4, 4])
+
+    @pytest.mark.parametrize("reps", [
+        np.array([0, 5, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64),
+        np.array([0, 5, 2 ** 32, 2 ** 63 - 1], dtype=np.int64),
+        [0, 5, 2 ** 63, 2 ** 64 - 1],
+    ], ids=["uint64", "int64", "int"])
+    @pytest.mark.parametrize("stream, start", [
+        (SIGNAL_STREAM, 0), (2 ** 64 - 1, 6), (OPERATOR_STREAM, 4 * (2 ** 64 - 1) + 3),
+        (2 ** 64 - 1, 4 * (2 ** 64 - 1) + 3),
+    ], ids=["start-0", "last-stream", "last-block", "last-stream-and-block"])
+    def test_rows_take_every_admissible_counter_word(self, reps, stream, start):
+        """The re-keyed counter holds plain ints, or the numpy scalars of a
+        numpy rep array; either way every rep, stream and start in range
+        draws what a fresh Philox generator at counter (start // 4, 0, rep,
+        stream) draws past its first start % 4 words, bit for bit."""
+        rows = RekeyedDraws(12_345).rows(reps, stream, start, [9, 0, 5, 9])
+        for row, rep, width in zip(rows, reps, [9, 0, 5, 9]):
+            fresh = fresh_draws(12_345, rep, stream, width, start)
+            assert row[:width].tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("reps, widths", [([1, 2, 3], [4]), ([1], [4, 5, 6])],
+                             ids=["more-reps", "more-widths"])
+    def test_rows_refuse_reps_and_widths_of_different_lengths(self, reps, widths):
+        """A rep without a width, or a width without a rep, is refused, not
+        dropped or turned into a raw IndexError."""
+        message = f"reps and widths differ in length: {len(reps)} and {len(widths)}"
+        with pytest.raises(ValueError, match=message):
+            RekeyedDraws(1).rows(reps, SIGNAL_STREAM, 0, widths)
 
     @pytest.mark.parametrize("call, message", [
         (lambda: simulate(Signal.zeros(0), RegimeSpec.from_name("mild-ordinary"),

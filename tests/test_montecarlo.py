@@ -211,6 +211,11 @@ def reports(outcomes):
         yield report, outcomes.x[lo:lo + w], outcomes.y[lo:lo + w], outcomes.eps_xi[lo:lo + w]
 
 
+def columns(bands):
+    """Bandwidths as the kernel's (m, truncated) columns."""
+    return np.array([band.value for band in bands]), np.array([band.truncated for band in bands])
+
+
 def _kernel(plan, theta, rep):
     [outcomes] = _replications(plan, theta, rep, rep + 1)
     [(report, x_win, y_win, eps_xi_win)] = reports(outcomes)
@@ -388,7 +393,8 @@ class TestBatch:
             plan = make_plan(epsilon=1e-3, sigma=1e-3, j_max=40, dimension=dimension)
             x = rng.choice([-1.0, 1.0], (60, 40)) * 10.0 ** rng.uniform(-4.0, 2.0, (60, 40))
             bands = [Bandwidth(int(m), bool(m == 40)) for m in rng.integers(0, 41, 60)]
-            decided = reports(montecarlo._Kernel(plan, plan.theta0).decide(reps, x, bands))
+            kernel = montecarlo._Kernel(plan, plan.theta0)
+            decided = reports(kernel.decide(reps, x, *columns(bands)))
             for rep, row, band, (report, x_win, y_win, _) in zip(reps, x, bands, decided,
                                                                   strict=True):
                 y = simulate(plan.theta0, plan.spec, plan.noise, plan.master_seed, 40, rep=rep).y
@@ -417,7 +423,11 @@ class TestBatch:
                                             plan.config))
         assert expected.startswith(outcome)
         kernel = montecarlo._Kernel(plan, plan.theta0)
-        assert _outcome(lambda: next(reports(kernel.decide([0], x[None], [band])))[0]) == expected
+
+        def decided():
+            return next(reports(kernel.decide([0], x[None], *columns([band]))))[0]
+
+        assert _outcome(decided) == expected
 
     # Rows of hand-made prefixes (x[:30], dimension 35, theta0 1e300 at
     # coordinate 25, no noise on y): "ok" and "threshold" (x_4 = 1e-160, so
@@ -457,7 +467,7 @@ class TestBatch:
                                                    plan.spec, plan.noise, plan.config)))
         first = next(outcome for outcome in serial if not outcome.startswith("TestReport("))
         kernel = montecarlo._Kernel(plan, target)
-        assert _outcome(lambda: kernel.decide(reps, np.array(head), bands)) == first
+        assert _outcome(lambda: kernel.decide(reps, np.array(head), *columns(bands))) == first
 
     @pytest.mark.parametrize("stream", [SIGNAL_STREAM, OPERATOR_STREAM],
                              ids=["signal", "operator"])
@@ -469,11 +479,12 @@ class TestBatch:
         real = gsm.RekeyedDraws._words
         planted = []
 
-        def words(self, rep, tag, start, n):
-            out = real(self, rep, tag, start, n)
-            if (rep, tag, start) == (20, stream, 0) and n:
-                out[0] = 2 ** 64 - 1
-                planted.append(n)
+        def words(self, reps, tag, start, widths):
+            out = real(self, reps, tag, start, widths)
+            for rep, row in zip(reps, out):
+                if (rep, tag, start) == (20, stream, 0) and row.size:
+                    row[0] = 2 ** 64 - 1
+                    planted.append(row.size)
             return out
 
         monkeypatch.setattr(gsm.RekeyedDraws, "_words", words)
@@ -546,10 +557,11 @@ class TestBatch:
         assert 64 <= start and start + 64 < j_max
         real = gsm.RekeyedDraws._words
 
-        def words(self, rep, tag, lo, n):
-            out = real(self, rep, tag, lo, n)
-            if rep == 20 and tag == OPERATOR_STREAM and lo <= k < lo + n:
-                out[k - lo] = 2 ** 64 - 1
+        def words(self, reps, tag, lo, widths):
+            out = real(self, reps, tag, lo, widths)
+            for rep, row in zip(reps, out):
+                if rep == 20 and tag == OPERATOR_STREAM and lo <= k < lo + row.size:
+                    row[k - lo] = 2 ** 64 - 1
             return out
 
         monkeypatch.setattr(gsm.RekeyedDraws, "_words", words)
@@ -590,6 +602,23 @@ class TestColumns:
 
         for name in ("_decide", "TestReport"):
             monkeypatch.setattr(testproc, name, refuse)
+        counts = _reject_counts(plan, plan.theta0, 0, plan.n_reps)
+        cache = _build_radius_cache(plan, 0, plan.n_reps)
+        assert counts == (round(expected.p_hat * plan.n_reps), expected.n_degenerate)
+        assert counts == (np.count_nonzero(cache.reject), np.count_nonzero(cache.width == 0))
+
+    def test_counting_builds_no_bandwidth(self, monkeypatch):
+        """The scan hands each row group's bandwidths on as two columns, not
+        as a testproc.Bandwidth a replication; the constructor is refused
+        wherever the name was imported."""
+        spec = RegimeSpec.from_name("severe-ordinary")
+        plan = make_plan(spec=spec, epsilon=1e-2, sigma=8.4e-3, n_reps=500, j_max=200, seed=4)
+        expected = reference_estimate(plan, plan.theta0, False)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Bandwidth was built")
+
+        monkeypatch.setattr(testproc.Bandwidth, "__new__", refuse)
         counts = _reject_counts(plan, plan.theta0, 0, plan.n_reps)
         cache = _build_radius_cache(plan, 0, plan.n_reps)
         assert counts == (round(expected.p_hat * plan.n_reps), expected.n_degenerate)
@@ -655,10 +684,10 @@ class TestCertificates:
         counted = []
         real = gsm.RekeyedDraws._words
 
-        def words(self, rep, stream, start, n):
+        def words(self, reps, stream, start, widths):
             if stream == OPERATOR_STREAM:
-                counted.append(n)
-            return real(self, rep, stream, start, n)
+                counted.extend(widths)
+            return real(self, reps, stream, start, widths)
 
         monkeypatch.setattr(gsm.RekeyedDraws, "_words", words)
         assert all(outcomes.truncated.all()
@@ -684,7 +713,8 @@ class TestCertificates:
         brute = [empirical_bandwidth(simulate(plan.theta0, plan.spec, plan.noise,
                                               plan.master_seed, 10_000, rep=rep).x,
                                      sigma, alpha, kappa) for rep in range(200)]
-        assert montecarlo._Kernel(plan, plan.theta0).bandwidths(range(200))[1] == brute
+        _, m, truncated = montecarlo._Kernel(plan, plan.theta0).bandwidths(range(200))
+        assert list(map(Bandwidth, m.tolist(), truncated.tolist())) == brute
         bracket = bandwidth_bracket(plan.spec, sigma, alpha, kappa, 10_000)
         n_fail = sum(not (band.value >= bracket.low and (
             band.value < bracket.high or (bracket.high_truncated and band.truncated)))
