@@ -70,8 +70,8 @@ _SETTINGS = {
     "seed": _Setting(12345, int, "master seed (also settable via GSM_GOF_SEED)"),
     "reps": _Setting(1000, int, "replications per cell"),
     # workers None is os.cpu_count() at run time; jmax None is per regime
-    "workers": _Setting(None, int, "chunks per job; the pool runs at most one process per "
-                                   "CPU (default: logical CPUs)"),
+    "workers": _Setting(None, int, "chunks per job, run in at most one process per CPU "
+                                   "(default: logical CPUs)"),
     "format": _Setting("csv", str, choices=("csv", "json")),
     "out": _Setting(None, str, "output file (default: stdout)", metavar="PATH"),
     "alpha": _Setting(0.05, float, "first-kind level"),

@@ -10,6 +10,7 @@ __all__ = [
     "InfeasibleRadiusError",
     "InvalidLevelsError",
     "BracketingError",
+    "WorkerError",
 ]
 
 
@@ -55,3 +56,8 @@ class InvalidLevelsError(GsmGofError):
 
 class BracketingError(GsmGofError):
     """A bisection bracket does not straddle the target error level."""
+
+
+class WorkerError(GsmGofError):
+    """A worker process ended before sending its results, or raised an
+    error that cannot be sent back to the calling process."""

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BracketingError
+from .errors import BracketingError, WorkerError
 from .gsm import (
     DRAW_BOUND,
     OPERATOR_STREAM,
@@ -119,13 +121,6 @@ def _chunk_ranges(n_reps: int, workers: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _done(fn: Callable, *args) -> Future:
-    """fn(*args) run in this process, as a completed future."""
-    future: Future = Future()
-    future.set_result(fn(*args))
-    return future
-
-
 class _Job(NamedTuple):
     """fn(*args, lo, hi) over the chunk ranges of range(n_reps); finish makes
     the job's result of the chunk results, given in chunk order."""
@@ -141,40 +136,118 @@ def _sums(parts: list) -> tuple:
     return tuple(int(sum(col)) for col in zip(*parts))
 
 
+def _share(built: list, p: int, procs: int) -> tuple[list, Exception | None]:
+    """Chunks p, p + procs, p + 2 procs, ... of every built (job, ranges), run
+    in job and chunk order up to the first that raises: their results, and
+    that error or None."""
+    parts = []
+    try:
+        for job, ranges in built:
+            for lo, hi in ranges[p::procs]:
+                parts.append(job.fn(*job.args, lo, hi))
+    except Exception as exc:
+        return parts, exc
+    return parts, None
+
+
+def _sendable(error: Exception | None, p: int) -> Exception | None:
+    """error, or a WorkerError carrying its repr if it does not survive pickling."""
+    if error is not None:
+        try:
+            pickle.loads(pickle.dumps(error))
+        except Exception as exc:
+            return WorkerError(f"worker {p} raised {error!r}, which cannot be sent back "
+                               f"({type(exc).__name__}: {exc})")
+    return error
+
+
+class _Child:
+    """A forked process that runs one share of the chunks and sends its
+    pickled (parts, error) down a pipe."""
+
+    def __init__(self, p: int, share: Callable[[], tuple]):
+        self.p = p
+        read, write = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:  # leave by os._exit: no exit handler runs, no inherited buffer is flushed
+                os.close(read)
+                parts, error = share()
+                with open(write, "wb") as pipe:
+                    pickle.dump((parts, _sendable(error, p)), pipe, pickle.HIGHEST_PROTOCOL)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        self.pipe = open(read, "rb")
+
+    def outcome(self) -> tuple[list, Exception | None]:
+        """The child's (parts, error), read to EOF, once the child is reaped."""
+        data = self.pipe.read()
+        self.pipe.close()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status != 0 or not data:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            raise WorkerError(f"worker {self.p} ended ({how}) before sending its results")
+        return pickle.loads(data)
+
+    def kill(self) -> None:
+        """End and reap the child unless it is reaped already."""
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+_MISSING = object()  # a part past the end of a share
+
+
 def _run_jobs(jobs: Iterable[_Job], workers: int) -> list:
     """Each job's result, in job order.
 
-    At workers = 1 each job runs whole in this process as the iterable
-    yields it.  Otherwise every chunk of every job goes to one process pool
-    before any result is read.  The pool starts on the first job, with one
-    process per chunk range of that job but at most one per CPU, and is shut
-    down, its queued chunks cancelled, before this returns.  Either way the
-    error raised is the first one running the jobs one after another meets:
-    a chunk's or a finish's, in job and chunk order, or that of building a
-    job, after the errors of the jobs before it.
+    Every job is built first.  Chunk c of every job then runs in process
+    c % procs, where procs = min(workers, CPUs, chunks of the largest job)
+    (1 without os.fork): process 0 is this one, and the other procs - 1 are
+    forked once, run their share while this process runs its own, and are
+    reaped before this returns, on success or on error.  The error raised is
+    the first one running the jobs one after another meets: a chunk's or a
+    finish's, in job and chunk order, or that of building a job, after the
+    errors of the jobs before it.
     """
     workers = _count("workers", workers)
-    submitted, error, pool = [], None, None
+    built, build_error = [], None
     try:
-        try:
-            for job in jobs:
-                if workers == 1:
-                    futures = [_done(job.fn, *job.args, 0, job.n_reps)]
-                else:
-                    ranges = _chunk_ranges(job.n_reps, workers)
-                    if pool is None:
-                        pool = ProcessPoolExecutor(max_workers=min(len(ranges),
-                                                                   os.cpu_count() or 1))
-                    futures = [pool.submit(job.fn, *job.args, lo, hi) for lo, hi in ranges]
-                submitted.append((job.finish, futures))
-        except Exception as exc:  # the jobs already submitted may fail first
-            error = exc
-        results = [finish([f.result() for f in futures]) for finish, futures in submitted]
+        for job in jobs:
+            built.append((job, _chunk_ranges(job.n_reps, workers)))
+    except Exception as exc:  # the jobs built before it may fail first
+        build_error = exc
+    procs = min(workers, os.cpu_count() or 1, max((len(r) for _, r in built), default=1))
+    if not hasattr(os, "fork"):
+        procs = 1
+    children = []
+    try:
+        for p in range(1, procs):
+            children.append(_Child(p, partial(_share, built, p, procs)))
+        shares = [_share(built, 0, procs)] + [child.outcome() for child in children]
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    if error is not None:
-        raise error
+        for child in children:
+            child.kill()
+    parts = [iter(share_parts) for share_parts, _ in shares]
+    results = []
+    for job, ranges in built:
+        chunks = []
+        for c in range(len(ranges)):
+            part = next(parts[c % procs], _MISSING)
+            if part is _MISSING:  # the share stopped at this chunk's error
+                raise shares[c % procs][1]
+            chunks.append(part)
+        results.append(job.finish(chunks))
+    if build_error is not None:
+        raise build_error
     return results
 
 

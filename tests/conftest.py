@@ -1,4 +1,4 @@
-import multiprocessing
+import os
 
 import pytest
 
@@ -7,14 +7,13 @@ from gsmgof import RegimeSpec
 
 @pytest.fixture(autouse=True)
 def no_leaked_workers():
-    """Fail a test that leaves worker processes alive, and end them, so that
-    no later test meets a stale pool."""
+    """Fail a test that leaves a child process behind, alive or a zombie."""
     yield
-    leaked = multiprocessing.active_children()
-    for proc in leaked:
-        proc.kill()
-        proc.join(timeout=10)
-    assert not leaked, f"worker processes left alive: {leaked}"
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left behind (waitpid: {pid}, status {status})")
 
 
 @pytest.fixture

@@ -447,3 +447,13 @@ class TestImport:
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
         assert done.stdout.strip() == "False"
+
+    def test_cli_import_leaves_the_process_pool_out(self):
+        """The worker processes are forked directly: importing the command
+        line loads neither multiprocessing nor concurrent.futures' process pool."""
+        env = dict(os.environ, PYTHONPATH=str(Path(gsmgof.__file__).parents[1]))
+        probe = ("import sys, gsmgof.cli; print(sorted({'multiprocessing', "
+                 "'concurrent.futures.process'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
