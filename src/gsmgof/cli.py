@@ -40,6 +40,7 @@ from .montecarlo import (
     _quadform_job,
     _radius_bracket,
     _run_jobs,
+    _usable_cpus,
     bandwidth_escape_bound,
     empirical_separation_radius,
 )
@@ -69,7 +70,7 @@ class _Setting(NamedTuple):
 _SETTINGS = {
     "seed": _Setting(12345, int, "master seed (also settable via GSM_GOF_SEED)"),
     "reps": _Setting(1000, int, "replications per cell"),
-    # workers None is os.cpu_count() at run time; jmax None is per regime
+    # workers None is _usable_cpus() at run time; jmax None is per regime
     "workers": _Setting(None, int, "chunks per job, run in at most one process per CPU "
                                    "(default: logical CPUs)"),
     "format": _Setting("csv", str, choices=("csv", "json")),
@@ -176,7 +177,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             settings[key] = setting.default
     settings["command"] = args.command
     if settings["workers"] is None:
-        settings["workers"] = os.cpu_count() or 1
+        settings["workers"] = _usable_cpus()
     if not 0 <= settings["seed"] < 2 ** 128:
         raise ValueError(f"seed must lie in [0, 2**128), got {settings['seed']}")
     if settings["workers"] < 1:

@@ -28,22 +28,22 @@ from .gsm import (
     NoiseLevels,
     RekeyedDraws,
     Signal,
-    gaussian_draws,
-    simulate,
+    _word,
     spike_index,
 )
 from .sequences import RegimeSpec, _count, a_inv_sq, a_value, b_vector
 from .testproc import (
     TestConfig,
+    _check_kappa,
     _check_unit,
     _objective,
     _objective_weight,
     _parts_from_sums,
     _scan_table,
+    _squared,
     _statistic_sum,
     _threshold_totals,
     bandwidth_bracket,
-    run_test,
     statistic,
 )
 
@@ -66,7 +66,12 @@ MIN_REPS = 100
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A reproducible simulation experiment: model, test, null signal, size, seed."""
+    """A reproducible simulation experiment: model, test, null signal, size, seed.
+
+    Only a plan in the test's domain is built: sigma in (0, 1), where its
+    bias floor sigma**2 ln**1.5(1/sigma) is defined, and epsilon**2 finite,
+    each refused with the test's own message.  master_seed is a Philox key.
+    """
 
     spec: RegimeSpec
     noise: NoiseLevels
@@ -77,9 +82,9 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_reps", _count("n_reps", self.n_reps, low=MIN_REPS))
-        object.__setattr__(self, "master_seed", _count("master_seed", self.master_seed, low=0))
-        if self.master_seed >= 2 ** 128:
-            raise ValueError(f"master_seed must lie in [0, 2**128), got {self.master_seed}")
+        object.__setattr__(self, "master_seed", _word("master_seed", self.master_seed, 128))
+        _check_unit("sigma", self.noise.sigma)
+        _squared(self.noise.epsilon)
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,14 @@ class ErrorEstimate:
 # ---------------------------------------------------------------------------
 # Worker plumbing
 # ---------------------------------------------------------------------------
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else os.cpu_count() (1 when that is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _chunk_ranges(n_reps: int, workers: int) -> list[tuple[int, int]]:
@@ -210,13 +223,13 @@ def _run_jobs(jobs: Iterable[_Job], workers: int) -> list:
     """Each job's result, in job order.
 
     Every job is built first.  Chunk c of every job then runs in process
-    c % procs, where procs = min(workers, CPUs, chunks of the largest job)
-    (1 without os.fork): process 0 is this one, and the other procs - 1 are
-    forked once, run their share while this process runs its own, and are
-    reaped before this returns, on success or on error.  The error raised is
-    the first one running the jobs one after another meets: a chunk's or a
-    finish's, in job and chunk order, or that of building a job, after the
-    errors of the jobs before it.
+    c % procs, where procs = min(workers, CPUs this process may run on,
+    chunks of the largest job) (1 without os.fork): process 0 is this one,
+    and the other procs - 1 are forked once, run their share while this
+    process runs its own, and are reaped before this returns, on success or
+    on error.  The error raised is the first one running the jobs one after
+    another meets: a chunk's or a finish's, in job and chunk order, or that
+    of building a job, after the errors of the jobs before it.
     """
     workers = _count("workers", workers)
     built, build_error = [], None
@@ -225,7 +238,7 @@ def _run_jobs(jobs: Iterable[_Job], workers: int) -> list:
             built.append((job, _chunk_ranges(job.n_reps, workers)))
     except Exception as exc:  # the jobs built before it may fail first
         build_error = exc
-    procs = min(workers, os.cpu_count() or 1, max((len(r) for _, r in built), default=1))
+    procs = min(workers, _usable_cpus(), max((len(r) for _, r in built), default=1))
     if not hasattr(os, "fork"):
         procs = 1
     children = []
@@ -302,21 +315,15 @@ def _joined(parts: Sequence[_Outcomes]) -> _Outcomes:
     return outcomes._replace(starts=_starts(outcomes.width))
 
 
-def _batchable(plan: ExperimentPlan, theta: Signal) -> bool:
-    """Whether the kernel decides theta's replications under plan: sigma in
-    (0, 1), epsilon**2 finite, and no y that a draw can overflow.  Any
-    other plan runs simulate + run_test itself, one replication at a time."""
-    eps, sigma, j_max = plan.noise.epsilon, plan.noise.sigma, plan.config.j_max
-    if len(theta) > j_max or not (0.0 < sigma < 1.0 and math.isfinite(eps * eps)):
-        return False
-    with np.errstate(over="ignore"):
-        bt = b_vector(plan.spec, j_max) * theta.padded(j_max)
-    return math.isfinite(float(np.max(np.abs(bt))) + eps * DRAW_BOUND)
-
-
 class _Kernel:
     """run_test(simulate(theta, ..., rep=rep), plan.theta0, ...) over many
-    replications of a plan that _batchable admits, a row group at a time.
+    replications of a plan, a row group at a time.
+
+    A theta longer than the horizon, or one whose b * theta leaves the float
+    range, is refused here with simulate's error.  No other x or y can
+    overflow: every draw is under DRAW_BOUND in size, sigma is below 1, and
+    epsilon**2 is finite, so epsilon * DRAW_BOUND < 1.2e155 lies far below
+    half the float spacing at the top of the range (~1e292).
 
     Only the x coordinates that can change a decision are drawn, with two
     certificates:
@@ -335,8 +342,7 @@ class _Kernel:
     stream up to the window.  The streams are counter-based, so these are
     slices of simulate's draws, and every step works element by element
     (numpy's power included) or sums one row in index order, so every value
-    is the reference path's.  Every draw is under DRAW_BOUND in size, so
-    under such a plan no x or y overflows.
+    is the reference path's.
     """
 
     def __init__(self, plan: ExperimentPlan, theta: Signal) -> None:
@@ -344,8 +350,13 @@ class _Kernel:
         config = plan.config
         self.j_max = j_max = config.j_max
         self.eps, self.sigma = plan.noise.epsilon, plan.noise.sigma
+        if len(theta) > j_max:
+            raise ValueError("theta does not fit inside the horizon")
         self.b = b_vector(plan.spec, j_max)
-        self.bt = self.b * theta.padded(j_max)
+        with np.errstate(over="ignore"):
+            self.bt = self.b * theta.padded(j_max)
+        if not np.isfinite(self.bt).all():
+            raise ValueError("y must be finite")
         self.theta0 = plan.theta0.padded(max(j_max, len(plan.theta0)))
         self.envelope = self.sigma * _scan_table(config.alpha, config.kappa, j_max)
         self.draws = RekeyedDraws(plan.master_seed)
@@ -534,32 +545,13 @@ class _Kernel:
         return d + 1, objective[np.arange(d.size), d], sums[:, -1]
 
 
-def _simulated(plan: ExperimentPlan, theta: Signal, reps: range) -> _Outcomes:
-    """The outcomes of reps by simulate + run_test, one replication at a time."""
-    eps, fields, windows = plan.noise.epsilon, [], []
-    for rep in reps:
-        obs = simulate(theta, plan.spec, plan.noise, plan.master_seed, plan.config.j_max, rep=rep)
-        report = run_test(obs, plan.theta0, plan.spec, plan.noise, plan.config)
-        w = report.window
-        xi = gaussian_draws(plan.master_seed, rep, SIGNAL_STREAM, w) if eps > 0.0 else np.zeros(w)
-        fields.append((report.bandwidth, w, report.statistic, report.threshold, report.reject,
-                       report.bandwidth_truncated))
-        windows.append((obs.x[:w], obs.y[:w], eps * xi))
-    bandwidth, width, statistic, threshold, reject, truncated = map(np.array, zip(*fields))
-    return _Outcomes(bandwidth, width, statistic, threshold, reject, truncated, _starts(width),
-                     *map(np.concatenate, zip(*windows)))
-
-
 def _replications(plan: ExperimentPlan, theta: Signal, lo: int, hi: int):
     """The outcomes of run_test(simulate(theta, ..., rep=rep), plan.theta0,
-    ...) over rep in [lo, hi), one _Outcomes per row group, in order.  The
-    error raised is the first one that loop meets, as it raises it, from the
-    row group where it meets it."""
-    groups = _row_groups(lo, hi, _GROUP_ROWS)
-    if not _batchable(plan, theta):
-        yield from (_simulated(plan, theta, reps) for reps in groups)
-        return
-    yield from map(_Kernel(plan, theta).group, groups)
+    ...) over rep in [lo, hi), one _Outcomes per row group of the kernel, in
+    order.  The error raised is the first one that loop meets, as it raises
+    it, from the row group where it meets it (a theta the kernel refuses,
+    before the first)."""
+    yield from map(_Kernel(plan, theta).group, _row_groups(lo, hi, _GROUP_ROWS))
 
 
 def _reject_counts(plan: ExperimentPlan, theta: Signal, lo: int, hi: int) -> tuple[int, int]:
@@ -804,7 +796,10 @@ def fit_rate_slope(plan_template: ExperimentPlan, epsilon_grid: Sequence[float],
 
 def bandwidth_escape_bound(alpha: float, kappa: float) -> float:
     """Probability budget for the empirical bandwidth leaving its bracket:
-    alpha/10 + alpha * pi^2 / (6 * kappa)."""
+    alpha/10 + alpha * pi^2 / (6 * kappa), for a level alpha in (0, 1) and
+    a finite kappa > e, as the scan envelope takes them."""
+    _check_unit("level", alpha)
+    _check_kappa(kappa)
     return alpha / 10.0 + alpha * math.pi ** 2 / (6.0 * kappa)
 
 
@@ -820,7 +815,6 @@ def _containment_failures(plan: ExperimentPlan, low: int, high: int,
 
 def _containment_job(plan: ExperimentPlan) -> _Job:
     """check_bandwidth_containment(plan) as a job."""
-    _check_unit("sigma", plan.noise.sigma)
     bracket = bandwidth_bracket(plan.spec, plan.noise.sigma, plan.config.alpha,
                                 plan.config.kappa, plan.config.j_max)
 

@@ -276,11 +276,13 @@ def ellipsoid_weighted_norm(spec: RegimeSpec, theta) -> float:
 
     Membership in the smoothness class holds iff the result is <= 1.  Only
     nonzero coordinates are touched, so trailing zeros never trip the
-    exponential weights.
+    exponential weights.  A theta that is not finite is refused.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1:
         raise ValueError("theta must be one-dimensional")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta must be finite")
     nz = np.nonzero(theta)[0]
     if nz.size == 0:
         return 0.0

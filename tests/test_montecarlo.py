@@ -44,7 +44,6 @@ from gsmgof import (
     statistic,
 )
 from gsmgof.montecarlo import (
-    _batchable,
     _build_radius_cache,
     _chunk_ranges,
     _joined,
@@ -184,6 +183,13 @@ class TestErrorEstimation:
         assert est.p_hat == 0.0
 
 
+def assert_refused(case, message):
+    """make_plan(**case) raises a ValueError with exactly this message."""
+    with pytest.raises(ValueError) as info:
+        make_plan(**case)
+    assert str(info.value) == message
+
+
 def _outcome(fn):
     """repr of fn()'s result, or the type and message of what it raised."""
     try:
@@ -272,21 +278,28 @@ class TestKernel:
         assert_kernel_matches_reference(plan, theta0)
         assert_kernel_matches_reference(plan, theta)
 
-    @pytest.mark.parametrize("case", [
-        dict(theta0=Signal.zeros(201)),  # theta does not fit inside the horizon
-        dict(sigma=0.0),  # sigma must be positive
-        dict(sigma=1.5),  # sigma must lie in (0, 1), unless the bandwidth is 0
-        dict(epsilon=1e308),  # y overflows outside any window
-        dict(sigma=1e308),  # x overflows
-        dict(sigma=5e307, j_max=10_000),  # x overflows, mostly past where the scan stops
-        dict(epsilon=1e308, sigma=1e308),  # both: y is named first
-        dict(theta0=Signal([1e308] * 5), epsilon=1e307),  # y drawn whole; the statistic overflows
-        dict(theta0=Signal([1e308] * 5), epsilon=0.0,  # b * theta overflows
-             spec=RegimeSpec("mild", "ordinary", 1.0, 1.0, c_b=10.0)),
+    # (case, refusal): the plan of a case outside the test's domain is refused
+    # when it is built, with that message; the reference path raises on the
+    # others, and so must the kernel
+    @pytest.mark.parametrize("case, refusal", [
+        (dict(theta0=Signal.zeros(201)), None),  # theta does not fit inside the horizon
+        (dict(sigma=0.0), "sigma must lie in (0, 1), got 0.0"),
+        (dict(sigma=1.5), "sigma must lie in (0, 1), got 1.5"),
+        (dict(epsilon=1e308), "epsilon=1e+308 squared exceeds the float range"),
+        (dict(sigma=1e308), "sigma must lie in (0, 1), got 1e+308"),
+        (dict(sigma=5e307, j_max=10_000), "sigma must lie in (0, 1), got 5e+307"),
+        (dict(epsilon=1e308, sigma=1e308), "sigma must lie in (0, 1), got 1e+308"),
+        (dict(theta0=Signal([1e308] * 5), epsilon=1e307),
+         "epsilon=1e+307 squared exceeds the float range"),
+        (dict(theta0=Signal([1e308] * 5), epsilon=0.0,  # b * theta overflows: y is not finite
+              spec=RegimeSpec("mild", "ordinary", 1.0, 1.0, c_b=10.0)), None),
     ], ids=["long-theta", "zero-sigma", "large-sigma", "huge-epsilon", "huge-sigma",
             "huge-sigma-deep", "huge-both", "huge-theta", "overflowing-theta"])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_errors_match_reference(self, case):
+    def test_errors_match_reference(self, case, refusal):
+        if refusal is not None:
+            assert_refused(case, refusal)
+            return
         plan = make_plan(**case)
         assert_kernel_matches_reference(plan, plan.theta0)
 
@@ -511,26 +524,27 @@ class TestBatch:
         for target in (plan.theta0, theta):
             assert_batch_matches_serial(plan, target, lo, lo + size)
 
-    @pytest.mark.parametrize("case", [
-        dict(sigma=1e308, j_max=3),  # x overflows
-        dict(epsilon=1e308, sigma=0.5, j_max=1),  # y overflows
-        dict(epsilon=1e200, sigma=0.023, j_max=50),  # epsilon**2 overflows
-        dict(epsilon=1e160, sigma=0.023, j_max=50, dimension=3),  # the statistic overflows
+    # (case, refusal): the serial loop over each case's replications would
+    # first raise where the named value overflows
+    @pytest.mark.parametrize("case, refusal", [
+        (dict(sigma=1e308, j_max=3), "sigma must lie in (0, 1), got 1e+308"),  # x
+        (dict(epsilon=1e308, sigma=0.5, j_max=1),  # y
+         "epsilon=1e+308 squared exceeds the float range"),
+        (dict(epsilon=1e200, sigma=0.023, j_max=50),  # epsilon**2
+         "epsilon=1e+200 squared exceeds the float range"),
+        (dict(epsilon=1e160, sigma=0.023, j_max=50, dimension=3),  # the statistic
+         "epsilon=1e+160 squared exceeds the float range"),
     ], ids=["x", "y", "epsilon-squared", "statistic"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_first_error_of_a_chunk_is_the_serial_loops(self, case):
-        """The replications before the first failing one have the serial
-        loop's outcomes, and its error is raised as that loop raises it."""
-        plan = make_plan(**case)
-        serial = serial_outcomes(plan, plan.theta0, 5, 300)
-        assert len(serial) > 1 and not serial[-1].startswith("(")
-        assert_batch_matches_serial(plan, plan.theta0, 5, 300)
+    def test_first_error_of_a_chunk_is_the_serial_loops(self, case, refusal):
+        """A plan whose replications would raise from an overflowing sigma or
+        epsilon lies outside the test's domain: it is refused when built,
+        before any chunk runs."""
+        assert_refused(case, refusal)
 
     def test_first_error_of_a_chunk_is_the_serial_loops_when_the_threshold_overflows(self):
-        """epsilon**2 is finite, so the kernel batches the plan, but the
-        threshold is not: both paths refuse it at the same replication."""
+        """epsilon**2 is finite, so the plan is built, but the threshold is
+        not: both paths refuse it at the same replication."""
         plan = make_plan(epsilon=1.3e154, sigma=0.023, j_max=50)
-        assert _batchable(plan, plan.theta0)
         serial = serial_outcomes(plan, plan.theta0, 5, 300)
         assert len(serial) > 1
         assert serial[-1].startswith("ValueError: the threshold is not finite")
@@ -593,7 +607,6 @@ class TestColumns:
     def test_counting_builds_no_report(self, monkeypatch):
         spec = RegimeSpec.from_name("severe-ordinary")
         plan = make_plan(spec=spec, epsilon=1e-2, sigma=8.4e-3, n_reps=500, j_max=200, seed=4)
-        assert _batchable(plan, plan.theta0)
         expected = reference_estimate(plan, plan.theta0, False)
         assert 0 < expected.n_degenerate < plan.n_reps
 
@@ -723,8 +736,8 @@ class TestCertificates:
 
 
 def _cases(test):
-    """The `case` parameters of a parametrized test."""
-    [mark] = [mark for mark in test.pytestmark if mark.args[0] == "case"]
+    """The (case, refusal) parameters of a parametrized test."""
+    [mark] = [mark for mark in test.pytestmark if mark.args[0] == "case, refusal"]
     return mark.args[1]
 
 
@@ -749,14 +762,17 @@ WORKLOAD_ARGV = {
 
 
 class TestFastPath:
-    """The kernel batches a plan only inside the test's domain; any other
-    plan runs simulate + run_test itself.  The bit-identity tests cannot see
-    a plan that drops to that loop, so the boundary is pinned here."""
+    """The kernel is the only Monte Carlo path: a plan outside the test's
+    domain is refused when it is built, and a theta the kernel cannot run
+    when the kernel is.  The plans the benchmark and the CLI run are built
+    and taken by the kernel."""
 
     @pytest.mark.parametrize("workload", WORKLOAD_ARGV)
     def test_every_benchmark_cell_is_batched(self, workload):
         plans = cli_plans(WORKLOAD_ARGV[workload])
-        assert plans and all(_batchable(plan, plan.theta0) for plan in plans)
+        assert plans
+        for plan in plans:
+            montecarlo._Kernel(plan, plan.theta0)
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_power_curve_spikes_up_to_the_class_ceiling_are_batched(self, regime):
@@ -768,13 +784,34 @@ class TestFastPath:
                 plan = make_plan(spec=spec, epsilon=epsilon, sigma=sigma, j_max=j_max)
                 for k in range(15):
                     theta = make_spike_alternative(spec, plan.theta0, ceiling * 2.0 ** -k, j_max)
-                    assert _batchable(plan, theta), (epsilon, sigma, k)
+                    montecarlo._Kernel(plan, theta)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_plans_whose_reference_path_raises_are_not_batched(self):
-        for case in (*_cases(TestKernel.test_errors_match_reference),
-                     *_cases(TestBatch.test_first_error_of_a_chunk_is_the_serial_loops)):
-            plan = make_plan(**case)
-            assert not _batchable(plan, plan.theta0), case
+        """Every case above on which the reference path raises from its first
+        replication is refused before a replication is drawn: when its plan
+        is built, or else when the kernel is, with the reference's error."""
+        for case, refusal in (*_cases(TestKernel.test_errors_match_reference),
+                              *_cases(TestBatch.test_first_error_of_a_chunk_is_the_serial_loops)):
+            with pytest.raises(ValueError) as info:
+                plan = make_plan(**case)
+                montecarlo._Kernel(plan, plan.theta0)
+            if refusal is None:
+                refusal = _outcome(lambda: _reference(plan, plan.theta0, 0))
+                refusal = refusal.removeprefix("ValueError: ")
+            assert str(info.value) == refusal, case
+
+    @pytest.mark.parametrize("case, refusal", [
+        # every replication was degenerate: p_hat 0.0 with n_degenerate 100 of 100
+        (dict(sigma=5.0), "sigma must lie in (0, 1), got 5.0"),
+        # every non-degenerate replication raised, and the rest were degenerate
+        (dict(spec=RegimeSpec.from_name("severe-ordinary"), epsilon=1e200, sigma=0.5),
+         "epsilon=1e+200 squared exceeds the float range"),
+    ], ids=["large-sigma", "huge-epsilon"])
+    def test_a_plan_outside_the_domain_gives_no_estimate(self, case, refusal):
+        """estimate_alpha returned an all-degenerate estimate on these plans;
+        they are refused when built instead."""
+        assert_refused(case, refusal)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_first_error_of_a_batched_chunk_is_the_serial_loops(self):
@@ -782,7 +819,6 @@ class TestFastPath:
         overflow in every replication whose window reaches it."""
         plan = make_plan(epsilon=1e-2, sigma=5e-3, j_max=50, theta0=Signal([0, 0, 0, 1e300]))
         target = Signal.zeros(0)
-        assert _batchable(plan, target)
         serial = serial_outcomes(plan, target, 5, 300)
         assert len(serial) == 17
         assert serial[-1] == "ValueError: the statistic over the first 4 coefficients is not finite"
@@ -1162,10 +1198,25 @@ class TestBandwidthContainment:
         """sigma must lie in (0, 1); above 1 the dimension objective's
         ln(1/sigma)**1.5 would be complex."""
         for sigma in (0.0, 1.0, 1.5):
-            plan = make_plan(sigma=sigma, n_reps=100)
-            with pytest.raises(ValueError) as info:
-                check_bandwidth_containment(plan)
-            assert str(info.value) == f"sigma must lie in (0, 1), got {sigma!r}"
+            assert_refused(dict(sigma=sigma, n_reps=100), f"sigma must lie in (0, 1), got {sigma!r}")
+
+    @pytest.mark.parametrize("alpha, kappa, message", [
+        (0.05, 0.0, "kappa must be finite and exceed e, got 0.0"),
+        (0.05, -1.0, "kappa must be finite and exceed e, got -1.0"),
+        (0.05, math.nan, "kappa must be finite and exceed e, got nan"),
+        (0.05, math.e, "kappa must be finite and exceed e, got 2.718281828459045"),
+        (math.nan, KAPPA_DEFAULT, "level must lie in (0, 1), got nan"),
+        (1.0, KAPPA_DEFAULT, "level must lie in (0, 1), got 1.0"),
+    ], ids=["zero-kappa", "negative-kappa", "nan-kappa", "kappa-e", "nan-alpha", "unit-alpha"])
+    def test_escape_bound_refuses_what_the_scan_envelope_refuses(self, alpha, kappa, message):
+        """A zero kappa divided by zero, and a NaN or negative one gave a
+        NaN or negative budget."""
+        with pytest.raises(ValueError) as info:
+            bandwidth_escape_bound(alpha, kappa)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            scan_envelope(1, alpha, kappa)
+        assert str(info.value) == message
 
 
 class TestQuadformConcentration:

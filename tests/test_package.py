@@ -1,6 +1,6 @@
-"""The package's public names: each module's __all__, exported once; and
-the one count rule, sequences._count, is the only place a parameter is cast
-with int()."""
+"""The package's public names: each module's __all__, exported once; the
+one count rule, sequences._count, is the only place a parameter is cast with
+int(); and the Monte Carlo harness imports no reference path."""
 
 import ast
 from pathlib import Path
@@ -69,6 +69,23 @@ def test_no_parameter_is_cast_with_int():
     for path in sorted(Path(gsmgof.__file__).parent.glob("*.py")):
         found += _parameter_casts(path.read_text(encoding="utf-8"), path.stem)
     assert not found, found
+
+
+def _imported_names(source: str, module: str) -> set[str]:
+    """The names source imports from the package module `module`."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+            for alias in node.names}
+
+
+def test_montecarlo_runs_no_reference_path():
+    """The batched kernel is the Monte Carlo harness's only path: it neither
+    simulates a replication whole nor runs the test on one."""
+    source = Path(montecarlo.__file__).read_text(encoding="utf-8")
+    assert not {"simulate", "gaussian_draws"} & _imported_names(source, "gsm")
+    assert "run_test" not in _imported_names(source, "testproc")
+    assert {"RekeyedDraws", "_threshold_totals"} <= (_imported_names(source, "gsm")
+                                                      | _imported_names(source, "testproc"))
 
 
 def test_the_cast_guard_sees_nested_functions_on_their_own():

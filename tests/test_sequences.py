@@ -295,6 +295,15 @@ class TestEllipsoidNorm:
         with pytest.raises(ValueError):
             ellipsoid_weighted_norm(mild_ordinary, np.ones((2, 2)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_theta(self, mild_ordinary, bad):
+        """A NaN coefficient gave a NaN norm and an infinite one an infinite
+        norm; Signal refuses both, and so does the norm."""
+        for theta in ([bad], [0.1, 0.0, bad]):
+            with pytest.raises(ValueError) as info:
+                ellipsoid_weighted_norm(mild_ordinary, theta)
+            assert str(info.value) == "theta must be finite"
+
 
 class TestHelpers:
     def test_b_vector_read_only(self, mild_ordinary):

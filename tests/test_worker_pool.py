@@ -29,7 +29,7 @@ POWER_CURVE = ["power-curve", *_SMALL, "--radii", "0.3,0.6,0.9,1.0"]
 CHECKS = ["checks", *_SMALL, "--sigma", "0.001"]
 SEP_RADIUS = ["sep-radius", *_SMALL, "--r-lo", "0.001", "--r-hi", "1"]
 
-CPUS = os.cpu_count() or 1
+CPUS = montecarlo._usable_cpus()
 # A test that needs a second process forks one only where there is a second CPU.
 needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="forks a second process")
 
@@ -200,10 +200,24 @@ def test_the_pool_has_at_most_one_process_per_cpu(forks_asked, capsys):
 @pytest.mark.parametrize("cpus, size", [(1, 1), (None, 1), (500, 100)])
 def test_the_pool_size_is_capped_by_the_cpu_count(cpus, size, forks_asked, monkeypatch):
     """At 1000 workers a 100-replication plan has 100 chunks; they run in
-    min(100, os.cpu_count() or 1) processes, this one and the forked ones."""
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    min(100, _usable_cpus()) processes, this one and the forked ones.  Where
+    the platform has no affinity mask, the count is os.cpu_count() or 1."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert montecarlo._usable_cpus() == (cpus or 1)
     assert estimate_alpha(_plan(), workers=1000) == estimate_alpha(_plan(), workers=1)
     assert forks_asked == [size - 1, 0]
+
+
+def test_the_cpu_count_is_that_of_the_affinity_mask(forks_asked, monkeypatch):
+    """Pinned to one CPU of two, the default --workers is 1, and a call at 2
+    workers runs both chunks in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert montecarlo._usable_cpus() == 1
+    assert cli._resolve(cli._build_parser().parse_args(["calibrate"]))["workers"] == 1
+    assert estimate_alpha(_plan(), workers=2) == estimate_alpha(_plan(), workers=1)
+    assert forks_asked == [0, 0]
 
 
 def test_a_rate_fit_shares_one_pool_across_its_grid(forks):
