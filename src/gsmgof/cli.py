@@ -72,7 +72,7 @@ _SETTINGS = {
     "reps": _Setting(1000, int, "replications per cell"),
     # workers None is _usable_cpus() at run time; jmax None is per regime
     "workers": _Setting(None, int, "chunks per job, run in at most one process per CPU "
-                                   "(default: logical CPUs)"),
+                                   "(default: the CPUs this process may run on)"),
     "format": _Setting("csv", str, choices=("csv", "json")),
     "out": _Setting(None, str, "output file (default: stdout)", metavar="PATH"),
     "alpha": _Setting(0.05, float, "first-kind level"),

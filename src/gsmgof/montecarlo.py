@@ -275,7 +275,6 @@ def _run_jobs(jobs: Iterable[_Job], workers: int) -> list:
 # depends on x past what the group drew is decided alone.
 _CAP = 2 ** 14
 _FIRST_BLOCK = 64
-_GROUP_ROWS = _CAP // _FIRST_BLOCK
 _PREFIX = 16  # columns of the dimension objective run for every row
 
 
@@ -325,7 +324,7 @@ class _Kernel:
     epsilon**2 is finite, so epsilon * DRAW_BOUND < 1.2e155 lies far below
     half the float spacing at the top of the range (~1e292).
 
-    Only the x coordinates that can change a decision are drawn, with two
+    Only the x coordinates that can change a decision are drawn, with three
     certificates:
 
     - the scan's certain prefix: every draw is under DRAW_BOUND in size, so
@@ -333,6 +332,15 @@ class _Kernel:
       DRAW_BOUND), no |x_j| can reach the envelope (nor be zero; the slack
       of 8.3 over the largest draw, 8.2924, covers the rounding of x).  The
       scan starts there; when start is the horizon it draws nothing.
+    - the scan's certain end: at `end`, the first j with b_j <= sigma *
+      (envelope_j - DRAW_BOUND) (the horizon when there is none), every
+      draw lands inside the envelope, so every scan has ended by then
+      (m <= end) and none is drawn past it.  Above, x_j = b_j + sigma * eta
+      stays under the envelope by 0.0076 sigma (8.3 - 8.2924), which covers
+      the rounding of b + sigma * eta and of sigma * envelope (each a
+      relative 2**-53 of values below sigma * (envelope_j + 8.3)).  Below,
+      x_j >= -8.3 sigma never reaches -sigma * envelope_j, as envelope_j is
+      at least 16 + sqrt(2 ln 10) for kappa > e and alpha < 1.
     - the dimension objective's certain argmin: it runs over the first
       _PREFIX coordinates, and a row whose longer objective cannot beat the
       minimum found there is decided from them (see _windows).
@@ -362,14 +370,28 @@ class _Kernel:
         self.draws = RekeyedDraws(plan.master_seed)
         reach = np.flatnonzero(self.b <= self.envelope + self.sigma * DRAW_BOUND)
         self.start = start = int(reach[0]) if reach.size else j_max
+        inside = np.flatnonzero(self.b <= self.envelope - self.sigma * DRAW_BOUND)
+        self.end = int(inside[0]) if inside.size else j_max
         # The scan's batched block starts at 0 if start falls in the first
         # block, at start past it; None: nothing below the horizon triggers.
+        # It holds `block` coordinates: it ends at `end`, after 64 or at the
+        # horizon, whichever comes first (none when scan_from is None).
         self.scan_from = None if start >= j_max else 0 if start < _FIRST_BLOCK else start
+        self.prefix = min(_PREFIX, j_max)
+        lo = j_max if self.scan_from is None else self.scan_from
+        self.block = min(_FIRST_BLOCK, self.end + 1 - lo, j_max - lo)
+        # The rows of a group: its widest matrix is the block, or the head of
+        # the objective's prefix when the block does not start at 0.  Where a
+        # scan can run past the block (or no block is drawn), a row decided
+        # alone may read x up to the horizon, and the group keeps that window
+        # with its outcomes: it has the rows of a 64-coordinate block.
+        head = self.block if self.scan_from == 0 else self.prefix
+        self.group_rows = _CAP // (max(self.block, head) if self.end < lo + self.block
+                                   else _FIRST_BLOCK)
         # tail_dim: the dimension past the prefix with the smallest bias; None
         # turns the argmin certificate off (a fixed dimension, or a deviation
         # weight of 0 or inf, where x**-4 overflowing past the prefix can
         # make the objective NaN there).
-        self.prefix = min(_PREFIX, j_max)
         self.tail_dim = None
         if (config.dimension is None and self.prefix < j_max
                 and 0.0 < _objective_weight(self.eps, config.alpha, config.beta) < math.inf):
@@ -391,10 +413,11 @@ class _Kernel:
     # -- one row group ----------------------------------------------------------
 
     def bandwidths(self, reps: range) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-        """The batched scan block x[lo:lo + 64] of each replication (one row
-        each; lo = scan_from, the block cut at the horizon), and each one's
-        bandwidth as two columns: m, and whether the scan ran to the horizon
-        (m = j_max).  A scan that goes on past that block continues alone in
+        """The batched scan block x[lo:lo + block] of each replication (one
+        row each; lo = scan_from, the block cut at 64 coordinates, just past
+        the certain end, or at the horizon), and each one's bandwidth as two
+        columns: m, and whether the scan ran to the horizon (m = j_max).  A
+        scan that can go on past that block, and does, continues alone in
         blocks of 128, 256, ... coordinates (the last one cut at the horizon)
         until one holds an index inside the envelope: element by element,
         this is empirical_bandwidth on the whole of x.  No block is drawn when
@@ -402,7 +425,7 @@ class _Kernel:
         lo = self.scan_from
         if lo is None:
             return None, np.full(len(reps), self.j_max), np.ones(len(reps), dtype=bool)
-        n = min(_FIRST_BLOCK, self.j_max - lo)
+        n = self.block
         block = self._operator(reps, lo, n)
         hits = np.abs(block) <= self.envelope[lo:lo + n]
         truncated = ~hits.any(axis=1)
@@ -551,7 +574,8 @@ def _replications(plan: ExperimentPlan, theta: Signal, lo: int, hi: int):
     order.  The error raised is the first one that loop meets, as it raises
     it, from the row group where it meets it (a theta the kernel refuses,
     before the first)."""
-    yield from map(_Kernel(plan, theta).group, _row_groups(lo, hi, _GROUP_ROWS))
+    kernel = _Kernel(plan, theta)
+    yield from map(kernel.group, _row_groups(lo, hi, kernel.group_rows))
 
 
 def _reject_counts(plan: ExperimentPlan, theta: Signal, lo: int, hi: int) -> tuple[int, int]:
@@ -807,7 +831,7 @@ def _containment_failures(plan: ExperimentPlan, low: int, high: int,
                           high_truncated: bool, lo: int, hi: int) -> int:
     kernel = _Kernel(plan, Signal.zeros(0))
     n_fail = 0
-    for reps in _row_groups(lo, hi, _GROUP_ROWS):
+    for reps in _row_groups(lo, hi, kernel.group_rows):
         _, m, truncated = kernel.bandwidths(reps)
         n_fail += np.count_nonzero((m < low) | ((m >= high) & ~(high_truncated & truncated)))
     return int(n_fail)

@@ -276,7 +276,9 @@ def ellipsoid_weighted_norm(spec: RegimeSpec, theta) -> float:
 
     Membership in the smoothness class holds iff the result is <= 1.  Only
     nonzero coordinates are touched, so trailing zeros never trip the
-    exponential weights.  A theta that is not finite is refused.
+    exponential weights.  A theta that is not finite is refused, and so is
+    one whose weighted sum leaves the float range (a SequenceOverflowError
+    naming the index where the running sum does).
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1:
@@ -286,5 +288,16 @@ def ellipsoid_weighted_norm(spec: RegimeSpec, theta) -> float:
     nz = np.nonzero(theta)[0]
     if nz.size == 0:
         return 0.0
-    weights = np.asarray(a_value(spec, nz + 1))
-    return float(math.fsum(((weights * theta[nz]) ** 2).tolist()))
+    with np.errstate(over="ignore"):  # a weight or term past the float range is refused below
+        terms = (np.asarray(a_value(spec, nz + 1)) * theta[nz]) ** 2
+        try:
+            total = math.fsum(terms.tolist())
+        except OverflowError:  # finite terms whose sum is not
+            total = math.inf
+        if not math.isfinite(total):
+            past = np.flatnonzero(~np.isfinite(np.cumsum(terms)))
+            j = int(nz[past[0] if past.size else -1]) + 1
+            raise SequenceOverflowError(
+                f"sum of a_j**2 * theta_j**2 exceeds the floating-point range at index {j}"
+            )
+    return total

@@ -689,6 +689,106 @@ class TestCertificates:
         assert not reach[:start].any()
         assert start == j_max or reach[start]
 
+    @settings(max_examples=60, deadline=None)
+    @given(regime=st.sampled_from(REGIMES), s=st.floats(0.25, 3.0), t=st.floats(0.25, 3.0),
+           sigma=st.floats(-7.0, math.log10(0.9)).map(lambda e: 10.0 ** e),
+           j_max=st.integers(1, 300), seed=st.integers(0, 96))
+    def test_every_scan_ends_by_end(self, regime, s, t, sigma, j_max, seed):
+        """end is sound: no full-horizon scan ends past it, none is truncated
+        when it lies below the horizon, and there x_end lies inside the
+        envelope even at the largest draws of either sign.  It is also
+        tight: it is the first index where no draw of size DRAW_BOUND can
+        leave the envelope, or the horizon when there is none."""
+        plan = make_plan(spec=RegimeSpec.from_name(regime, s=s, t=t), sigma=sigma,
+                         j_max=j_max, seed=seed)
+        end = montecarlo._Kernel(plan, plan.theta0).end
+        bands = [empirical_bandwidth(simulate(plan.theta0, plan.spec, plan.noise, seed, j_max,
+                                              rep=rep).x, sigma, plan.config.alpha)
+                 for rep in range(20)]
+        assert all(band.value <= end for band in bands)
+        b = b_vector(plan.spec, j_max)
+        envelope = sigma * scan_envelope(np.arange(1, j_max + 1), plan.config.alpha)
+        if end < j_max:
+            assert not any(band.truncated for band in bands)
+            extremes = gsm._gaussian(np.array([0, 2 ** 64 - 1], dtype=np.uint64))
+            assert (np.abs(b[end] + sigma * extremes) <= envelope[end]).all()
+        inside = b <= envelope - sigma * DRAW_BOUND
+        assert not inside[:end].any()
+        assert end == j_max or inside[end]
+
+    def test_a_scan_that_can_run_past_the_block_continues_alone(self):
+        """t = 0.25, sigma 2.8e-3: start is 390 and no index below the
+        horizon is a certain end, so the block holds 64 coordinates and every
+        scan runs on past it, drawn alone to where it ends."""
+        plan = make_plan(spec=RegimeSpec.from_name("mild-ordinary", t=0.25), epsilon=0.1,
+                         sigma=2.8e-3, j_max=470)
+        kernel = montecarlo._Kernel(plan, plan.theta0)
+        assert (kernel.start, kernel.end, kernel.block) == (390, 470, 64)
+        assert kernel.group_rows == montecarlo._CAP // 64
+        brute = [empirical_bandwidth(simulate(plan.theta0, plan.spec, plan.noise,
+                                              plan.master_seed, 470, rep=rep).x,
+                                     plan.noise.sigma, plan.config.alpha) for rep in range(32)]
+        _, m, truncated = kernel.bandwidths(range(32))
+        assert list(map(Bandwidth, m.tolist(), truncated.tolist())) == brute
+        assert (m >= 390 + 64).all()
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_no_row_group_matrix_exceeds_the_cap(self, monkeypatch, regime):
+        """A row group has _CAP // (its widest matrix) rows: the scan block,
+        or the objective's 16-column head where the block does not start at
+        0 (or the rows of a 64-coordinate block where a scan can run past
+        it).  At each sigma, a chunk of one group and one more replication
+        draws and decides no group matrix of more than _CAP elements, and a
+        full group that is not 64 wide fills more than half of them."""
+        shapes = []
+        real_rows, real_decide = gsm.RekeyedDraws.rows, montecarlo._Kernel.decide
+
+        def rows(self, reps, stream, start, widths):
+            out = real_rows(self, reps, stream, start, widths)
+            if len(reps) > 1:  # a single replication's draws are not a group's
+                shapes.append(out.shape)
+            return out
+
+        def decide(self, reps, head, m, truncated):
+            if len(reps) > 1:
+                shapes.append(head.shape)
+            return real_decide(self, reps, head, m, truncated)
+
+        monkeypatch.setattr(gsm.RekeyedDraws, "rows", rows)
+        monkeypatch.setattr(montecarlo._Kernel, "decide", decide)
+        spec = RegimeSpec.from_name(regime)
+        for sigma in (1e-2, 1e-4, 1e-6):
+            plan = make_plan(spec=spec, sigma=sigma, j_max=default_j_max(spec))
+            kernel = montecarlo._Kernel(plan, plan.theta0)
+            shapes.clear()
+            _reject_counts(plan, plan.theta0, 0, kernel.group_rows + 1)
+            widest = max(c for _, c in shapes)
+            assert shapes[0][0] == kernel.group_rows
+            assert kernel.group_rows * widest <= montecarlo._CAP
+            assert kernel.group_rows == montecarlo._CAP // 64 or \
+                2 * kernel.group_rows * widest > montecarlo._CAP
+
+    @pytest.mark.parametrize("workload, words", [("calibrate-severe", 6), ("sep-radius", 3)])
+    def test_benchmark_cells_draw_only_what_their_scans_can_read(self, monkeypatch, capsys,
+                                                                 workload, words):
+        """Every scan on these cells has ended by index 5 (calibrate-severe)
+        or 2 (sep-radius), so each replication draws at most 6 or 3 operator
+        words, where a 64-coordinate block was drawn before."""
+        counted = []
+        real = gsm.RekeyedDraws._words
+
+        def count(self, reps, stream, start, widths):
+            if stream == OPERATOR_STREAM:
+                counted.extend(widths)
+            return real(self, reps, stream, start, widths)
+
+        monkeypatch.setattr(gsm.RekeyedDraws, "_words", count)
+        argv = [*WORKLOAD_ARGV[workload], "--seed", "12345", "--workers", "1"]
+        n_reps = sum(plan.n_reps for plan in cli_plans(argv))
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert 0 < sum(counted) <= words * n_reps
+
     def test_operator_draws_stop_at_what_the_test_reads(self, monkeypatch):
         """At sigma 1e-6 no index below the horizon can trigger and the window
         is 4: each replication draws the objective's prefix of x, not the

@@ -304,6 +304,25 @@ class TestEllipsoidNorm:
                 ellipsoid_weighted_norm(mild_ordinary, theta)
             assert str(info.value) == "theta must be finite"
 
+    @pytest.mark.parametrize("theta, index", [
+        ([1e200], 1),  # the square of a finite term
+        ([0.1, 0.0, 1.3e154], 3),  # a_3 * theta_3 is 3.9e154, its square is not finite
+        ([1.2e154, 5e153], 2),  # finite terms 1.44e308 and 1e308 whose sum is not
+    ], ids=["term", "later-term", "sum"])
+    def test_refuses_a_norm_past_the_float_range(self, mild_ordinary, theta, index):
+        """It returned inf, with a numpy overflow warning."""
+        with pytest.raises(SequenceOverflowError) as info:
+            ellipsoid_weighted_norm(mild_ordinary, theta)
+        assert str(info.value) == ("sum of a_j**2 * theta_j**2 exceeds the floating-point "
+                                   f"range at index {index}")
+
+    def test_refuses_an_overflowing_weight(self, mild_super):
+        """a_1000 = e**1000 is not finite, however small theta_1000 is."""
+        theta = np.zeros(1000)
+        theta[[0, 999]] = 0.1, 1e-300
+        with pytest.raises(SequenceOverflowError, match="range at index 1000$"):
+            ellipsoid_weighted_norm(mild_super, theta)
+
 
 class TestHelpers:
     def test_b_vector_read_only(self, mild_ordinary):
