@@ -31,7 +31,7 @@ from .gsm import (
     _word,
     spike_index,
 )
-from .sequences import RegimeSpec, _count, a_inv_sq, a_value, b_vector
+from .sequences import RegimeSpec, _count, _fsum, a_inv_sq, a_value, b_vector
 from .testproc import (
     TestConfig,
     _check_kappa,
@@ -269,10 +269,10 @@ def _run_jobs(jobs: Iterable[_Job], workers: int) -> list:
 # test reads them
 # ---------------------------------------------------------------------------
 
-# A row group holds at most _CAP float64 elements per matrix: the batched scan
-# blocks of its replications, and the arrays of those decided together.  A
-# replication whose scan runs past that block scans on alone; one whose window
-# depends on x past what the group drew is decided alone.
+# A row group holds at most _CAP float64 elements in its batched scan block and
+# in the head of x its decisions start from.  The scan's continuation blocks and
+# the x past the head that some windows read are drawn for the rows that need
+# them only, all such rows of a group together, and may exceed it.
 _CAP = 2 ** 14
 _FIRST_BLOCK = 64
 _PREFIX = 16  # columns of the dimension objective run for every row
@@ -316,7 +316,7 @@ def _joined(parts: Sequence[_Outcomes]) -> _Outcomes:
 
 class _Kernel:
     """run_test(simulate(theta, ..., rep=rep), plan.theta0, ...) over many
-    replications of a plan, a row group at a time.
+    replications of a plan, a row group at a time, each in one pass.
 
     A theta longer than the horizon, or one whose b * theta leaves the float
     range, is refused here with simulate's error.  No other x or y can
@@ -346,11 +346,11 @@ class _Kernel:
       minimum found there is decided from them (see _windows).
 
     Besides those, x is drawn up to the bandwidth where the argmin is not
-    certain (or up to a fixed dimension past the prefix), and the signal
-    stream up to the window.  The streams are counter-based, so these are
-    slices of simulate's draws, and every step works element by element
-    (numpy's power included) or sums one row in index order, so every value
-    is the reference path's.
+    certain (or up to a fixed dimension past the prefix), for all such rows
+    of a group at once, and the signal stream up to the window.  The streams
+    are counter-based, so these are slices of simulate's draws, and every
+    step works element by element (numpy's power included) or sums one row
+    in index order, so every value is the reference path's.
     """
 
     def __init__(self, plan: ExperimentPlan, theta: Signal) -> None:
@@ -382,9 +382,9 @@ class _Kernel:
         self.block = min(_FIRST_BLOCK, self.end + 1 - lo, j_max - lo)
         # The rows of a group: its widest matrix is the block, or the head of
         # the objective's prefix when the block does not start at 0.  Where a
-        # scan can run past the block (or no block is drawn), a row decided
-        # alone may read x up to the horizon, and the group keeps that window
-        # with its outcomes: it has the rows of a 64-coordinate block.
+        # scan can run past the block (or no block is drawn), a window may read
+        # x up to the horizon, and the group keeps it with its outcomes: it
+        # has the rows of a 64-coordinate block.
         head = self.block if self.scan_from == 0 else self.prefix
         self.group_rows = _CAP // (max(self.block, head) if self.end < lo + self.block
                                    else _FIRST_BLOCK)
@@ -399,10 +399,11 @@ class _Kernel:
                                   np.arange(self.prefix + 1, j_max + 1))
             self.tail_dim = np.array([self.prefix + 1 + int(bias.argmin())])
 
-    def _operator(self, reps, start: int, n: int) -> np.ndarray:
-        """x[start:start + n] of each replication, one row each."""
-        eta = self.draws.rows(reps, OPERATOR_STREAM, start, [n] * len(reps))
-        return self.b[start:start + n] + self.sigma * eta
+    def _operator(self, reps, start: int, widths) -> np.ndarray:
+        """x[start:start + widths[i]] of reps[i] as row i, padded as
+        RekeyedDraws.rows pads."""
+        eta = self.draws.rows(reps, OPERATOR_STREAM, start, widths)
+        return self.b[start:start + eta.shape[1]] + self.sigma * eta
 
     def objective(self, inv4_sums, dims) -> np.ndarray:
         """testproc's dimension objective under the plan."""
@@ -416,35 +417,35 @@ class _Kernel:
         """The batched scan block x[lo:lo + block] of each replication (one
         row each; lo = scan_from, the block cut at 64 coordinates, just past
         the certain end, or at the horizon), and each one's bandwidth as two
-        columns: m, and whether the scan ran to the horizon (m = j_max).  A
-        scan that can go on past that block, and does, continues alone in
-        blocks of 128, 256, ... coordinates (the last one cut at the horizon)
-        until one holds an index inside the envelope: element by element,
-        this is empirical_bandwidth on the whole of x.  No block is drawn when
-        no index below the horizon triggers."""
+        columns: m, and whether the scan ran to the horizon (m = j_max).
+        Scans that can go on past that block, and do, continue in blocks of
+        128, 256, ... coordinates (the last one cut at the horizon), each
+        drawn at once for the rows whose scan has not yet ended, until every
+        row has met an index inside the envelope: element by element, this
+        is empirical_bandwidth on the whole of x.  No block is drawn when no
+        index below the horizon triggers."""
         lo = self.scan_from
         if lo is None:
             return None, np.full(len(reps), self.j_max), np.ones(len(reps), dtype=bool)
         n = self.block
-        block = self._operator(reps, lo, n)
+        block = self._operator(reps, lo, [n] * len(reps))
         hits = np.abs(block) <= self.envelope[lo:lo + n]
         truncated = ~hits.any(axis=1)
         m = np.where(truncated, self.j_max, hits.argmax(axis=1) + lo)
-        for i in np.flatnonzero(truncated).tolist():
-            at, size = lo + n, 2 * _FIRST_BLOCK
-            while truncated[i] and at < self.j_max:
-                width = min(size, self.j_max - at)
-                inside = np.flatnonzero(np.abs(self._operator([reps[i]], at, width)[0])
-                                        <= self.envelope[at:at + width])
-                if inside.size:
-                    m[i], truncated[i] = at + inside[0], False
-                at, size = at + width, 2 * size
+        rows, at, size = np.flatnonzero(truncated), lo + n, 2 * _FIRST_BLOCK
+        while rows.size and at < self.j_max:
+            width = min(size, self.j_max - at)
+            x = self._operator([reps[i] for i in rows.tolist()], at, [width] * rows.size)
+            hits = np.abs(x) <= self.envelope[at:at + width]
+            ended = hits.any(axis=1)
+            m[rows[ended]], truncated[rows[ended]] = hits[ended].argmax(axis=1) + at, False
+            rows, at, size = rows[~ended], at + width, 2 * size
         return block, m, truncated
 
     def group(self, reps: range) -> _Outcomes:
         """The outcomes of the replications in reps (see decide)."""
         block, m, truncated = self.bandwidths(reps)
-        head = block if self.scan_from == 0 else self._operator(reps, 0, self.prefix)
+        head = block if self.scan_from == 0 else self._operator(reps, 0, [self.prefix] * len(reps))
         return self.decide(reps, head, m, truncated)
 
     # -- decisions --------------------------------------------------------------
@@ -453,19 +454,29 @@ class _Kernel:
         """The outcomes of replications whose scan has ended (bandwidths m,
         truncated); row i of head holds x[:h] of reps[i] (h the same for all).
 
-        Most are decided together from head, their windows gathered end to
+        All are decided in one pass.  The rows whose window depends on x past
+        head draw x up to their bandwidth (or up to a fixed dimension below
+        it) together, their windows are selected on those rows at once, and
+        head is widened to hold them.  The windows are then gathered end to
         end: only the math.fsums of each one's statistic terms, x**-2 and
         x**-4 are taken one by one, and the thresholds come from those sums
         at once (_threshold_totals).  One with a zero bandwidth is
-        degenerate.  One whose window depends on x past head draws what its
-        decision reads and is decided alone.  The error raised is the first
-        one the reference path meets over reps in order, as it raises it.
-        No x that a decision reads is exactly zero, which the reference path
-        would refuse: a zero x_j at or past start ends the scan at or before
-        j, and below start |x_j| > 0 is certain.
+        degenerate.  The error raised is the first one the reference path
+        meets over reps in order, as it raises it.  No x that a decision
+        reads is exactly zero, which the reference path would refuse: a zero
+        x_j at or past start ends the scan at or before j, and below start
+        |x_j| > 0 is certain.
         """
-        window = self._windows(head, m)
-        width = np.maximum(window, 0)  # 0 for now where decided alone
+        width = self._windows(head, m)
+        far = np.flatnonzero(width < 0)
+        if far.size:
+            dimension = self.plan.config.dimension
+            n = m[far] if dimension is None else np.minimum(dimension, m[far])
+            wide = np.empty((len(reps), int(n.max())))  # past a row's window: never read
+            wide[:, :head.shape[1]] = head
+            wide[far] = self._operator([reps[i] for i in far.tolist()], 0, n.tolist())
+            width[far] = self._select(wide[far], n)[0] if dimension is None else n
+            head = wide
         rows = np.flatnonzero(width)
         w = width[rows]
         n = int(w.max(initial=0))
@@ -481,7 +492,7 @@ class _Kernel:
             terms = (y / x - self.theta0[col]) ** 2
             inv2, inv4 = x ** -2.0, x ** -4.0
         lo = _starts(w)
-        t, i2, i4, sums = terms.tolist(), inv2.tolist(), inv4.tolist(), []
+        t, i2, i4, sums = memoryview(terms), memoryview(inv2), memoryview(inv4), []
         for a, b in zip(lo.tolist(), (lo + w).tolist()):
             try:
                 sums.append((math.fsum(t[a:b]), math.fsum(i2[a:b]), math.fsum(i4[a:b])))
@@ -491,36 +502,18 @@ class _Kernel:
         alpha, a_w = self.plan.config.alpha, a_inv_sq(self.plan.spec, w)
         cutoff = _threshold_totals(inv2_sum, inv4_sum, a_w, self.eps, self.sigma, alpha)
         bad = np.flatnonzero(~(np.isfinite(value) & np.isfinite(cutoff)))
-        first = rows[bad[0]] if bad.size else len(reps)
-        alone = np.flatnonzero(window[:first] < 0)  # decided, or raising, before row first
-        solo = [self._alone(reps[i], m[i:i + 1], truncated[i:i + 1]) for i in alone.tolist()]
         if bad.size:  # the reference path's error there: the statistic's, else the threshold's
             span = slice(lo[bad[0]], lo[bad[0]] + w[bad[0]])
             _statistic_sum(terms[span])
-            _parts_from_sums(math.fsum(inv2[span].tolist()), math.fsum(inv4[span].tolist()),
+            _parts_from_sums(_fsum(inv2[span].tolist()), _fsum(inv4[span].tolist()),
                              a_w[bad[0]].item(), self.eps, self.sigma, alpha)
             raise AssertionError("_threshold_totals disagrees with _parts_from_sums")
         statistic = np.zeros(len(reps))
         statistic[rows] = value
         threshold = np.full(len(reps), math.nan)
         threshold[rows] = cutoff
-        windows = x, y, eps_xi
-        if solo:
-            solo = _joined(solo)
-            at = np.repeat(_starts(width)[alone], solo.width)
-            windows = [np.insert(flat, at, own)
-                       for flat, own in zip(windows, (solo.x, solo.y, solo.eps_xi))]
-            width[alone], statistic[alone], threshold[alone] = \
-                solo.width, solo.statistic, solo.threshold
         return _Outcomes(m, width, statistic, threshold, statistic > threshold, truncated,
-                         _starts(width), *windows)
-
-    def _alone(self, rep: int, m: np.ndarray, truncated: np.ndarray) -> _Outcomes:
-        """The outcome of one replication (one-row columns m, truncated), on
-        the x[:n] it reads (n = m, or a fixed dimension below it) drawn here."""
-        dimension = self.plan.config.dimension
-        n = m.item() if dimension is None else min(dimension, m.item())
-        return self.decide([rep], self._operator([rep], 0, n), m, truncated)
+                         _starts(width), x, y, eps_xi)
 
     def _windows(self, head: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Each row's window min(d, m) (0 where m is 0), or -1 where it
@@ -890,12 +883,9 @@ def _quadform_job(d: int, nu, v, x: float, n_reps: int, master_seed: int = 0) ->
     if not (np.all(np.isfinite(nu)) and np.all(np.isfinite(v))):
         raise ValueError("nu and v must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            mean = math.fsum((nu ** 2 + v ** 2).tolist())
-            proxy = math.fsum((v ** 4).tolist()) + 2.0 * math.fsum((v ** 2 * nu ** 2).tolist())
-            up_cut = 2.0 * math.sqrt(proxy * x) + 2.0 * x * float(np.max(v ** 2))
-        except OverflowError:  # finite terms whose sum is not
-            mean = proxy = up_cut = math.inf
+        mean = _fsum((nu ** 2 + v ** 2).tolist())
+        proxy = _fsum((v ** 4).tolist()) + 2.0 * _fsum((v ** 2 * nu ** 2).tolist())
+        up_cut = 2.0 * math.sqrt(proxy * x) + 2.0 * x * float(np.max(v ** 2))
     if not all(map(math.isfinite, (mean, proxy, up_cut))):
         raise ValueError("the mean, the variance proxy and the cuts must be finite")
     low_cut = -2.0 * math.sqrt(proxy * x)

@@ -112,6 +112,15 @@ def _count(name: str, value, low: int = 1) -> int:
     return number
 
 
+def _fsum(values) -> float:
+    """math.fsum of nonnegative floats; inf where finite ones sum past the
+    float range, which fsum refuses with an OverflowError."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 def _index(j) -> np.ndarray:
     """j as a float array; an index that is not a positive integer (NaN and
     inf among them) is refused, naming the first one."""
@@ -290,10 +299,7 @@ def ellipsoid_weighted_norm(spec: RegimeSpec, theta) -> float:
         return 0.0
     with np.errstate(over="ignore"):  # a weight or term past the float range is refused below
         terms = (np.asarray(a_value(spec, nz + 1)) * theta[nz]) ** 2
-        try:
-            total = math.fsum(terms.tolist())
-        except OverflowError:  # finite terms whose sum is not
-            total = math.inf
+        total = _fsum(terms.tolist())
         if not math.isfinite(total):
             past = np.flatnonzero(~np.isfinite(np.cumsum(terms)))
             j = int(nz[past[0] if past.size else -1]) + 1

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateBandwidthError, DegenerateObservationError
 from .gsm import NoiseLevels, Observations, Signal
-from .sequences import RegimeSpec, _count, a_inv_sq, b_vector
+from .sequences import RegimeSpec, _count, _fsum, a_inv_sq, b_vector
 
 __all__ = [
     "KAPPA_DEFAULT",
@@ -224,10 +224,7 @@ def statistic(y, x, theta0: Signal, d: int, m: int) -> float:
 def _statistic_sum(terms: np.ndarray) -> float:
     """math.fsum of the statistic's terms over its window; a sum that is not
     finite is refused."""
-    try:
-        total = math.fsum(terms.tolist())
-    except OverflowError:  # finite terms whose sum is not
-        total = math.inf
+    total = _fsum(terms.tolist())
     if not math.isfinite(total):
         raise ValueError(f"the statistic over the first {terms.size} coefficients is not finite")
     return total
@@ -254,8 +251,10 @@ def threshold_parts(x, spec: RegimeSpec, d: int, m: int, epsilon: float,
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     xs = _window(x, w)
-    return _parts_from_sums(math.fsum((xs ** -2.0).tolist()), math.fsum((xs ** -4.0).tolist()),
-                            a_inv_sq(spec, w), epsilon, sigma, alpha)
+    with np.errstate(over="ignore"):  # a sum past the float range is refused with the threshold
+        inv2, inv4 = xs ** -2.0, xs ** -4.0
+    return _parts_from_sums(_fsum(inv2.tolist()), _fsum(inv4.tolist()), a_inv_sq(spec, w),
+                            epsilon, sigma, alpha)
 
 
 def _parts_from_sums(sum_inv2: float, sum_inv4: float, a_w: float, epsilon: float,

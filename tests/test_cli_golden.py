@@ -66,6 +66,9 @@ CASES = [
     ("error-no-radii", 2, ["power-curve", "--seed", "0", *_SMALL, "--workers", "1"]),
     ("error-grid-for-single", 2, ["sep-radius", "--seed", "0", *_SMALL, "--workers", "1",
                                   "--sigma", "0.01,0.02"]),
+    ("error-threshold-overflow", 2, ["test", "--seed", "0", "--workers", "1",
+                                     "--regime", "mild-ordinary", "--t", "20", "--sigma", "1e-80",
+                                     "--dimension", "8000", "--jmax", "10000"]),
     ("error-bracketing", 1, ["sep-radius", "--seed", "42", *_SMALL, "--workers", "1",
                              "--r-lo", "0.01", "--r-hi", "0.05"]),
 ]

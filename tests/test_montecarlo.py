@@ -384,8 +384,18 @@ class TestBatch:
         dict(sigma=1e-310),  # subnormal
         dict(theta=Signal([-0.0, 0.5, -0.25])),  # a negative zero stays negative in y
         dict(theta=Signal([-0.0, 0.5, -0.25]), epsilon=0.0),
+        # a zero deviation weight leaves every argmin uncertain, so each row
+        # whose bandwidth lies past the head reads x past it.  In the mild
+        # regimes no scan triggers below a horizon of 65 at either sigma, so
+        # every row reads x up to it.  At 200, every 1.3e-4 scan ends past
+        # the 16-column head (in mild-ordinary, with windows of 8 widths), and
+        # the 2.4e-4 bandwidths straddle the 64-column head in both row
+        # groups of the 300-replication chunk
+        dict(epsilon=0.0, sigma=1.3e-4),
+        dict(epsilon=0.0, sigma=2.4e-4),
     ], ids=["zero-epsilon", "small-epsilon", "dimension-3", "dimension-70", "large-sigma",
-            "subnormal-sigma", "signed-theta", "signed-theta-zero-epsilon"])
+            "subnormal-sigma", "signed-theta", "signed-theta-zero-epsilon", "far-rows",
+            "far-and-near-rows"])
     @pytest.mark.parametrize("regime", REGIMES)
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_chunks_match_serial_loop_on_other_plans(self, regime, case):
@@ -446,8 +456,8 @@ class TestBatch:
     # coordinate 25, no noise on y): "ok" and "threshold" (x_4 = 1e-160, so
     # x**-2 overflows and eps^2 * inf is NaN) have windows of 10, "statistic"
     # and "both" (x_4 = 1e-160 too) of 28, where the statistic overflows;
-    # "alone" has a bandwidth of 38, is decided on its own 35 drawn
-    # coordinates, and its statistic overflows there.
+    # "alone" has a bandwidth of 38, so its window of 35 reads x past the
+    # head, and its statistic overflows there.
     ERROR_ROWS = {"ok": (10, None), "threshold": (10, 1e-160), "statistic": (28, None),
                   "both": (28, 1e-160), "alone": (38, None)}
 
@@ -458,9 +468,9 @@ class TestBatch:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_the_first_error_in_row_order_is_raised(self, kinds):
-        """A row group's error is the serial loop's first, however batched and
-        alone rows and statistic and threshold errors interleave, and within a
-        row the statistic's comes first."""
+        """A row group's error is the serial loop's first, however rows read
+        from the head or past it and statistic and threshold errors
+        interleave, and within a row the statistic's comes first."""
         plan = make_plan(epsilon=0.0, sigma=1e-3, j_max=40, dimension=35,
                          theta0=Signal([0.0] * 24 + [1e300]))
         target = Signal.zeros(0)
@@ -549,6 +559,18 @@ class TestBatch:
         assert len(serial) > 1
         assert serial[-1].startswith("ValueError: the threshold is not finite")
         assert_batch_matches_serial(plan, plan.theta0, 5, 300)
+
+    def test_a_window_sum_past_the_float_range_refuses_the_threshold(self):
+        """At t = 20 and sigma 1e-80 the x_j of a window of 8000 lie near
+        j**-20: their x**-4 overflow, or each stays finite while their sum
+        does not.  Both paths refuse the threshold of the first replication."""
+        plan = make_plan(spec=RegimeSpec.from_name("mild-ordinary", t=20), sigma=1e-80,
+                         j_max=10_000, dimension=8000)
+        serial = serial_outcomes(plan, plan.theta0, 0, 100)
+        assert serial == [batch_outcomes(plan, plan.theta0, 0, 100)[0]]
+        assert serial[0].startswith("ValueError: the threshold is not finite")
+        with pytest.raises(ValueError, match="the threshold is not finite"):
+            estimate_alpha(plan)
 
     @pytest.mark.parametrize("t, epsilon, sigma, j_max, k", [
         (1.0, 1e-2, 1e-4, 1000, 131),  # start 131: the scan's batched block
@@ -719,7 +741,8 @@ class TestCertificates:
     def test_a_scan_that_can_run_past_the_block_continues_alone(self):
         """t = 0.25, sigma 2.8e-3: start is 390 and no index below the
         horizon is a certain end, so the block holds 64 coordinates and every
-        scan runs on past it, drawn alone to where it ends."""
+        scan runs on past it, in blocks drawn for the rows still scanning,
+        to where it ends."""
         plan = make_plan(spec=RegimeSpec.from_name("mild-ordinary", t=0.25), epsilon=0.1,
                          sigma=2.8e-3, j_max=470)
         kernel = montecarlo._Kernel(plan, plan.theta0)
@@ -814,6 +837,43 @@ class TestCertificates:
         dimension of 70 reads x past the prefix: both draw what they read."""
         plan = make_plan(sigma=1e-6, j_max=10_000, **case)
         assert_batch_matches_serial(plan, plan.theta0, 3, 43)
+
+    @pytest.mark.parametrize("t, sigma, j_max, dimension, per_group", [
+        (1.0, 1e-4, 10_000, 70, 3),  # the block, the head, x past the head
+        (0.25, 2.8e-3, 470, None, 4),  # and one continuation block, 454..470
+    ], ids=["dimension-70", "continuation"])
+    def test_a_row_group_is_decided_in_one_pass(self, monkeypatch, t, sigma, j_max, dimension,
+                                                per_group):
+        """Each row group runs decide once and draws x in a few calls, however
+        many of its rows read past the head or scan past the block: x from 0
+        twice (the 16-column head, then x past it for every row that needs
+        it).  At a fixed dimension of 70 the scans end between 131 and 165,
+        so every window (70) reads past the head.  At t = 0.25 every scan
+        runs on past the block, 390..454, and some windows' dimension
+        objective reads past the head."""
+        plan = make_plan(spec=RegimeSpec.from_name("mild-ordinary", t=t), sigma=sigma,
+                         j_max=j_max, dimension=dimension)
+        kernel = montecarlo._Kernel(plan, plan.theta0)
+        calls = []
+        real_rows, real_decide = gsm.RekeyedDraws.rows, montecarlo._Kernel.decide
+
+        def rows(self, reps, stream, start, widths):
+            if stream == OPERATOR_STREAM:
+                calls.append(start)
+            return real_rows(self, reps, stream, start, widths)
+
+        def decide(self, *args):
+            calls.append("decide")
+            return real_decide(self, *args)
+
+        monkeypatch.setattr(gsm.RekeyedDraws, "rows", rows)
+        monkeypatch.setattr(montecarlo._Kernel, "decide", decide)
+        groups = list(_replications(plan, plan.theta0, 0, 2 * kernel.group_rows + 5))
+        assert len(groups) == 3
+        assert all((outcomes.bandwidth > kernel.prefix).all() for outcomes in groups)
+        assert calls.count("decide") == 3
+        assert calls.count(0) == 2 * 3
+        assert len(calls) - 3 <= per_group * 3
 
     @pytest.mark.parametrize("sigma", [1e-4, 1.6e-5, 1e-6])
     def test_containment_scan_matches_a_brute_force_scan(self, sigma):

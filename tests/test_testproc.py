@@ -315,6 +315,15 @@ class TestThreshold:
                 flags.append(value > cut)
             assert np.all(np.diff(np.asarray(flags, dtype=int)) >= 0)
 
+    @pytest.mark.parametrize("x", [1e-77, 1e-80], ids=["sum", "term"])
+    def test_inverse_powers_past_the_float_range_refuse_the_threshold(self, mild_ordinary, x):
+        """Each x**-4 of 1e-77 is finite (1e308) but their sum is not; that of
+        1e-80 overflows on its own.  Either way the threshold is refused as
+        not finite, with no OverflowError or numpy warning."""
+        with pytest.raises(ValueError, match="the threshold is not finite"):
+            threshold_parts(np.full(10, x), mild_ordinary, d=10, m=10, epsilon=0.01,
+                            sigma=0.5, alpha=0.05)
+
     def test_empty_window_refused(self, mild_ordinary):
         for d, m in ((2, 0), (0, 2)):
             with pytest.raises(DegenerateBandwidthError):
