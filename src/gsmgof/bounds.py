@@ -266,48 +266,58 @@ def rate_formula(spec: RegimeSpec, epsilon: float, sigma: float, which: str) -> 
 
     which: 'upper' or 'lower' for the noisy-operator benchmarks (maximum of a
     signal-noise part and an operator-noise part), 'known' for the
-    known-operator benchmark (signal-noise part only).
+    known-operator benchmark (signal-noise part only).  A part past the
+    float range, or a noise level whose reciprocal is, is refused.
     """
     if which not in WHICH:
         raise ValueError(f"which must be one of {WHICH}, got {which!r}")
     _check_unit("epsilon", epsilon)
     _check_unit("sigma", sigma)
+    try:
+        eps_part = _signal_rate(spec, epsilon)
+        if which == "known":
+            return eps_part
+        return max(eps_part, _operator_rate(spec, sigma, which == "upper"))
+    except OverflowError:
+        raise ValueError(f"the {which} rate of {spec.name} (s={spec.s!r}, t={spec.t!r}) at "
+                         f"epsilon={epsilon!r}, sigma={sigma!r} exceeds the float range") from None
+
+
+def _log_inverse(level: float) -> float:
+    """math.log(1.0 / level); a reciprocal past the float range overflows."""
+    inverse = 1.0 / level
+    if inverse == math.inf:
+        raise OverflowError
+    return math.log(inverse)
+
+
+def _signal_rate(spec: RegimeSpec, epsilon: float) -> float:
+    """rate_formula's signal-noise part."""
     s, t = spec.s, spec.t
-    log_eps = math.log(1.0 / epsilon)
-    log_sigma = math.log(1.0 / sigma)
+    log_eps = _log_inverse(epsilon)
+    if spec.b_kind is DecayKind.MILD:
+        if spec.a_kind is GrowthKind.ORDINARY:
+            return epsilon ** (4.0 * s / (2.0 * s + 2.0 * t + 0.5))
+        return epsilon ** 2 * log_eps ** (2.0 * t + 0.5)
+    if spec.a_kind is GrowthKind.ORDINARY:
+        return log_eps ** (-2.0 * s)
+    return epsilon ** (2.0 * s / (s + t))
+
+
+def _operator_rate(spec: RegimeSpec, sigma: float, upper: bool) -> float:
+    """rate_formula's operator-noise part, the 'upper' or the 'lower' one."""
+    s, t = spec.s, spec.t
+    log_sigma = _log_inverse(sigma)
     cap = 2.0 * min(s / t, 1.0)
-    mild = spec.b_kind is DecayKind.MILD
-
-    if mild and spec.a_kind is GrowthKind.ORDINARY:
-        eps_part = epsilon ** (4.0 * s / (2.0 * s + 2.0 * t + 0.5))
-        if which == "upper":
-            sigma_part = (sigma * log_sigma ** 0.75) ** cap
-        else:
-            sigma_part = sigma ** cap
-    elif mild:
-        eps_part = epsilon ** 2 * log_eps ** (2.0 * t + 0.5)
-        if which == "upper":
-            sigma_part = sigma * sigma * log_sigma ** 1.5
-        else:
-            sigma_part = sigma * sigma
-    elif spec.a_kind is GrowthKind.ORDINARY:
-        eps_part = log_eps ** (-2.0 * s)
-        if which == "upper":
-            damped = sigma * math.sqrt(log_sigma)
-            if damped >= 1.0:
-                raise ValueError(
-                    f"sigma={sigma} too large for the exponential-decay benchmark"
-                )
-            sigma_part = math.log(1.0 / damped) ** (-2.0 * s)
-        else:
-            sigma_part = log_sigma ** (-2.0 * s)
-    else:
-        eps_part = epsilon ** (2.0 * s / (s + t))
-        if which == "upper":
-            sigma_part = (sigma * math.sqrt(log_sigma)) ** cap
-        else:
-            sigma_part = sigma ** cap
-
-    if which == "known":
-        return eps_part
-    return max(eps_part, sigma_part)
+    if spec.b_kind is DecayKind.MILD:
+        if spec.a_kind is GrowthKind.ORDINARY:
+            return (sigma * log_sigma ** 0.75) ** cap if upper else sigma ** cap
+        return sigma * sigma * log_sigma ** 1.5 if upper else sigma * sigma
+    if spec.a_kind is GrowthKind.ORDINARY:
+        if not upper:
+            return log_sigma ** (-2.0 * s)
+        damped = sigma * math.sqrt(log_sigma)
+        if damped >= 1.0:
+            raise ValueError(f"sigma={sigma} too large for the exponential-decay benchmark")
+        return math.log(1.0 / damped) ** (-2.0 * s)
+    return (sigma * math.sqrt(log_sigma)) ** cap if upper else sigma ** cap

@@ -269,12 +269,12 @@ def _run_jobs(jobs: Iterable[_Job], workers: int) -> list:
 # test reads them
 # ---------------------------------------------------------------------------
 
-# A row group holds at most _CAP float64 elements in its batched scan block and
-# in the head of x its decisions start from.  The scan's continuation blocks and
-# the x past the head that some windows read are drawn for the rows that need
-# them only, all such rows of a group together, and may exceed it.
+# A row group holds at most _CAP float64 elements in its scan block and in the
+# head of x its decisions start from (one row's block can exceed it alone).
+# The x past the head that some windows read is drawn for the rows that need it
+# only, all such rows of a group together, and may exceed it.
 _CAP = 2 ** 14
-_FIRST_BLOCK = 64
+_FIRST_BLOCK = 64  # a start below it scans from 0; the group floor where end is the horizon
 _PREFIX = 16  # columns of the dimension objective run for every row
 
 
@@ -372,22 +372,23 @@ class _Kernel:
         self.start = start = int(reach[0]) if reach.size else j_max
         inside = np.flatnonzero(self.b <= self.envelope - self.sigma * DRAW_BOUND)
         self.end = int(inside[0]) if inside.size else j_max
-        # The scan's batched block starts at 0 if start falls in the first
-        # block, at start past it; None: nothing below the horizon triggers.
-        # It holds `block` coordinates: it ends at `end`, after 64 or at the
-        # horizon, whichever comes first (none when scan_from is None).
+        # The scan's block starts at 0 if start falls in the first 64
+        # coordinates, at start past them; None: nothing below the horizon
+        # triggers.  It holds `block` coordinates, up to `end` or the horizon
+        # (none when scan_from is None).
         self.scan_from = None if start >= j_max else 0 if start < _FIRST_BLOCK else start
         self.prefix = min(_PREFIX, j_max)
         lo = j_max if self.scan_from is None else self.scan_from
-        self.block = min(_FIRST_BLOCK, self.end + 1 - lo, j_max - lo)
+        self.block = min(self.end + 1, j_max) - lo
         # The rows of a group: its widest matrix is the block, or the head of
         # the objective's prefix when the block does not start at 0.  Where a
-        # scan can run past the block (or no block is drawn), a window may read
-        # x up to the horizon, and the group keeps it with its outcomes: it
-        # has the rows of a 64-coordinate block.
+        # scan can reach the horizon (or no block is drawn), a window may read
+        # x up to it, and the group keeps it with its outcomes: it has at most
+        # the rows of a 64-coordinate matrix.  A block wider than _CAP is
+        # drawn a row at a time.
         head = self.block if self.scan_from == 0 else self.prefix
-        self.group_rows = _CAP // (max(self.block, head) if self.end < lo + self.block
-                                   else _FIRST_BLOCK)
+        widest = max(self.block, head, _FIRST_BLOCK if self.end == j_max else 0)
+        self.group_rows = max(1, _CAP // widest)
         # tail_dim: the dimension past the prefix with the smallest bias; None
         # turns the argmin certificate off (a fixed dimension, or a deviation
         # weight of 0 or inf, where x**-4 overflowing past the prefix can
@@ -414,33 +415,20 @@ class _Kernel:
     # -- one row group ----------------------------------------------------------
 
     def bandwidths(self, reps: range) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-        """The batched scan block x[lo:lo + block] of each replication (one
-        row each; lo = scan_from, the block cut at 64 coordinates, just past
-        the certain end, or at the horizon), and each one's bandwidth as two
-        columns: m, and whether the scan ran to the horizon (m = j_max).
-        Scans that can go on past that block, and do, continue in blocks of
-        128, 256, ... coordinates (the last one cut at the horizon), each
-        drawn at once for the rows whose scan has not yet ended, until every
-        row has met an index inside the envelope: element by element, this
-        is empirical_bandwidth on the whole of x.  No block is drawn when no
+        """The scan block x[lo:lo + block] of each replication (one row each;
+        lo = scan_from, the block running through the certain end or to the
+        horizon), drawn in one call, and each one's bandwidth as two columns:
+        m, and whether the scan ran to the horizon (m = j_max).  Every scan
+        ends inside the block or is truncated, so element by element this is
+        empirical_bandwidth on the whole of x.  No block is drawn when no
         index below the horizon triggers."""
         lo = self.scan_from
         if lo is None:
             return None, np.full(len(reps), self.j_max), np.ones(len(reps), dtype=bool)
-        n = self.block
-        block = self._operator(reps, lo, [n] * len(reps))
-        hits = np.abs(block) <= self.envelope[lo:lo + n]
+        block = self._operator(reps, lo, [self.block] * len(reps))
+        hits = np.abs(block) <= self.envelope[lo:lo + self.block]
         truncated = ~hits.any(axis=1)
-        m = np.where(truncated, self.j_max, hits.argmax(axis=1) + lo)
-        rows, at, size = np.flatnonzero(truncated), lo + n, 2 * _FIRST_BLOCK
-        while rows.size and at < self.j_max:
-            width = min(size, self.j_max - at)
-            x = self._operator([reps[i] for i in rows.tolist()], at, [width] * rows.size)
-            hits = np.abs(x) <= self.envelope[at:at + width]
-            ended = hits.any(axis=1)
-            m[rows[ended]], truncated[rows[ended]] = hits[ended].argmax(axis=1) + at, False
-            rows, at, size = rows[~ended], at + width, 2 * size
-        return block, m, truncated
+        return block, np.where(truncated, self.j_max, hits.argmax(axis=1) + lo), truncated
 
     def group(self, reps: range) -> _Outcomes:
         """The outcomes of the replications in reps (see decide)."""

@@ -65,7 +65,10 @@ def _check_sigma(sigma: float) -> None:
 def tail_exponent(alpha: float) -> float:
     """The x solving exp(-x) = alpha/2: tail budget for a two-sided split of alpha."""
     _check_unit("level", alpha)
-    return math.log(2.0 / alpha)
+    ratio = 2.0 / alpha
+    if ratio == math.inf:
+        raise ValueError(f"level {alpha!r} is too small: 2 / level exceeds the float range")
+    return math.log(ratio)
 
 
 def threshold_constant(alpha: float) -> float:
@@ -91,9 +94,13 @@ def _envelope(j, alpha: float, kappa: float, coefficient: float, shifted: bool):
     j = np.asarray(j, dtype=float)
     if j.size and np.min(j) < 1:
         raise ValueError("index must be >= 1")
-    out = coefficient * np.sqrt(np.log(kappa * j * j / alpha))
-    if shifted:
-        out = out + math.sqrt(2.0 * math.log(10.0 / alpha))
+    with np.errstate(over="ignore"):  # refused below
+        out = coefficient * np.sqrt(np.log(kappa * j * j / alpha))
+        if shifted:
+            out = out + math.sqrt(2.0 * math.log(10.0 / alpha))
+    if not np.isfinite(out).all():
+        raise ValueError(f"the envelope leaves the float range at kappa={kappa!r}, "
+                         f"alpha={alpha!r}, from j={np.min(j[~np.isfinite(out)]):.17g}")
     return out if out.ndim else float(out)
 
 
@@ -136,6 +143,13 @@ def _bracket_tables(alpha: float, kappa: float, n: int) -> tuple[np.ndarray, np.
     return tables
 
 
+def _check_finite(xs: np.ndarray) -> None:
+    """Refuse an observed operator coefficient that is NaN or infinite."""
+    bad = np.flatnonzero(~np.isfinite(xs))
+    if bad.size:
+        raise ValueError(f"observed operator coefficient {bad[0] + 1} is {float(xs[bad[0]])!r}")
+
+
 def _first_hit(hits: np.ndarray) -> int | None:
     """Index of the first True in hits, None when there is none."""
     k = int(hits.argmax())
@@ -161,12 +175,14 @@ def empirical_bandwidth(x, sigma: float, alpha: float, kappa: float = KAPPA_DEFA
     Zero is a legal value (the very first coefficient is already drowned).
     If no index triggers within the horizon the scan is truncated: the true
     bandwidth exceeds the horizon, which usually means j_max is undersized.
+    An x within the horizon that is not finite is refused.
     """
     _check_sigma(sigma)
     x = np.asarray(x, dtype=float)
     n = x.size if j_max is None else min(_count("j_max", j_max), x.size)
     if n < 1:
         raise ValueError("empty observation vector")
+    _check_finite(x[:n])
     envelope = sigma * _scan_table(alpha, kappa, n)
     hits = np.nonzero(np.abs(x[:n]) <= envelope)[0]
     if hits.size == 0:
@@ -196,9 +212,11 @@ def bandwidth_bracket(spec: RegimeSpec, sigma: float, alpha: float,
 
 
 def _window(x, w: int) -> np.ndarray:
-    """The first w observed operator coefficients.  One that is exactly zero
-    (a probability-zero event) would divide by zero, so it is refused."""
+    """The first w observed operator coefficients.  One that is not finite is
+    refused, and so is one that is exactly zero (a probability-zero event),
+    which would divide by zero."""
     xs = np.asarray(x, dtype=float)[:w]
+    _check_finite(xs)
     if np.any(xs == 0.0):
         raise DegenerateObservationError(
             f"observed operator coefficient is exactly zero within the first {w}"

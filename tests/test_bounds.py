@@ -561,3 +561,36 @@ class TestRateFormula:
             rate_formula(mild_ordinary, 0.5, 0.0, "known")
         with pytest.raises(ValueError):
             rate_formula(mild_ordinary, 0.5, 0.5, "sideways")
+
+    @pytest.mark.parametrize("regime, s, t, epsilon, sigma, which", [
+        ("mild-super", 1.0, 1000.0, 1e-2, 1e-2, "upper"),
+        ("severe-ordinary", 1000.0, 1.0, 0.9, 0.9, "upper"),
+        ("severe-ordinary", 1000.0, 1.0, 0.9, 0.5, "lower"),
+    ])
+    def test_a_rate_past_the_float_range_is_refused(self, regime, s, t, epsilon, sigma, which):
+        spec = RegimeSpec.from_name(regime, s=s, t=t)
+        with pytest.raises(ValueError, match=f"the {which} rate of {regime} .* exceeds the "
+                                             "float range"):
+            rate_formula(spec, epsilon, sigma, which)
+
+    def test_the_known_rate_ignores_the_operator_part(self):
+        """The known-operator rate is the signal part alone, so an operator
+        part past the float range does not refuse it."""
+        spec = RegimeSpec.from_name("severe-ordinary", s=1000.0)
+        assert rate_formula(spec, 0.01, 0.9, "known") == math.log(100.0) ** -2000.0
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            rate_formula(spec, 0.01, 0.9, "lower")
+
+    @settings(max_examples=300, deadline=None)
+    @given(regime=st.sampled_from(REGIMES),
+           s=st.floats(1e-3, 1e4), t=st.floats(1e-3, 1e4),
+           epsilon=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           sigma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           which=st.sampled_from(bounds.WHICH))
+    def test_a_rate_is_finite_or_refused(self, regime, s, t, epsilon, sigma, which):
+        spec = RegimeSpec.from_name(regime, s=s, t=t)
+        try:
+            rate = rate_formula(spec, epsilon, sigma, which)
+        except ValueError:
+            return
+        assert math.isfinite(rate) and rate >= 0.0

@@ -69,6 +69,10 @@ CASES = [
     ("error-threshold-overflow", 2, ["test", "--seed", "0", "--workers", "1",
                                      "--regime", "mild-ordinary", "--t", "20", "--sigma", "1e-80",
                                      "--dimension", "8000", "--jmax", "10000"]),
+    ("error-rate-overflow", 2, ["rates", "--seed", "0", "--workers", "1",
+                                "--regime", "mild-super", "--t", "1000"]),
+    ("error-kappa-overflow", 2, ["calibrate", "--seed", "0", *_SMALL, "--workers", "1",
+                                 "--kappa", "1e306", "--sigma", "1e-4"]),
     ("error-bracketing", 1, ["sep-radius", "--seed", "42", *_SMALL, "--workers", "1",
                              "--r-lo", "0.01", "--r-hi", "0.05"]),
 ]

@@ -738,29 +738,47 @@ class TestCertificates:
         assert not inside[:end].any()
         assert end == j_max or inside[end]
 
-    def test_a_scan_that_can_run_past_the_block_continues_alone(self):
-        """t = 0.25, sigma 2.8e-3: start is 390 and no index below the
-        horizon is a certain end, so the block holds 64 coordinates and every
-        scan runs on past it, in blocks drawn for the rows still scanning,
-        to where it ends."""
-        plan = make_plan(spec=RegimeSpec.from_name("mild-ordinary", t=0.25), epsilon=0.1,
-                         sigma=2.8e-3, j_max=470)
+    @pytest.mark.parametrize("t, sigma, j_max, block", [
+        (0.1, 1e-2, 10_000, 158), (0.25, 3e-3, 10_000, 355), (0.5, 1e-3, 10_000, 91),
+        (1.0, 1e-5, 10_000, 276), (0.25, 2.8e-3, 470, 80), (1.0, 1.6e-5, 10_000, 180),
+        (0.02, 1e-2, 20_000, 18_101),
+    ])
+    def test_each_scan_is_one_block_from_start_through_end(self, monkeypatch, t, sigma,
+                                                            j_max, block):
+        """Each scan is drawn in one block, from scan_from through the
+        certain end (or to the horizon when that is the end), one
+        operator-stream call a row group, and its bandwidth is the
+        full-horizon scan's.  On these plans the block is wider than 64
+        coordinates; at t = 0.02 it is wider than _CAP, and a group is one
+        row."""
+        plan = make_plan(spec=RegimeSpec.from_name("mild-ordinary", t=t), epsilon=0.1,
+                         sigma=sigma, j_max=j_max)
         kernel = montecarlo._Kernel(plan, plan.theta0)
-        assert (kernel.start, kernel.end, kernel.block) == (390, 470, 64)
-        assert kernel.group_rows == montecarlo._CAP // 64
+        assert kernel.block == min(kernel.end + 1, j_max) - kernel.scan_from == block
+        calls = []
+        real = gsm.RekeyedDraws.rows
+
+        def rows(self, reps, stream, start, widths):
+            if stream == OPERATOR_STREAM:
+                calls.append(start)
+            return real(self, reps, stream, start, widths)
+
+        monkeypatch.setattr(gsm.RekeyedDraws, "rows", rows)
+        groups = list(montecarlo._row_groups(0, kernel.group_rows + 5, kernel.group_rows))
+        m, truncated = map(np.concatenate, zip(*(kernel.bandwidths(reps)[1:] for reps in groups)))
+        assert calls == [kernel.scan_from] * len(groups)
+        assert len(groups) == (2 if block <= montecarlo._CAP else 6)
         brute = [empirical_bandwidth(simulate(plan.theta0, plan.spec, plan.noise,
-                                              plan.master_seed, 470, rep=rep).x,
-                                     plan.noise.sigma, plan.config.alpha) for rep in range(32)]
-        _, m, truncated = kernel.bandwidths(range(32))
+                                              plan.master_seed, j_max, rep=rep).x,
+                                     sigma, plan.config.alpha) for rep in range(len(m))]
         assert list(map(Bandwidth, m.tolist(), truncated.tolist())) == brute
-        assert (m >= 390 + 64).all()
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_no_row_group_matrix_exceeds_the_cap(self, monkeypatch, regime):
         """A row group has _CAP // (its widest matrix) rows: the scan block,
         or the objective's 16-column head where the block does not start at
-        0 (or the rows of a 64-coordinate block where a scan can run past
-        it).  At each sigma, a chunk of one group and one more replication
+        0 (at least 64 wide where a scan can reach the horizon).  At each
+        sigma, a chunk of one group and one more replication
         draws and decides no group matrix of more than _CAP elements, and a
         full group that is not 64 wide fills more than half of them."""
         shapes = []
@@ -840,17 +858,17 @@ class TestCertificates:
 
     @pytest.mark.parametrize("t, sigma, j_max, dimension, per_group", [
         (1.0, 1e-4, 10_000, 70, 3),  # the block, the head, x past the head
-        (0.25, 2.8e-3, 470, None, 4),  # and one continuation block, 454..470
+        (0.25, 2.8e-3, 470, None, 3),  # the block runs 390..470
     ], ids=["dimension-70", "continuation"])
     def test_a_row_group_is_decided_in_one_pass(self, monkeypatch, t, sigma, j_max, dimension,
                                                 per_group):
-        """Each row group runs decide once and draws x in a few calls, however
-        many of its rows read past the head or scan past the block: x from 0
-        twice (the 16-column head, then x past it for every row that needs
-        it).  At a fixed dimension of 70 the scans end between 131 and 165,
-        so every window (70) reads past the head.  At t = 0.25 every scan
-        runs on past the block, 390..454, and some windows' dimension
-        objective reads past the head."""
+        """Each row group runs decide once and draws x in three calls, however
+        many of its rows read past the head or scan far: the scan block, and
+        x from 0 twice (the 16-column head, then x past it for every row that
+        needs it).  At a fixed dimension of 70 the scans end between 131 and
+        165, so every window (70) reads past the head.  At t = 0.25 the block
+        runs from 390 to the horizon, every scan ends at 469 or is truncated,
+        and some windows' dimension objective reads past the head."""
         plan = make_plan(spec=RegimeSpec.from_name("mild-ordinary", t=t), sigma=sigma,
                          j_max=j_max, dimension=dimension)
         kernel = montecarlo._Kernel(plan, plan.theta0)
@@ -878,9 +896,9 @@ class TestCertificates:
     @pytest.mark.parametrize("sigma", [1e-4, 1.6e-5, 1e-6])
     def test_containment_scan_matches_a_brute_force_scan(self, sigma):
         """The containment check scans as the kernel does, from start (1e-4:
-        the batched block starts at 131; 1.6e-5: it starts at 755, and 7 of
-        the 200 scans end at 819, the first index past it; 1e-6: nothing is
-        drawn)."""
+        the block starts at 131; 1.6e-5: it runs from 755 through 934, the
+        certain end, and 137 of the 200 scans end past its first 64
+        coordinates; 1e-6: nothing is drawn)."""
         plan = make_plan(sigma=sigma, j_max=10_000, n_reps=200)
         alpha, kappa = plan.config.alpha, plan.config.kappa
         brute = [empirical_bandwidth(simulate(plan.theta0, plan.spec, plan.noise,

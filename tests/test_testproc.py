@@ -1,6 +1,7 @@
 """Test procedure: envelopes, bandwidths, statistic, threshold, dimension choice."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,28 @@ class TestEnvelopes:
         with pytest.raises(ValueError):
             scan_envelope(1, 0.05, kappa=2.0)
 
+    @pytest.mark.parametrize("alpha, kappa, first", [
+        (0.05, 1e306, 3), (1e-320, KAPPA_DEFAULT, 1), (3e-308, 3.0, 1)])
+    def test_an_envelope_past_the_float_range_is_refused(self, alpha, kappa, first):
+        """kappa * j**2 / alpha (or 10 / alpha) past the float range is
+        refused by name, not used as inf, in the scan and the bracket."""
+        message = re.escape(f"at kappa={kappa!r}, alpha={alpha!r}, from j={first}") + "$"
+        with pytest.raises(ValueError, match=message):
+            scan_envelope(np.arange(1, 10), alpha, kappa)
+        with pytest.raises(ValueError, match=message):
+            bandwidth_bracket(RegimeSpec.from_name("mild-ordinary"), 1e-4, alpha, kappa, 10)
+        with pytest.raises(ValueError, match=message):
+            empirical_bandwidth(np.ones(10), 1e-4, alpha, kappa)
+        assert np.isfinite(scan_envelope(np.arange(1, first), alpha, kappa)).all()
+
+    @pytest.mark.parametrize("alpha", [1e-320, 1e-309])
+    def test_a_level_whose_tail_exponent_is_not_finite_is_refused(self, alpha):
+        for fn in (tail_exponent, threshold_constant, lambda a: adaptive_constant(a, 0.5),
+                   lambda b: adaptive_constant(0.05, b)):
+            with pytest.raises(ValueError, match=f"level {alpha!r} is too small"):
+                fn(alpha)
+        assert math.isfinite(tail_exponent(1e-300))
+
 
 class TestEmpiricalBandwidth:
     def test_immediate_trigger_gives_zero(self):
@@ -139,6 +162,16 @@ class TestEmpiricalBandwidth:
             empirical_bandwidth(np.ones(3), sigma=0.0, alpha=0.05)
         with pytest.raises(ValueError):
             empirical_bandwidth(np.ones(0), sigma=0.1, alpha=0.05)
+
+    @pytest.mark.parametrize("x, j_max, message", [
+        ([math.nan, 1.0, 1e-9], None, "coefficient 1 is nan"),
+        ([1.0, -math.inf, 1e-9], None, "coefficient 2 is -inf"),
+        ([1.0, 1.0, math.inf], 3, "coefficient 3 is inf"),
+    ])
+    def test_a_non_finite_x_within_the_horizon_is_refused(self, x, j_max, message):
+        with pytest.raises(ValueError, match=message):
+            empirical_bandwidth(x, 1e-3, 0.05, j_max=j_max)
+        assert empirical_bandwidth([1.0, 1e-9, math.nan], 1e-3, 0.05, j_max=2) == (1, False)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_non_finite_sigma_refused(self, sigma):
@@ -391,6 +424,21 @@ class TestDimensionSelection:
         with pytest.raises(DegenerateBandwidthError):
             select_dimension(np.ones(3), mild_ordinary, m=0, epsilon=0.01, sigma=0.01,
                              alpha=0.05, beta=0.5)
+
+    @pytest.mark.parametrize("bad, message", [(math.nan, "is nan"), (math.inf, "is inf"),
+                                              (-math.inf, "is -inf")])
+    def test_a_non_finite_x_within_the_window_is_refused(self, mild_ordinary, bad, message):
+        """In the objective, the statistic and the threshold alike; one past
+        the window is not read."""
+        args = (mild_ordinary, 3, 0.01, 0.01, 0.05, 0.5)
+        with pytest.raises(ValueError, match=f"coefficient 1 {message}"):
+            select_dimension([bad, 1.0, 1.0], *args)
+        with pytest.raises(ValueError, match=f"coefficient 2 {message}"):
+            statistic(np.ones(3), [1.0, bad, 1.0], Signal.zeros(0), 3, 3)
+        with pytest.raises(ValueError, match=f"coefficient 3 {message}"):
+            threshold_parts([1.0, 1.0, bad], mild_ordinary, 3, 3, 0.01, 0.01, 0.05)
+        assert select_dimension([1.0, 1.0, 1.0, bad], *args) == \
+            select_dimension([1.0, 1.0, 1.0], *args)
 
 
 class TestTestConfig:
