@@ -316,8 +316,6 @@ def _operator_rate(spec: RegimeSpec, sigma: float, upper: bool) -> float:
     if spec.a_kind is GrowthKind.ORDINARY:
         if not upper:
             return log_sigma ** (-2.0 * s)
-        damped = sigma * math.sqrt(log_sigma)
-        if damped >= 1.0:
-            raise ValueError(f"sigma={sigma} too large for the exponential-decay benchmark")
-        return math.log(1.0 / damped) ** (-2.0 * s)
+        # sigma * sqrt(ln(1/sigma)) is at most (2e)**-0.5 < 1 on (0, 1): the log is positive
+        return math.log(1.0 / (sigma * math.sqrt(log_sigma))) ** (-2.0 * s)
     return (sigma * math.sqrt(log_sigma)) ** cap if upper else sigma ** cap

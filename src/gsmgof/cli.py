@@ -310,7 +310,8 @@ def _emit(rows: list[dict], cfg: dict) -> None:
                 writer.writerow([_cell(row[key]) for key in header])
         text = buffer.getvalue()
     else:
-        meta = {k: v for k, v in cfg.items() if k != "out"}
+        # where the output goes and how many chunks ran change no result
+        meta = {k: v for k, v in cfg.items() if k not in ("out", "workers")}
         meta["artifact_version"] = __version__
         payload = {"meta": _sanitize(meta), "rows": _sanitize(rows)}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -286,18 +286,16 @@ def _row_groups(lo: int, hi: int, rows: int):
 
 class _Outcomes(NamedTuple):
     """run_test's report of each replication of a run of consecutive ones, a
-    column per field, and the windows of x, y and the signal noise it read.
-    Replication i's windows are x[starts[i]:starts[i] + width[i]] (and so
-    on), laid end to end.  Width 0 marks a degenerate report: statistic 0,
-    threshold NaN, no rejection."""
+    column per field, and the windows of x, y and the signal noise it read,
+    laid end to end (replication i's from _starts(width)[i]).  A report
+    rejects where statistic > threshold, and its bandwidth is truncated
+    where it is the horizon.  Width 0 marks a degenerate report: statistic
+    0, threshold NaN, so no rejection."""
 
     bandwidth: np.ndarray
     width: np.ndarray  # the report's window, min(d, m)
     statistic: np.ndarray
     threshold: np.ndarray
-    reject: np.ndarray
-    truncated: np.ndarray  # the report's bandwidth_truncated
-    starts: np.ndarray
     x: np.ndarray
     y: np.ndarray
     eps_xi: np.ndarray
@@ -310,8 +308,7 @@ def _starts(width: np.ndarray) -> np.ndarray:
 
 def _joined(parts: Sequence[_Outcomes]) -> _Outcomes:
     """The outcomes of consecutive runs, in order, as those of one run."""
-    outcomes = _Outcomes(*map(np.concatenate, zip(*parts)))
-    return outcomes._replace(starts=_starts(outcomes.width))
+    return _Outcomes(*map(np.concatenate, zip(*parts)))
 
 
 class _Kernel:
@@ -414,57 +411,60 @@ class _Kernel:
 
     # -- one row group ----------------------------------------------------------
 
-    def bandwidths(self, reps: range) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    def bandwidths(self, reps: range) -> tuple[np.ndarray | None, np.ndarray]:
         """The scan block x[lo:lo + block] of each replication (one row each;
         lo = scan_from, the block running through the certain end or to the
-        horizon), drawn in one call, and each one's bandwidth as two columns:
-        m, and whether the scan ran to the horizon (m = j_max).  Every scan
-        ends inside the block or is truncated, so element by element this is
+        horizon), drawn in one call, and each one's bandwidth m, the horizon
+        where the scan is truncated (no other m reaches it).  Every scan ends
+        inside the block or is truncated, so element by element this is
         empirical_bandwidth on the whole of x.  No block is drawn when no
         index below the horizon triggers."""
         lo = self.scan_from
         if lo is None:
-            return None, np.full(len(reps), self.j_max), np.ones(len(reps), dtype=bool)
+            return None, np.full(len(reps), self.j_max)
         block = self._operator(reps, lo, [self.block] * len(reps))
         hits = np.abs(block) <= self.envelope[lo:lo + self.block]
-        truncated = ~hits.any(axis=1)
-        return block, np.where(truncated, self.j_max, hits.argmax(axis=1) + lo), truncated
+        return block, np.where(hits.any(axis=1), hits.argmax(axis=1) + lo, self.j_max)
 
     def group(self, reps: range) -> _Outcomes:
         """The outcomes of the replications in reps (see decide)."""
-        block, m, truncated = self.bandwidths(reps)
+        block, m = self.bandwidths(reps)
         head = block if self.scan_from == 0 else self._operator(reps, 0, [self.prefix] * len(reps))
-        return self.decide(reps, head, m, truncated)
+        return self.decide(reps, head, m)
 
     # -- decisions --------------------------------------------------------------
 
-    def decide(self, reps, head: np.ndarray, m: np.ndarray, truncated: np.ndarray) -> _Outcomes:
-        """The outcomes of replications whose scan has ended (bandwidths m,
-        truncated); row i of head holds x[:h] of reps[i] (h the same for all).
+    def decide(self, reps, head: np.ndarray, m: np.ndarray) -> _Outcomes:
+        """The outcomes of replications whose scan has ended (bandwidths m);
+        row i of head holds x[:h] of reps[i] (h the same for all).
 
-        All are decided in one pass.  The rows whose window depends on x past
-        head draw x up to their bandwidth (or up to a fixed dimension below
-        it) together, their windows are selected on those rows at once, and
-        head is widened to hold them.  The windows are then gathered end to
-        end: only the math.fsums of each one's statistic terms, x**-2 and
-        x**-4 are taken one by one, and the thresholds come from those sums
-        at once (_threshold_totals).  One with a zero bandwidth is
-        degenerate.  The error raised is the first one the reference path
-        meets over reps in order, as it raises it.  No x that a decision
-        reads is exactly zero, which the reference path would refuse: a zero
-        x_j at or past start ends the scan at or before j, and below start
-        |x_j| > 0 is certain.
+        All are decided in one pass.  The windows that head leaves open (see
+        _windows) are selected together; the rows among them whose bandwidth
+        (or fixed dimension below it) lies past head draw x up to there in
+        one call, and head is widened to hold them.  The windows are then
+        gathered end to end: only the math.fsums of each one's statistic
+        terms, x**-2 and x**-4 are taken one by one, and the thresholds come
+        from those sums at once (_threshold_totals).  One with a zero
+        bandwidth is degenerate.  The error raised is the first one the
+        reference path meets over reps in order, as it raises it.  No x that
+        a decision reads is exactly zero, which the reference path would
+        refuse: a zero x_j at or past start ends the scan at or before j,
+        and below start |x_j| > 0 is certain.
         """
         width = self._windows(head, m)
-        far = np.flatnonzero(width < 0)
-        if far.size:
+        pending = np.flatnonzero(width < 0)
+        if pending.size:
             dimension = self.plan.config.dimension
-            n = m[far] if dimension is None else np.minimum(dimension, m[far])
-            wide = np.empty((len(reps), int(n.max())))  # past a row's window: never read
-            wide[:, :head.shape[1]] = head
-            wide[far] = self._operator([reps[i] for i in far.tolist()], 0, n.tolist())
-            width[far] = self._select(wide[far], n)[0] if dimension is None else n
-            head = wide
+            n = m[pending] if dimension is None else np.minimum(dimension, m[pending])
+            far = n > head.shape[1]
+            if far.any():
+                wide = np.empty((len(reps), int(n.max())))  # past a row's window: never read
+                wide[:, :head.shape[1]] = head
+                wide[pending[far]] = self._operator([reps[i] for i in pending[far].tolist()], 0,
+                                                    n[far].tolist())
+                head = wide
+            width[pending] = n if dimension is not None else \
+                self._select(head[pending, :n.max()], n)[0]
         rows = np.flatnonzero(width)
         w = width[rows]
         n = int(w.max(initial=0))
@@ -500,12 +500,11 @@ class _Kernel:
         statistic[rows] = value
         threshold = np.full(len(reps), math.nan)
         threshold[rows] = cutoff
-        return _Outcomes(m, width, statistic, threshold, statistic > threshold, truncated,
-                         _starts(width), x, y, eps_xi)
+        return _Outcomes(m, width, statistic, threshold, x, y, eps_xi)
 
     def _windows(self, head: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """Each row's window min(d, m) (0 where m is 0), or -1 where it
-        depends on x past head.
+        """Each row's window min(d, m) (0 where m is 0) where it is certain
+        from the columns of head that every row reads, else -1.
 
         The selected d is the first argmin of the objective over 1..m.  It
         runs over the first `prefix` columns; a row with a longer bandwidth is
@@ -514,8 +513,8 @@ class _Kernel:
         rounding is monotone, so with a positive, finite weight every d' past
         the prefix has objective(d') >= the objective of the prefix's sum at
         tail_dim, the dimension past it with the smallest bias.  Any other
-        row runs the objective over 1..m; ties go to the smaller d, as
-        np.argmin's do.
+        row is left open, for decide to run the objective over 1..m; ties go
+        to the smaller d, as np.argmin's do.
         """
         dimension = self.plan.config.dimension
         if dimension is not None:
@@ -530,9 +529,6 @@ class _Kernel:
             if self.tail_dim is not None and (m > cols).any():
                 certain |= (m > cols) & (self.objective(sums, self.tail_dim) >= low)
             window[certain] = d[certain]
-        redo = np.flatnonzero((window < 0) & (m <= n))
-        if redo.size:
-            window[redo] = self._select(head[redo, :int(m[redo].max())], m[redo])[0]
         return window
 
     def _select(self, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -564,7 +560,7 @@ def _reject_counts(plan: ExperimentPlan, theta: Signal, lo: int, hi: int) -> tup
     n_reject = 0
     n_degenerate = 0
     for outcomes in _replications(plan, theta, lo, hi):
-        n_reject += np.count_nonzero(outcomes.reject)
+        n_reject += np.count_nonzero(outcomes.statistic > outcomes.threshold)
         n_degenerate += np.count_nonzero(outcomes.width == 0)
     return n_reject, n_degenerate
 
@@ -642,9 +638,10 @@ def _rejections(cache: _Outcomes, plan: ExperimentPlan, r: float) -> np.ndarray:
     k = d_star - 1
     theta0_k = plan.theta0.padded(max(d_star, len(plan.theta0)))[k]
     spiked = b_vector(plan.spec, j_max)[k] * (theta0_k + r)
-    reject = cache.reject.copy()
+    reject = cache.statistic > cache.threshold
+    starts = _starts(cache.width)
     rows = np.flatnonzero(cache.width > k)
-    at = cache.starts[rows] + k
+    at = starts[rows] + k
     x_k, null_total, cutoff = cache.x[at], cache.statistic[rows], cache.threshold[rows]
     with np.errstate(all="ignore"):  # statistic decides a value that is not finite
         old = (cache.y[at] / x_k - theta0_k) ** 2
@@ -654,7 +651,7 @@ def _rejections(cache: _Outcomes, plan: ExperimentPlan, r: float) -> np.ndarray:
         certain = (np.abs(approx - cutoff) > margin) & np.isfinite(approx + margin)
         reject[rows] = approx > cutoff
     for i in rows[~certain].tolist():
-        lo, w = cache.starts[i], cache.width[i]
+        lo, w = starts[i], cache.width[i]
         y = cache.y[lo:lo + w].copy()
         y[k] = spiked + cache.eps_xi[lo + k]
         reject[i] = statistic(y, cache.x[lo:lo + w], plan.theta0, w, w) > cache.threshold[i]
@@ -813,8 +810,8 @@ def _containment_failures(plan: ExperimentPlan, low: int, high: int,
     kernel = _Kernel(plan, Signal.zeros(0))
     n_fail = 0
     for reps in _row_groups(lo, hi, kernel.group_rows):
-        _, m, truncated = kernel.bandwidths(reps)
-        n_fail += np.count_nonzero((m < low) | ((m >= high) & ~(high_truncated & truncated)))
+        _, m = kernel.bandwidths(reps)
+        n_fail += np.count_nonzero((m < low) | ((m >= high) & (not high_truncated)))
     return int(n_fail)
 
 

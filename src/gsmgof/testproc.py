@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateBandwidthError, DegenerateObservationError
 from .gsm import NoiseLevels, Observations, Signal
-from .sequences import RegimeSpec, _count, _fsum, a_inv_sq, b_vector
+from .sequences import RegimeSpec, _count, _fsum, _index, a_inv_sq, b_vector
 
 __all__ = [
     "KAPPA_DEFAULT",
@@ -91,9 +91,7 @@ def adaptive_constant(alpha: float, beta: float) -> float:
 def _envelope(j, alpha: float, kappa: float, coefficient: float, shifted: bool):
     _check_unit("level", alpha)
     _check_kappa(kappa)
-    j = np.asarray(j, dtype=float)
-    if j.size and np.min(j) < 1:
-        raise ValueError("index must be >= 1")
+    j = _index(j)
     with np.errstate(over="ignore"):  # refused below
         out = coefficient * np.sqrt(np.log(kappa * j * j / alpha))
         if shifted:

@@ -535,6 +535,16 @@ class TestRateFormula:
         assert_allclose(got, math.log(10.0) ** -2.0, rtol=1e-14)
         assert_allclose(got, 0.1886116970116139, rtol=1e-13)
 
+    @pytest.mark.parametrize("sigma, rate", [
+        (math.exp(-0.5), 1.395309553548244),  # sigma * sqrt(ln(1/sigma)) at its maximum
+        (1.0 - 2.0 ** -53, 0.003078948196753858),  # the largest sigma below 1
+    ], ids=["peak", "below-one"])
+    def test_severe_ordinary_upper_operator_part_is_finite(self, severe_ordinary, sigma, rate):
+        """The operator part ln(1/(sigma sqrt(ln(1/sigma))))**(-2s) is finite on
+        all of (0, 1): sigma * sqrt(ln(1/sigma)) peaks at (2e)**-0.5 < 1."""
+        assert sigma * math.sqrt(math.log(1.0 / sigma)) < 0.43
+        assert rate_formula(severe_ordinary, 1e-300, sigma, "upper") == rate
+
     def test_lower_takes_channel_maximum(self):
         spec = RegimeSpec.from_name("severe-super", s=1.0, t=2.0)
         got = rate_formula(spec, 1e-3, 0.3, which="lower")

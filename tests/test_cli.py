@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gsmgof
-from gsmgof import RegimeSpec, evaluate_bounds, spike_index
+from gsmgof import RegimeSpec, cli, evaluate_bounds, spike_index
 from gsmgof.cli import main
 
 
@@ -171,6 +171,22 @@ class TestPrecedence:
         assert main(["test", "--config", str(config)]) == 2
         assert repr(next(iter(entry))) in capsys.readouterr().err
 
+    def test_config_string_entries_among_the_choices_are_taken(self):
+        """A string entry among its setting's choices is taken as given; one
+        outside them is refused by test_config_entry_of_wrong_type_exits_2."""
+        code, payload, _ = run_with_config({"which": "lower", "format": "json"}, "rates")
+        assert code == 0
+        assert (payload["meta"]["which"], payload["meta"]["format"]) == ("lower", "json")
+        assert {row["which"] for row in payload["rows"]} == {"lower"}
+
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps([{"seed": 1}]))
+        assert main(["rates", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "gsm-gof: error: config file must hold a JSON object\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("out", [1, 2.5, ["run.csv"]], ids=json.dumps)
     def test_config_out_must_be_a_path(self, tmp_path, capsys, out):
         """A number would be taken by open() as a file descriptor (and closed)."""
@@ -203,6 +219,14 @@ def run_with_config(entries, *argv):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*argv, "--config", str(config), "--format", "json"])
     return code, json.loads(out.getvalue()) if code == 0 else None, err.getvalue()
+
+
+def resolve_with_config(entries, *argv):
+    """cli._resolve of argv + --config FILE, FILE holding the entries."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "settings.json"
+        config.write_text(json.dumps(entries), encoding="utf-8")
+        return cli._resolve(cli._build_parser().parse_args([*argv, "--config", str(config)]))
 
 
 _INT_KEYS = ("seed", "reps", "workers", "jmax", "dimension")
@@ -240,10 +264,12 @@ class TestConfigTyping:
         code, payload, err = run_with_config({key: value}, "rates")
         if code == 2:
             assert key in err  # a negative seed is refused after loading
-        else:
+        else:  # workers is not in the output: its typed value is the resolved one
             assert code == 0
-            assert payload["meta"][key] == int(value)
-            assert isinstance(payload["meta"][key], int)
+            settings = resolve_with_config({key: value}, "rates") if key == "workers" \
+                else payload["meta"]
+            assert settings[key] == int(value)
+            assert isinstance(settings[key], int)
 
 
 class TestCalibrate:
@@ -269,6 +295,16 @@ class TestCalibrate:
         assert main(base + ["--workers", "1", "--out", str(solo)]) == 0
         assert main(base + ["--workers", "4", "--out", str(pooled)]) == 0
         assert solo.read_bytes() == pooled.read_bytes()
+
+    def test_worker_count_leaves_json_unchanged(self, tmp_path):
+        """The JSON meta holds the resolved settings, but not the worker count."""
+        base = ["calibrate", "--regime", "mild-ordinary", "--epsilon", "0.05",
+                "--sigma", "0.05", "--jmax", "100", "--reps", "120", "--format", "json"]
+        solo, pooled = tmp_path / "w1.json", tmp_path / "w2.json"
+        assert main(base + ["--workers", "1", "--out", str(solo)]) == 0
+        assert main(base + ["--workers", "2", "--out", str(pooled)]) == 0
+        assert solo.read_bytes() == pooled.read_bytes()
+        assert "workers" not in read_json(solo)["meta"]
 
 
 class TestPowerCurve:
@@ -331,6 +367,16 @@ class TestSepRadius:
         assert main(["sep-radius", "--tol", tol, "--jmax", "200", "--reps", "100",
                      "--workers", "1"]) == 2
         assert f"tol must be positive and finite, got {tol}" in capsys.readouterr().err
+
+    def test_a_tolerance_below_float_resolution_ends_the_search(self, tmp_path):
+        """At tol 1e-300 the bracket stops shrinking once its ends are
+        neighbouring floats; the search then returns their midpoint."""
+        out = tmp_path / "sep.csv"
+        assert main(["sep-radius", "--jmax", "200", "--reps", "100", "--seed", "42",
+                     "--workers", "1", "--r-lo", "0.001", "--r-hi", "1.0", "--tol", "1e-300",
+                     "--out", str(out)]) == 0
+        radius = float(read_csv(out)[0]["radius"])
+        assert 0.001 < radius < 1.0
 
     def test_config_string_r_hi_sets_the_default_r_lo(self, tmp_path):
         """A config-file r_hi given as a string is read as a number before the
@@ -457,3 +503,18 @@ class TestImport:
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_module_entry_point_exits_with_mains_code(self):
+        """python -m gsmgof.cli exits with main's return code."""
+        env = dict(os.environ, PYTHONPATH=str(Path(gsmgof.__file__).parents[1]))
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "gsmgof.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        done = run("rates")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("regime,s,t,epsilon,sigma,which,rate_sq\n")
+        done = run("rates", "--sigma", "2")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "gsm-gof: error: sigma must lie in (0, 1), got 2.0\n"

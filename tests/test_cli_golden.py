@@ -3,9 +3,9 @@
 Each case runs `main(argv)` in process.  A successful case (exit 0) must
 print exactly the bytes in ``golden/<name>.out`` and nothing on stderr; a
 failing case must print exactly ``golden/<name>.err`` on stderr and nothing
-on stdout.  Every setting that reaches the output, the seed and the worker
-count included, is passed explicitly, so neither the environment nor the
-host's CPU count can change a byte.
+on stdout.  Every setting that reaches the output, the seed included, is
+passed explicitly, so the environment cannot change a byte; the worker
+count, which changes none, is passed as well.
 """
 
 from pathlib import Path

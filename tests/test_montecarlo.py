@@ -50,6 +50,7 @@ from gsmgof.montecarlo import (
     _reject_counts,
     _rejections,
     _replications,
+    _starts,
 )
 from gsmgof.gsm import DRAW_BOUND
 from gsmgof.sequences import a_value, b_vector
@@ -65,8 +66,7 @@ def fix_threshold(monkeypatch, cutoff):
 
     def fixed(*args):
         for outcomes in real(*args):
-            yield outcomes._replace(threshold=np.full(outcomes.threshold.shape, cutoff),
-                                    reject=outcomes.statistic > cutoff)
+            yield outcomes._replace(threshold=np.full(outcomes.threshold.shape, cutoff))
 
     monkeypatch.setattr(montecarlo, "_replications", fixed)
 
@@ -205,26 +205,28 @@ def _reference(plan, theta, rep):
     return report, obs.x[:report.window].tobytes(), obs.y[:report.window].tobytes()
 
 
-def reports(outcomes):
+def reports(outcomes, j_max):
     """Each replication's TestReport rebuilt from the kernel's columns, with
-    its windows of x, y and epsilon*xi."""
-    for i, (lo, w) in enumerate(zip(outcomes.starts.tolist(), outcomes.width.tolist())):
+    its windows of x, y and epsilon*xi: it rejects where statistic >
+    threshold, and its bandwidth is truncated where it is the horizon."""
+    for i, (lo, w) in enumerate(zip(_starts(outcomes.width).tolist(), outcomes.width.tolist())):
         report = TestReport(bandwidth=int(outcomes.bandwidth[i]), window=w,
                             statistic=float(outcomes.statistic[i]),
                             threshold=float(outcomes.threshold[i]),
-                            reject=bool(outcomes.reject[i]), degenerate=w == 0,
-                            bandwidth_truncated=bool(outcomes.truncated[i]))
+                            reject=bool(outcomes.statistic[i] > outcomes.threshold[i]),
+                            degenerate=w == 0,
+                            bandwidth_truncated=bool(outcomes.bandwidth[i] == j_max))
         yield report, outcomes.x[lo:lo + w], outcomes.y[lo:lo + w], outcomes.eps_xi[lo:lo + w]
 
 
-def columns(bands):
-    """Bandwidths as the kernel's (m, truncated) columns."""
-    return np.array([band.value for band in bands]), np.array([band.truncated for band in bands])
+def column(bands):
+    """Bandwidths as the kernel's column m."""
+    return np.array([band.value for band in bands])
 
 
 def _kernel(plan, theta, rep):
     [outcomes] = _replications(plan, theta, rep, rep + 1)
-    [(report, x_win, y_win, eps_xi_win)] = reports(outcomes)
+    [(report, x_win, y_win, eps_xi_win)] = reports(outcomes, plan.config.j_max)
     assert eps_xi_win.shape == y_win.shape == (report.window,)
     return report, x_win.tobytes(), y_win.tobytes()
 
@@ -340,7 +342,8 @@ def batch_outcomes(plan, theta, lo, hi):
     try:
         for outcomes in _replications(plan, theta, lo, hi):
             out.extend(repr((report, x_win.tobytes(), y_win.tobytes(), eps_xi_win.tobytes()))
-                       for report, x_win, y_win, eps_xi_win in reports(outcomes))
+                       for report, x_win, y_win, eps_xi_win in reports(outcomes,
+                                                                       plan.config.j_max))
     except Exception as exc:  # noqa: BLE001 -- the comparison is the point
         out.append(f"{type(exc).__name__}: {exc}")
     return out
@@ -417,7 +420,7 @@ class TestBatch:
             x = rng.choice([-1.0, 1.0], (60, 40)) * 10.0 ** rng.uniform(-4.0, 2.0, (60, 40))
             bands = [Bandwidth(int(m), bool(m == 40)) for m in rng.integers(0, 41, 60)]
             kernel = montecarlo._Kernel(plan, plan.theta0)
-            decided = reports(kernel.decide(reps, x, *columns(bands)))
+            decided = reports(kernel.decide(reps, x, column(bands)), 40)
             for rep, row, band, (report, x_win, y_win, _) in zip(reps, x, bands, decided,
                                                                   strict=True):
                 y = simulate(plan.theta0, plan.spec, plan.noise, plan.master_seed, 40, rep=rep).y
@@ -448,7 +451,7 @@ class TestBatch:
         kernel = montecarlo._Kernel(plan, plan.theta0)
 
         def decided():
-            return next(reports(kernel.decide([0], x[None], *columns([band]))))[0]
+            return next(reports(kernel.decide([0], x[None], column([band])), 40))[0]
 
         assert _outcome(decided) == expected
 
@@ -490,7 +493,7 @@ class TestBatch:
                                                    plan.spec, plan.noise, plan.config)))
         first = next(outcome for outcome in serial if not outcome.startswith("TestReport("))
         kernel = montecarlo._Kernel(plan, target)
-        assert _outcome(lambda: kernel.decide(reps, np.array(head), *columns(bands))) == first
+        assert _outcome(lambda: kernel.decide(reps, np.array(head), column(bands))) == first
 
     @pytest.mark.parametrize("stream", [SIGNAL_STREAM, OPERATOR_STREAM],
                              ids=["signal", "operator"])
@@ -610,7 +613,7 @@ class TestBatch:
         only the objective's 16-column prefix of x and the signal windows:
         nowhere near a chunk-by-horizon matrix (500 x 10 000 floats is 40 MB)."""
         plan = make_plan(epsilon=1e-2, sigma=1e-6, j_max=10_000, n_reps=500)
-        assert all(outcomes.truncated.all()
+        assert all((outcomes.bandwidth == 10_000).all()
                    for outcomes in _replications(plan, plan.theta0, 0, 5))
         tracemalloc.start()
         try:
@@ -640,10 +643,11 @@ class TestColumns:
         counts = _reject_counts(plan, plan.theta0, 0, plan.n_reps)
         cache = _build_radius_cache(plan, 0, plan.n_reps)
         assert counts == (round(expected.p_hat * plan.n_reps), expected.n_degenerate)
-        assert counts == (np.count_nonzero(cache.reject), np.count_nonzero(cache.width == 0))
+        assert counts == (np.count_nonzero(cache.statistic > cache.threshold),
+                          np.count_nonzero(cache.width == 0))
 
     def test_counting_builds_no_bandwidth(self, monkeypatch):
-        """The scan hands each row group's bandwidths on as two columns, not
+        """The scan hands each row group's bandwidths on as one column, not
         as a testproc.Bandwidth a replication; the constructor is refused
         wherever the name was imported."""
         spec = RegimeSpec.from_name("severe-ordinary")
@@ -657,7 +661,8 @@ class TestColumns:
         counts = _reject_counts(plan, plan.theta0, 0, plan.n_reps)
         cache = _build_radius_cache(plan, 0, plan.n_reps)
         assert counts == (round(expected.p_hat * plan.n_reps), expected.n_degenerate)
-        assert counts == (np.count_nonzero(cache.reject), np.count_nonzero(cache.width == 0))
+        assert counts == (np.count_nonzero(cache.statistic > cache.threshold),
+                          np.count_nonzero(cache.width == 0))
 
     @settings(max_examples=300, deadline=None)
     @given(sums=st.lists(st.tuples(*[st.floats(1e-300, 1e300) | st.floats(0.0, math.inf)
@@ -765,13 +770,13 @@ class TestCertificates:
 
         monkeypatch.setattr(gsm.RekeyedDraws, "rows", rows)
         groups = list(montecarlo._row_groups(0, kernel.group_rows + 5, kernel.group_rows))
-        m, truncated = map(np.concatenate, zip(*(kernel.bandwidths(reps)[1:] for reps in groups)))
+        m = np.concatenate([kernel.bandwidths(reps)[1] for reps in groups])
         assert calls == [kernel.scan_from] * len(groups)
         assert len(groups) == (2 if block <= montecarlo._CAP else 6)
         brute = [empirical_bandwidth(simulate(plan.theta0, plan.spec, plan.noise,
                                               plan.master_seed, j_max, rep=rep).x,
                                      sigma, plan.config.alpha) for rep in range(len(m))]
-        assert list(map(Bandwidth, m.tolist(), truncated.tolist())) == brute
+        assert list(map(Bandwidth, m.tolist(), (m == j_max).tolist())) == brute
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_no_row_group_matrix_exceeds_the_cap(self, monkeypatch, regime):
@@ -790,10 +795,10 @@ class TestCertificates:
                 shapes.append(out.shape)
             return out
 
-        def decide(self, reps, head, m, truncated):
+        def decide(self, reps, head, m):
             if len(reps) > 1:
                 shapes.append(head.shape)
-            return real_decide(self, reps, head, m, truncated)
+            return real_decide(self, reps, head, m)
 
         monkeypatch.setattr(gsm.RekeyedDraws, "rows", rows)
         monkeypatch.setattr(montecarlo._Kernel, "decide", decide)
@@ -844,7 +849,7 @@ class TestCertificates:
             return real(self, reps, stream, start, widths)
 
         monkeypatch.setattr(gsm.RekeyedDraws, "_words", words)
-        assert all(outcomes.truncated.all()
+        assert all((outcomes.bandwidth == 10_000).all()
                    for outcomes in _replications(plan, plan.theta0, 0, 500))
         assert sum(counted) <= 500 * 64
 
@@ -904,8 +909,8 @@ class TestCertificates:
         brute = [empirical_bandwidth(simulate(plan.theta0, plan.spec, plan.noise,
                                               plan.master_seed, 10_000, rep=rep).x,
                                      sigma, alpha, kappa) for rep in range(200)]
-        _, m, truncated = montecarlo._Kernel(plan, plan.theta0).bandwidths(range(200))
-        assert list(map(Bandwidth, m.tolist(), truncated.tolist())) == brute
+        _, m = montecarlo._Kernel(plan, plan.theta0).bandwidths(range(200))
+        assert list(map(Bandwidth, m.tolist(), (m == 10_000).tolist())) == brute
         bracket = bandwidth_bracket(plan.spec, sigma, alpha, kappa, 10_000)
         n_fail = sum(not (band.value >= bracket.low and (
             band.value < bracket.high or (bracket.high_truncated and band.truncated)))
@@ -1019,7 +1024,7 @@ def replayed_statistics(cache, plan, r):
     theta0_k = plan.theta0.padded(max(d, len(plan.theta0)))[k]
     spiked = b_vector(plan.spec, j_max)[k] * (theta0_k + r)
     out = []
-    for lo, w in zip(cache.starts.tolist(), cache.width.tolist()):
+    for lo, w in zip(_starts(cache.width).tolist(), cache.width.tolist()):
         if w <= k:
             out.append(None)
             continue
@@ -1032,7 +1037,8 @@ def replayed_statistics(cache, plan, r):
 def direct_rejections(cache, plan, r):
     """Each cached entry's decision at radius r by the full statistic, or
     its null decision where the spike lies past its window."""
-    return [bool(cache.reject[i]) if value is None else value > cache.threshold[i]
+    return [bool(cache.statistic[i] > cache.threshold[i]) if value is None
+            else value > cache.threshold[i]
             for i, value in enumerate(replayed_statistics(cache, plan, r))]
 
 
@@ -1098,7 +1104,7 @@ class TestRadiusCache:
         cache = _build_radius_cache(plan, 0, plan.n_reps)
         fix_threshold(monkeypatch, float(np.median(cache.statistic)))
         cache = _build_radius_cache(plan, 0, plan.n_reps)
-        assert 0 < np.count_nonzero(cache.reject) < plan.n_reps
+        assert 0 < np.count_nonzero(cache.statistic > cache.threshold) < plan.n_reps
         assert_replay_matches_direct(plan)
 
     def test_entries_own_their_windows(self):
@@ -1111,19 +1117,19 @@ class TestRadiusCache:
         cache = _build_radius_cache(plan, 0, plan.n_reps)
         for arr in cache:
             assert arr.base is None and arr.ndim == 1
-        assert cache.starts.tolist() == np.cumsum([0, *cache.width.tolist()])[:-1].tolist()
+        starts = np.cumsum([0, *cache.width.tolist()])[:-1]
         assert cache.y.size == cache.x.size == cache.eps_xi.size == cache.width.sum()
         windows = set()
         for rep in range(plan.n_reps):
             obs = simulate(plan.theta0, spec, plan.noise, plan.master_seed,
                            plan.config.j_max, rep=rep)
             report = run_test(obs, plan.theta0, spec, plan.noise, plan.config)
-            w, lo = report.window, cache.starts[rep]
+            w, lo = report.window, starts[rep]
             windows.add(w)
             assert cache.width[rep] == w
             assert cache.bandwidth[rep] == report.bandwidth
-            assert cache.truncated[rep] == report.bandwidth_truncated
-            assert cache.reject[rep] == report.reject
+            assert (cache.bandwidth[rep] == plan.config.j_max) == report.bandwidth_truncated
+            assert (cache.statistic[rep] > cache.threshold[rep]) == report.reject
             assert cache.statistic[rep] == report.statistic
             assert cache.threshold[rep] == report.threshold or w == 0
             xi = gaussian_draws(plan.master_seed, rep, SIGNAL_STREAM, w)
@@ -1211,7 +1217,7 @@ class TestReplayFallback:
         r, i = 0.1, 7
         k = spike_index(plan.spec, r, plan.config.j_max) - 1
         arr = getattr(cache, field).copy()
-        arr[cache.starts[i] + k] = value
+        arr[_starts(cache.width)[i] + k] = value
         cache = cache._replace(**{field: arr})
         with pytest.raises(error) as expected:
             replayed_statistics(cache, plan, r)
@@ -1226,6 +1232,18 @@ class TestSeparationRadius:
         plan = make_plan(epsilon=1e-2, sigma=1e-2, n_reps=200, j_max=200, seed=42)
         r = empirical_separation_radius(plan, 0.5, 1e-3, 1.0, tol=0.05)
         assert_allclose(r, 0.859515625, rtol=0)
+
+    @pytest.mark.parametrize("end", ["r_lo", "r_hi"])
+    def test_a_bracket_end_that_hits_the_target_is_returned(self, end):
+        """When the second-kind error at r_lo (0.72 of 200) or at r_hi (0.035)
+        equals the target exactly, that end is the radius, with no bisection."""
+        plan = make_plan(epsilon=1e-2, sigma=1e-2, n_reps=200, j_max=200, seed=42)
+        r_lo, r_hi = 0.85, 0.9
+        cache = _build_radius_cache(plan, 0, plan.n_reps)
+        at = {"r_lo": r_lo, "r_hi": r_hi}[end]
+        target = (plan.n_reps - np.count_nonzero(_rejections(cache, plan, at))) / plan.n_reps
+        assert target == {"r_lo": 0.72, "r_hi": 0.035}[end]
+        assert empirical_separation_radius(plan, target, r_lo, r_hi, tol=0.05) == at
 
     def test_deterministic(self):
         plan = make_plan(epsilon=1e-2, sigma=1e-2, n_reps=200, j_max=200, seed=42)

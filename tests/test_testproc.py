@@ -82,6 +82,19 @@ class TestEnvelopes:
         j = np.arange(1, 500)
         assert np.all(np.diff(scan_envelope(j, 0.05)) > 0)
 
+    @pytest.mark.parametrize("envelope", [scan_envelope, bracket_envelope_low,
+                                          bracket_envelope_high])
+    @pytest.mark.parametrize("j, shown", [(math.nan, "nan"), (math.inf, "inf"), (0, "0"),
+                                          (2.5, "2.5")], ids=["nan", "inf", "zero", "fraction"])
+    def test_an_index_that_is_not_a_positive_integer_is_refused(self, envelope, j, shown):
+        """The envelopes take their index by the sequences' rule, alone or in
+        an array."""
+        message = re.escape(f"sequence index must be a positive integer, got {shown}") + "$"
+        with pytest.raises(ValueError, match=message):
+            envelope(j, 0.05)
+        with pytest.raises(ValueError, match=message):
+            envelope(np.array([1.0, 2.0, j]), 0.05)
+
     def test_kappa_must_exceed_e(self):
         with pytest.raises(ValueError):
             scan_envelope(1, 0.05, kappa=2.0)
