@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 from .errors import InfeasibleConstructionError, InfeasibleRadiusError, InvalidLevelsError
 from .sequences import DecayKind, GrowthKind, RegimeSpec, _count, a_value, b_value, b_vector
@@ -62,10 +61,91 @@ _U_MAX = 1.0 - _INV_2_53  # the largest float below 1
 def _gaussian(words: np.ndarray) -> np.ndarray:
     """Standard Gaussian draws from raw 64-bit Philox words, element by
     element: the top 53 bits, centred in their interval, through the inverse
-    normal CDF.  The top centre rounds to 1.0 (ndtri: +inf) and is clamped to
-    1 - 2**-53; every other one is at most 1 - 2**-52, so no draw is infinite."""
+    normal CDF.  The top centre rounds to 1.0 (an infinite draw) and is
+    clamped to 1 - 2**-53; every other one is at most 1 - 2**-52, so every
+    uniform lies in [2**-54, 1 - 2**-53], the only domain _ndtri handles, and
+    no draw is infinite.  The transform is Cephes ndtri, bit for bit, with
+    libm's log in its tails: numpy's SIMD log is not bit-identical to libm's."""
     u = (words >> np.uint64(11)) * _INV_2_53 + _HALF_ULP
-    return ndtri(np.minimum(u, _U_MAX, out=u))
+    return _ndtri(np.minimum(u, _U_MAX, out=u))
+
+
+# Cephes ndtri (S. L. Moshier), the inverse normal CDF that scipy.special.ndtri
+# computes: a rational function of y = u - 1/2 on the centre (exp(-2),
+# 1 - exp(-2)], and of z = 1/x, x = sqrt(-2 log y) with y = u or 1 - u, in
+# each tail (P1/Q1 for x < 8, P2/Q2 beyond).  Each Q is monic; its leading 1
+# is left out, as in Cephes.
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _rational(t: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
+    """t * P(t) / Q(t) as Cephes rounds it: each Horner step a multiply, then
+    an add (a fused step would round differently), Q with its leading 1."""
+    num, den = np.full_like(t, p[0]), t + q[0]
+    for c in p[1:]:
+        num *= t
+        num += c
+    for c in q[1:]:
+        den *= t
+        den += c
+    num *= t
+    num /= den
+    return num
+
+
+def _log(v: np.ndarray) -> np.ndarray:
+    """The natural log of each entry of a contiguous v by libm (math.log):
+    numpy's SIMD log is not bit-identical to it, and differs in the last bit
+    on a few inputs in ten thousand.  A memoryview hands math.log plain
+    floats without building a list."""
+    return np.fromiter(map(math.log, memoryview(v)), np.float64, v.size)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """The inverse normal CDF of every u in [2**-54, 1 - 2**-53], computed in
+    u's buffer: Cephes ndtri operation for operation, so each value is
+    scipy.special.ndtri's to the bit.  The centre formula runs over the whole
+    array (its Q0 has no root for y**2 in [0, 1/4], so every entry is finite)
+    and the tails, about 27% of the entries, are gathered and written over it.
+    """
+    flat = u.reshape(-1)
+    upper = flat > 1.0 - _EXP_M2
+    tail = np.flatnonzero(upper | (flat <= _EXP_M2))
+    y, upper = flat[tail], upper[tail]
+    np.subtract(1.0, y, out=y, where=upper)
+    flat -= 0.5
+    flat += flat * _rational(flat * flat, _P0, _Q0)
+    flat *= _S2PI
+    x = _log(y)
+    x *= -2.0
+    np.sqrt(x, out=x)
+    x0 = x - _log(x) / x
+    z = 1.0 / x
+    x1 = _rational(z, _P1, _Q1)
+    far = x >= 8.0  # y <= exp(-32): 114 of the 2**53 uniforms at each end
+    if far.any():
+        x1[far] = _rational(z[far], _P2, _Q2)
+    x0 -= x1
+    flat[tail] = np.negative(x0, out=x0, where=~upper)
+    return flat.reshape(u.shape)
 
 
 DRAW_BOUND = 8.3  # over -ndtri(2**-54) = 8.2924 and ndtri(1 - 2**-53) = 8.2095

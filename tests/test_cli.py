@@ -494,6 +494,17 @@ class TestImport:
                               text=True, timeout=120, check=True)
         assert done.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("module", ["gsmgof", "gsmgof.cli"])
+    def test_import_loads_no_scipy(self, module):
+        """The runtime needs numpy alone: importing the package or its
+        command line loads no scipy module."""
+        env = dict(os.environ, PYTHONPATH=str(Path(gsmgof.__file__).parents[1]))
+        probe = (f"import sys, {module}; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
+
     def test_cli_import_leaves_the_process_pool_out(self):
         """The worker processes are forked directly: importing the command
         line loads neither multiprocessing nor concurrent.futures' process pool."""

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Philox
 from numpy.testing import assert_allclose
 from scipy.special import ndtri
@@ -34,7 +36,7 @@ from gsmgof import (
     two_point_shift_constant,
     window_mass,
 )
-from gsmgof.gsm import DRAW_BOUND, _gaussian
+from gsmgof.gsm import DRAW_BOUND, _gaussian, _ndtri
 
 
 def fresh_draws(seed, rep, stream, n, start=0):
@@ -280,6 +282,57 @@ class TestGaussianDraws:
                                                      endpoint=False)
         for sample in (edges, words):
             assert _gaussian(sample).tobytes() == unclamped(sample).tobytes()
+
+
+def clamped_uniforms(top_bits):
+    """The uniform each 53-bit value of a word maps to: its interval's
+    centre, the top one clamped to 1 - 2**-53."""
+    return np.minimum(top_bits * 2.0 ** -53 + 2.0 ** -54, 1.0 - 2.0 ** -53)
+
+
+class TestNdtriPort:
+    """The inverse normal CDF is a port of Cephes ndtri and must equal
+    scipy.special.ndtri, the oracle here and nowhere in the package, bit for
+    bit over its domain [2**-54, 1 - 2**-53].  A port that took numpy's log in
+    the tails differs in the last bit on a few hundred of the Philox words."""
+
+    @staticmethod
+    def assert_same_bits(port, u):
+        oracle = ndtri(u)
+        assert port.shape == oracle.shape
+        mismatches = np.count_nonzero(port.view(np.uint64) != oracle.view(np.uint64))
+        assert mismatches == 0, f"{mismatches} of {u.size} differ from scipy.special.ndtri"
+
+    @pytest.mark.parametrize("point", [math.exp(-2), 1 - math.exp(-2), math.exp(-32),
+                                       1 - math.exp(-32)],
+                             ids=["exp(-2)", "1-exp(-2)", "exp(-32)", "1-exp(-32)"])
+    def test_every_double_near_a_branch_point(self, point):
+        """The centre's two edges and the x = 8 switch between the tail
+        approximations, each with every double of the domain within 2**16
+        ulps of it (near 1 they reach past 1 - 2**-53)."""
+        bits = np.array([point]).view(np.int64) + np.arange(-2 ** 16, 2 ** 16 + 1)
+        u = bits.view(np.float64)
+        u = u[u <= 1.0 - 2.0 ** -53]
+        self.assert_same_bits(_ndtri(u.copy()), u)
+
+    def test_the_words_at_either_end(self):
+        """The 2**20 smallest and largest 53-bit values through the whole
+        word transform.  They hold the only ones past x = 8, where the far
+        tail's approximation takes over: 114 at each end."""
+        low = np.arange(2 ** 20, dtype=np.uint64)
+        for top in (low, np.uint64(2 ** 53 - 1) - low):
+            self.assert_same_bits(_gaussian(top << np.uint64(11)), clamped_uniforms(top))
+
+    def test_philox_words(self):
+        words = Philox(key=2026).random_raw(2 ** 22)
+        self.assert_same_bits(_gaussian(words), clamped_uniforms(words >> np.uint64(11)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=2.0 ** -54, max_value=1.0 - 2.0 ** -53),
+                    min_size=1, max_size=40))
+    def test_any_uniform_in_the_domain(self, us):
+        u = np.array(us)
+        self.assert_same_bits(_ndtri(u.copy()), u)
 
 
 class TestSimulateNoiseFree:

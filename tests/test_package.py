@@ -1,9 +1,14 @@
 """The package's public names: each module's __all__, exported once; the
 one count rule, sequences._count, is the only place a parameter is cast with
-int(); and the Monte Carlo harness imports no reference path."""
+int(); the Monte Carlo harness imports no reference path; and numpy is the
+one third-party module the package imports and declares."""
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import gsmgof
 from gsmgof import bounds, errors, gsm, montecarlo, sequences, testproc
@@ -96,3 +101,43 @@ def outer(n):
     return int(n) + int(len([]))
 """
     assert sorted(_parameter_casts(source, "m")) == ["m.inner:4: int(m)", "m.outer:5: int(n)"]
+
+
+def _third_party_imports(source: str) -> set[str]:
+    """The top-level modules source imports from outside the standard library
+    (relative imports, of the package's own modules, left out)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """What the package imports and what pyproject.toml declares are both
+    numpy alone: no other dependency comes back without this test changing."""
+    imported = set()
+    for path in sorted(Path(gsmgof.__file__).parent.glob("*.py")):
+        imported |= _third_party_imports(path.read_text(encoding="utf-8"))
+    assert imported == {"numpy"}
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(gsmgof.__file__).parents[2] / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("the package is not imported from a source checkout")
+    with pyproject.open("rb") as handle:
+        declared = tomllib.load(handle)["project"]["dependencies"]
+    assert {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in declared} == {"numpy"}
+
+
+def test_the_import_guard_sees_every_absolute_import():
+    source = """
+import os, numpy.random as npr
+from scipy.special import ndtri
+from . import gsm
+from .sequences import b_value
+def f():
+    import pandas
+"""
+    assert _third_party_imports(source) == {"numpy", "scipy", "pandas"}
