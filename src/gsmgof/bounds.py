@@ -18,21 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBoundError, InvalidLevelsError
+from .errors import DegenerateBoundError, InvalidLevelsError, SequenceOverflowError
 from .gsm import NoiseLevels, divergence_budget, window_mass
 from .sequences import (
     DecayKind,
     GrowthKind,
     RegimeSpec,
     _count,
-    _overflow_error,
+    _decay,
     _running_sums,
     a_inv_sq,
     b_vector,
     cumulative_b_inv4_prefix,
 )
-from .testproc import (KAPPA_DEFAULT, BandwidthBracket, _check_sigma, _check_unit,
-                       _objective, _squared, bandwidth_bracket)
+from .testproc import (_SCAN_BLOCK, KAPPA_DEFAULT, BandwidthBracket, _check_sigma,
+                       _check_unit, _objective, _squared, bandwidth_bracket)
 
 __all__ = [
     "BoundReport",
@@ -98,9 +98,10 @@ def _upper_bound(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float, b
             "the bound has no admissible dimension"
         )
     n = bracket.high  # at most j_max
-    objective = _objective(spec, cumulative_b_inv4_prefix(spec, n),
-                           np.minimum(np.arange(1, n + 1), bracket.low),
-                           float(epsilon), sigma, alpha, beta)
+    with np.errstate(over="ignore"):  # an objective past the float range is refused below
+        objective = _objective(spec, cumulative_b_inv4_prefix(spec, n),
+                               np.minimum(np.arange(1, n + 1), bracket.low),
+                               float(epsilon), sigma, alpha, beta)
     k = int(np.argmin(objective))
     if not math.isfinite(objective[k]):
         raise ValueError(f"the upper bound at epsilon={epsilon!r} exceeds the float range")
@@ -208,34 +209,29 @@ def _lower_bound(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float, b
     return max(sigma_part, epsilon_part), (sigma_part, epsilon_part), depth
 
 
-# First block of the epsilon channel's scan; each next block is twice as long.
-_SCAN_BLOCK = 64
-
-
 def _epsilon_channel(spec: RegimeSpec, scale: float, j_max: int) -> float:
     """sup_{d <= j_max} min(grow_d, decay_d), grow_d = scale * sqrt(sum_{j<=d} b_j^-4)
     and decay_d = a_d^-2, over blocks of the cached running sums.
 
     It stops at the first d with grow_d >= decay_d: past it the candidate only
-    decreases.  A term of the sums past the float range raises
-    SequenceOverflowError only when no such d comes before it, as a scan
-    index by index would.  A NaN candidate (0 * inf) is skipped, as Python's
-    max skips it; np.fmax does the same.
+    decreases.  A running sum whose term or total leaves the float range
+    raises SequenceOverflowError only when no such d comes before it, as a
+    scan index by index would.
     """
-    sums = _running_sums(spec)
+    sums = _running_sums(_decay(spec))
     best = 0.0
     lo, size = 0, _SCAN_BLOCK
     while True:
         block = sums.upto(min(lo + size, j_max))[lo:]
         if block.size == 0:
-            raise _overflow_error(spec, lo + 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as with Python floats
+            raise SequenceOverflowError(sums.overflow)
+        with np.errstate(over="ignore"):  # inf, as with Python floats
             grow = scale * np.sqrt(block)
         decay = a_inv_sq(spec, np.arange(lo + 1, lo + block.size + 1))
         crossed = grow >= decay
         k = int(crossed.argmax())
         end = k + 1 if crossed[k] else block.size
-        best = max(best, float(np.fmax.reduce(np.minimum(grow[:end], decay[:end]))))
+        best = max(best, float(np.minimum(grow[:end], decay[:end]).max()))
         lo += block.size
         if crossed[k] or lo >= j_max:
             return best

@@ -12,6 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,21 +184,41 @@ def a_inv_sq(spec: RegimeSpec, j):
     return out if out.ndim else float(out)
 
 
+class _Decay(NamedTuple):
+    """All that b and the sums of b_j**(-4) read or name in an error: the key
+    of their caches, so specs that differ only in growth share them."""
+
+    b_kind: DecayKind
+    t: float
+    c_b: float
+
+
+def _decay(spec: RegimeSpec) -> _Decay:
+    return _Decay(spec.b_kind, spec.t, spec.c_b)
+
+
 @lru_cache(maxsize=128)
-def _b_vector_cached(spec: RegimeSpec, n: int) -> np.ndarray:
-    arr = np.asarray(b_value(spec, np.arange(1, n + 1)))
+def _b_vector_cached(decay: _Decay, n: int) -> np.ndarray:
+    arr = np.asarray(b_value(decay, np.arange(1, n + 1)))
     arr.setflags(write=False)
     return arr
 
 
 def b_vector(spec: RegimeSpec, n: int) -> np.ndarray:
-    """Read-only array of the first n singular values (cached per spec)."""
-    return _b_vector_cached(spec, _count("n", n))
+    """Read-only array of the first n singular values (cached per decay:
+    b_kind, t and c_b)."""
+    return _b_vector_cached(_decay(spec), _count("n", n))
 
 
 def _overflow_error(spec: RegimeSpec, j: int) -> SequenceOverflowError:
     return SequenceOverflowError(
         f"b_{j}**(-4) exceeds the floating-point range (index {j}, t={spec.t})"
+    )
+
+
+def _sum_overflow_error(spec: RegimeSpec, d: int) -> SequenceOverflowError:
+    return SequenceOverflowError(
+        f"the sum of b_j**(-4) for j = 1..{d} exceeds the floating-point range (t={spec.t})"
     )
 
 
@@ -220,45 +241,55 @@ def _scaled_b_inv4_terms(spec: RegimeSpec, scale: float, d: int, start: int):
 
 
 def cumulative_b_inv4(spec: RegimeSpec, d: int) -> float:
-    """Sum of b_j**(-4) for j = 1..d, exactly rounded via compensated summation."""
-    return float(math.fsum(_b_inv4_terms(spec, _count("d", d))))
+    """Sum of b_j**(-4) for j = 1..d, exactly rounded via compensated summation.
+    A term or a sum past the float range is refused."""
+    d = _count("d", d)
+    try:
+        return math.fsum(_b_inv4_terms(spec, d))
+    except SequenceOverflowError:
+        raise
+    except OverflowError:  # fsum's own: finite terms whose sum leaves the float range
+        raise _sum_overflow_error(spec, d) from None
 
 
 class _RunningSums:
-    """The partial sums of b_j**(-4) for one spec, Kahan-compensated: each
+    """The partial sums of b_j**(-4) for one decay, Kahan-compensated: each
     agrees with an exactly rounded sum to a few ulps even when the terms span
     many orders of magnitude, and the sequence is nondecreasing.
 
     They are read-only and grown on demand by resuming the compensated sum
     (total, carry) where the last request stopped.  The sum is sequential, so
     every prefix is the one a single pass to that length gives.  Growth stops
-    for good at the first term past the float range; its index is kept.
+    for good at the first index whose term or sum leaves the float range; the
+    message of that refusal is kept.
     """
 
-    def __init__(self, spec: RegimeSpec) -> None:
-        self.spec = spec
+    def __init__(self, decay: _Decay) -> None:
+        self.decay = decay
         self.sums = np.empty(0)
         self.total = 0.0
         self.carry = 0.0
-        self.overflow: int | None = None  # index of the first overflowing term, once met
+        self.overflow: str | None = None  # why growth stopped for good, once it has
 
     def upto(self, d: int) -> np.ndarray:
-        """The sums for j = 1..d, cut before the first overflowing term when
-        that lies within d."""
+        """The sums for j = 1..d, cut before the first index that overflows
+        when that lies within d."""
         n = self.sums.size
         if d > n and self.overflow is None:
             grown = []
             total, carry = self.total, self.carry
-            terms = _b_inv4_terms(self.spec, d, start=n + 1)
+            terms = _b_inv4_terms(self.decay, d, start=n + 1)
             try:
                 for term in terms:
                     y = term - carry
                     tmp = total + y
+                    if tmp == math.inf:
+                        raise _sum_overflow_error(self.decay, n + len(grown) + 1)
                     carry = (tmp - total) - y
                     total = tmp
                     grown.append(total)
-            except SequenceOverflowError:
-                self.overflow = n + len(grown) + 1
+            except SequenceOverflowError as refusal:
+                self.overflow = str(refusal)
             self.total, self.carry = total, carry
             self.sums = np.concatenate((self.sums, grown))
             self.sums.setflags(write=False)
@@ -266,18 +297,19 @@ class _RunningSums:
 
 
 @lru_cache(maxsize=128)
-def _running_sums(spec: RegimeSpec) -> _RunningSums:
-    return _RunningSums(spec)
+def _running_sums(decay: _Decay) -> _RunningSums:
+    return _RunningSums(decay)
 
 
 def cumulative_b_inv4_prefix(spec: RegimeSpec, d: int) -> np.ndarray:
     """Read-only array of the partial sums of b_j**(-4) for j = 1..d
-    (Kahan-compensated, monotone nondecreasing; cached per spec)."""
+    (Kahan-compensated, monotone nondecreasing; cached per decay)."""
     d = _count("d", d)
-    sums = _running_sums(spec).upto(d)
-    if sums.size < d:
-        raise _overflow_error(spec, sums.size + 1)
-    return sums
+    sums = _running_sums(_decay(spec))
+    prefix = sums.upto(d)
+    if prefix.size < d:
+        raise SequenceOverflowError(sums.overflow)
+    return prefix
 
 
 def ellipsoid_weighted_norm(spec: RegimeSpec, theta) -> float:

@@ -154,6 +154,23 @@ def _first_hit(hits: np.ndarray) -> int | None:
     return k if hits[k] else None
 
 
+# First block of a scan that stops at its first hit; each next block is twice as long.
+_SCAN_BLOCK = 64
+
+
+def _first_trigger(b: np.ndarray, sigma: float, table: np.ndarray) -> int | None:
+    """_first_hit(b <= sigma * table), comparing blocks of 64, 128, 256, ...
+    from index 0 and stopping at the first block with a hit.  Each comparison
+    is the full-length one's, so the answer is too, whatever the shape of b."""
+    lo, size = 0, _SCAN_BLOCK
+    while lo < b.size:
+        k = _first_hit(b[lo:lo + size] <= sigma * table[lo:lo + size])
+        if k is not None:
+            return lo + k
+        lo, size = lo + size, 2 * size
+    return None
+
+
 class Bandwidth(NamedTuple):
     value: int
     truncated: bool  # the scan reached the horizon without triggering
@@ -192,13 +209,14 @@ def bandwidth_bracket(spec: RegimeSpec, sigma: float, alpha: float,
                       kappa: float = KAPPA_DEFAULT, j_max: int = 10_000) -> BandwidthBracket:
     """Deterministic bracket [low, high) that contains the empirical bandwidth
     with high probability: low from the wide envelope (first trigger minus
-    one), high from the narrow one (first trigger itself)."""
+    one), high from the narrow one (first trigger itself).  Each scan stops
+    at its first trigger."""
     _check_sigma(sigma)
     j_max = _count("j_max", j_max)
     b = b_vector(spec, j_max)
     low_table, high_table = _bracket_tables(alpha, kappa, j_max)
-    low = _first_hit(b <= sigma * low_table)
-    high = _first_hit(b <= sigma * high_table)
+    low = _first_trigger(b, sigma, low_table)
+    high = _first_trigger(b, sigma, high_table)
     return BandwidthBracket(j_max if low is None else low,
                             j_max if high is None else high + 1,
                             low is None, high is None)

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gsmgof import (
+    KAPPA_DEFAULT,
     DegenerateBoundError,
+    GsmGofError,
     InvalidLevelsError,
     RegimeSpec,
     SequenceOverflowError,
@@ -32,7 +34,7 @@ from gsmgof import (
     window_mass,
 )
 from gsmgof import bounds, cli, sequences
-from gsmgof.sequences import _b_inv4_terms
+from gsmgof.sequences import _b_inv4_terms, _sum_overflow_error
 
 REGIMES = ("mild-ordinary", "mild-super", "severe-ordinary", "severe-super")
 
@@ -287,11 +289,13 @@ class TestLowerBound:
 
 def _kahan_running_sums(spec, d):
     """The running sums of b_j**-4 as the lower bound read them before they
-    were cached: one fresh Kahan pass."""
+    were cached: one fresh Kahan pass, refused where the sum overflows."""
     total = carry = 0.0
-    for term in _b_inv4_terms(spec, d):
+    for j, term in enumerate(_b_inv4_terms(spec, d), start=1):
         y = term - carry
         tmp = total + y
+        if tmp == math.inf:
+            raise _sum_overflow_error(spec, j)
         carry = (tmp - total) - y
         total = tmp
         yield total
@@ -370,6 +374,31 @@ def lower_bound_cases(draw):
     else:
         epsilon = 10.0 ** draw(st.floats(-150.0, 0.0))
     return spec, epsilon, sigma, alpha, beta, j_max
+
+
+@st.composite
+def bound_cases(draw):
+    """Anywhere in evaluate_bounds' domain, leaning on its edges: severe decay
+    whose b_j**-4 first overflows next to the horizon, super growth whose
+    a_j**-2 underflows inside it, constants far from 1, sigma near 0 and 1."""
+    regime = draw(st.sampled_from(REGIMES))
+    j_max = draw(st.integers(1, 2000))
+    powers = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+    t, s = draw(powers), draw(powers)
+    if regime.startswith("severe") and draw(st.booleans()):
+        m = max(1, j_max + draw(st.integers(-3, 3)))
+        t = math.log(sys.float_info.max) / (4.0 * (m - 0.5))  # b_m**-4 is the first to overflow
+    if regime.endswith("super") and draw(st.booleans()):
+        s = draw(st.floats(400.0 / j_max, 800.0))  # exp(-2 s j) is 0 before j_max
+    constants = st.just(1.0) | st.floats(-80.0, 80.0).map(lambda e: 10.0 ** e)
+    spec = RegimeSpec.from_name(regime, s=s, t=t, c_b=draw(constants), c_a=draw(constants))
+    alpha = draw(st.floats(1e-6, 0.45))
+    beta = draw(st.floats(alpha, 0.999 - alpha))
+    sigma = draw(st.floats(-323.0, -0.005).map(lambda e: 10.0 ** e)
+                 | st.floats(-16.0, -1.0).map(lambda e: 1.0 - 10.0 ** e))
+    epsilon = 10.0 ** draw(st.floats(-160.0, 10.0))
+    kappa = draw(st.just(KAPPA_DEFAULT) | st.floats(3.0, 1e6))
+    return spec, epsilon, sigma, alpha, beta, j_max, kappa
 
 
 class TestLowerBoundScan:
@@ -471,24 +500,23 @@ class TestEvaluateBounds:
             upper_bound_radius_sq(mild_ordinary, epsilon, 1e-3, 0.05, 0.5, 1000)
 
     def test_grid_sums_each_term_once(self, monkeypatch):
-        """Over the bounds-grid cells, each spec's running sums are built once:
-        no more terms than the longest prefix any cell asks for, where
-        building them per cell took the sum over the cells."""
+        """Over the bounds-grid cells, both regimes read the one mild decay's
+        running sums, built once: no more terms than the longest prefix any
+        cell asks for, where building them per cell took the sum over the
+        cells."""
         terms = collections.Counter()
-        longest = collections.Counter()
-        per_cell = 0
+        longest = per_cell = 0
         requests = []
         original_terms = sequences._b_inv4_terms
         original_upto = sequences._RunningSums.upto
 
-        def counted_terms(spec, d, start=1):
-            for term in original_terms(spec, d, start):
-                terms[spec] += 1
+        def counted_terms(decay, d, start=1):
+            for term in original_terms(decay, d, start):
+                terms[decay] += 1
                 yield term
 
         def recorded_upto(self, d):
             requests.append(d)
-            longest[self.spec] = max(longest[self.spec], d)
             return original_upto(self, d)
 
         monkeypatch.setattr(sequences, "_b_inv4_terms", counted_terms)
@@ -499,11 +527,25 @@ class TestEvaluateBounds:
             evaluate_bounds(cell.spec, cell.epsilon, cell.sigma, cfg["alpha"], cfg["beta"],
                             cell.j_max, kappa=cfg["kappa"])
             per_cell += max(requests)
+            longest = max(longest, max(requests))
             requests.clear()
-        assert len(terms) == 2 and set(terms) == set(longest)
-        for spec, count in terms.items():
-            assert count <= longest[spec]
+        assert sequences._running_sums.cache_info().misses == 1 and len(terms) == 1
+        assert sum(terms.values()) <= longest
         assert 5 * sum(terms.values()) < per_cell
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=bound_cases())
+    def test_finite_or_refused(self, case):
+        """Anywhere in its domain evaluate_bounds returns finite values or
+        raises a typed error: never NaN or inf, never a bare OverflowError,
+        and no numpy warning (tier-1 makes RuntimeWarning an error)."""
+        spec, epsilon, sigma, alpha, beta, j_max, kappa = case
+        try:
+            report = evaluate_bounds(spec, epsilon, sigma, alpha, beta, j_max, kappa=kappa)
+        except (GsmGofError, ValueError):
+            return
+        values = (report.upper_sq, report.lower_sq, *report.lower_components)
+        assert all(math.isfinite(value) for value in values), report
 
     def test_report_internally_consistent(self, severe_ordinary):
         report = evaluate_bounds(severe_ordinary, 1e-3, 1e-3, 0.05, 0.5, 200)

@@ -260,6 +260,42 @@ class TestPrefixCache:
             with pytest.raises(ValueError, match="d must be >= 1"):
                 cumulative_b_inv4_prefix(mild_ordinary, d)
 
+    def test_a_sum_past_the_float_range_is_refused(self):
+        """With c_b = 1e-75 every b_j**(-4) up to j = 115 is finite, but their
+        sum leaves the float range at j = 62: both sums refuse it there,
+        where the running sums once turned inf and then NaN and fsum raised
+        a bare OverflowError."""
+        spec = RegimeSpec.from_name("mild-ordinary", c_b=1e-75)
+        prefix = cumulative_b_inv4_prefix(spec, 61)
+        assert np.isfinite(prefix).all() and (np.diff(prefix) > 0).all()
+        assert math.isfinite(cumulative_b_inv4(spec, 61))
+        message = "the sum of b_j**(-4) for j = 1..{} exceeds the floating-point range (t=1.0)"
+        for d in (62, 100, 62):
+            with pytest.raises(SequenceOverflowError, match=re.escape(message.format(62))):
+                cumulative_b_inv4_prefix(spec, d)
+        with pytest.raises(SequenceOverflowError, match=re.escape(message.format(100))):
+            cumulative_b_inv4(spec, 100)
+
+    def test_specs_of_one_decay_share_b_and_its_sums(self):
+        """b and its running sums read only (b_kind, t, c_b): specs that
+        differ in growth alone share both, and a different decay shares
+        neither."""
+        spec = RegimeSpec.from_name("mild-ordinary", s=0.5, t=1.5, c_b=2.0)
+        same_decay = RegimeSpec.from_name("mild-super", s=3.0, t=1.5, c_b=2.0, c_a=7.0)
+        others = [RegimeSpec.from_name("mild-ordinary", s=0.5, t=1.25, c_b=2.0),
+                  RegimeSpec.from_name("mild-ordinary", s=0.5, t=1.5, c_b=3.0),
+                  RegimeSpec.from_name("severe-ordinary", s=0.5, t=1.5, c_b=2.0)]
+        _running_sums.cache_clear()
+        assert b_vector(spec, 300) is b_vector(same_decay, 300)
+        assert np.shares_memory(cumulative_b_inv4_prefix(spec, 50),
+                                cumulative_b_inv4_prefix(same_decay, 40))
+        assert _running_sums.cache_info().misses == 1
+        for other in others:
+            assert not np.shares_memory(b_vector(other, 300), b_vector(spec, 300))
+            assert not np.shares_memory(cumulative_b_inv4_prefix(other, 40),
+                                        cumulative_b_inv4_prefix(spec, 40))
+        assert _running_sums.cache_info().misses == 1 + len(others)
+
 
 class TestEllipsoidNorm:
     def test_zero_vector(self, mild_ordinary):

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gsmgof import (
@@ -36,7 +38,8 @@ from gsmgof import (
     threshold_constant,
     threshold_parts,
 )
-from gsmgof.testproc import _bracket_tables
+from gsmgof import sequences
+from gsmgof.testproc import _bracket_tables, _first_hit
 from test_acceptance import _oracle_bracket
 
 
@@ -256,6 +259,29 @@ class TestBandwidthBracket:
         assert (info.misses, info.currsize) == (1, 1)
         low, high = _bracket_tables(0.07, 40.0, 300)
         assert not low.flags.writeable and not high.flags.writeable
+
+    @settings(max_examples=200, deadline=None)
+    @given(regime=st.sampled_from(("mild-ordinary", "mild-super", "severe-ordinary",
+                                   "severe-super")),
+           s=st.floats(0.05, 20.0), t=st.floats(0.05, 20.0),
+           sigma=st.floats(-9.0, math.log10(0.99)).map(lambda e: 10.0 ** e),
+           alpha=st.sampled_from((0.01, 0.05, 0.2)),
+           j_max=st.sampled_from((1, 63, 64, 65, 191, 192, 193, 100_000))
+           | st.integers(1, 100_000))
+    @example("mild-ordinary", 1.0, 0.05, 1e-9, 0.05, 100_000)  # neither envelope triggers
+    @example("mild-super", 1.0, 1.0, 1e-3, 0.05, 16)  # only the narrow one's trigger is past it
+    def test_block_scan_equals_the_full_horizon_scan(self, regime, s, t, sigma, alpha, j_max):
+        """Scanning blocks of 64, 128, ... and stopping at the first trigger
+        gives the bracket that compares every coordinate up to j_max."""
+        spec = RegimeSpec.from_name(regime, s=s, t=t)
+        b = b_vector(spec, j_max)
+        low_table, high_table = _bracket_tables(alpha, KAPPA_DEFAULT, j_max)
+        low = _first_hit(b <= sigma * low_table)
+        high = _first_hit(b <= sigma * high_table)
+        full = (j_max if low is None else low, j_max if high is None else high + 1,
+                low is None, high is None)
+        assert bandwidth_bracket(spec, sigma, alpha, j_max=j_max) == full
+        sequences._b_vector_cached.cache_clear()  # keeps at most one horizon-long b alive
 
 
 class TestStatistic:
