@@ -176,16 +176,15 @@ class RekeyedDraws:
                      buffer=state["buffer"].tolist())
 
     def _words(self, reps, stream: int, start: int, widths) -> list:
-        """The raw words of rows (see rows), one array each."""
+        """The raw words of rows (see rows), one array each; a row starting
+        inside a counter draws the words before it in its call and drops them."""
         block, skip = divmod(start, 4)
         counter, bits, state, rows = self._counter, self._bits, self._state, []
         counter[0], counter[3] = block, stream
         for rep, width in zip(reps, widths):
             counter[2] = rep
             bits.state = state
-            if skip:
-                bits.random_raw(skip)
-            rows.append(bits.random_raw(width))
+            rows.append(bits.random_raw(skip + width)[skip:] if skip else bits.random_raw(width))
         return rows
 
     def rows(self, reps, stream: int, start: int, widths) -> np.ndarray:
@@ -419,7 +418,9 @@ def make_two_point_pair(spec: RegimeSpec, noise: NoiseLevels, alpha: float, beta
     exactly (shift_constant / 2) * sigma / (a_d * b_d).
     """
     d = _count("d", d)
-    base = 0.5 / a_value(spec, d)
+    with np.errstate(over="ignore"):  # past the float range, from ln a_d
+        a = a_value(spec, d)
+    base = 0.5 / a if a < math.inf else 0.5 * math.exp(-_log_weight(spec, d))
     if noise.sigma == 0.0:
         theta0_d = base  # zero separation
     else:
@@ -446,6 +447,19 @@ def make_two_point_pair(spec: RegimeSpec, noise: NoiseLevels, alpha: float, beta
 # ---------------------------------------------------------------------------
 
 
+def _log_weight(spec: RegimeSpec, d: int) -> float:
+    """ln a_d, finite where a_d itself passes the float range."""
+    growth = d * spec.s if spec.a_kind is GrowthKind.SUPER else spec.s * math.log(d)
+    return math.log(spec.c_a) + growth
+
+
+def _admits(spec: RegimeSpec, d: int, r: float) -> bool:
+    """a_d * r <= 1, in logs where a_d passes the float range."""
+    with np.errstate(over="ignore"):
+        a = a_value(spec, d)
+    return a * r <= 1.0 if a < math.inf else _log_weight(spec, d) + math.log(r) <= 0.0
+
+
 def spike_index(spec: RegimeSpec, r: float, j_max: int) -> int:
     """Largest coordinate whose weight still admits a bump of norm r.
 
@@ -455,7 +469,7 @@ def spike_index(spec: RegimeSpec, r: float, j_max: int) -> int:
     if r <= 0.0 or not math.isfinite(r):
         raise ValueError("spike norm must be positive and finite")
     j_max = _count("j_max", j_max)
-    if a_value(spec, 1) * r > 1.0:
+    if not _admits(spec, 1, r):
         raise InfeasibleRadiusError(
             f"spike of norm {r:.6g} does not fit the smoothness class at any coordinate"
         )
@@ -466,9 +480,9 @@ def spike_index(spec: RegimeSpec, r: float, j_max: int) -> int:
     if spec.a_kind is GrowthKind.ORDINARY:
         depth = math.exp(min(depth, math.log(j_max)))
     d = max(int(min(depth, j_max)), 1)
-    while d > 1 and a_value(spec, d) * r > 1.0:
+    while d > 1 and not _admits(spec, d, r):
         d -= 1
-    while d < j_max and a_value(spec, d + 1) * r <= 1.0:
+    while d < j_max and _admits(spec, d + 1, r):
         d += 1
     return d
 

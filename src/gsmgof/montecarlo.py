@@ -136,12 +136,17 @@ def _chunk_ranges(n_reps: int, workers: int) -> list[tuple[int, int]]:
 
 class _Job(NamedTuple):
     """fn(*args, lo, hi) over the chunk ranges of range(n_reps); finish makes
-    the job's result of the chunk results, given in chunk order."""
+    the job's result of the chunk results, given in chunk order.  work: the
+    rows of draws its replications make at least, and 1 per 16 coordinates."""
 
     fn: Callable
     args: tuple
     n_reps: int
+    work: float
     finish: Callable[[list], Any]
+
+
+_FORK_WORK = 8192  # work (see _Job) per process past the first; less pays no fork (README)
 
 
 def _sums(parts: list) -> tuple:
@@ -224,12 +229,13 @@ def _run_jobs(jobs: Iterable[_Job], workers: int) -> list:
 
     Every job is built first.  Chunk c of every job then runs in process
     c % procs, where procs = min(workers, CPUs this process may run on,
-    chunks of the largest job) (1 without os.fork): process 0 is this one,
-    and the other procs - 1 are forked once, run their share while this
-    process runs its own, and are reaped before this returns, on success or
-    on error.  The error raised is the first one running the jobs one after
-    another meets: a chunk's or a finish's, in job and chunk order, or that
-    of building a job, after the errors of the jobs before it.
+    chunks of the largest job, 1 + the jobs' total work // _FORK_WORK) (1
+    without os.fork): process 0 is this one, and the other procs - 1 are
+    forked once, run their share while this process runs its own, and are
+    reaped before this returns, on success or on error.  The error raised is
+    the first one running the jobs one after another meets: a chunk's or a
+    finish's, in job and chunk order, or that of building a job, after the
+    errors of the jobs before it.
     """
     workers = _count("workers", workers)
     built, build_error = [], None
@@ -238,7 +244,8 @@ def _run_jobs(jobs: Iterable[_Job], workers: int) -> list:
             built.append((job, _chunk_ranges(job.n_reps, workers)))
     except Exception as exc:  # the jobs built before it may fail first
         build_error = exc
-    procs = min(workers, _usable_cpus(), max((len(r) for _, r in built), default=1))
+    procs = int(min(workers, _usable_cpus(), max((len(r) for _, r in built), default=1),
+                    1 + sum(job.work for job, _ in built) / _FORK_WORK))  # work may be inf
     if not hasattr(os, "fork"):
         procs = 1
     children = []
@@ -311,6 +318,41 @@ def _joined(parts: Sequence[_Outcomes]) -> _Outcomes:
     return _Outcomes(*map(np.concatenate, zip(*parts)))
 
 
+def _scan(plan: ExperimentPlan) -> tuple:
+    """Where the kernel draws plan's scans, from the cached b vector and scan
+    table: (sigma * envelope, start, end, scan_from, block, prefix).  The
+    block starts at 0 if start falls in the first 64 coordinates, at start
+    past them; scan_from None: nothing below the horizon triggers.  It holds
+    `block` coordinates, up to `end` or the horizon (none when scan_from is
+    None); prefix is the objective's columns that every row runs."""
+    config, sigma, j_max = plan.config, plan.noise.sigma, plan.config.j_max
+    b = b_vector(plan.spec, j_max)
+    envelope = sigma * _scan_table(config.alpha, config.kappa, j_max)
+    reach = np.flatnonzero(b <= envelope + sigma * DRAW_BOUND)
+    start = int(reach[0]) if reach.size else j_max
+    inside = np.flatnonzero(b <= envelope - sigma * DRAW_BOUND)
+    end = int(inside[0]) if inside.size else j_max
+    scan_from = None if start >= j_max else 0 if start < _FIRST_BLOCK else start
+    block = min(end + 1, j_max) - (j_max if scan_from is None else scan_from)
+    return envelope, start, end, scan_from, block, min(_PREFIX, j_max)
+
+
+def _draw_work(plan: ExperimentPlan, scan_only: bool = False) -> float:
+    """The work (see _Job) of the kernel's replications: each draws its scan
+    block after scan_from % 4 dropped words, and unless scan_only the head
+    where the block does not start at 0 and a signal row (of a width unknown
+    before the scan) where epsilon > 0.  A plan refused here is unbounded
+    work, refused by the kernel in its chunk."""
+    try:
+        _, _, _, scan_from, block, prefix = _scan(plan)
+    except (ValueError, MemoryError):  # an envelope past the float range, a vast horizon
+        return math.inf
+    sixteenths = 0 if scan_from is None else 16 + scan_from % 4 + block
+    if not scan_only:
+        sixteenths += (0 if scan_from == 0 else 16 + prefix) + 16 * (plan.noise.epsilon > 0.0)
+    return plan.n_reps * sixteenths // 16
+
+
 class _Kernel:
     """run_test(simulate(theta, ..., rep=rep), plan.theta0, ...) over many
     replications of a plan, a row group at a time, each in one pass.
@@ -363,20 +405,8 @@ class _Kernel:
         if not np.isfinite(self.bt).all():
             raise ValueError("y must be finite")
         self.theta0 = plan.theta0.padded(max(j_max, len(plan.theta0)))
-        self.envelope = self.sigma * _scan_table(config.alpha, config.kappa, j_max)
+        self.envelope, self.start, self.end, self.scan_from, self.block, self.prefix = _scan(plan)
         self.draws = RekeyedDraws(plan.master_seed)
-        reach = np.flatnonzero(self.b <= self.envelope + self.sigma * DRAW_BOUND)
-        self.start = start = int(reach[0]) if reach.size else j_max
-        inside = np.flatnonzero(self.b <= self.envelope - self.sigma * DRAW_BOUND)
-        self.end = int(inside[0]) if inside.size else j_max
-        # The scan's block starts at 0 if start falls in the first 64
-        # coordinates, at start past them; None: nothing below the horizon
-        # triggers.  It holds `block` coordinates, up to `end` or the horizon
-        # (none when scan_from is None).
-        self.scan_from = None if start >= j_max else 0 if start < _FIRST_BLOCK else start
-        self.prefix = min(_PREFIX, j_max)
-        lo = j_max if self.scan_from is None else self.scan_from
-        self.block = min(self.end + 1, j_max) - lo
         # The rows of a group: its widest matrix is the block, or the head of
         # the objective's prefix when the block does not start at 0.  Where a
         # scan can reach the horizon (or no block is drawn), a window may read
@@ -578,7 +608,7 @@ def _error_job(plan: ExperimentPlan, theta: Signal | None = None) -> _Job:
         return ErrorEstimate.from_counts(count, plan.n_reps, n_degen)
 
     data = plan.theta0 if theta is None else theta
-    return _Job(_reject_counts, (plan, data), plan.n_reps, finish)
+    return _Job(_reject_counts, (plan, data), plan.n_reps, _draw_work(plan), finish)
 
 
 def estimate_alpha(plan: ExperimentPlan, workers: int = 1) -> ErrorEstimate:
@@ -718,7 +748,7 @@ def _radius_job(plan: ExperimentPlan, beta_target: float, r_lo: float, r_hi: flo
     def finish(parts: list) -> float:
         return _bisect(_joined(parts), plan, beta_target, r_lo, r_hi, tol)
 
-    return _Job(_build_radius_cache, (plan,), plan.n_reps, finish)
+    return _Job(_build_radius_cache, (plan,), plan.n_reps, _draw_work(plan), finish)
 
 
 def empirical_separation_radius(plan: ExperimentPlan, beta_target: float,
@@ -824,7 +854,7 @@ def _containment_job(plan: ExperimentPlan) -> _Job:
         return ErrorEstimate.from_counts(sum(parts), plan.n_reps)
 
     return _Job(_containment_failures, (plan, bracket.low, bracket.high, bracket.high_truncated),
-                plan.n_reps, finish)
+                plan.n_reps, _draw_work(plan, scan_only=True), finish)
 
 
 def check_bandwidth_containment(plan: ExperimentPlan, workers: int = 1) -> ErrorEstimate:
@@ -881,7 +911,7 @@ def _quadform_job(d: int, nu, v, x: float, n_reps: int, master_seed: int = 0) ->
                              lower=ErrorEstimate.from_counts(n_low, n_reps))
 
     return _Job(_quadform_failures, (d, nu, v, mean, up_cut, low_cut, master_seed),
-                n_reps, finish)
+                n_reps, n_reps * (16 + d) // 16, finish)
 
 
 def check_quadform_concentration(d: int, nu, v, x: float, n_reps: int,

@@ -1,16 +1,21 @@
 """Observation model: exact noise-free paths, stream statistics, signal constructions."""
 
+import json
 import math
+import warnings
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import Philox
 from numpy.testing import assert_allclose
 from scipy.special import ndtri
 
 from gsmgof import (
+    GrowthKind,
+    GsmGofError,
     InfeasibleConstructionError,
     InfeasibleRadiusError,
     InvalidLevelsError,
@@ -36,7 +41,35 @@ from gsmgof import (
     two_point_shift_constant,
     window_mass,
 )
+from gsmgof import cli
 from gsmgof.gsm import DRAW_BOUND, _gaussian, _ndtri
+
+
+def _weight_times(spec, d, r):
+    """a_d * r: the float product where a_value(spec, d) is finite, else
+    exact to 40 digits (a Decimal, of an unbounded exponent)."""
+    with np.errstate(over="ignore"):
+        a = a_value(spec, d)
+    if math.isfinite(a):
+        return a * r
+    with localcontext() as context:
+        context.prec, context.Emax, context.Emin = 40, MAX_EMAX, MIN_EMIN
+        growth = Decimal(d) * Decimal(spec.s) if spec.a_kind is GrowthKind.SUPER \
+            else Decimal(spec.s) * Decimal(d).ln()
+        return Decimal(spec.c_a) * growth.exp() * Decimal(r)
+
+
+TOL = Decimal("1e-9")
+
+
+def _admits(spec, d, r):
+    """a_d * r <= 1, exactly where a_d is a float; where it passes the float
+    range, within 1e-9 relative of the exact product (None: too close to 1
+    to tell)."""
+    product = _weight_times(spec, d, r)
+    if isinstance(product, float) or not 1 - TOL <= product <= 1 + TOL:
+        return product <= 1
+    return None
 
 
 def fresh_draws(seed, rep, stream, n, start=0):
@@ -47,6 +80,43 @@ def fresh_draws(seed, rep, stream, n, start=0):
     bits = Philox(key=seed, counter=np.array([block, 0, rep, stream], dtype=np.uint64))
     bits.random_raw(skip)
     return _gaussian(bits.random_raw(n))
+
+
+REGIMES = ("mild-ordinary", "mild-super", "severe-ordinary", "severe-super")
+
+
+@st.composite
+def _specs(draw):
+    """A regime anywhere in its domain, leaning on the edges that
+    tests/test_bounds.py's evaluate_bounds property leans on: s and t from
+    1e-3 to 1e3, c_a and c_b in 1e+-80, and super growth whose a_d passes
+    the float range inside a horizon of 2000."""
+    regime = draw(st.sampled_from(REGIMES))
+    powers = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+    t, s = draw(powers), draw(powers)
+    if regime.endswith("super") and draw(st.booleans()):
+        s = draw(st.floats(0.36, 20.0))  # e**(710 / s) lies within d = 2000
+    constants = st.just(1.0) | st.floats(-80.0, 80.0).map(lambda e: 10.0 ** e)
+    return RegimeSpec.from_name(regime, s=s, t=t, c_b=draw(constants), c_a=draw(constants))
+
+
+@st.composite
+def _spike_cases(draw):
+    """A spec, a radius down to the smallest subnormal, and a horizon up to
+    1e12."""
+    r = draw(st.floats(-323.0, 1.0).map(lambda e: 10.0 ** e) | st.floats(5e-324, 1e-300))
+    return draw(_specs()), r, draw(st.integers(1, 2000) | st.integers(1, 10 ** 12))
+
+
+@st.composite
+def _two_point_cases(draw):
+    """A spec, sigma as test_finite_or_refused draws it or 0, levels with
+    alpha + beta < 1, and a coordinate up to 200 000."""
+    alpha = draw(st.floats(1e-6, 0.45))
+    beta = draw(st.floats(alpha, 0.999 - alpha))
+    sigma = draw(st.just(0.0) | st.floats(-323.0, -0.005).map(lambda e: 10.0 ** e)
+                 | st.floats(-16.0, -1.0).map(lambda e: 1.0 - 10.0 ** e))
+    return draw(_specs()), sigma, alpha, beta, draw(st.integers(1, 2000) | st.integers(1, 200_000))
 
 
 class TestSignal:
@@ -246,6 +316,34 @@ class TestGaussianDraws:
     def test_draw_arguments_that_are_integral_floats_draw_their_integer(self):
         draws = RekeyedDraws(42.0).rows([3.0, 2 ** 63], 1.0, 4.0, [5.0, 2])
         assert draws.tobytes() == RekeyedDraws(42).rows([3, 2 ** 63], 1, 4, [5, 2]).tobytes()
+
+    def test_rows_from_any_start_are_slices_of_the_stream(self):
+        """Rows of unequal widths from each start 0..7, inside a counter and
+        at its first word, are slices of each replication's own draws, bit
+        for bit, and each row is one call for Philox words: the words before
+        a start inside a counter are drawn with the row and dropped."""
+        widths = [0, 1, 3, 4, 5, 17]
+        reps = [9, 2, 2 ** 40, 0, 7, 3]
+        draws = RekeyedDraws(2026)
+
+        class Counting:
+            def __init__(self, bits):
+                self.bits, self.calls = bits, 0
+
+            state = property(lambda self: self.bits.state,
+                             lambda self, value: setattr(self.bits, "state", value))
+
+            def random_raw(self, size):
+                self.calls += 1
+                return self.bits.random_raw(size)
+
+        draws._bits = counting = Counting(draws._bits)
+        for start in range(8):
+            rows = draws.rows(reps, OPERATOR_STREAM, start, widths)
+            for row, rep, width in zip(rows, reps, widths):
+                whole = gaussian_draws(2026, rep, OPERATOR_STREAM, start + width)
+                assert row[:width].tobytes() == whole[start:start + width].tobytes()
+        assert counting.calls == 8 * len(reps)
 
     def test_rekeyed_rows_hold_each_replication(self):
         """Rows of any widths in one call: row i is the replication's own
@@ -509,6 +607,41 @@ class TestTwoPointPair:
         with pytest.raises(InfeasibleConstructionError):
             make_two_point_pair(severe_ordinary, NoiseLevels(0.0, 0.5), 0.05, 0.05, d=20)
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=_two_point_cases())
+    @example(case=(RegimeSpec.from_name("mild-super", s=1.1335, c_a=0.0224), 3.1e-46, 0.05,
+                   0.5, 100_000))
+    @example(case=(RegimeSpec.from_name("mild-super", s=1000.0), 0.0, 0.25, 0.5, 2303))
+    def test_pair_is_exact_or_refused(self, case):
+        """Anywhere in the domain the pair puts 0.5 / a_d at d (exactly where
+        a_d is a float, within 1e-9 relative and two subnormal steps where a_d
+        passes the float range) and shifts it by the relative shift, or the
+        construction is refused with a typed error, and no numpy warning is
+        emitted."""
+        spec, sigma, alpha, beta, d = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                theta0, theta = make_two_point_pair(spec, NoiseLevels(0.0, sigma), alpha, beta, d)
+            except GsmGofError:
+                return
+        assert len(theta0) == len(theta) == d
+        assert not (theta0.coefficients[:-1].any() or theta.coefficients[:-1].any())
+        base = theta.coefficients[-1]
+        weight = _weight_times(spec, d, 1.0)
+        if isinstance(weight, float):
+            assert base == 0.5 / weight
+        else:
+            exact = Decimal(0.5) / weight
+            assert abs(Decimal(base) - exact) <= exact * Decimal("1e-9") + Decimal(1e-323)
+        if sigma == 0.0:
+            assert theta0.coefficients[-1] == base
+        else:
+            shift = two_point_shift_constant(spec, sigma, alpha, beta, d)
+            relative = shift * sigma / b_value(spec, d)
+            assert 0.0 <= relative <= 1.0  # 0 where shift * sigma underflows
+            assert theta0.coefficients[-1] == base + relative * base
+
     def test_d_validation(self, mild_ordinary):
         with pytest.raises(ValueError):
             make_two_point_pair(mild_ordinary, NoiseLevels(0.0, 0.01), 0.05, 0.05, d=0)
@@ -543,19 +676,48 @@ class TestSpike:
     @pytest.mark.parametrize("s", [0.1, 0.25, 1.0])
     @pytest.mark.parametrize("regime", ["mild-ordinary", "mild-super", "severe-ordinary",
                                         "severe-super"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_index_is_the_brute_force_maximum(self, regime, s):
         """spike_index is max{d <= j_max : a_d * r <= 1}, also at radii so
-        small that 1/(c_a*r), or its power, leaves the float range."""
+        small that 1/(c_a*r), or its power, leaves the float range, and past
+        the d where a_d does (e**710 at s = 1 carries a bump of norm 1e-320)."""
         spec = RegimeSpec.from_name(regime, s=s)
         for j_max in (1, 100, 1000):
             for r in (5e-324, 1e-320, 1e-300, 1e-40, 1e-5, 0.01, 0.5, 1.0):
-                admitted = [d for d in range(1, j_max + 1) if a_value(spec, d) * r <= 1.0]
+                admitted = [d for d in range(1, j_max + 1) if _weight_times(spec, d, r) <= 1]
                 if admitted:
                     assert spike_index(spec, r, j_max) == max(admitted), (j_max, r)
                 else:
                     with pytest.raises(InfeasibleRadiusError):
                         spike_index(spec, r, j_max)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_spike_cases())
+    @example(case=(RegimeSpec.from_name("mild-super"), 1e-310, 10_000))
+    def test_index_is_exact_or_refused(self, case):
+        """Anywhere in the domain spike_index returns max{d <= j_max : a_d *
+        r <= 1}, or refuses the radius when d = 1 does not carry it, and
+        emits no numpy warning; a_d may pass the float range first."""
+        spec, r, j_max = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                d = spike_index(spec, r, j_max)
+            except InfeasibleRadiusError:
+                assert _admits(spec, 1, r) is not True
+                return
+        assert 1 <= d <= j_max and _admits(spec, d, r) is not False
+        assert d == j_max or _admits(spec, d + 1, r) is not True
+
+    def test_index_past_where_the_weight_overflows(self, capsys):
+        """e**713 * 1e-310 <= 1 < e**714 * 1e-310, though e**710 is past the
+        float range; power-curve prints that spike_dim, with no warning."""
+        mild_super = RegimeSpec.from_name("mild-super")
+        assert spike_index(mild_super, 1e-310, 10_000) == 713
+        argv = ["power-curve", "--regime", "mild-super", "--radii", "1e-310", "--reps", "100",
+                "--jmax", "2000", "--workers", "1", "--format", "json"]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["rows"][0]["spike_dim"] == 713 and err == ""
 
     def test_infeasible_radius(self, mild_ordinary):
         with pytest.raises(InfeasibleRadiusError):

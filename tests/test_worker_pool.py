@@ -1,7 +1,12 @@
 """The worker processes of `_run_jobs`: how many are forked per call, that
 none outlives the call, on success or on error, and that running chunks in
-them changes no byte and no error."""
+them changes no byte and no error.
 
+Every test here runs at `_FORK_WORK` = 1 (see `cheap_forks`), so that a
+100-replication plan forks as a large one does; the tests of the rule that
+sizes the pool from the work set it back to its default."""
+
+import math
 import os
 import pickle
 import signal
@@ -10,16 +15,26 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gsmgof
-from gsmgof import cli, montecarlo
+from gsmgof import cli, gsm, montecarlo
 from gsmgof.cli import main
 from gsmgof.errors import WorkerError
 from gsmgof.gsm import NoiseLevels, Signal
 from gsmgof.montecarlo import ExperimentPlan, _Job, _run_jobs, estimate_alpha, fit_rate_slope
 from gsmgof.sequences import RegimeSpec
-from gsmgof.testproc import TestConfig
+from gsmgof.testproc import KAPPA_DEFAULT, TestConfig
+
+FORK_WORK = montecarlo._FORK_WORK
+
+
+@pytest.fixture(autouse=True)
+def cheap_forks(monkeypatch):
+    """A fork for any work at all: the mechanics of the pool are tested on
+    small plans."""
+    monkeypatch.setattr(montecarlo, "_FORK_WORK", 1)
 
 _SMALL = ["--jmax", "100", "--reps", "100", "--seed", "5"]
 
@@ -254,7 +269,7 @@ def test_without_fork_every_chunk_runs_in_this_process(monkeypatch, capsys):
 
 
 def _job(fn, *args):
-    return _Job(fn, (os.getpid(), *args), 100, montecarlo._sums)
+    return _Job(fn, (os.getpid(), *args), 100, 100, montecarlo._sums)
 
 
 def _ends_its_process(parent, how, lo, hi):
@@ -354,7 +369,8 @@ def test_a_result_larger_than_a_pipe_buffer_comes_back_whole(workers, deadline):
     def as_bytes(parts):
         return [(column.dtype.str, column.tobytes()) for column in montecarlo._joined(parts)]
 
-    job = _Job(montecarlo._build_radius_cache, (plan,), plan.n_reps, as_bytes)
+    job = _Job(montecarlo._build_radius_cache, (plan,), plan.n_reps,
+               montecarlo._draw_work(plan), as_bytes)
     forked_chunk = montecarlo._chunk_ranges(plan.n_reps, workers)[1]  # runs in worker 1
     assert len(pickle.dumps(montecarlo._build_radius_cache(plan, *forked_chunk))) > 2 ** 16
     assert _run_jobs([job], workers) == _run_jobs([job], 1)
@@ -363,11 +379,13 @@ def test_a_result_larger_than_a_pipe_buffer_comes_back_whole(workers, deadline):
 
 _WRITES_THEN_FORKS = """
 import os, sys
+from gsmgof import montecarlo
 from gsmgof.gsm import NoiseLevels, Signal
 from gsmgof.montecarlo import ExperimentPlan, estimate_alpha
 from gsmgof.sequences import RegimeSpec
 from gsmgof.testproc import TestConfig
 
+montecarlo._FORK_WORK = 1  # a fork for this small plan
 forks = []
 fork = os.fork
 
@@ -396,3 +414,119 @@ def test_no_buffered_output_is_written_twice():
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stderr == f"{min(2, CPUS) - 1} forked"
     assert done.stdout == "written once, before the fork\n"
+
+
+# ---------------------------------------------------------------------------
+# The process count follows the work.  At the default _FORK_WORK a call's
+# jobs fork one process past the first per 8192 rows of draws they make, a
+# row also counting its coordinates at 16 to a row.
+# ---------------------------------------------------------------------------
+
+_BENCH = ["--seed", "12345", "--workers", "2"]
+SEP_RADIUS_BENCH = ["sep-radius", "--regime", "mild-ordinary", "--epsilon", "1e-2",
+                    "--sigma", "1e-2", "--reps", "1000", *_BENCH]
+CALIBRATE_SEVERE_BENCH = ["calibrate", "--regime", "severe-ordinary,severe-super",
+                          "--epsilon", "1e-2,1e-3", "--sigma", "1e-2,1e-4", "--reps", "2000",
+                          *_BENCH]
+
+
+@pytest.mark.parametrize("argv, forked", [(SEP_RADIUS_BENCH, 0), (CALIBRATE_SEVERE_BENCH, 1)],
+                         ids=["sep-radius", "calibrate-severe"])
+def test_the_default_threshold_forks_only_for_large_work(argv, forked, forks_asked,
+                                                          monkeypatch, capsys):
+    """With 2 CPUs at --workers 2, a 1000-replication radius search (2187
+    rows) runs both its chunks in this process, and the 8-cell severe grid
+    (36 000 rows) forks one worker."""
+    monkeypatch.setattr(montecarlo, "_FORK_WORK", FORK_WORK)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    shares = []
+    share = montecarlo._share
+
+    def recording(built, p, procs):
+        shares.append((p, procs, [len(ranges) for _, ranges in built]))
+        return share(built, p, procs)
+
+    monkeypatch.setattr(montecarlo, "_share", recording)
+    assert main(argv) == 0
+    assert forks_asked == [forked]
+    chunks = [2] * len(shares[0][2])
+    assert sorted(shares) == [(p, forked + 1, chunks) for p in range(forked + 1)]
+
+
+def _mild(sigma, n_reps, epsilon=0.01, kappa=KAPPA_DEFAULT, j_max=10_000):
+    return ExperimentPlan(spec=RegimeSpec.from_name("mild-ordinary"),
+                          noise=NoiseLevels(epsilon, sigma),
+                          config=TestConfig(alpha=0.05, beta=0.5, j_max=j_max, kappa=kappa),
+                          theta0=Signal.zeros(), n_reps=n_reps, master_seed=12345)
+
+
+_QUADFORM = montecarlo._quadform_job(10, 0.1, 0.5, 2.0, 100)
+
+
+@pytest.mark.parametrize("job, geometry, work, exact", [
+    # the scan block at 0 (3 coordinates) and the signal row
+    (montecarlo._error_job(_mild(1e-2, 1000)), (0, 3), 1000 * 35 // 16, False),
+    (montecarlo._radius_job(_mild(1e-2, 1000), 0.5, 1e-3, 1.0, 0.05), (0, 3), 1000 * 35 // 16,
+     False),
+    (montecarlo._error_job(_mild(1e-2, 1000, epsilon=0.0)), (0, 3), 1000 * 19 // 16, False),
+    # the block at 131 (3 words before it), the prefix's head and the signal row
+    (montecarlo._error_job(_mild(1e-4, 1500)), (131, 35), 1500 * 102 // 16, False),
+    # no block: the head and the signal row
+    (montecarlo._error_job(_mild(1e-6, 1500)), (None, 0), 4500, False),
+    # the scan block alone
+    (montecarlo._containment_job(_mild(1e-4, 1500)), (131, 35), 1500 * 54 // 16, True),
+    (_QUADFORM, None, 100 * 26 // 16, True),
+], ids=["error", "radius", "error-eps-0", "error-past-prefix", "error-no-block", "containment",
+        "quadform"])
+def test_each_job_states_the_work_it_draws_at_least(job, geometry, work, exact, monkeypatch):
+    """Pinned per job kind, and never more than the rows and sixteenths of
+    a row that running the job draws; exact where every row's width is
+    known before it runs."""
+    if geometry is not None:
+        kernel = montecarlo._Kernel(job.args[0], job.args[0].theta0)
+        assert (kernel.scan_from, kernel.block) == geometry
+    assert job.work == work
+    sixteenths = []
+    words = gsm.RekeyedDraws._words
+
+    def counted(self, reps, stream, start, widths):
+        sixteenths.append(sum(16 + start % 4 + width for width in widths))
+        return words(self, reps, stream, start, widths)
+
+    monkeypatch.setattr(gsm.RekeyedDraws, "_words", counted)
+    job.fn(*job.args, 0, job.n_reps)
+    drawn = sum(sixteenths) // 16
+    assert drawn == work if exact else drawn >= work
+
+
+def test_a_plan_refused_in_its_chunk_is_sized_as_unbounded_work(monkeypatch):
+    """A plan whose scan table is refused counts as unbounded work, so it
+    forks as it did before the rule, and each chunk raises the kernel's own
+    first error, in job order: a theta longer than the horizon before the
+    envelope, the envelope of a failing second job after a good first one."""
+    monkeypatch.setattr(montecarlo, "_FORK_WORK", FORK_WORK)
+    refused = _mild(1e-2, 100, kappa=1e306, j_max=200)
+    assert montecarlo._draw_work(refused) == math.inf
+    too_long = Signal(np.ones(201))
+    envelope = r"^the envelope leaves the float range at kappa=1e\+306, alpha=0.05, from j=3$"
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="^theta does not fit inside the horizon$"):
+            _run_jobs([montecarlo._error_job(refused, too_long),
+                       montecarlo._error_job(refused)], workers)
+        with pytest.raises(ValueError, match=envelope):
+            _run_jobs([montecarlo._error_job(_mild(1e-2, 100, j_max=200)),
+                       montecarlo._error_job(refused)], workers)
+        _no_child_left()
+
+
+@pytest.mark.parametrize("argv, err", [
+    *ERROR_CASES,
+    (["calibrate", "--kappa", "1e306"],
+     "gsm-gof: error: the envelope leaves the float range at kappa=1e+306, alpha=0.05, "
+     "from j=3\n"),
+], ids=["worker-then-plan", "plan-then-worker", "radius", "worker-then-radius", "kappa"])
+def test_the_default_threshold_changes_no_error(argv, err, monkeypatch, capsys):
+    monkeypatch.setattr(montecarlo, "_FORK_WORK", FORK_WORK)
+    for workers in ("1", "2"):
+        assert _run(argv + ["--jmax", "200", "--reps", "100", "--workers", workers],
+                    capsys) == (2, "", err)
