@@ -195,7 +195,10 @@ class RekeyedDraws:
         reps, widths = _words_of("rep", reps), _words_of("width", widths)
         if len(reps) != len(widths):
             raise ValueError(f"reps and widths differ in length: {len(reps)} and {len(widths)}")
-        stream, start = _word("stream", stream, 64), _word("start", start, 66)
+        return self._rows(reps, _word("stream", stream, 64), _word("start", start, 66), widths)
+
+    def _rows(self, reps, stream: int, start: int, widths) -> np.ndarray:
+        """rows on checked arguments."""
         words = self._words(reps, stream, start, widths)
         flat = np.concatenate(words) if words else np.zeros(0, dtype=np.uint64)
         n = max(widths, default=0)
@@ -204,6 +207,45 @@ class RekeyedDraws:
         padded = np.zeros((len(words), n), dtype=np.uint64)
         padded[np.arange(n) < np.array(widths)[:, None]] = flat
         return _gaussian(padded)
+
+
+class _ChunkDraws(RekeyedDraws):
+    """RekeyedDraws that keeps, per stream, a table of draws 0 .. width - 1
+    of every replication in [lo, hi), each row drawn once, at its first
+    request.  A request from start whose rows all lie in [lo, hi) and end by
+    the table's width (start + max(widths) <= width) is sliced from it; its
+    padding is the rows' later draws, finite as every draw is.  Any other
+    request draws as RekeyedDraws does.  The values are RekeyedDraws', bit
+    for bit: a draw depends on its index only, not on the row it is drawn in.
+    """
+
+    def __init__(self, seed: int, lo: int, hi: int, width: int) -> None:
+        super().__init__(seed)
+        self.lo, self.hi, self.width = lo, hi, width
+        self._tables = {}  # stream: (draws, whether each row is drawn)
+
+    def _rows(self, reps, stream: int, start: int, widths) -> np.ndarray:
+        n, index = max(widths, default=0), np.asarray(reps)
+        if not (index.size and index.dtype.kind in "iu" and start + n <= self.width
+                and self.lo <= index.min() and index.max() < self.hi):
+            return super()._rows(reps, stream, start, widths)
+        index = index.astype(np.intp) - self.lo
+        if stream not in self._tables:
+            self._tables[stream] = (np.empty((self.hi - self.lo, self.width)),
+                                    np.zeros(self.hi - self.lo, dtype=bool))
+        table, drawn = self._tables[stream]
+        new = np.zeros(drawn.size, dtype=bool)  # not np.unique: it imports numpy.ma
+        new[index] = ~drawn[index]
+        new = np.flatnonzero(new)
+        if new.size:
+            words = self._words((new + self.lo).tolist(), stream, 0, [self.width] * new.size)
+            table[new] = _gaussian(np.concatenate(words).reshape(new.size, self.width))
+            drawn[new] = True
+        return table[index, start:start + n]
+
+    def clear(self) -> None:
+        """Drop every table (the object may outlive its use in a traceback)."""
+        self._tables.clear()
 
 
 def _word(name: str, value, bits: int) -> int:

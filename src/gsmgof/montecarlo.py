@@ -14,7 +14,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -28,10 +28,21 @@ from .gsm import (
     NoiseLevels,
     RekeyedDraws,
     Signal,
+    _ChunkDraws,
     _word,
     spike_index,
 )
-from .sequences import RegimeSpec, _count, _fsum, a_inv_sq, a_value, b_vector
+from .sequences import (
+    RegimeSpec,
+    _b_vector_cached,
+    _count,
+    _Decay,
+    _decay,
+    _fsum,
+    a_inv_sq,
+    a_value,
+    b_vector,
+)
 from .testproc import (
     TestConfig,
     _check_kappa,
@@ -137,16 +148,21 @@ def _chunk_ranges(n_reps: int, workers: int) -> list[tuple[int, int]]:
 class _Job(NamedTuple):
     """fn(*args, lo, hi) over the chunk ranges of range(n_reps); finish makes
     the job's result of the chunk results, given in chunk order.  work: the
-    rows of draws its replications make at least, and 1 per 16 coordinates."""
+    rows of draws its replications make at least, and 1 per 16 coordinates.
+    draws: (seed, width) where fn reads the Gaussian rows of master seed
+    `seed`, most of them within columns [0, width), and takes a draw source
+    as one more argument, fn(*args, lo, hi, draws) (see _share); else None."""
 
     fn: Callable
     args: tuple
     n_reps: int
     work: float
     finish: Callable[[list], Any]
+    draws: tuple[int, int] | None = None
 
 
 _FORK_WORK = 8192  # work (see _Job) per process past the first; less pays no fork (README)
+_TABLE_CAP = 2 ** 18  # elements of a chunk's draw table per stream; a larger chunk has none
 
 
 def _sums(parts: list) -> tuple:
@@ -154,17 +170,43 @@ def _sums(parts: list) -> tuple:
     return tuple(int(sum(col)) for col in zip(*parts))
 
 
+def _tables(built: list, p: int, procs: int) -> dict:
+    """A draw table (gsm._ChunkDraws) for each (seed, lo, hi) that two or
+    more jobs of the share run: columns [0, W) of the rows of reps [lo, hi),
+    W the widest of those jobs' widths (see _Job), at most _FIRST_BLOCK, and
+    none where (hi - lo) * W exceeds _TABLE_CAP."""
+    widths = {}
+    for job, ranges in built:
+        if job.draws is not None:
+            seed, width = job.draws
+            for lo, hi in ranges[p::procs]:
+                widths.setdefault((seed, lo, hi), []).append(width)
+    tables = {}
+    for (seed, lo, hi), listed in widths.items():
+        width = min(max(listed), _FIRST_BLOCK)
+        if len(listed) > 1 and (hi - lo) * width <= _TABLE_CAP:
+            tables[seed, lo, hi] = _ChunkDraws(seed, lo, hi, width)
+    return tables
+
+
 def _share(built: list, p: int, procs: int) -> tuple[list, Exception | None]:
     """Chunks p, p + procs, p + 2 procs, ... of every built (job, ranges), run
     in job and chunk order up to the first that raises: their results, and
-    that error or None."""
-    parts = []
+    that error or None.  The jobs that run one chunk read its rows from one
+    draw table (see _tables), dropped when this returns."""
+    parts, tables = [], _tables(built, p, procs)
     try:
         for job, ranges in built:
+            seed = None if job.draws is None else job.draws[0]
             for lo, hi in ranges[p::procs]:
-                parts.append(job.fn(*job.args, lo, hi))
+                table = tables.get((seed, lo, hi))
+                parts.append(job.fn(*job.args, lo, hi) if table is None else
+                             job.fn(*job.args, lo, hi, table))
     except Exception as exc:
         return parts, exc
+    finally:
+        for table in tables.values():
+            table.clear()
     return parts, None
 
 
@@ -318,23 +360,42 @@ def _joined(parts: Sequence[_Outcomes]) -> _Outcomes:
     return _Outcomes(*map(np.concatenate, zip(*parts)))
 
 
-def _scan(plan: ExperimentPlan) -> tuple:
-    """Where the kernel draws plan's scans, from the cached b vector and scan
-    table: (sigma * envelope, start, end, scan_from, block, prefix).  The
-    block starts at 0 if start falls in the first 64 coordinates, at start
-    past them; scan_from None: nothing below the horizon triggers.  It holds
-    `block` coordinates, up to `end` or the horizon (none when scan_from is
-    None); prefix is the objective's columns that every row runs."""
-    config, sigma, j_max = plan.config, plan.noise.sigma, plan.config.j_max
-    b = b_vector(plan.spec, j_max)
-    envelope = sigma * _scan_table(config.alpha, config.kappa, j_max)
+class _Scan(NamedTuple):
+    """Where the kernel draws a plan's scans.  The block starts at 0 if
+    start falls in the first 64 coordinates, at start past them; scan_from
+    None: nothing below the horizon triggers.  It holds `block` coordinates,
+    up to `end` or the horizon (none when scan_from is None).  prefix: the
+    objective's columns that every row runs; head: the columns of x from 0
+    that every row draws, the block where it starts at 0, else the prefix."""
+
+    start: int
+    end: int
+    scan_from: int | None
+    block: int
+    prefix: int
+    head: int
+
+
+def _scan(plan: ExperimentPlan) -> _Scan:
+    """plan's scan geometry, computed once per (decay, sigma, alpha, kappa,
+    j_max); a plan refused here raises each time it is asked."""
+    config = plan.config
+    return _geometry(_decay(plan.spec), plan.noise.sigma, config.alpha, config.kappa,
+                     config.j_max)
+
+
+@lru_cache(maxsize=1024)
+def _geometry(decay: _Decay, sigma: float, alpha: float, kappa: float, j_max: int) -> _Scan:
+    b = _b_vector_cached(decay, j_max)
+    envelope = sigma * _scan_table(alpha, kappa, j_max)
     reach = np.flatnonzero(b <= envelope + sigma * DRAW_BOUND)
     start = int(reach[0]) if reach.size else j_max
     inside = np.flatnonzero(b <= envelope - sigma * DRAW_BOUND)
     end = int(inside[0]) if inside.size else j_max
     scan_from = None if start >= j_max else 0 if start < _FIRST_BLOCK else start
     block = min(end + 1, j_max) - (j_max if scan_from is None else scan_from)
-    return envelope, start, end, scan_from, block, min(_PREFIX, j_max)
+    prefix = min(_PREFIX, j_max)
+    return _Scan(start, end, scan_from, block, prefix, block if scan_from == 0 else prefix)
 
 
 def _draw_work(plan: ExperimentPlan, scan_only: bool = False) -> float:
@@ -344,13 +405,24 @@ def _draw_work(plan: ExperimentPlan, scan_only: bool = False) -> float:
     before the scan) where epsilon > 0.  A plan refused here is unbounded
     work, refused by the kernel in its chunk."""
     try:
-        _, _, _, scan_from, block, prefix = _scan(plan)
+        _, _, scan_from, block, prefix, _ = _scan(plan)
     except (ValueError, MemoryError):  # an envelope past the float range, a vast horizon
         return math.inf
     sixteenths = 0 if scan_from is None else 16 + scan_from % 4 + block
     if not scan_only:
         sixteenths += (0 if scan_from == 0 else 16 + prefix) + 16 * (plan.noise.epsilon > 0.0)
     return plan.n_reps * sixteenths // 16
+
+
+def _kernel_job(fn: Callable, args: tuple, plan: ExperimentPlan,
+                finish: Callable[[list], Any]) -> _Job:
+    """A job whose chunks run plan's kernel: fn(*args, lo, hi[, draws]).
+    Most rows it draws lie within the head (see _Scan): x's head is drawn
+    for every replication, and a window decided from it lies inside it.  A
+    plan whose geometry is refused (unbounded work) reads no shared rows."""
+    work = _draw_work(plan)
+    draws = None if work == math.inf else (plan.master_seed, _scan(plan).head)
+    return _Job(fn, args, plan.n_reps, work, finish, draws)
 
 
 class _Kernel:
@@ -389,10 +461,13 @@ class _Kernel:
     of a group at once, and the signal stream up to the window.  The streams
     are counter-based, so these are slices of simulate's draws, and every
     step works element by element (numpy's power included) or sums one row
-    in index order, so every value is the reference path's.
+    in index order, so every value is the reference path's.  The rows come
+    from draws: a chunk's table shared by the jobs of one _run_jobs call (see
+    _share), else a RekeyedDraws of the kernel's own.
     """
 
-    def __init__(self, plan: ExperimentPlan, theta: Signal) -> None:
+    def __init__(self, plan: ExperimentPlan, theta: Signal,
+                 draws: RekeyedDraws | None = None) -> None:
         self.plan = plan
         config = plan.config
         self.j_max = j_max = config.j_max
@@ -405,15 +480,17 @@ class _Kernel:
         if not np.isfinite(self.bt).all():
             raise ValueError("y must be finite")
         self.theta0 = plan.theta0.padded(max(j_max, len(plan.theta0)))
-        self.envelope, self.start, self.end, self.scan_from, self.block, self.prefix = _scan(plan)
-        self.draws = RekeyedDraws(plan.master_seed)
+        self.start, self.end, self.scan_from, self.block, self.prefix, head = _scan(plan)
+        if self.scan_from is not None:
+            self.envelope = self.sigma * _scan_table(config.alpha, config.kappa, j_max)[
+                self.scan_from:self.scan_from + self.block]
+        self.draws = RekeyedDraws(plan.master_seed) if draws is None else draws
         # The rows of a group: its widest matrix is the block, or the head of
         # the objective's prefix when the block does not start at 0.  Where a
         # scan can reach the horizon (or no block is drawn), a window may read
         # x up to it, and the group keeps it with its outcomes: it has at most
         # the rows of a 64-coordinate matrix.  A block wider than _CAP is
         # drawn a row at a time.
-        head = self.block if self.scan_from == 0 else self.prefix
         widest = max(self.block, head, _FIRST_BLOCK if self.end == j_max else 0)
         self.group_rows = max(1, _CAP // widest)
         # tail_dim: the dimension past the prefix with the smallest bias; None
@@ -453,7 +530,7 @@ class _Kernel:
         if lo is None:
             return None, np.full(len(reps), self.j_max)
         block = self._operator(reps, lo, [self.block] * len(reps))
-        hits = np.abs(block) <= self.envelope[lo:lo + self.block]
+        hits = np.abs(block) <= self.envelope
         return block, np.where(hits.any(axis=1), hits.argmax(axis=1) + lo, self.j_max)
 
     def group(self, reps: range) -> _Outcomes:
@@ -575,21 +652,23 @@ class _Kernel:
         return d + 1, objective[np.arange(d.size), d], sums[:, -1]
 
 
-def _replications(plan: ExperimentPlan, theta: Signal, lo: int, hi: int):
+def _replications(plan: ExperimentPlan, theta: Signal, lo: int, hi: int,
+                  draws: RekeyedDraws | None = None):
     """The outcomes of run_test(simulate(theta, ..., rep=rep), plan.theta0,
     ...) over rep in [lo, hi), one _Outcomes per row group of the kernel, in
-    order.  The error raised is the first one that loop meets, as it raises
-    it, from the row group where it meets it (a theta the kernel refuses,
-    before the first)."""
-    kernel = _Kernel(plan, theta)
+    order, its rows drawn by draws (see _Kernel).  The error raised is the
+    first one that loop meets, as it raises it, from the row group where it
+    meets it (a theta the kernel refuses, before the first)."""
+    kernel = _Kernel(plan, theta, draws)
     yield from map(kernel.group, _row_groups(lo, hi, kernel.group_rows))
 
 
-def _reject_counts(plan: ExperimentPlan, theta: Signal, lo: int, hi: int) -> tuple[int, int]:
+def _reject_counts(plan: ExperimentPlan, theta: Signal, lo: int, hi: int,
+                   draws: RekeyedDraws | None = None) -> tuple[int, int]:
     """(rejections, degenerate replications) over reps in [lo, hi)."""
     n_reject = 0
     n_degenerate = 0
-    for outcomes in _replications(plan, theta, lo, hi):
+    for outcomes in _replications(plan, theta, lo, hi, draws):
         n_reject += np.count_nonzero(outcomes.statistic > outcomes.threshold)
         n_degenerate += np.count_nonzero(outcomes.width == 0)
     return n_reject, n_degenerate
@@ -608,7 +687,7 @@ def _error_job(plan: ExperimentPlan, theta: Signal | None = None) -> _Job:
         return ErrorEstimate.from_counts(count, plan.n_reps, n_degen)
 
     data = plan.theta0 if theta is None else theta
-    return _Job(_reject_counts, (plan, data), plan.n_reps, _draw_work(plan), finish)
+    return _kernel_job(_reject_counts, (plan, data), plan, finish)
 
 
 def estimate_alpha(plan: ExperimentPlan, workers: int = 1) -> ErrorEstimate:
@@ -630,12 +709,13 @@ def estimate_beta(plan: ExperimentPlan, theta: Signal, workers: int = 1) -> Erro
 # ---------------------------------------------------------------------------
 
 
-def _build_radius_cache(plan: ExperimentPlan, lo: int, hi: int) -> _Outcomes:
+def _build_radius_cache(plan: ExperimentPlan, lo: int, hi: int,
+                        draws: RekeyedDraws | None = None) -> _Outcomes:
     """The outcomes of replications [lo, hi) under the null, as one run: a
     spike radius changes only the spiked coordinate of y, and the bandwidth,
     selected dimension and threshold depend on x only, so they are all the
     replications need to be decided again at any radius (see _rejections)."""
-    return _joined(list(_replications(plan, plan.theta0, lo, hi)))
+    return _joined(list(_replications(plan, plan.theta0, lo, hi, draws)))
 
 
 def _rejections(cache: _Outcomes, plan: ExperimentPlan, r: float) -> np.ndarray:
@@ -748,7 +828,7 @@ def _radius_job(plan: ExperimentPlan, beta_target: float, r_lo: float, r_hi: flo
     def finish(parts: list) -> float:
         return _bisect(_joined(parts), plan, beta_target, r_lo, r_hi, tol)
 
-    return _Job(_build_radius_cache, (plan,), plan.n_reps, _draw_work(plan), finish)
+    return _kernel_job(_build_radius_cache, (plan,), plan, finish)
 
 
 def empirical_separation_radius(plan: ExperimentPlan, beta_target: float,

@@ -42,7 +42,7 @@ from gsmgof import (
     window_mass,
 )
 from gsmgof import cli
-from gsmgof.gsm import DRAW_BOUND, _gaussian, _ndtri
+from gsmgof.gsm import DRAW_BOUND, _ChunkDraws, _gaussian, _ndtri
 
 
 def _weight_times(spec, d, r):
@@ -380,6 +380,80 @@ class TestGaussianDraws:
                                                      endpoint=False)
         for sample in (edges, words):
             assert _gaussian(sample).tobytes() == unclamped(sample).tobytes()
+
+
+@st.composite
+def _table_requests(draw):
+    """A chunk [lo, hi), a table width up to 64, and a sequence of requests:
+    sorted subsets of the chunk's reps (now and then one rep outside it),
+    streams 1 to 3, starts 0 to 70 and widths from 0 to past 64."""
+    lo = draw(st.integers(0, 2 ** 40) | st.integers(0, 20))
+    hi = lo + draw(st.integers(1, 40))
+    reps = st.integers(lo, hi - 1) | st.integers(max(lo - 2, 0), hi + 1)
+    requests = []
+    for _ in range(draw(st.integers(1, 8))):
+        rows = sorted(draw(st.sets(reps, min_size=1, max_size=hi - lo + 2)))
+        top = draw(st.sampled_from([0, 1, 4, 16, 63, 64, 80]))
+        widths = draw(st.lists(st.integers(0, top), min_size=len(rows), max_size=len(rows)))
+        requests.append((rows, draw(st.integers(1, 3)), draw(st.integers(0, 70)), widths))
+    return lo, hi, draw(st.integers(1, 64)), requests
+
+
+class TestChunkDraws:
+    """A chunk's table of draws serves the rows RekeyedDraws draws, bit for
+    bit, each row drawn once."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_table_requests(), seed=st.integers(0, 2 ** 128 - 1))
+    def test_every_row_is_rekeyed_draws_row(self, case, seed):
+        lo, hi, width, requests = case
+        table, rekeyed = _ChunkDraws(seed, lo, hi, width), RekeyedDraws(seed)
+        for reps, stream, start, widths in requests:
+            rows = table.rows(reps, stream, start, widths)
+            expected = rekeyed.rows(reps, stream, start, widths)
+            assert rows.shape == expected.shape
+            assert np.isfinite(rows).all()
+            for row, want, w in zip(rows, expected, widths):
+                assert row[:w].tobytes() == want[:w].tobytes()
+
+    def test_each_row_is_drawn_once(self, monkeypatch):
+        """A row is drawn at its first request, the table's full width; a
+        request that fits the table draws no row it holds, and one past its
+        width draws as RekeyedDraws does."""
+        calls = []
+        words = RekeyedDraws._words
+
+        def counted(self, reps, stream, start, widths):
+            calls.append((list(reps), stream, start, list(widths)))
+            return words(self, reps, stream, start, widths)
+
+        monkeypatch.setattr(RekeyedDraws, "_words", counted)
+        table = _ChunkDraws(7, 10, 20, 6)
+        table.rows(range(10, 14), OPERATOR_STREAM, 0, [2] * 4)
+        table.rows([11, 12, 15], OPERATOR_STREAM, 1, [5, 0, 3])
+        table.rows(range(10, 20), OPERATOR_STREAM, 0, [6] * 10)
+        table.rows([12, 13], SIGNAL_STREAM, 0, [4, 1])
+        assert calls == [([10, 11, 12, 13], OPERATOR_STREAM, 0, [6] * 4),
+                         ([15], OPERATOR_STREAM, 0, [6]),
+                         ([14, 16, 17, 18, 19], OPERATOR_STREAM, 0, [6] * 5),
+                         ([12, 13], SIGNAL_STREAM, 0, [6, 6])]
+        calls.clear()
+        table.rows([12, 13], OPERATOR_STREAM, 4, [3, 1])  # past the width
+        table.rows([9, 12], OPERATOR_STREAM, 0, [3, 1])  # a rep outside the chunk
+        assert calls == [([12, 13], OPERATOR_STREAM, 4, [3, 1]),
+                         ([9, 12], OPERATOR_STREAM, 0, [3, 1])]
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda table: table.rows([10, 1.5], 1, 0, [3, 3]), "rep must be an integer, got 1.5"),
+        (lambda table: table.rows([10], 1, -4, [3]), "start must lie in [0, 2**66), got -4"),
+        (lambda table: table.rows([10], 2 ** 64, 0, [3]), "stream must lie in [0, 2**64)"),
+        (lambda table: table.rows([10, 11], 1, 0, [3, -1]), "width must lie in [0, 2**64)"),
+        (lambda table: table.rows([10, 11], 1, 0, [3]), "reps and widths differ in length"),
+    ], ids=["rep", "start", "stream", "width", "lengths"])
+    def test_arguments_are_checked_as_rekeyed_draws_checks_them(self, call, message):
+        with pytest.raises(ValueError) as raised:
+            call(_ChunkDraws(7, 10, 20, 6))
+        assert str(raised.value).startswith(message)
 
 
 def clamped_uniforms(top_bits):

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1006,6 +1008,141 @@ class TestFastPath:
         assert len(serial) == 17
         assert serial[-1] == "ValueError: the statistic over the first 4 coefficients is not finite"
         assert_batch_matches_serial(plan, target, 5, 300)
+
+
+def count_rows(monkeypatch):
+    """A Counter that gets each `_words` row by (rep, stream), and one of
+    the words drawn by stream."""
+    rows, words = Counter(), Counter()
+    real = gsm.RekeyedDraws._words
+
+    def counted(self, reps, stream, start, widths):
+        rows.update((rep, stream) for rep in reps)
+        words.update({stream: sum(widths)})
+        return real(self, reps, stream, start, widths)
+
+    monkeypatch.setattr(gsm.RekeyedDraws, "_words", counted)
+    return rows, words
+
+
+def grid_caches(plans, workers):
+    """The radius cache of each plan, from one _run_jobs call."""
+    return montecarlo._run_jobs([montecarlo._kernel_job(_build_radius_cache, (plan,), plan,
+                                                        _joined) for plan in plans], workers)
+
+
+def same_bytes(a, b):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a, b, strict=True))
+
+
+class TestSharedDraws:
+    """The jobs of one _run_jobs call that run a chunk of one seed read its
+    Gaussian rows from one table: each row is drawn once for the grid, every
+    byte and error is each job's alone, and no table outlives the call."""
+
+    def test_a_grid_draws_each_row_once(self, monkeypatch, capsys):
+        """The 8 cells of calibrate-severe draw 24 000 rows one job at a
+        time, and one row per replication and stream in one call."""
+        rows, _ = count_rows(monkeypatch)
+        argv = [*WORKLOAD_ARGV["calibrate-severe"], "--seed", "12345", "--workers", "1"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert rows == Counter({(rep, stream): 1 for rep in range(2000)
+                                for stream in (SIGNAL_STREAM, OPERATOR_STREAM)})
+
+    def test_a_single_job_draws_as_it_did(self, monkeypatch, capsys):
+        """sep-radius runs one job, which builds no table: its rows and words
+        are pinned."""
+        made = []
+        monkeypatch.setattr(montecarlo, "_ChunkDraws", lambda *args: made.append(args))
+        rows, words = count_rows(monkeypatch)
+        argv = [*WORKLOAD_ARGV["sep-radius"], "--seed", "12345", "--workers", "1"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert not made
+        assert rows == Counter({(rep, stream): 1 for rep in range(1000)
+                                for stream in (SIGNAL_STREAM, OPERATOR_STREAM)})
+        assert words == {OPERATOR_STREAM: 3000, SIGNAL_STREAM: 1949}
+
+    @settings(max_examples=25, deadline=None)
+    @given(cells=st.lists(st.tuples(st.sampled_from(REGIMES),
+                                    st.sampled_from([0.0, 1e-3, 1e-2, 0.3]),
+                                    st.floats(-7.0, -0.05).map(lambda e: 10.0 ** e),
+                                    st.none() | st.integers(1, 80)), min_size=2, max_size=4),
+           j_max=st.integers(1, 300), seed=st.integers(0, 96), workers=st.sampled_from([1, 2]))
+    def test_a_grid_gives_each_cell_its_outcomes_alone(self, cells, j_max, seed, workers):
+        plans = [make_plan(spec=RegimeSpec.from_name(regime), epsilon=epsilon, sigma=sigma,
+                           j_max=j_max, dimension=dimension, seed=seed)
+                 for regime, epsilon, sigma, dimension in cells]
+        for plan, outcomes in zip(plans, grid_caches(plans, workers)):
+            assert same_bytes(outcomes, _build_radius_cache(plan, 0, plan.n_reps))
+
+    @pytest.mark.parametrize("stream", [SIGNAL_STREAM, OPERATOR_STREAM],
+                             ids=["signal", "operator"])
+    def test_no_table_outlives_its_grid(self, monkeypatch, stream):
+        """Right after a grid of one seed, a grid of that seed with the
+        all-ones word planted as the first draw of one stream of replication
+        20 reads the planted word: its outcomes are the serial loop's."""
+        plan = make_plan()
+        grid_caches([plan, plan], 1)
+        real = gsm.RekeyedDraws._words
+        planted = []
+
+        def words(self, reps, tag, start, widths):
+            out = real(self, reps, tag, start, widths)
+            for rep, row in zip(reps, out):
+                if (rep, tag, start) == (20, stream, 0) and row.size:
+                    row[0] = 2 ** 64 - 1
+                    planted.append(row.size)
+            return out
+
+        monkeypatch.setattr(gsm.RekeyedDraws, "_words", words)
+        serial = serial_outcomes(plan, plan.theta0, 0, plan.n_reps)
+        planted.clear()
+        for outcomes in grid_caches([plan, plan], 1):
+            assert [repr((report, x.tobytes(), y.tobytes(), eps_xi.tobytes()))
+                    for report, x, y, eps_xi in reports(outcomes, plan.config.j_max)] == serial
+        assert planted == [montecarlo._scan(plan).head]  # once for both jobs, the table's width
+
+    def test_tables_are_dropped_when_the_share_returns(self, monkeypatch):
+        """On success and on error; a call of one job builds none."""
+        made = []
+
+        class Recorded(gsm._ChunkDraws):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(montecarlo, "_ChunkDraws", Recorded)
+        plan = make_plan(sigma=0.023, j_max=50, n_reps=300)
+        estimate_alpha(plan, workers=2)
+        assert made == []
+        montecarlo._run_jobs([montecarlo._error_job(plan)] * 2, 2)
+        assert [(table.lo, table.hi) for table in made] == [(0, 150), (150, 300)]
+        assert all(table._tables == {} for table in made)
+        made.clear()
+        overflow = make_plan(epsilon=1.3e154, sigma=0.023, j_max=50, n_reps=300)
+        with pytest.raises(ValueError, match="the threshold is not finite"):
+            montecarlo._run_jobs([montecarlo._error_job(plan), montecarlo._error_job(overflow)], 1)
+        assert len(made) == 1 and made[0]._tables == {}
+
+    def test_the_scan_geometry_is_computed_once_per_distinct_plan(self, capsys):
+        """calibrate-severe's 8 cells share one decay (severe-ordinary and
+        severe-super differ in growth only) and have 2 sigmas."""
+        montecarlo._geometry.cache_clear()
+        argv = [*WORKLOAD_ARGV["calibrate-severe"], "--seed", "12345", "--workers", "1"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert montecarlo._geometry.cache_info().misses == 2
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("workload", ["calibrate-mild", "calibrate-severe", "sep-radius"])
+    def test_benchmark_workloads_print_their_reference_bytes(self, workload, workers, capsys):
+        """Each simulating benchmark workload prints, in process, the bytes
+        the benchmark compares its runs with."""
+        reference = Path(__file__).parents[1] / "perfbench" / "reference" / f"{workload}.csv"
+        assert cli.main([*WORKLOAD_ARGV[workload], "--seed", "12345", "--workers", workers]) == 0
+        assert capsys.readouterr().out.encode() == reference.read_bytes()
 
 
 def _two_point_null():

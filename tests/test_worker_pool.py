@@ -184,6 +184,33 @@ def test_the_first_error_in_cell_order_is_reported(argv, err, workers, forks, ca
     assert len(forks) <= 1 and sum(forks) <= min(workers, CPUS) - 1
 
 
+def _cell(epsilon):
+    return ExperimentPlan(spec=RegimeSpec.from_name("mild-ordinary"),
+                          noise=NoiseLevels(epsilon, 0.023),
+                          config=TestConfig(alpha=0.05, beta=0.5, j_max=50),
+                          theta0=Signal.zeros(), n_reps=300, master_seed=0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_grid_sharing_its_draws_raises_the_first_error_of_a_serial_loop(workers,
+                                                                          monkeypatch):
+    """The cells of one seed share each chunk's draw table.  The middle
+    cell's threshold overflows once the first cell has run on the table, and
+    the error raised is the one estimate_alpha raises on that cell alone."""
+    made = []
+    table = montecarlo._ChunkDraws
+    monkeypatch.setattr(montecarlo, "_ChunkDraws",
+                        lambda *args: made.append(args) or table(*args))
+    with pytest.raises(ValueError, match="the threshold is not finite") as alone:
+        estimate_alpha(_cell(1.3e154))
+    jobs = [montecarlo._error_job(_cell(epsilon)) for epsilon in (0.01, 1.3e154, 0.02)]
+    with pytest.raises(ValueError) as grid:
+        _run_jobs(jobs, workers)
+    _no_child_left()
+    assert str(grid.value) == str(alone.value)
+    assert made[0] == (0, 0, 300 // workers, 2)  # seed, lo, hi, the 2-column scan block
+
+
 def _plan(n_reps=100):
     return ExperimentPlan(spec=RegimeSpec.from_name("mild-ordinary"),
                           noise=NoiseLevels(0.01, 0.01),
