@@ -175,13 +175,13 @@ class RekeyedDraws:
         state.update(state={"counter": self._counter, "key": state["state"]["key"].tolist()},
                      buffer=state["buffer"].tolist())
 
-    def _words(self, reps, stream: int, start: int, widths) -> list:
+    def _words(self, reps: np.ndarray, stream: int, start: int, widths: np.ndarray) -> list:
         """The raw words of rows (see rows), one array each; a row starting
         inside a counter draws the words before it in its call and drops them."""
         block, skip = divmod(start, 4)
         counter, bits, state, rows = self._counter, self._bits, self._state, []
         counter[0], counter[3] = block, stream
-        for rep, width in zip(reps, widths):
+        for rep, width in zip(reps.tolist(), widths.tolist()):
             counter[2] = rep
             bits.state = state
             rows.append(bits.random_raw(skip + width)[skip:] if skip else bits.random_raw(width))
@@ -197,15 +197,15 @@ class RekeyedDraws:
             raise ValueError(f"reps and widths differ in length: {len(reps)} and {len(widths)}")
         return self._rows(reps, _word("stream", stream, 64), _word("start", start, 66), widths)
 
-    def _rows(self, reps, stream: int, start: int, widths) -> np.ndarray:
-        """rows on checked arguments."""
+    def _rows(self, reps: np.ndarray, stream: int, start: int, widths: np.ndarray) -> np.ndarray:
+        """rows on checked arguments, as arrays."""
         words = self._words(reps, stream, start, widths)
         flat = np.concatenate(words) if words else np.zeros(0, dtype=np.uint64)
-        n = max(widths, default=0)
+        n = int(widths.max(initial=0))
         if n * len(words) == flat.size:  # equal widths
             return _gaussian(flat.reshape(len(words), n))
         padded = np.zeros((len(words), n), dtype=np.uint64)
-        padded[np.arange(n) < np.array(widths)[:, None]] = flat
+        padded[np.arange(n) < widths[:, None]] = flat
         return _gaussian(padded)
 
 
@@ -224,12 +224,12 @@ class _ChunkDraws(RekeyedDraws):
         self.lo, self.hi, self.width = lo, hi, width
         self._tables = {}  # stream: (draws, whether each row is drawn)
 
-    def _rows(self, reps, stream: int, start: int, widths) -> np.ndarray:
-        n, index = max(widths, default=0), np.asarray(reps)
-        if not (index.size and index.dtype.kind in "iu" and start + n <= self.width
-                and self.lo <= index.min() and index.max() < self.hi):
+    def _rows(self, reps: np.ndarray, stream: int, start: int, widths: np.ndarray) -> np.ndarray:
+        n = int(widths.max(initial=0))
+        if not (reps.size and start + n <= self.width
+                and self.lo <= reps.min() and reps.max() < self.hi):
             return super()._rows(reps, stream, start, widths)
-        index = index.astype(np.intp) - self.lo
+        index = reps.astype(np.intp) - self.lo
         if stream not in self._tables:
             self._tables[stream] = (np.empty((self.hi - self.lo, self.width)),
                                     np.zeros(self.hi - self.lo, dtype=bool))
@@ -238,7 +238,7 @@ class _ChunkDraws(RekeyedDraws):
         new[index] = ~drawn[index]
         new = np.flatnonzero(new)
         if new.size:
-            words = self._words((new + self.lo).tolist(), stream, 0, [self.width] * new.size)
+            words = self._words(new + self.lo, stream, 0, np.full(new.size, self.width))
             table[new] = _gaussian(np.concatenate(words).reshape(new.size, self.width))
             drawn[new] = True
         return table[index, start:start + n]
@@ -258,13 +258,14 @@ def _word(name: str, value, bits: int) -> int:
     return number
 
 
-def _words_of(name: str, values):
-    """values, each one an int in [0, 2**64): checked in one numpy pass when
-    numpy reads them as nonnegative integers, else one by one by _word."""
+def _words_of(name: str, values) -> np.ndarray:
+    """values as an integer array, each one in [0, 2**64): checked in one
+    numpy pass when numpy reads them as nonnegative integers, else one by one
+    by _word."""
     array = np.asarray(values)
     if array.dtype.kind in "iu" and not (array.size and array.min() < 0):
-        return values
-    return [_word(name, value, 64) for value in values]
+        return array
+    return np.array([_word(name, value, 64) for value in values], dtype=np.uint64)
 
 
 def gaussian_draws(seed: int, rep: int, stream: int, n: int) -> np.ndarray:

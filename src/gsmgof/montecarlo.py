@@ -39,12 +39,16 @@ from .sequences import (
     _Decay,
     _decay,
     _fsum,
+    _Growth,
+    _growth,
+    _window_sums,
     a_inv_sq,
     a_value,
     b_vector,
 )
 from .testproc import (
     TestConfig,
+    _bias,
     _check_kappa,
     _check_unit,
     _objective,
@@ -328,9 +332,9 @@ _PREFIX = 16  # columns of the dimension objective run for every row
 
 
 def _row_groups(lo: int, hi: int, rows: int):
-    """range(lo, hi) in consecutive pieces of at most `rows`."""
+    """lo .. hi - 1 in consecutive index arrays of at most `rows`."""
     for start in range(lo, hi, rows):
-        yield range(start, min(start + rows, hi))
+        yield np.arange(start, min(start + rows, hi))
 
 
 class _Outcomes(NamedTuple):
@@ -398,6 +402,17 @@ def _geometry(decay: _Decay, sigma: float, alpha: float, kappa: float, j_max: in
     return _Scan(start, end, scan_from, block, prefix, block if scan_from == 0 else prefix)
 
 
+@lru_cache(maxsize=1024)
+def _tail_dim(growth: _Growth, sigma: float, alpha: float, j_max: int) -> int:
+    """The dimension past the objective's prefix with the smallest bias (the
+    first such), computed once per key.  With a positive, finite deviation
+    weight the objective of zero sums is its bias, 0 * weight + bias, so
+    this is the argmin the kernel would find there; a key refused here
+    raises each time it is asked."""
+    prefix = min(_PREFIX, j_max)
+    return prefix + 1 + int(_bias(growth, np.arange(prefix + 1, j_max + 1), sigma, alpha).argmin())
+
+
 def _draw_work(plan: ExperimentPlan, scan_only: bool = False) -> float:
     """The work (see _Job) of the kernel's replications: each draws its scan
     block after scan_from % 4 dropped words, and unless scan_only the head
@@ -454,16 +469,27 @@ class _Kernel:
       at least 16 + sqrt(2 ln 10) for kappa > e and alpha < 1.
     - the dimension objective's certain argmin: it runs over the first
       _PREFIX coordinates, and a row whose longer objective cannot beat the
-      minimum found there is decided from them (see _windows).
+      minimum found there is decided from them (see _windows).  The
+      dimension past the prefix with the smallest bias is computed once per
+      growth, sigma, level and horizon (_tail_dim).
 
     Besides those, x is drawn up to the bandwidth where the argmin is not
     certain (or up to a fixed dimension past the prefix), for all such rows
     of a group at once, and the signal stream up to the window.  The streams
     are counter-based, so these are slices of simulate's draws, and every
-    step works element by element (numpy's power included) or sums one row
-    in index order, so every value is the reference path's.  The rows come
-    from draws: a chunk's table shared by the jobs of one _run_jobs call (see
-    _share), else a RekeyedDraws of the kernel's own.
+    step works element by element (numpy's power included), sums one row
+    in index order or sums as math.fsum does, so every value is the
+    reference path's.  The rows come from draws: a chunk's table shared by
+    the jobs of one _run_jobs call (see _share), else a RekeyedDraws of the
+    kernel's own.
+
+    One more certificate replaces a Python loop: the math.fsum of each
+    window's statistic terms, x**-2 and x**-4 is taken for a whole row group
+    at once, by a cascade of TwoSums whose result is proven to be fsum's
+    correctly rounded sum (sequences._window_sums).  A window it leaves open
+    (wider than 64, with a value that is not finite or near the top of the
+    float range, or a sum too close to a rounding boundary) is summed by
+    math.fsum, as the reference path sums it.
     """
 
     def __init__(self, plan: ExperimentPlan, theta: Signal,
@@ -500,9 +526,8 @@ class _Kernel:
         self.tail_dim = None
         if (config.dimension is None and self.prefix < j_max
                 and 0.0 < _objective_weight(self.eps, config.alpha, config.beta) < math.inf):
-            bias = self.objective(np.zeros(j_max - self.prefix),
-                                  np.arange(self.prefix + 1, j_max + 1))
-            self.tail_dim = np.array([self.prefix + 1 + int(bias.argmin())])
+            self.tail_dim = np.array([_tail_dim(_growth(plan.spec), self.sigma, config.alpha,
+                                                j_max)])
 
     def _operator(self, reps, start: int, widths) -> np.ndarray:
         """x[start:start + widths[i]] of reps[i] as row i, padded as
@@ -518,7 +543,7 @@ class _Kernel:
 
     # -- one row group ----------------------------------------------------------
 
-    def bandwidths(self, reps: range) -> tuple[np.ndarray | None, np.ndarray]:
+    def bandwidths(self, reps: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
         """The scan block x[lo:lo + block] of each replication (one row each;
         lo = scan_from, the block running through the certain end or to the
         horizon), drawn in one call, and each one's bandwidth m, the horizon
@@ -529,14 +554,15 @@ class _Kernel:
         lo = self.scan_from
         if lo is None:
             return None, np.full(len(reps), self.j_max)
-        block = self._operator(reps, lo, [self.block] * len(reps))
+        block = self._operator(reps, lo, np.full(len(reps), self.block))
         hits = np.abs(block) <= self.envelope
         return block, np.where(hits.any(axis=1), hits.argmax(axis=1) + lo, self.j_max)
 
-    def group(self, reps: range) -> _Outcomes:
+    def group(self, reps: np.ndarray) -> _Outcomes:
         """The outcomes of the replications in reps (see decide)."""
         block, m = self.bandwidths(reps)
-        head = block if self.scan_from == 0 else self._operator(reps, 0, [self.prefix] * len(reps))
+        head = block if self.scan_from == 0 else \
+            self._operator(reps, 0, np.full(len(reps), self.prefix))
         return self.decide(reps, head, m)
 
     # -- decisions --------------------------------------------------------------
@@ -549,8 +575,9 @@ class _Kernel:
         _windows) are selected together; the rows among them whose bandwidth
         (or fixed dimension below it) lies past head draw x up to there in
         one call, and head is widened to hold them.  The windows are then
-        gathered end to end: only the math.fsums of each one's statistic
-        terms, x**-2 and x**-4 are taken one by one, and the thresholds come
+        gathered end to end, the math.fsums of each one's statistic terms,
+        x**-2 and x**-4 taken for all at once (_window_sums, which sums the
+        windows its certificate leaves open one by one), and the thresholds
         from those sums at once (_threshold_totals).  One with a zero
         bandwidth is degenerate.  The error raised is the first one the
         reference path meets over reps in order, as it raises it.  No x that
@@ -558,7 +585,7 @@ class _Kernel:
         refuse: a zero x_j at or past start ends the scan at or before j,
         and below start |x_j| > 0 is certain.
         """
-        width = self._windows(head, m)
+        reps, width = np.asarray(reps), self._windows(head, m)
         pending = np.flatnonzero(width < 0)
         if pending.size:
             dimension = self.plan.config.dimension
@@ -567,8 +594,7 @@ class _Kernel:
             if far.any():
                 wide = np.empty((len(reps), int(n.max())))  # past a row's window: never read
                 wide[:, :head.shape[1]] = head
-                wide[pending[far]] = self._operator([reps[i] for i in pending[far].tolist()], 0,
-                                                    n[far].tolist())
+                wide[pending[far]] = self._operator(reps[pending[far]], 0, n[far])
                 head = wide
             width[pending] = n if dimension is not None else \
                 self._select(head[pending, :n.max()], n)[0]
@@ -578,7 +604,7 @@ class _Kernel:
         inside = np.arange(n) < width[:, None]
         x, col = head[:, :n][inside], np.nonzero(inside)[1]
         if self.eps > 0.0:
-            xi = self.draws.rows([reps[i] for i in rows.tolist()], SIGNAL_STREAM, 0, w.tolist())
+            xi = self.draws.rows(reps[rows], SIGNAL_STREAM, 0, w)
             eps_xi = self.eps * xi[inside[rows]]
             y = self.bt[col] + eps_xi
         else:
@@ -586,18 +612,12 @@ class _Kernel:
         with np.errstate(all="ignore"):  # a sum that is not finite is refused below
             terms = (y / x - self.theta0[col]) ** 2
             inv2, inv4 = x ** -2.0, x ** -4.0
-        lo = _starts(w)
-        t, i2, i4, sums = memoryview(terms), memoryview(inv2), memoryview(inv4), []
-        for a, b in zip(lo.tolist(), (lo + w).tolist()):
-            try:
-                sums.append((math.fsum(t[a:b]), math.fsum(i2[a:b]), math.fsum(i4[a:b])))
-            except OverflowError:  # finite terms whose sum is not: refused below
-                sums.append((math.inf,) * 3)
-        value, inv2_sum, inv4_sum = np.array(sums).reshape(-1, 3).T
+        value, inv2_sum, inv4_sum = _window_sums((terms, inv2, inv4), w)
         alpha, a_w = self.plan.config.alpha, a_inv_sq(self.plan.spec, w)
         cutoff = _threshold_totals(inv2_sum, inv4_sum, a_w, self.eps, self.sigma, alpha)
         bad = np.flatnonzero(~(np.isfinite(value) & np.isfinite(cutoff)))
         if bad.size:  # the reference path's error there: the statistic's, else the threshold's
+            lo = _starts(w)
             span = slice(lo[bad[0]], lo[bad[0]] + w[bad[0]])
             _statistic_sum(terms[span])
             _parts_from_sums(_fsum(inv2[span].tolist()), _fsum(inv4[span].tolist()),
@@ -959,7 +979,7 @@ def _quadform_failures(d: int, nu: np.ndarray, v: np.ndarray, mean: float,
     n_up = 0
     n_low = 0
     for reps in _row_groups(lo, hi, max(1, _CAP // d)):
-        omega = draws.rows(reps, QUADFORM_STREAM, 0, [d] * len(reps))
+        omega = draws.rows(reps, QUADFORM_STREAM, 0, np.full(len(reps), d))
         for terms in (nu + v * omega) ** 2:
             dev = math.fsum(terms.tolist()) - mean
             n_up += dev > up_cut

@@ -122,6 +122,90 @@ def _fsum(values) -> float:
         return math.inf
 
 
+_SUM_CAP = 64  # the widest window _window_sums certifies; a wider one goes to math.fsum
+_SUM_BOUND = 2.0 ** 1014  # 64 values under it sum to under 2**1020: nothing near overflow
+
+
+def _two_sum(a, b, s, err, z) -> None:
+    """Knuth's TwoSum into s and err: s = fl(a + b) and err = a + b - s,
+    exactly unless a + b overflows.  z is scratch; a is none of s, err and
+    z, and b is not z."""
+    np.add(a, b, out=s)
+    np.subtract(s, a, out=z)
+    np.subtract(b, z, out=err)
+    np.subtract(s, z, out=z)
+    np.subtract(a, z, out=z)
+    err += z
+
+
+def _window_sums(columns, width) -> np.ndarray:
+    """math.fsum of every window of every column, bit for bit: out[c, i] is
+    that of values width[:i].sum() .. width[:i + 1].sum() - 1 of columns[c],
+    the windows being laid end to end.  A window in which any column's
+    finite values sum past the float range (fsum's OverflowError) is inf in
+    every column.
+
+    The windows of at most _SUM_CAP values are summed at once, zero-padded
+    to a block, by a cascade of TwoSums (Knuth; see Ogita, Rump & Oishi
+    2005), each exact: s + err = s' + v at every step, and a second TwoSum
+    on the running error, e + loss = e' + err, so the exact sum is s + e
+    plus the sum of the losses.  A last TwoSum gives r = fl(s + e) and the
+    exact remainder rr = s + e - r.  fsum returns the exact sum rounded to
+    nearest, ties to even (Shewchuk 1997), and r is that in two cases:
+    - every loss is 0: r is IEEE's rounding of the exact sum itself;
+    - 2 (|rr| + 2 L) < g, L the float sum of the |losses| and g the smaller
+      gap between r and its neighbours: the float sum of at most 64
+      nonnegative values is above half their exact sum, so the exact sum
+      lies strictly within g / 2 of r, and rounds to r.  g is a power of
+      two, so g / 2 is a float, or g is the least subnormal and every
+      value here a multiple of it; either way, as rounding is monotone, a
+      computed left side below g shows the exact one below it.  g is NaN
+      at r = 0, which this case never accepts.
+    Both need each value of the window finite and under _SUM_BOUND in size,
+    so that no step of the cascade or of fsum's partials can overflow.  Any
+    other window (wider than the cap, with a larger or a non-finite value,
+    or a sum neither case settles) is summed by math.fsum, in order, so an
+    error is raised where a loop over the windows would raise it.
+    """
+    columns = [np.ascontiguousarray(values, dtype=float) for values in columns]
+    width = np.asarray(width)
+    out = np.zeros((len(columns), width.size))
+    narrow = width <= _SUM_CAP
+    n = int(width[narrow].max(initial=0))
+    padded = np.zeros((len(columns), width.size, n))
+    inside = np.arange(n) < np.where(narrow, width, 0)[:, None]
+    keep = None if narrow.all() else np.repeat(narrow, width)
+    for block, values in zip(padded, columns):
+        block[inside] = values if keep is None else values[keep]
+    ok = narrow
+    if n:
+        s, e, loss = padded[:, :, 0].copy(), np.zeros(out.shape), np.zeros(out.shape)
+        t, err, u, lost, z = (np.empty(out.shape) for _ in range(5))
+        with np.errstate(all="ignore"):  # a value that is not finite goes to fsum
+            for k in range(1, n):
+                _two_sum(s, padded[:, :, k], t, err, z)
+                _two_sum(e, err, u, lost, z)
+                s, t, e, u = t, s, u, e
+                loss += np.abs(lost, out=lost)
+            _two_sum(s, e, out, err, z)  # r and rr
+            size = np.abs(out)
+            bits = size.view(np.int64)  # the floats next to |r|, below and above
+            gap = np.minimum(size - (bits - 1).view(float), (bits + 1).view(float) - size)
+            sure = (loss == 0.0) | (2.0 * (np.abs(err) + 2.0 * loss) < gap)
+            if not np.abs(padded).max() < _SUM_BOUND:  # then find the windows that hold one
+                sure &= np.abs(padded).max(axis=2) < _SUM_BOUND
+        ok = ok & sure.all(axis=0)
+    if not ok.all():
+        views, ends = [memoryview(values) for values in columns], np.cumsum(width)
+        for i in np.flatnonzero(~ok).tolist():
+            a, b = int(ends[i] - width[i]), int(ends[i])
+            try:
+                out[:, i] = [math.fsum(view[a:b]) for view in views]
+            except OverflowError:
+                out[:, i] = math.inf
+    return out
+
+
 def _index(j) -> np.ndarray:
     """j as a float array; an index that is not a positive integer (NaN and
     inf among them) is refused, naming the first one."""
@@ -195,6 +279,19 @@ class _Decay(NamedTuple):
 
 def _decay(spec: RegimeSpec) -> _Decay:
     return _Decay(spec.b_kind, spec.t, spec.c_b)
+
+
+class _Growth(NamedTuple):
+    """All that a and a**(-2) read or name in an error: a cache key that specs
+    differing only in decay share."""
+
+    a_kind: GrowthKind
+    s: float
+    c_a: float
+
+
+def _growth(spec: RegimeSpec) -> _Growth:
+    return _Growth(spec.a_kind, spec.s, spec.c_a)
 
 
 @lru_cache(maxsize=128)

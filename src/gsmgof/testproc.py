@@ -355,13 +355,19 @@ def _objective(spec: RegimeSpec, inv4_sums, dims, epsilon: float, sigma: float,
         + (7 + 4*sqrt(tail_exponent(alpha))) * max(sigma^2 ln^1.5(1/sigma), a_dims^-2)
     """
     weight = _objective_weight(epsilon, alpha, beta)
-    floor = sigma * sigma * math.log(1.0 / sigma) ** 1.5
-    bias = np.maximum(floor, a_inv_sq(spec, dims))
-    bias *= 7.0 + 4.0 * math.sqrt(tail_exponent(alpha))
+    bias = _bias(spec, dims, sigma, alpha)
     objective = np.sqrt(inv4_sums)
     objective *= weight
     objective += bias
     return objective
+
+
+def _bias(spec: RegimeSpec, dims, sigma: float, alpha: float) -> np.ndarray:
+    """The dimension objective's bias term at dims (see _objective)."""
+    floor = sigma * sigma * math.log(1.0 / sigma) ** 1.5
+    bias = np.maximum(floor, a_inv_sq(spec, dims))
+    bias *= 7.0 + 4.0 * math.sqrt(tail_exponent(alpha))
+    return bias
 
 
 def dimension_objective(x, spec: RegimeSpec, m: int, epsilon: float, sigma: float,

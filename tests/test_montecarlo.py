@@ -9,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gsmgof import cli, gsm, montecarlo, testproc
+from gsmgof import cli, gsm, montecarlo, sequences, testproc
 from gsmgof import (
     KAPPA_DEFAULT,
     OPERATOR_STREAM,
@@ -539,6 +539,31 @@ class TestBatch:
         for target in (plan.theta0, theta):
             assert_batch_matches_serial(plan, target, lo, lo + size)
 
+    @settings(max_examples=40, deadline=None)
+    @given(regime=st.sampled_from(REGIMES),
+           s=st.floats(-1.5, 1.5).map(lambda e: 10.0 ** e),
+           t=st.floats(-1.5, 1.5).map(lambda e: 10.0 ** e),
+           epsilon=st.sampled_from([0.0, 1e-6, 1e-3, 1e-2, 0.3]),
+           sigma=st.floats(-9.0, -0.05).map(lambda e: 10.0 ** e),
+           j_max=st.integers(301, 1500), dimension=st.none() | st.integers(1, 400),
+           spike=st.tuples(st.integers(0, 80), st.floats(-1.0, 1.0)),
+           lo=st.integers(0, 2 ** 40), size=st.integers(1, 40))
+    # one row group of windows 57 to 72 wide
+    @example(regime="mild-ordinary", s=0.1, t=0.1, epsilon=1e-2, sigma=1e-2, j_max=400,
+             dimension=None, spike=(3, 0.5), lo=0, size=40)
+    def test_property_matches_serial_loop_on_wide_plans(self, regime, s, t, epsilon, sigma,
+                                                        j_max, dimension, spike, lo, size):
+        """As above, with s and t from 0.03 to 30 and horizons past 300, so
+        that a row group can hold windows wider than the 64 columns whose
+        sums are certified, which math.fsum sums one by one."""
+        spec = RegimeSpec.from_name(regime, s=s, t=t)
+        plan = make_plan(spec=spec, epsilon=epsilon, sigma=sigma, j_max=j_max,
+                         dimension=dimension, seed=lo % 97)
+        k, r = spike
+        theta = Signal(np.eye(1, k + 1, k)[0] * r)
+        for target in (plan.theta0, theta):
+            assert_batch_matches_serial(plan, target, lo, lo + size)
+
     # (case, refusal): the serial loop over each case's replications would
     # first raise where the named value overflows
     @pytest.mark.parametrize("case, refusal", [
@@ -946,6 +971,47 @@ WORKLOAD_ARGV = {
 }
 
 
+def count_fsums(monkeypatch):
+    """A list that gets a 1 for each math.fsum call."""
+    calls, real = [], math.fsum
+    monkeypatch.setattr(sequences.math, "fsum", lambda values: calls.append(1) or real(values))
+    return calls
+
+
+class TestWindowSums:
+    """decide sums its windows by sequences._window_sums, which leaves to
+    math.fsum only the windows its certificate does not settle."""
+
+    @pytest.mark.parametrize("workload", ["calibrate-mild", "calibrate-severe", "sep-radius"])
+    def test_no_benchmark_window_is_summed_by_fsum(self, monkeypatch, workload):
+        calls = count_fsums(monkeypatch)
+        widths = []
+        for plan in cli_plans(WORKLOAD_ARGV[workload]):
+            widths.append(_build_radius_cache(dataclasses.replace(plan, n_reps=200), 0, 200).width)
+        assert calls == []
+        assert np.count_nonzero(np.concatenate(widths)) > 100
+
+    def test_a_window_the_certificate_leaves_open_is_summed_by_fsum(self, monkeypatch):
+        """x = 1, 2**27 and 2**54: the window's x**-2 are 1, 2**-54 and
+        2**-108, whose cascade leaves 1.0 with 2**-54 + 2**-108 over, more
+        than half the gap below 1.0.  fsum sums that window's three columns
+        and no other, and its report is the reference step's."""
+        calls = count_fsums(monkeypatch)
+        plan = make_plan(epsilon=1e-2, sigma=1e-2, j_max=40, dimension=3)
+        kernel = montecarlo._Kernel(plan, plan.theta0)
+        x = np.ones((2, 40))
+        x[0, 1:3] = 2.0 ** 27, 2.0 ** 54
+        decided = kernel.decide([0, 1], x, np.array([40, 40]))
+        assert len(calls) == 3
+        for rep in (0, 1):
+            y = kernel.bt + plan.noise.epsilon * gaussian_draws(plan.master_seed, rep,
+                                                               SIGNAL_STREAM, 40)
+            report = _decide(Bandwidth(40, False), x[rep], y, plan.theta0, plan.spec,
+                             plan.noise, plan.config)
+            assert (decided.statistic[rep], decided.threshold[rep]) == (report.statistic,
+                                                                        report.threshold)
+
+
 class TestFastPath:
     """The kernel is the only Monte Carlo path: a plan outside the test's
     domain is refused when it is built, and a theta the kernel cannot run
@@ -1134,6 +1200,19 @@ class TestSharedDraws:
         assert cli.main(argv) == 0
         capsys.readouterr()
         assert montecarlo._geometry.cache_info().misses == 2
+
+    def test_the_tail_dimension_is_computed_once_per_distinct_plan(self, monkeypatch, capsys):
+        """calibrate-severe's 8 cells have 2 growths and 2 sigmas at one
+        level and horizon.  At --workers 2 on one CPU every job runs its 2
+        chunks in this process: 16 kernels, 4 computations."""
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        montecarlo._tail_dim.cache_clear()
+        argv = [*WORKLOAD_ARGV["calibrate-severe"][:-1], "200", "--seed", "12345",
+                "--workers", "2"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        info = montecarlo._tail_dim.cache_info()
+        assert (info.misses, info.hits) == (4, 12)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("workload", ["calibrate-mild", "calibrate-severe", "sep-radius"])

@@ -2,10 +2,13 @@
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gsmgof import (
@@ -21,7 +24,8 @@ from gsmgof import (
     evaluate_bounds,
     lower_bound_radius_sq,
 )
-from gsmgof.sequences import _b_inv4_terms, _running_sums
+from gsmgof import sequences
+from gsmgof.sequences import _SUM_CAP, _b_inv4_terms, _running_sums, _window_sums
 
 
 class TestRegimeSpec:
@@ -396,3 +400,103 @@ class TestHelpers:
         # a_value overflows to inf here, but the inverse square just hits 0.0
         assert a_inv_sq(spec, 500) == 0.0
         assert math.isfinite(a_inv_sq(spec, 500))
+
+
+def fsum_loop(columns, width):
+    """math.fsum of each window of each column, one window at a time; a
+    window in which any column's sum overflows is inf in every column."""
+    out, lo = np.zeros((len(columns), len(width))), 0
+    for i, w in enumerate(width):
+        try:
+            out[:, i] = [math.fsum(column[lo:lo + w]) for column in columns]
+        except OverflowError:
+            out[:, i] = math.inf
+        lo += w
+    return out
+
+
+def outcome(fn, *args):
+    """fn(*args)'s bytes, or the error it raises."""
+    try:
+        return fn(*args).tobytes()
+    except Exception as exc:  # noqa: BLE001 -- the comparison is the point
+        return f"{type(exc).__name__}: {exc}"
+
+
+def scaled(values, e):
+    return [math.ldexp(value, e) for value in values]
+
+
+# one value of every column at a position of a window
+VALUES = st.one_of(
+    st.floats(),
+    st.floats(1e-300, 1e300).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(-2.3e-308, 2.3e-308),  # subnormals and the smallest normals
+    st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1e300, 1e308, -1e308, sys.float_info.max,
+                     -sys.float_info.max, math.inf, -math.inf, math.nan]))
+# a and b in one binade: their sum is a tie for half of all pairs
+TIE = st.builds(lambda m, n, e, sign: scaled([sign * m, sign * n], e),
+                st.integers(2 ** 52, 2 ** 53 - 1), st.integers(2 ** 52, 2 ** 53 - 1),
+                st.integers(-1074, 970), st.sampled_from([1.0, -1.0]))
+# 1 + 2**-53 is a tie that 2**-106 breaks: fsum gives 1 + 2**-52, a bare
+# cascade of TwoSums 1.0
+NEAR_TIE = st.builds(lambda signs, e, order: [scaled([1.0, *signs], e)[i] for i in order],
+                     st.sampled_from([(a * 2.0 ** -53, b * 2.0 ** -106)
+                                      for a in (1, -1) for b in (1, -1)]),
+                     st.integers(-900, 900), st.permutations(range(3)))
+BIG = st.sampled_from([1e308, -1e308, sys.float_info.max, 2.0 ** 1023, 1.0])
+
+
+def rows_of(columns):
+    """One window's positions, a value of each column at each."""
+    return [*zip(*columns)]
+
+
+WINDOWS = st.one_of(
+    st.lists(st.tuples(VALUES, VALUES, VALUES), max_size=_SUM_CAP + 1),
+    st.lists(st.tuples(VALUES, VALUES, VALUES), min_size=_SUM_CAP - 1, max_size=_SUM_CAP + 1),
+    st.tuples(TIE, TIE, TIE).map(rows_of),
+    st.tuples(NEAR_TIE, NEAR_TIE, NEAR_TIE).map(rows_of),
+    # finite values whose sum can leave the float range
+    st.integers(2, 5).flatmap(lambda n: st.tuples(*[st.lists(BIG, min_size=n, max_size=n)] * 3))
+    .map(rows_of),
+)
+
+
+class TestWindowSums:
+    """_window_sums is math.fsum of every window, bit for bit, and raises
+    what a loop of fsums over the windows raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(windows=st.lists(WINDOWS, max_size=6))
+    @example(windows=[[(1.0, 1.0, 1.0), (2.0 ** -53,) * 3, (2.0 ** -106,) * 3]])
+    @example(windows=[[(1.0, 2.0, 3.0)], [], [(1e308, 1.0, 1.0), (1e308, 1.0, 1.0)]])
+    # fsum overflows between its partials, though the sum is 2**1023 - 5 * 2**970
+    @example(windows=[[(-(2.0 ** 1023 + 2.0 ** 972), 1.0, 1.0), (2.0 ** 970, 1.0, 1.0),
+                       (sys.float_info.max, 1.0, 1.0)]])
+    @example(windows=[[(0.5, 0.5, 0.5)] * (_SUM_CAP + 1), [(1.0, 1.0, 1.0), (2.0 ** -53,) * 3,
+                                                           (2.0 ** -106,) * 3]])
+    @pytest.mark.filterwarnings("error")
+    def test_every_window_is_its_fsum(self, windows):
+        width = np.array([len(window) for window in windows], dtype=int)
+        columns = [np.array([row[c] for window in windows for row in window], dtype=float)
+                   for c in range(3)]
+        assert outcome(_window_sums, columns, width) == outcome(fsum_loop, columns, width)
+
+    def test_only_the_windows_left_open_are_summed_by_fsum(self, monkeypatch):
+        """A group of 100 windows holding one near tie and one window past
+        the cap calls fsum for those two only, once per column."""
+        calls = []
+        real = math.fsum
+        monkeypatch.setattr(sequences.math, "fsum", lambda values: calls.append(len(values))
+                            or real(values))
+        rng = np.random.default_rng(3)
+        windows = [rng.uniform(0.5, 2.0, n).tolist() for n in rng.integers(0, _SUM_CAP, 99)]
+        windows[40] = [1.0, 2.0 ** -53, 2.0 ** -106]
+        windows.append(np.ones(_SUM_CAP + 1).tolist())
+        width = [len(window) for window in windows]
+        columns = [np.concatenate(windows)] * 2
+        sums = _window_sums(columns, width)
+        assert calls == [3, 3, _SUM_CAP + 1, _SUM_CAP + 1]
+        calls.clear()
+        assert sums.tobytes() == fsum_loop(columns, width).tobytes()
