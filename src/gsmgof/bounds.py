@@ -31,8 +31,8 @@ from .sequences import (
     b_vector,
     cumulative_b_inv4_prefix,
 )
-from .testproc import (_SCAN_BLOCK, KAPPA_DEFAULT, BandwidthBracket, _check_sigma,
-                       _check_unit, _objective, _squared, bandwidth_bracket)
+from .testproc import (KAPPA_DEFAULT, BandwidthBracket, _blocks, _check_sigma, _check_unit,
+                       _objective, _squared, bandwidth_bracket)
 
 __all__ = [
     "BoundReport",
@@ -211,7 +211,8 @@ def _lower_bound(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float, b
 
 def _epsilon_channel(spec: RegimeSpec, scale: float, j_max: int) -> float:
     """sup_{d <= j_max} min(grow_d, decay_d), grow_d = scale * sqrt(sum_{j<=d} b_j^-4)
-    and decay_d = a_d^-2, over blocks of the cached running sums.
+    and decay_d = a_d^-2, over blocks of the cached running sums (see
+    testproc._blocks).
 
     It stops at the first d with grow_d >= decay_d: past it the candidate only
     decreases.  A running sum whose term or total leaves the float range
@@ -220,22 +221,19 @@ def _epsilon_channel(spec: RegimeSpec, scale: float, j_max: int) -> float:
     """
     sums = _running_sums(_decay(spec))
     best = 0.0
-    lo, size = 0, _SCAN_BLOCK
-    while True:
-        block = sums.upto(min(lo + size, j_max))[lo:]
-        if block.size == 0:
-            raise SequenceOverflowError(sums.overflow)
+    for lo, hi in _blocks(j_max):
+        block = sums.upto(hi)[lo:]
         with np.errstate(over="ignore"):  # inf, as with Python floats
             grow = scale * np.sqrt(block)
         decay = a_inv_sq(spec, np.arange(lo + 1, lo + block.size + 1))
-        crossed = grow >= decay
-        k = int(crossed.argmax())
-        end = k + 1 if crossed[k] else block.size
-        best = max(best, float(np.minimum(grow[:end], decay[:end]).max()))
-        lo += block.size
-        if crossed[k] or lo >= j_max:
+        crossed = np.flatnonzero(grow >= decay)
+        end = crossed[0] + 1 if crossed.size else block.size
+        best = max(best, float(np.minimum(grow[:end], decay[:end]).max(initial=0.0)))
+        if crossed.size:
             return best
-        size *= 2
+        if block.size < hi - lo:  # the sums stop short of hi
+            raise SequenceOverflowError(sums.overflow)
+    return best
 
 
 def evaluate_bounds(spec: RegimeSpec, epsilon: float, sigma: float, alpha: float,

@@ -39,11 +39,10 @@ from .montecarlo import (
     _error_job,
     _quadform_job,
     _radius_bracket,
-    _run_jobs,
-    _usable_cpus,
     bandwidth_escape_bound,
     empirical_separation_radius,
 )
+from .runner import _run_jobs, _usable_cpus
 from .sequences import DecayKind, GrowthKind, RegimeSpec
 from .testproc import KAPPA_DEFAULT, TestConfig, _check_unit, run_test
 

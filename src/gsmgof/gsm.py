@@ -211,37 +211,29 @@ class RekeyedDraws:
 
 class _ChunkDraws(RekeyedDraws):
     """RekeyedDraws that keeps, per stream, a table of draws 0 .. width - 1
-    of every replication in [lo, hi), each row drawn once, at its first
-    request.  A request from start whose rows all lie in [lo, hi) and end by
-    the table's width (start + max(widths) <= width) is sliced from it; its
-    padding is the rows' later draws, finite as every draw is.  Any other
-    request draws as RekeyedDraws does.  The values are RekeyedDraws', bit
-    for bit: a draw depends on its index only, not on the row it is drawn in.
+    of every replication in [lo, hi), all drawn in one call at the stream's
+    first request that the table serves.  A request from start whose rows
+    all lie in [lo, hi) and end by the table's width (start + max(widths) <=
+    width) is sliced from it; its padding is the rows' later draws, finite as
+    every draw is.  Any other request draws as RekeyedDraws does.  The values
+    are RekeyedDraws', bit for bit: a draw depends on its index only, not on
+    the row it is drawn in.
     """
 
     def __init__(self, seed: int, lo: int, hi: int, width: int) -> None:
         super().__init__(seed)
         self.lo, self.hi, self.width = lo, hi, width
-        self._tables = {}  # stream: (draws, whether each row is drawn)
+        self._tables = {}  # stream: draws
 
     def _rows(self, reps: np.ndarray, stream: int, start: int, widths: np.ndarray) -> np.ndarray:
         n = int(widths.max(initial=0))
         if not (reps.size and start + n <= self.width
                 and self.lo <= reps.min() and reps.max() < self.hi):
             return super()._rows(reps, stream, start, widths)
-        index = reps.astype(np.intp) - self.lo
         if stream not in self._tables:
-            self._tables[stream] = (np.empty((self.hi - self.lo, self.width)),
-                                    np.zeros(self.hi - self.lo, dtype=bool))
-        table, drawn = self._tables[stream]
-        new = np.zeros(drawn.size, dtype=bool)  # not np.unique: it imports numpy.ma
-        new[index] = ~drawn[index]
-        new = np.flatnonzero(new)
-        if new.size:
-            words = self._words(new + self.lo, stream, 0, np.full(new.size, self.width))
-            table[new] = _gaussian(np.concatenate(words).reshape(new.size, self.width))
-            drawn[new] = True
-        return table[index, start:start + n]
+            self._tables[stream] = super()._rows(np.arange(self.lo, self.hi), stream, 0,
+                                                 np.full(self.hi - self.lo, self.width))
+        return self._tables[stream][reps.astype(np.intp) - self.lo, start:start + n]
 
     def clear(self) -> None:
         """Drop every table (the object may outlive its use in a traceback)."""

@@ -3,23 +3,20 @@ rate-slope fits, and concentration checks.
 
 Every estimate is a deterministic function of (master_seed, rep, stream),
 so results are identical across runs and across worker counts: replications
-are split into contiguous index ranges and the per-range integer counts are
-summed, which is exact regardless of the split.
+are split into contiguous index ranges (see runner) and the per-range integer
+counts are summed, which is exact regardless of the split.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from functools import lru_cache
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BracketingError, WorkerError
+from .errors import BracketingError, InfeasibleRadiusError
 from .gsm import (
     DRAW_BOUND,
     OPERATOR_STREAM,
@@ -28,10 +25,11 @@ from .gsm import (
     NoiseLevels,
     RekeyedDraws,
     Signal,
-    _ChunkDraws,
+    _log_weight,
     _word,
     spike_index,
 )
+from .runner import _Job, _run_jobs, _sums
 from .sequences import (
     RegimeSpec,
     _b_vector_cached,
@@ -51,14 +49,16 @@ from .testproc import (
     _bias,
     _check_kappa,
     _check_unit,
+    _first_hit,
     _objective,
     _objective_weight,
     _parts_from_sums,
-    _scan_table,
     _squared,
     _statistic_sum,
+    _table,
     _threshold_totals,
     bandwidth_bracket,
+    scan_envelope,
     statistic,
 )
 
@@ -124,200 +124,6 @@ class ErrorEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Worker plumbing
-# ---------------------------------------------------------------------------
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the platform
-    has one, else os.cpu_count() (1 when that is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _chunk_ranges(n_reps: int, workers: int) -> list[tuple[int, int]]:
-    """Split range(n_reps) into at most `workers` contiguous pieces."""
-    k = min(workers, n_reps)
-    base, extra = divmod(n_reps, k)
-    ranges = []
-    lo = 0
-    for i in range(k):
-        hi = lo + base + (1 if i < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
-class _Job(NamedTuple):
-    """fn(*args, lo, hi) over the chunk ranges of range(n_reps); finish makes
-    the job's result of the chunk results, given in chunk order.  work: the
-    rows of draws its replications make at least, and 1 per 16 coordinates.
-    draws: (seed, width) where fn reads the Gaussian rows of master seed
-    `seed`, most of them within columns [0, width), and takes a draw source
-    as one more argument, fn(*args, lo, hi, draws) (see _share); else None."""
-
-    fn: Callable
-    args: tuple
-    n_reps: int
-    work: float
-    finish: Callable[[list], Any]
-    draws: tuple[int, int] | None = None
-
-
-_FORK_WORK = 8192  # work (see _Job) per process past the first; less pays no fork (README)
-_TABLE_CAP = 2 ** 18  # elements of a chunk's draw table per stream; a larger chunk has none
-
-
-def _sums(parts: list) -> tuple:
-    """Chunk results of tuple[int, ...], summed positionally."""
-    return tuple(int(sum(col)) for col in zip(*parts))
-
-
-def _tables(built: list, p: int, procs: int) -> dict:
-    """A draw table (gsm._ChunkDraws) for each (seed, lo, hi) that two or
-    more jobs of the share run: columns [0, W) of the rows of reps [lo, hi),
-    W the widest of those jobs' widths (see _Job), at most _FIRST_BLOCK, and
-    none where (hi - lo) * W exceeds _TABLE_CAP."""
-    widths = {}
-    for job, ranges in built:
-        if job.draws is not None:
-            seed, width = job.draws
-            for lo, hi in ranges[p::procs]:
-                widths.setdefault((seed, lo, hi), []).append(width)
-    tables = {}
-    for (seed, lo, hi), listed in widths.items():
-        width = min(max(listed), _FIRST_BLOCK)
-        if len(listed) > 1 and (hi - lo) * width <= _TABLE_CAP:
-            tables[seed, lo, hi] = _ChunkDraws(seed, lo, hi, width)
-    return tables
-
-
-def _share(built: list, p: int, procs: int) -> tuple[list, Exception | None]:
-    """Chunks p, p + procs, p + 2 procs, ... of every built (job, ranges), run
-    in job and chunk order up to the first that raises: their results, and
-    that error or None.  The jobs that run one chunk read its rows from one
-    draw table (see _tables), dropped when this returns."""
-    parts, tables = [], _tables(built, p, procs)
-    try:
-        for job, ranges in built:
-            seed = None if job.draws is None else job.draws[0]
-            for lo, hi in ranges[p::procs]:
-                table = tables.get((seed, lo, hi))
-                parts.append(job.fn(*job.args, lo, hi) if table is None else
-                             job.fn(*job.args, lo, hi, table))
-    except Exception as exc:
-        return parts, exc
-    finally:
-        for table in tables.values():
-            table.clear()
-    return parts, None
-
-
-def _sendable(error: Exception | None, p: int) -> Exception | None:
-    """error, or a WorkerError carrying its repr if it does not survive pickling."""
-    if error is not None:
-        try:
-            pickle.loads(pickle.dumps(error))
-        except Exception as exc:
-            return WorkerError(f"worker {p} raised {error!r}, which cannot be sent back "
-                               f"({type(exc).__name__}: {exc})")
-    return error
-
-
-class _Child:
-    """A forked process that runs one share of the chunks and sends its
-    pickled (parts, error) down a pipe."""
-
-    def __init__(self, p: int, share: Callable[[], tuple]):
-        self.p = p
-        read, write = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            code = 1
-            try:  # leave by os._exit: no exit handler runs, no inherited buffer is flushed
-                os.close(read)
-                parts, error = share()
-                with open(write, "wb") as pipe:
-                    pickle.dump((parts, _sendable(error, p)), pipe, pickle.HIGHEST_PROTOCOL)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write)
-        self.pipe = open(read, "rb")
-
-    def outcome(self) -> tuple[list, Exception | None]:
-        """The child's (parts, error), read to EOF, once the child is reaped."""
-        data = self.pipe.read()
-        self.pipe.close()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if status != 0 or not data:
-            code = os.waitstatus_to_exitcode(status)
-            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            raise WorkerError(f"worker {self.p} ended ({how}) before sending its results")
-        return pickle.loads(data)
-
-    def kill(self) -> None:
-        """End and reap the child unless it is reaped already."""
-        self.pipe.close()
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-
-
-_MISSING = object()  # a part past the end of a share
-
-
-def _run_jobs(jobs: Iterable[_Job], workers: int) -> list:
-    """Each job's result, in job order.
-
-    Every job is built first.  Chunk c of every job then runs in process
-    c % procs, where procs = min(workers, CPUs this process may run on,
-    chunks of the largest job, 1 + the jobs' total work // _FORK_WORK) (1
-    without os.fork): process 0 is this one, and the other procs - 1 are
-    forked once, run their share while this process runs its own, and are
-    reaped before this returns, on success or on error.  The error raised is
-    the first one running the jobs one after another meets: a chunk's or a
-    finish's, in job and chunk order, or that of building a job, after the
-    errors of the jobs before it.
-    """
-    workers = _count("workers", workers)
-    built, build_error = [], None
-    try:
-        for job in jobs:
-            built.append((job, _chunk_ranges(job.n_reps, workers)))
-    except Exception as exc:  # the jobs built before it may fail first
-        build_error = exc
-    procs = int(min(workers, _usable_cpus(), max((len(r) for _, r in built), default=1),
-                    1 + sum(job.work for job, _ in built) / _FORK_WORK))  # work may be inf
-    if not hasattr(os, "fork"):
-        procs = 1
-    children = []
-    try:
-        for p in range(1, procs):
-            children.append(_Child(p, partial(_share, built, p, procs)))
-        shares = [_share(built, 0, procs)] + [child.outcome() for child in children]
-    finally:
-        for child in children:
-            child.kill()
-    parts = [iter(share_parts) for share_parts, _ in shares]
-    results = []
-    for job, ranges in built:
-        chunks = []
-        for c in range(len(ranges)):
-            part = next(parts[c % procs], _MISSING)
-            if part is _MISSING:  # the share stopped at this chunk's error
-                raise shares[c % procs][1]
-            chunks.append(part)
-        results.append(job.finish(chunks))
-    if build_error is not None:
-        raise build_error
-    return results
-
-
-# ---------------------------------------------------------------------------
 # The kernel: replications a row group at a time, drawn only as far as the
 # test reads them
 # ---------------------------------------------------------------------------
@@ -370,7 +176,8 @@ class _Scan(NamedTuple):
     None: nothing below the horizon triggers.  It holds `block` coordinates,
     up to `end` or the horizon (none when scan_from is None).  prefix: the
     objective's columns that every row runs; head: the columns of x from 0
-    that every row draws, the block where it starts at 0, else the prefix."""
+    that every row draws, the block where it starts at 0, else the prefix.
+    envelope: sigma times the scan envelope over the block, read-only."""
 
     start: int
     end: int
@@ -378,6 +185,7 @@ class _Scan(NamedTuple):
     block: int
     prefix: int
     head: int
+    envelope: np.ndarray
 
 
 def _scan(plan: ExperimentPlan) -> _Scan:
@@ -391,15 +199,17 @@ def _scan(plan: ExperimentPlan) -> _Scan:
 @lru_cache(maxsize=1024)
 def _geometry(decay: _Decay, sigma: float, alpha: float, kappa: float, j_max: int) -> _Scan:
     b = _b_vector_cached(decay, j_max)
-    envelope = sigma * _scan_table(alpha, kappa, j_max)
-    reach = np.flatnonzero(b <= envelope + sigma * DRAW_BOUND)
-    start = int(reach[0]) if reach.size else j_max
-    inside = np.flatnonzero(b <= envelope - sigma * DRAW_BOUND)
-    end = int(inside[0]) if inside.size else j_max
+    envelope = sigma * _table(scan_envelope, alpha, kappa, j_max)
+    start = _first_hit(b <= envelope + sigma * DRAW_BOUND)
+    end = _first_hit(b <= envelope - sigma * DRAW_BOUND)
     scan_from = None if start >= j_max else 0 if start < _FIRST_BLOCK else start
-    block = min(end + 1, j_max) - (j_max if scan_from is None else scan_from)
+    lo = j_max if scan_from is None else scan_from
+    block = min(end + 1, j_max) - lo
+    window = envelope[lo:lo + block].copy()  # not a view: it would keep all of envelope cached
+    window.setflags(write=False)
     prefix = min(_PREFIX, j_max)
-    return _Scan(start, end, scan_from, block, prefix, block if scan_from == 0 else prefix)
+    return _Scan(start, end, scan_from, block, prefix, block if scan_from == 0 else prefix,
+                 window)
 
 
 @lru_cache(maxsize=1024)
@@ -420,7 +230,7 @@ def _draw_work(plan: ExperimentPlan, scan_only: bool = False) -> float:
     before the scan) where epsilon > 0.  A plan refused here is unbounded
     work, refused by the kernel in its chunk."""
     try:
-        _, _, scan_from, block, prefix, _ = _scan(plan)
+        _, _, scan_from, block, prefix, _, _ = _scan(plan)
     except (ValueError, MemoryError):  # an envelope past the float range, a vast horizon
         return math.inf
     sixteenths = 0 if scan_from is None else 16 + scan_from % 4 + block
@@ -433,10 +243,11 @@ def _kernel_job(fn: Callable, args: tuple, plan: ExperimentPlan,
                 finish: Callable[[list], Any]) -> _Job:
     """A job whose chunks run plan's kernel: fn(*args, lo, hi[, draws]).
     Most rows it draws lie within the head (see _Scan): x's head is drawn
-    for every replication, and a window decided from it lies inside it.  A
-    plan whose geometry is refused (unbounded work) reads no shared rows."""
+    for every replication, and a window decided from it lies inside it.  Its
+    width is the head, at most _FIRST_BLOCK.  A plan whose geometry is
+    refused (unbounded work) reads no shared rows."""
     work = _draw_work(plan)
-    draws = None if work == math.inf else (plan.master_seed, _scan(plan).head)
+    draws = None if work == math.inf else (plan.master_seed, min(_scan(plan).head, _FIRST_BLOCK))
     return _Job(fn, args, plan.n_reps, work, finish, draws)
 
 
@@ -480,8 +291,8 @@ class _Kernel:
     step works element by element (numpy's power included), sums one row
     in index order or sums as math.fsum does, so every value is the
     reference path's.  The rows come from draws: a chunk's table shared by
-    the jobs of one _run_jobs call (see _share), else a RekeyedDraws of the
-    kernel's own.
+    the jobs of one _run_jobs call (see runner._share), else a RekeyedDraws
+    of the kernel's own.
 
     One more certificate replaces a Python loop: the math.fsum of each
     window's statistic terms, x**-2 and x**-4 is taken for a whole row group
@@ -506,10 +317,8 @@ class _Kernel:
         if not np.isfinite(self.bt).all():
             raise ValueError("y must be finite")
         self.theta0 = plan.theta0.padded(max(j_max, len(plan.theta0)))
-        self.start, self.end, self.scan_from, self.block, self.prefix, head = _scan(plan)
-        if self.scan_from is not None:
-            self.envelope = self.sigma * _scan_table(config.alpha, config.kappa, j_max)[
-                self.scan_from:self.scan_from + self.block]
+        (self.start, self.end, self.scan_from, self.block, self.prefix, head,
+         self.envelope) = _scan(plan)
         self.draws = RekeyedDraws(plan.master_seed) if draws is None else draws
         # The rows of a group: its widest matrix is the block, or the head of
         # the objective's prefix when the block does not start at 0.  Where a
@@ -879,8 +688,15 @@ def empirical_separation_radius(plan: ExperimentPlan, beta_target: float,
 
 
 def _radius_bracket(spec: RegimeSpec, r_lo, r_hi) -> tuple[float, float]:
-    """(r_lo, r_hi) as floats, a missing one set as fit_rate_slope documents."""
-    r_hi = 1.0 / float(a_value(spec, 1)) if r_hi is None else float(r_hi)
+    """(r_lo, r_hi) as floats, a missing one set as fit_rate_slope documents;
+    1 / a_1 is taken in logs past the float range, and refused at 0."""
+    if r_hi is None:
+        with np.errstate(over="ignore"):  # past the float range, from ln a_1
+            a_1 = float(a_value(spec, 1))
+        r_hi = 1.0 / a_1 if a_1 < math.inf else math.exp(-_log_weight(spec, 1))
+        if r_hi == 0.0:
+            raise InfeasibleRadiusError(f"the ceiling 1 / a_1 underflows to 0 at s={spec.s!r}")
+    r_hi = float(r_hi)
     r_lo = r_hi * 2.0 ** -14 if r_lo is None else float(r_lo)
     return r_lo, r_hi
 

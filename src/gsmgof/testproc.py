@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -120,25 +120,15 @@ def bracket_envelope_high(j, alpha: float, kappa: float = KAPPA_DEFAULT):
     return _envelope(j, alpha, kappa, 16.0, False)
 
 
-@functools.lru_cache(maxsize=16)
-def _scan_table(alpha: float, kappa: float, n: int) -> np.ndarray:
-    """scan_envelope at j = 1..n, built once per (alpha, kappa, n) and
-    read-only.  The envelope is computed index by index, so a prefix of this
-    table equals the envelope built at that shorter length."""
-    table = scan_envelope(np.arange(1, n + 1), alpha, kappa)
+@functools.lru_cache(maxsize=32)
+def _table(envelope: Callable, alpha: float, kappa: float, n: int) -> np.ndarray:
+    """envelope (scan_envelope, bracket_envelope_low or bracket_envelope_high)
+    at j = 1..n, built once per (envelope, alpha, kappa, n) and read-only.
+    The envelope is computed index by index, so a prefix of this table equals
+    the envelope built at that shorter length."""
+    table = envelope(np.arange(1, n + 1), alpha, kappa)
     table.setflags(write=False)
     return table
-
-
-@functools.lru_cache(maxsize=16)
-def _bracket_tables(alpha: float, kappa: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """bracket_envelope_low and bracket_envelope_high at j = 1..n, built once
-    per (alpha, kappa, n) and read-only."""
-    j = np.arange(1, n + 1)
-    tables = (bracket_envelope_low(j, alpha, kappa), bracket_envelope_high(j, alpha, kappa))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
 
 
 def _check_finite(xs: np.ndarray) -> None:
@@ -148,27 +138,30 @@ def _check_finite(xs: np.ndarray) -> None:
         raise ValueError(f"observed operator coefficient {bad[0] + 1} is {float(xs[bad[0]])!r}")
 
 
-def _first_hit(hits: np.ndarray) -> int | None:
-    """Index of the first True in hits, None when there is none."""
+def _first_hit(hits: np.ndarray) -> int:
+    """Index of the first True in a nonempty hits, its length when there is none."""
     k = int(hits.argmax())
-    return k if hits[k] else None
+    return k if hits[k] else hits.size
 
 
-# First block of a scan that stops at its first hit; each next block is twice as long.
-_SCAN_BLOCK = 64
-
-
-def _first_trigger(b: np.ndarray, sigma: float, table: np.ndarray) -> int | None:
-    """_first_hit(b <= sigma * table), comparing blocks of 64, 128, 256, ...
-    from index 0 and stopping at the first block with a hit.  Each comparison
-    is the full-length one's, so the answer is too, whatever the shape of b."""
-    lo, size = 0, _SCAN_BLOCK
-    while lo < b.size:
-        k = _first_hit(b[lo:lo + size] <= sigma * table[lo:lo + size])
-        if k is not None:
-            return lo + k
+def _blocks(n: int):
+    """The consecutive blocks (lo, hi) of range(n) in which a scan that stops
+    at its first hit compares: 64, 128, 256, ... indices, the last one cut at n."""
+    lo, size = 0, 64
+    while lo < n:
+        yield lo, min(lo + size, n)
         lo, size = lo + size, 2 * size
-    return None
+
+
+def _first_trigger(b: np.ndarray, sigma: float, table: np.ndarray) -> int:
+    """_first_hit(b <= sigma * table), compared a block at a time (see
+    _blocks) and stopping at the first block with a hit.  Each comparison is
+    the full-length one's, so the answer is too, whatever the shape of b."""
+    for lo, hi in _blocks(b.size):
+        k = lo + _first_hit(b[lo:hi] <= sigma * table[lo:hi])
+        if k < hi:
+            return k
+    return b.size
 
 
 class Bandwidth(NamedTuple):
@@ -198,11 +191,8 @@ def empirical_bandwidth(x, sigma: float, alpha: float, kappa: float = KAPPA_DEFA
     if n < 1:
         raise ValueError("empty observation vector")
     _check_finite(x[:n])
-    envelope = sigma * _scan_table(alpha, kappa, n)
-    hits = np.nonzero(np.abs(x[:n]) <= envelope)[0]
-    if hits.size == 0:
-        return Bandwidth(n, True)
-    return Bandwidth(int(hits[0]), False)
+    k = _first_hit(np.abs(x[:n]) <= sigma * _table(scan_envelope, alpha, kappa, n))
+    return Bandwidth(k, k == n)
 
 
 def bandwidth_bracket(spec: RegimeSpec, sigma: float, alpha: float,
@@ -214,12 +204,9 @@ def bandwidth_bracket(spec: RegimeSpec, sigma: float, alpha: float,
     _check_sigma(sigma)
     j_max = _count("j_max", j_max)
     b = b_vector(spec, j_max)
-    low_table, high_table = _bracket_tables(alpha, kappa, j_max)
-    low = _first_trigger(b, sigma, low_table)
-    high = _first_trigger(b, sigma, high_table)
-    return BandwidthBracket(j_max if low is None else low,
-                            j_max if high is None else high + 1,
-                            low is None, high is None)
+    low = _first_trigger(b, sigma, _table(bracket_envelope_low, alpha, kappa, j_max))
+    high = _first_trigger(b, sigma, _table(bracket_envelope_high, alpha, kappa, j_max))
+    return BandwidthBracket(low, min(high + 1, j_max), low == j_max, high == j_max)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +239,8 @@ def statistic(y, x, theta0: Signal, d: int, m: int) -> float:
     y = np.asarray(y, dtype=float)
     xs = _window(x, w)
     ref = theta0.padded(max(w, len(theta0)))[:w]
-    return _statistic_sum((y[:w] / xs - ref) ** 2)
+    with np.errstate(over="ignore"):  # a sum past the float range is refused by _statistic_sum
+        return _statistic_sum((y[:w] / xs - ref) ** 2)
 
 
 def _statistic_sum(terms: np.ndarray) -> float:
@@ -383,8 +371,9 @@ def dimension_objective(x, spec: RegimeSpec, m: int, epsilon: float, sigma: floa
         raise DegenerateBandwidthError("bandwidth is zero; no dimension to select")
     _check_unit("sigma", sigma)
     xs = _window(x, m)
-    return _objective(spec, np.cumsum(xs ** -4.0), np.arange(1, m + 1),
-                      epsilon, sigma, alpha, beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf sums, and 0 * inf, as the kernel's
+        return _objective(spec, np.cumsum(xs ** -4.0), np.arange(1, m + 1),
+                          epsilon, sigma, alpha, beta)
 
 
 def select_dimension(x, spec: RegimeSpec, m: int, epsilon: float, sigma: float,

@@ -9,14 +9,16 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gsmgof
-from gsmgof import RegimeSpec, cli, evaluate_bounds, spike_index
+from gsmgof import RegimeSpec, cli, evaluate_bounds, runner, spike_index
 from gsmgof.cli import main
 
 
@@ -28,6 +30,69 @@ def read_csv(path):
 def read_json(path):
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
+
+
+# Values at and past the edges of every numeric setting's domain
+_EDGES = ("0", "1", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "5e-324", "800")
+_TYPICAL = {"epsilon": ("0.01", "0.1"), "sigma": ("0.01", "1e-4"), "s": ("1", "0.5"),
+            "t": ("1", "2"), "alpha": ("0.05",), "beta": ("0.5",), "kappa": ("40",),
+            "radii": ("0.5", "0.01"), "r-lo": ("0.001",), "r-hi": ("1",), "tol": ("0.05",)}
+_OWN_FLAGS = {"power-curve": ("radii",), "sep-radius": ("r-lo", "r-hi", "tol")}
+
+
+@st.composite
+def _invocations(draw):
+    """A subcommand with drawn settings: up to two of its numeric ones at an
+    edge, the others at their default or a typical value, a grid of up to
+    two values where the subcommand takes grids, and a horizon of 1 to 200."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [command, "--reps", "100", "--seed", str(draw(st.integers(0, 99))),
+            "--jmax", str(draw(st.integers(1, 200))),
+            "--regime", draw(st.sampled_from(cli._REGIMES))]
+    flags = ("epsilon", "sigma", "s", "t", "alpha", "beta", "kappa",
+             *_OWN_FLAGS.get(command, ()))
+    edges = draw(st.sets(st.sampled_from(flags), max_size=2))
+    for flag in flags:
+        size = 2 if flag == "radii" or (cli._COMMANDS[command].grids
+                                        and flag in ("epsilon", "sigma")) else 1
+        pool = _TYPICAL[flag] + _EDGES if flag in edges else _TYPICAL[flag]
+        values = st.lists(st.sampled_from(pool), min_size=1, max_size=size)
+        grid = draw(values if flag in edges or flag == "radii" else st.none() | values)
+        if grid is not None:
+            argv.append(f"--{flag}={','.join(grid)}")
+    if command == "test":
+        dimension = draw(st.none() | st.integers(0, 200))
+        if dimension is not None:
+            argv.append(f"--dimension={dimension}")
+    return argv
+
+
+def _run_in_process(argv):
+    """main's exit code, stdout and stderr, with every warning an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_invocations())
+@example(argv=["sep-radius", "--regime", "mild-super", "--s", "800", "--jmax", "50",
+               "--reps", "100"])  # 1 / a_1 overflowed, then a bracket of zeros
+@example(argv=["test", "--jmax", "50", "--epsilon", "1e300", "--dimension", "3"])
+@example(argv=["test", "--jmax", "200", "--sigma", "1e-100", "--t", "0.9",
+               "--regime", "severe-super"])  # x ** -4 overflowed in the objective
+def test_every_invocation_exits_0_1_or_2_and_its_bytes_ignore_the_workers(argv):
+    """No drawn invocation raises, warns or prints a traceback; its exit code
+    is 0, 1 or 2, and --workers 2, forking for any work, changes no byte."""
+    with mock.patch.object(runner, "_FORK_WORK", 1):
+        runs = [_run_in_process([*argv, "--workers", workers]) for workers in ("1", "2")]
+    code, _, err = runs[0]
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert runs[1] == runs[0]
 
 
 class TestTestCommand:

@@ -417,9 +417,10 @@ class TestChunkDraws:
                 assert row[:w].tobytes() == want[:w].tobytes()
 
     def test_each_row_is_drawn_once(self, monkeypatch):
-        """A row is drawn at its first request, the table's full width; a
-        request that fits the table draws no row it holds, and one past its
-        width draws as RekeyedDraws does."""
+        """A stream's rows, every replication of the chunk at the table's full
+        width, are drawn in one call at its first request that the table
+        serves; a request past the table's width or outside the chunk draws
+        as RekeyedDraws does."""
         calls = []
         words = RekeyedDraws._words
 
@@ -429,19 +430,17 @@ class TestChunkDraws:
 
         monkeypatch.setattr(RekeyedDraws, "_words", counted)
         table = _ChunkDraws(7, 10, 20, 6)
-        table.rows(range(10, 14), OPERATOR_STREAM, 0, [2] * 4)
-        table.rows([11, 12, 15], OPERATOR_STREAM, 1, [5, 0, 3])
-        table.rows(range(10, 20), OPERATOR_STREAM, 0, [6] * 10)
-        table.rows([12, 13], SIGNAL_STREAM, 0, [4, 1])
-        assert calls == [([10, 11, 12, 13], OPERATOR_STREAM, 0, [6] * 4),
-                         ([15], OPERATOR_STREAM, 0, [6]),
-                         ([14, 16, 17, 18, 19], OPERATOR_STREAM, 0, [6] * 5),
-                         ([12, 13], SIGNAL_STREAM, 0, [6, 6])]
-        calls.clear()
         table.rows([12, 13], OPERATOR_STREAM, 4, [3, 1])  # past the width
         table.rows([9, 12], OPERATOR_STREAM, 0, [3, 1])  # a rep outside the chunk
         assert calls == [([12, 13], OPERATOR_STREAM, 4, [3, 1]),
                          ([9, 12], OPERATOR_STREAM, 0, [3, 1])]
+        calls.clear()
+        table.rows(range(10, 14), OPERATOR_STREAM, 0, [2] * 4)
+        table.rows([11, 12, 15], OPERATOR_STREAM, 1, [5, 0, 3])
+        table.rows(range(10, 20), OPERATOR_STREAM, 0, [6] * 10)
+        table.rows([12, 13], SIGNAL_STREAM, 0, [4, 1])
+        assert calls == [(list(range(10, 20)), OPERATOR_STREAM, 0, [6] * 10),
+                         (list(range(10, 20)), SIGNAL_STREAM, 0, [6] * 10)]
 
     @pytest.mark.parametrize("call, message", [
         (lambda table: table.rows([10, 1.5], 1, 0, [3, 3]), "rep must be an integer, got 1.5"),
@@ -570,17 +569,17 @@ def stream_sample(request):
     replication.
     """
     spec = RegimeSpec.from_name("mild-ordinary")
-    noise = NoiseLevels(1.0, 1.0)
     n = 100_000
     cols = [0, 4, 9]
     b = b_vector(spec, 10)
-    xi = np.empty((n, len(cols)))
-    eta = np.empty((n, len(cols)))
-    for rep in range(n):
-        obs = simulate(Signal.zeros(0), spec, noise, seed=20_240, j_max=10, rep=rep)
-        xi[rep] = obs.y[cols]
-        eta[rep] = (obs.x - b)[cols]
-    return xi, eta
+    draws = RekeyedDraws(20_240)
+    y = draws.rows(np.arange(n), SIGNAL_STREAM, 0, np.full(n, 10))
+    x = b + 1.0 * draws.rows(np.arange(n), OPERATOR_STREAM, 0, np.full(n, 10))
+    for rep in range(100):  # simulate's rows, bit for bit
+        obs = simulate(Signal.zeros(0), spec, NoiseLevels(1.0, 1.0), seed=20_240, j_max=10,
+                       rep=rep)
+        assert obs.y.tobytes() == y[rep].tobytes() and obs.x.tobytes() == x[rep].tobytes()
+    return y[:, cols], (x - b)[:, cols]
 
 
 class TestStreamStatistics:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gsmgof import cli, gsm, montecarlo, sequences, testproc
+from gsmgof import cli, gsm, montecarlo, runner, sequences, testproc
 from gsmgof import (
     KAPPA_DEFAULT,
     OPERATOR_STREAM,
@@ -47,7 +47,6 @@ from gsmgof import (
 )
 from gsmgof.montecarlo import (
     _build_radius_cache,
-    _chunk_ranges,
     _joined,
     _reject_counts,
     _rejections,
@@ -55,6 +54,7 @@ from gsmgof.montecarlo import (
     _starts,
 )
 from gsmgof.gsm import DRAW_BOUND
+from gsmgof.runner import _chunk_ranges
 from gsmgof.sequences import a_value, b_vector
 from gsmgof.testproc import Bandwidth, TestReport, _decide, _parts_from_sums, _threshold_totals
 
@@ -1093,8 +1093,8 @@ def count_rows(monkeypatch):
 
 def grid_caches(plans, workers):
     """The radius cache of each plan, from one _run_jobs call."""
-    return montecarlo._run_jobs([montecarlo._kernel_job(_build_radius_cache, (plan,), plan,
-                                                        _joined) for plan in plans], workers)
+    return runner._run_jobs([montecarlo._kernel_job(_build_radius_cache, (plan,), plan,
+                                                    _joined) for plan in plans], workers)
 
 
 def same_bytes(a, b):
@@ -1116,11 +1116,26 @@ class TestSharedDraws:
         assert rows == Counter({(rep, stream): 1 for rep in range(2000)
                                 for stream in (SIGNAL_STREAM, OPERATOR_STREAM)})
 
+    @pytest.mark.parametrize("workload, n_rows, n_words", [
+        ("calibrate-mild", 4500, {OPERATOR_STREAM: 76_500, SIGNAL_STREAM: 24_000}),
+        ("calibrate-severe", 4000, {OPERATOR_STREAM: 12_000, SIGNAL_STREAM: 12_000}),
+    ])
+    def test_a_grid_draws_its_pinned_words(self, workload, n_rows, n_words, monkeypatch,
+                                           capsys):
+        """The rows and words each grid draws at --workers 1.  calibrate-mild
+        draws its operator rows twice: the table holds the 16-column head of
+        every cell, and its sigma = 1e-4 cell's scan block starts at 131."""
+        rows, words = count_rows(monkeypatch)
+        argv = [*WORKLOAD_ARGV[workload], "--seed", "12345", "--workers", "1"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert (rows.total(), words) == (n_rows, n_words)
+
     def test_a_single_job_draws_as_it_did(self, monkeypatch, capsys):
         """sep-radius runs one job, which builds no table: its rows and words
         are pinned."""
         made = []
-        monkeypatch.setattr(montecarlo, "_ChunkDraws", lambda *args: made.append(args))
+        monkeypatch.setattr(runner, "_ChunkDraws", lambda *args: made.append(args))
         rows, words = count_rows(monkeypatch)
         argv = [*WORKLOAD_ARGV["sep-radius"], "--seed", "12345", "--workers", "1"]
         assert cli.main(argv) == 0
@@ -1179,17 +1194,17 @@ class TestSharedDraws:
                 super().__init__(*args)
                 made.append(self)
 
-        monkeypatch.setattr(montecarlo, "_ChunkDraws", Recorded)
+        monkeypatch.setattr(runner, "_ChunkDraws", Recorded)
         plan = make_plan(sigma=0.023, j_max=50, n_reps=300)
         estimate_alpha(plan, workers=2)
         assert made == []
-        montecarlo._run_jobs([montecarlo._error_job(plan)] * 2, 2)
+        runner._run_jobs([montecarlo._error_job(plan)] * 2, 2)
         assert [(table.lo, table.hi) for table in made] == [(0, 150), (150, 300)]
         assert all(table._tables == {} for table in made)
         made.clear()
         overflow = make_plan(epsilon=1.3e154, sigma=0.023, j_max=50, n_reps=300)
         with pytest.raises(ValueError, match="the threshold is not finite"):
-            montecarlo._run_jobs([montecarlo._error_job(plan), montecarlo._error_job(overflow)], 1)
+            runner._run_jobs([montecarlo._error_job(plan), montecarlo._error_job(overflow)], 1)
         assert len(made) == 1 and made[0]._tables == {}
 
     def test_the_scan_geometry_is_computed_once_per_distinct_plan(self, capsys):
@@ -1205,7 +1220,7 @@ class TestSharedDraws:
         """calibrate-severe's 8 cells have 2 growths and 2 sigmas at one
         level and horizon.  At --workers 2 on one CPU every job runs its 2
         chunks in this process: 16 kernels, 4 computations."""
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
         montecarlo._tail_dim.cache_clear()
         argv = [*WORKLOAD_ARGV["calibrate-severe"][:-1], "200", "--seed", "12345",
                 "--workers", "2"]

@@ -1,7 +1,8 @@
 """The package's public names: each module's __all__, exported once; the
 one count rule, sequences._count, is the only place a parameter is cast with
-int(); the Monte Carlo harness imports no reference path; and numpy is the
-one third-party module the package imports and declares."""
+int(); the Monte Carlo harness imports no reference path; the process runner
+sits below the harness; and numpy is the one third-party module the package
+imports and declares."""
 
 import ast
 import re
@@ -11,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import gsmgof
-from gsmgof import bounds, errors, gsm, montecarlo, sequences, testproc
+from gsmgof import bounds, errors, gsm, montecarlo, runner, sequences, testproc
 
-MODULES = (bounds, errors, gsm, montecarlo, sequences, testproc)
+MODULES = (bounds, errors, gsm, montecarlo, runner, sequences, testproc)
 
 
 def test_every_module_name_is_exported():
@@ -91,6 +92,37 @@ def test_montecarlo_runs_no_reference_path():
     assert "run_test" not in _imported_names(source, "testproc")
     assert {"RekeyedDraws", "_threshold_totals"} <= (_imported_names(source, "gsm")
                                                       | _imported_names(source, "testproc"))
+
+
+def _top_level_names(source: str) -> set[str]:
+    """The names source defines at module level: functions, classes and
+    assigned names."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {target.id for target in targets if isinstance(target, ast.Name)}
+    return names
+
+
+def test_the_runner_sits_below_the_harness():
+    """runner imports from the package only the worker error, the draw table
+    and the count rule (no module above it, no kernel constant), montecarlo
+    defines none of its names and reads only the job, the run and the summed
+    counts from it, and it exports nothing."""
+    source = Path(runner.__file__).read_text(encoding="utf-8")
+    assert {(node.module, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names} == {("errors", "WorkerError"), ("gsm", "_ChunkDraws"),
+                                         ("sequences", "_count")}
+    harness = Path(montecarlo.__file__).read_text(encoding="utf-8")
+    runner_names = _top_level_names(source) - {"__all__"}
+    assert {"_run_jobs", "_Child", "_FORK_WORK"} <= runner_names
+    assert not runner_names & _top_level_names(harness)
+    assert _imported_names(harness, "runner") == {"_Job", "_run_jobs", "_sums"}
+    assert runner.__all__ == []
 
 
 def test_the_cast_guard_sees_nested_functions_on_their_own():

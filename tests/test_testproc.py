@@ -39,7 +39,7 @@ from gsmgof import (
     threshold_parts,
 )
 from gsmgof import sequences
-from gsmgof.testproc import _bracket_tables, _first_hit
+from gsmgof.testproc import _table
 from test_acceptance import _oracle_bracket
 
 
@@ -245,9 +245,10 @@ class TestBandwidthBracket:
         assert bracket[:2] == _oracle_bracket(mild_ordinary, sigma, 0.05, KAPPA_DEFAULT, j_max)
 
     def test_one_table_serves_every_spec_and_sigma(self):
-        """The envelope tables are built once per (alpha, kappa, j_max) and
-        read by every spec and sigma; each bracket is the oracle scan's."""
-        _bracket_tables.cache_clear()
+        """Each envelope's table is built once per (alpha, kappa, j_max), in
+        the one cache of envelope tables, and read by every spec and sigma;
+        each bracket is the oracle scan's."""
+        _table.cache_clear()
         for name in ("mild-ordinary", "mild-super", "severe-ordinary", "severe-super"):
             spec = RegimeSpec.from_name(name, s=0.8, t=0.6)
             for sigma in (0.9, 1e-2, 1e-4, 1e-8, 1e-30):
@@ -255,10 +256,12 @@ class TestBandwidthBracket:
                 assert bracket[:2] == _oracle_bracket(spec, sigma, 0.07, 40.0, 300)
                 assert bracket.low_truncated == (bracket.low == 300)
                 assert not bracket.high_truncated or bracket.high == 300
-        info = _bracket_tables.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-        low, high = _bracket_tables(0.07, 40.0, 300)
-        assert not low.flags.writeable and not high.flags.writeable
+        info = _table.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        for envelope in (bracket_envelope_low, bracket_envelope_high):
+            table = _table(envelope, 0.07, 40.0, 300)
+            assert not table.flags.writeable
+            assert table.tobytes() == envelope(np.arange(1, 301), 0.07, 40.0).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(regime=st.sampled_from(("mild-ordinary", "mild-super", "severe-ordinary",
@@ -275,9 +278,11 @@ class TestBandwidthBracket:
         gives the bracket that compares every coordinate up to j_max."""
         spec = RegimeSpec.from_name(regime, s=s, t=t)
         b = b_vector(spec, j_max)
-        low_table, high_table = _bracket_tables(alpha, KAPPA_DEFAULT, j_max)
-        low = _first_hit(b <= sigma * low_table)
-        high = _first_hit(b <= sigma * high_table)
+        low_table = _table(bracket_envelope_low, alpha, KAPPA_DEFAULT, j_max)
+        high_table = _table(bracket_envelope_high, alpha, KAPPA_DEFAULT, j_max)
+        low, high = (int(hits[0]) if hits.size else None
+                     for hits in (np.flatnonzero(b <= sigma * low_table),
+                                  np.flatnonzero(b <= sigma * high_table)))
         full = (j_max if low is None else low, j_max if high is None else high + 1,
                 low is None, high is None)
         assert bandwidth_bracket(spec, sigma, alpha, j_max=j_max) == full

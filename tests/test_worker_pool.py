@@ -1,5 +1,5 @@
-"""The worker processes of `_run_jobs`: how many are forked per call, that
-none outlives the call, on success or on error, and that running chunks in
+"""The worker processes of `runner._run_jobs`: how many are forked per call,
+that none outlives the call, on success or on error, and that running chunks in
 them changes no byte and no error.
 
 Every test here runs at `_FORK_WORK` = 1 (see `cheap_forks`), so that a
@@ -19,22 +19,23 @@ import numpy as np
 import pytest
 
 import gsmgof
-from gsmgof import cli, gsm, montecarlo
+from gsmgof import cli, gsm, montecarlo, runner
 from gsmgof.cli import main
 from gsmgof.errors import WorkerError
 from gsmgof.gsm import NoiseLevels, Signal
-from gsmgof.montecarlo import ExperimentPlan, _Job, _run_jobs, estimate_alpha, fit_rate_slope
+from gsmgof.montecarlo import ExperimentPlan, estimate_alpha, fit_rate_slope
+from gsmgof.runner import _Job, _run_jobs
 from gsmgof.sequences import RegimeSpec
 from gsmgof.testproc import KAPPA_DEFAULT, TestConfig
 
-FORK_WORK = montecarlo._FORK_WORK
+FORK_WORK = runner._FORK_WORK
 
 
 @pytest.fixture(autouse=True)
 def cheap_forks(monkeypatch):
     """A fork for any work at all: the mechanics of the pool are tested on
     small plans."""
-    monkeypatch.setattr(montecarlo, "_FORK_WORK", 1)
+    monkeypatch.setattr(runner, "_FORK_WORK", 1)
 
 _SMALL = ["--jmax", "100", "--reps", "100", "--seed", "5"]
 
@@ -44,7 +45,7 @@ POWER_CURVE = ["power-curve", *_SMALL, "--radii", "0.3,0.6,0.9,1.0"]
 CHECKS = ["checks", *_SMALL, "--sigma", "0.001"]
 SEP_RADIUS = ["sep-radius", *_SMALL, "--r-lo", "0.001", "--r-hi", "1"]
 
-CPUS = montecarlo._usable_cpus()
+CPUS = runner._usable_cpus()
 # A test that needs a second process forks one only where there is a second CPU.
 needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="forks a second process")
 
@@ -52,7 +53,7 @@ needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="forks a second process")
 def _forks_per_call(monkeypatch):
     """A list that gets a 0 per `_run_jobs` call, whichever module calls it."""
     counts = []
-    run_jobs = montecarlo._run_jobs
+    run_jobs = runner._run_jobs
 
     def counting(*args, **kwargs):
         counts.append(0)
@@ -94,7 +95,7 @@ def forks_asked(monkeypatch):
         def kill(self):
             pass
 
-    monkeypatch.setattr(montecarlo, "_Child", Inline)
+    monkeypatch.setattr(runner, "_Child", Inline)
     return counts
 
 
@@ -198,8 +199,8 @@ def test_a_grid_sharing_its_draws_raises_the_first_error_of_a_serial_loop(worker
     cell's threshold overflows once the first cell has run on the table, and
     the error raised is the one estimate_alpha raises on that cell alone."""
     made = []
-    table = montecarlo._ChunkDraws
-    monkeypatch.setattr(montecarlo, "_ChunkDraws",
+    table = runner._ChunkDraws
+    monkeypatch.setattr(runner, "_ChunkDraws",
                         lambda *args: made.append(args) or table(*args))
     with pytest.raises(ValueError, match="the threshold is not finite") as alone:
         estimate_alpha(_cell(1.3e154))
@@ -246,7 +247,7 @@ def test_the_pool_size_is_capped_by_the_cpu_count(cpus, size, forks_asked, monke
     the platform has no affinity mask, the count is os.cpu_count() or 1."""
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert montecarlo._usable_cpus() == (cpus or 1)
+    assert runner._usable_cpus() == (cpus or 1)
     assert estimate_alpha(_plan(), workers=1000) == estimate_alpha(_plan(), workers=1)
     assert forks_asked == [size - 1, 0]
 
@@ -256,7 +257,7 @@ def test_the_cpu_count_is_that_of_the_affinity_mask(forks_asked, monkeypatch):
     workers runs both chunks in this process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert montecarlo._usable_cpus() == 1
+    assert runner._usable_cpus() == 1
     assert cli._resolve(cli._build_parser().parse_args(["calibrate"]))["workers"] == 1
     assert estimate_alpha(_plan(), workers=2) == estimate_alpha(_plan(), workers=1)
     assert forks_asked == [0, 0]
@@ -276,13 +277,13 @@ def test_without_fork_every_chunk_runs_in_this_process(monkeypatch, capsys):
     assert main(CALIBRATE + ["--workers", "1"]) == 0
     serial = capsys.readouterr()
     shares = []
-    share = montecarlo._share
+    share = runner._share
 
     def recording(built, p, procs):
         shares.append((p, procs, [len(ranges) for _, ranges in built]))
         return share(built, p, procs)
 
-    monkeypatch.setattr(montecarlo, "_share", recording)
+    monkeypatch.setattr(runner, "_share", recording)
     monkeypatch.delattr(os, "fork")
     assert main(CALIBRATE + ["--workers", "2"]) == 0
     assert capsys.readouterr() == serial
@@ -296,7 +297,7 @@ def test_without_fork_every_chunk_runs_in_this_process(monkeypatch, capsys):
 
 
 def _job(fn, *args):
-    return _Job(fn, (os.getpid(), *args), 100, 100, montecarlo._sums)
+    return _Job(fn, (os.getpid(), *args), 100, 100, runner._sums)
 
 
 def _ends_its_process(parent, how, lo, hi):
@@ -398,7 +399,7 @@ def test_a_result_larger_than_a_pipe_buffer_comes_back_whole(workers, deadline):
 
     job = _Job(montecarlo._build_radius_cache, (plan,), plan.n_reps,
                montecarlo._draw_work(plan), as_bytes)
-    forked_chunk = montecarlo._chunk_ranges(plan.n_reps, workers)[1]  # runs in worker 1
+    forked_chunk = runner._chunk_ranges(plan.n_reps, workers)[1]  # runs in worker 1
     assert len(pickle.dumps(montecarlo._build_radius_cache(plan, *forked_chunk))) > 2 ** 16
     assert _run_jobs([job], workers) == _run_jobs([job], 1)
     _no_child_left()
@@ -406,13 +407,13 @@ def test_a_result_larger_than_a_pipe_buffer_comes_back_whole(workers, deadline):
 
 _WRITES_THEN_FORKS = """
 import os, sys
-from gsmgof import montecarlo
+from gsmgof import runner
 from gsmgof.gsm import NoiseLevels, Signal
 from gsmgof.montecarlo import ExperimentPlan, estimate_alpha
 from gsmgof.sequences import RegimeSpec
 from gsmgof.testproc import TestConfig
 
-montecarlo._FORK_WORK = 1  # a fork for this small plan
+runner._FORK_WORK = 1  # a fork for this small plan
 forks = []
 fork = os.fork
 
@@ -464,16 +465,16 @@ def test_the_default_threshold_forks_only_for_large_work(argv, forked, forks_ask
     """With 2 CPUs at --workers 2, a 1000-replication radius search (2187
     rows) runs both its chunks in this process, and the 8-cell severe grid
     (36 000 rows) forks one worker."""
-    monkeypatch.setattr(montecarlo, "_FORK_WORK", FORK_WORK)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(runner, "_FORK_WORK", FORK_WORK)
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
     shares = []
-    share = montecarlo._share
+    share = runner._share
 
     def recording(built, p, procs):
         shares.append((p, procs, [len(ranges) for _, ranges in built]))
         return share(built, p, procs)
 
-    monkeypatch.setattr(montecarlo, "_share", recording)
+    monkeypatch.setattr(runner, "_share", recording)
     assert main(argv) == 0
     assert forks_asked == [forked]
     chunks = [2] * len(shares[0][2])
@@ -531,7 +532,7 @@ def test_a_plan_refused_in_its_chunk_is_sized_as_unbounded_work(monkeypatch):
     forks as it did before the rule, and each chunk raises the kernel's own
     first error, in job order: a theta longer than the horizon before the
     envelope, the envelope of a failing second job after a good first one."""
-    monkeypatch.setattr(montecarlo, "_FORK_WORK", FORK_WORK)
+    monkeypatch.setattr(runner, "_FORK_WORK", FORK_WORK)
     refused = _mild(1e-2, 100, kappa=1e306, j_max=200)
     assert montecarlo._draw_work(refused) == math.inf
     too_long = Signal(np.ones(201))
@@ -553,7 +554,7 @@ def test_a_plan_refused_in_its_chunk_is_sized_as_unbounded_work(monkeypatch):
      "from j=3\n"),
 ], ids=["worker-then-plan", "plan-then-worker", "radius", "worker-then-radius", "kappa"])
 def test_the_default_threshold_changes_no_error(argv, err, monkeypatch, capsys):
-    monkeypatch.setattr(montecarlo, "_FORK_WORK", FORK_WORK)
+    monkeypatch.setattr(runner, "_FORK_WORK", FORK_WORK)
     for workers in ("1", "2"):
         assert _run(argv + ["--jmax", "200", "--reps", "100", "--workers", workers],
                     capsys) == (2, "", err)
