@@ -10,6 +10,7 @@ counts are summed, which is exact regardless of the split.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple, Sequence
@@ -52,14 +53,14 @@ from .testproc import (
     _first_hit,
     _objective,
     _objective_weight,
-    _parts_from_sums,
+    _parts,
     _squared,
-    _statistic_sum,
     _table,
-    _threshold_totals,
+    _terms,
     bandwidth_bracket,
     scan_envelope,
     statistic,
+    threshold_parts,
 )
 
 __all__ = [
@@ -387,12 +388,12 @@ class _Kernel:
         gathered end to end, the math.fsums of each one's statistic terms,
         x**-2 and x**-4 taken for all at once (_window_sums, which sums the
         windows its certificate leaves open one by one), and the thresholds
-        from those sums at once (_threshold_totals).  One with a zero
-        bandwidth is degenerate.  The error raised is the first one the
-        reference path meets over reps in order, as it raises it.  No x that
-        a decision reads is exactly zero, which the reference path would
-        refuse: a zero x_j at or past start ends the scan at or before j,
-        and below start |x_j| > 0 is certain.
+        from those sums at once (_parts).  One with a zero bandwidth is
+        degenerate.  The error raised is the first one the reference path
+        meets over reps in order, raised by statistic and threshold_parts on
+        that window.  No x that a decision reads is exactly zero, which the
+        reference path would refuse: a zero x_j at or past start ends the
+        scan at or before j, and below start |x_j| > 0 is certain.
         """
         reps, width = np.asarray(reps), self._windows(head, m)
         pending = np.flatnonzero(width < 0)
@@ -418,25 +419,24 @@ class _Kernel:
             y = self.bt[col] + eps_xi
         else:
             y, eps_xi = self.bt[col], np.zeros(col.size)
+        plan = self.plan
         with np.errstate(all="ignore"):  # a sum that is not finite is refused below
-            terms = (y / x - self.theta0[col]) ** 2
-            inv2, inv4 = x ** -2.0, x ** -4.0
-        value, inv2_sum, inv4_sum = _window_sums((terms, inv2, inv4), w)
-        alpha, a_w = self.plan.config.alpha, a_inv_sq(self.plan.spec, w)
-        cutoff = _threshold_totals(inv2_sum, inv4_sum, a_w, self.eps, self.sigma, alpha)
+            value, inv2_sum, inv4_sum = _window_sums(
+                (_terms(y, x, self.theta0[col]), x ** -2.0, x ** -4.0), w)
+            cutoff = _parts(inv2_sum, inv4_sum, a_inv_sq(plan.spec, w), self.eps, self.sigma,
+                            plan.config.alpha).total
         bad = np.flatnonzero(~(np.isfinite(value) & np.isfinite(cutoff)))
         if bad.size:  # the reference path's error there: the statistic's, else the threshold's
-            lo = _starts(w)
-            span = slice(lo[bad[0]], lo[bad[0]] + w[bad[0]])
-            _statistic_sum(terms[span])
-            _parts_from_sums(_fsum(inv2[span].tolist()), _fsum(inv4[span].tolist()),
-                             a_w[bad[0]].item(), self.eps, self.sigma, alpha)
-            raise AssertionError("_threshold_totals disagrees with _parts_from_sums")
-        statistic = np.zeros(len(reps))
-        statistic[rows] = value
-        threshold = np.full(len(reps), math.nan)
-        threshold[rows] = cutoff
-        return _Outcomes(m, width, statistic, threshold, x, y, eps_xi)
+            n, lo = int(w[bad[0]]), _starts(w)[bad[0]]
+            span = slice(lo, lo + n)
+            statistic(y[span], x[span], plan.theta0, n, n)
+            threshold_parts(x[span], plan.spec, n, n, self.eps, self.sigma, plan.config.alpha)
+            raise AssertionError("_parts disagrees with threshold_parts")
+        values = np.zeros(len(reps))
+        values[rows] = value
+        thresholds = np.full(len(reps), math.nan)
+        thresholds[rows] = cutoff
+        return _Outcomes(m, width, values, thresholds, x, y, eps_xi)
 
     def _windows(self, head: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Each row's window min(d, m) (0 where m is 0) where it is certain
@@ -583,8 +583,8 @@ def _rejections(cache: _Outcomes, plan: ExperimentPlan, r: float) -> np.ndarray:
     at = starts[rows] + k
     x_k, null_total, cutoff = cache.x[at], cache.statistic[rows], cache.threshold[rows]
     with np.errstate(all="ignore"):  # statistic decides a value that is not finite
-        old = (cache.y[at] / x_k - theta0_k) ** 2
-        new = ((spiked + cache.eps_xi[at]) / x_k - theta0_k) ** 2
+        old = _terms(cache.y[at], x_k, theta0_k)
+        new = _terms(spiked + cache.eps_xi[at], x_k, theta0_k)
         approx = (null_total - old) + new
         margin = 4.0 * np.spacing(np.maximum(null_total, np.abs(approx)))
         certain = (np.abs(approx - cutoff) > margin) & np.isfinite(approx + margin)
@@ -602,20 +602,19 @@ def _bisect(cache: _Outcomes, plan: ExperimentPlan, beta_target: float,
     """empirical_separation_radius's search, on the radius cache of plan."""
     n = plan.n_reps
 
-    def beta_at(r: float) -> float:
-        return (n - np.count_nonzero(_rejections(cache, plan, r))) / n
+    def estimate(r: float) -> ErrorEstimate:
+        return ErrorEstimate.from_counts(n - np.count_nonzero(_rejections(cache, plan, r)), n)
 
     if r_lo == r_hi:
-        p = beta_at(r_lo)
-        se = math.sqrt(p * (1.0 - p) / n)
-        if abs(p - beta_target) <= 3.0 * se:
+        single = estimate(r_lo)
+        if abs(single.p_hat - beta_target) <= 3.0 * single.se:
             return r_lo
         raise BracketingError(
-            f"single radius {r_lo} has second-kind error {p:.4f}, "
+            f"single radius {r_lo} has second-kind error {single.p_hat:.4f}, "
             f"not within 3 standard errors of the target {beta_target}"
         )
 
-    p_lo = beta_at(r_lo)
+    p_lo = estimate(r_lo).p_hat
     if p_lo == beta_target:
         return r_lo
     if p_lo < beta_target:
@@ -623,7 +622,7 @@ def _bisect(cache: _Outcomes, plan: ExperimentPlan, beta_target: float,
             f"second-kind error {p_lo:.4f} at r_lo={r_lo} is already below the "
             f"target {beta_target}; shrink r_lo"
         )
-    p_hi = beta_at(r_hi)
+    p_hi = estimate(r_hi).p_hat
     if p_hi == beta_target:
         return r_hi
     if p_hi > beta_target:
@@ -637,7 +636,7 @@ def _bisect(cache: _Outcomes, plan: ExperimentPlan, beta_target: float,
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # float resolution exhausted
             break
-        if beta_at(mid) > beta_target:
+        if estimate(mid).p_hat > beta_target:
             lo = mid
         else:
             hi = mid
@@ -689,13 +688,14 @@ def empirical_separation_radius(plan: ExperimentPlan, beta_target: float,
 
 def _radius_bracket(spec: RegimeSpec, r_lo, r_hi) -> tuple[float, float]:
     """(r_lo, r_hi) as floats, a missing one set as fit_rate_slope documents;
-    1 / a_1 is taken in logs past the float range, and refused at 0."""
+    1 / a_1 is taken in logs past the float range, and refused if subnormal."""
     if r_hi is None:
         with np.errstate(over="ignore"):  # past the float range, from ln a_1
             a_1 = float(a_value(spec, 1))
         r_hi = 1.0 / a_1 if a_1 < math.inf else math.exp(-_log_weight(spec, 1))
-        if r_hi == 0.0:
-            raise InfeasibleRadiusError(f"the ceiling 1 / a_1 underflows to 0 at s={spec.s!r}")
+        if r_hi < sys.float_info.min:
+            raise InfeasibleRadiusError(f"the ceiling 1 / a_1 = {r_hi!r} at s={spec.s!r} is below "
+                                        "the smallest normal float; give r_hi")
     r_hi = float(r_hi)
     r_lo = r_hi * 2.0 ** -14 if r_lo is None else float(r_lo)
     return r_lo, r_hi
@@ -795,11 +795,11 @@ def _quadform_failures(d: int, nu: np.ndarray, v: np.ndarray, mean: float,
     n_up = 0
     n_low = 0
     for reps in _row_groups(lo, hi, max(1, _CAP // d)):
-        omega = draws.rows(reps, QUADFORM_STREAM, 0, np.full(len(reps), d))
-        for terms in (nu + v * omega) ** 2:
-            dev = math.fsum(terms.tolist()) - mean
-            n_up += dev > up_cut
-            n_low += dev < low_cut
+        widths = np.full(len(reps), d)
+        omega = draws.rows(reps, QUADFORM_STREAM, 0, widths)
+        dev = _window_sums([((nu + v * omega) ** 2).ravel()], widths)[0] - mean
+        n_up += np.count_nonzero(dev > up_cut)
+        n_low += np.count_nonzero(dev < low_cut)
     return n_up, n_low
 
 

@@ -239,17 +239,16 @@ def statistic(y, x, theta0: Signal, d: int, m: int) -> float:
     y = np.asarray(y, dtype=float)
     xs = _window(x, w)
     ref = theta0.padded(max(w, len(theta0)))[:w]
-    with np.errstate(over="ignore"):  # a sum past the float range is refused by _statistic_sum
-        return _statistic_sum((y[:w] / xs - ref) ** 2)
-
-
-def _statistic_sum(terms: np.ndarray) -> float:
-    """math.fsum of the statistic's terms over its window; a sum that is not
-    finite is refused."""
-    total = _fsum(terms.tolist())
+    with np.errstate(over="ignore"):  # a sum past the float range is refused below
+        total = _fsum(_terms(y[:w], xs, ref).tolist())
     if not math.isfinite(total):
-        raise ValueError(f"the statistic over the first {terms.size} coefficients is not finite")
+        raise ValueError(f"the statistic over the first {w} coefficients is not finite")
     return total
+
+
+def _terms(y, x, theta0):
+    """The statistic's terms (y_j/x_j - theta0_j)**2, element by element."""
+    return (y / x - theta0) ** 2
 
 
 class ThresholdParts(NamedTuple):
@@ -273,41 +272,32 @@ def threshold_parts(x, spec: RegimeSpec, d: int, m: int, epsilon: float,
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     xs = _window(x, w)
-    with np.errstate(over="ignore"):  # a sum past the float range is refused with the threshold
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
         inv2, inv4 = xs ** -2.0, xs ** -4.0
-    return _parts_from_sums(_fsum(inv2.tolist()), _fsum(inv4.tolist()), a_inv_sq(spec, w),
-                            epsilon, sigma, alpha)
-
-
-def _parts_from_sums(sum_inv2: float, sum_inv4: float, a_w: float, epsilon: float,
-                     sigma: float, alpha: float) -> ThresholdParts:
-    """threshold_parts from the window's sums of x_j^-2 and x_j^-4 and its
-    a_w^-2 (Python floats).  A threshold that is not finite is refused."""
-    x_tail = tail_exponent(alpha)
-    floor = max(sigma * sigma * math.log(1.0 / sigma) ** 1.5, a_w)
-    parts = ThresholdParts(
-        centering=epsilon * epsilon * sum_inv2,
-        deviation=threshold_constant(alpha) * epsilon * epsilon * math.sqrt(sum_inv4),
-        bias=(1.0 + math.sqrt(x_tail)) * floor,
-    )
+        parts = _parts(_fsum(inv2.tolist()), _fsum(inv4.tolist()), a_inv_sq(spec, w),
+                       epsilon, sigma, alpha)
+    parts = ThresholdParts(*map(float, parts))
     if not math.isfinite(parts.total):
         raise ValueError(f"the threshold is not finite: {parts}")
     return parts
 
 
-def _threshold_totals(sum_inv2: np.ndarray, sum_inv4: np.ndarray, a_w: np.ndarray,
-                      epsilon: float, sigma: float, alpha: float) -> np.ndarray:
-    """_parts_from_sums(...).total of each window, from arrays of its sums and
-    a_w, by the same float64 operations in the same order.  The floor is the
-    one max picks: the first argument unless a_w exceeds it, so a NaN on
-    either side goes as it does (a subnormal sigma makes the first NaN).
-    Where _parts_from_sums refuses the threshold, the total is not finite."""
-    floor = sigma * sigma * math.log(1.0 / sigma) ** 1.5
-    with np.errstate(over="ignore", invalid="ignore"):
-        centering = epsilon * epsilon * sum_inv2
-        deviation = threshold_constant(alpha) * epsilon * epsilon * np.sqrt(sum_inv4)
-        bias = (1.0 + math.sqrt(tail_exponent(alpha))) * np.where(a_w > floor, a_w, floor)
-        return centering + deviation + bias
+def _parts(sum_inv2, sum_inv4, a_w, epsilon: float, sigma: float,
+           alpha: float) -> ThresholdParts:
+    """The threshold's parts from a window's sums of x_j^-2 and x_j^-4 and
+    its a_w^-2, element by element on floats or arrays; nothing is refused
+    (threshold_parts refuses a total that is not finite)."""
+    return ThresholdParts(
+        centering=epsilon * epsilon * sum_inv2,
+        deviation=threshold_constant(alpha) * epsilon * epsilon * np.sqrt(sum_inv4),
+        bias=(1.0 + math.sqrt(tail_exponent(alpha))) * _floor(a_w, sigma),
+    )
+
+
+def _floor(a_w, sigma: float):
+    """The bias floor max(sigma^2 ln^1.5(1/sigma), a_w^-2), given a_w^-2 as
+    a_w.  A subnormal sigma makes the first NaN, and the floor with it."""
+    return np.maximum(sigma * sigma * math.log(1.0 / sigma) ** 1.5, a_w)
 
 
 def threshold(x, spec: RegimeSpec, d: int, m: int, epsilon: float,
@@ -352,8 +342,7 @@ def _objective(spec: RegimeSpec, inv4_sums, dims, epsilon: float, sigma: float,
 
 def _bias(spec: RegimeSpec, dims, sigma: float, alpha: float) -> np.ndarray:
     """The dimension objective's bias term at dims (see _objective)."""
-    floor = sigma * sigma * math.log(1.0 / sigma) ** 1.5
-    bias = np.maximum(floor, a_inv_sq(spec, dims))
+    bias = _floor(a_inv_sq(spec, dims), sigma)
     bias *= 7.0 + 4.0 * math.sqrt(tail_exponent(alpha))
     return bias
 

@@ -427,6 +427,18 @@ class TestSepRadius:
         assert float(row["radius"]) == 0.859515625
         assert float(row["beta_target"]) == 0.5
 
+    @pytest.mark.parametrize("s, ceiling", [("709.5", "7.38014831401258e-309"),
+                                            ("740", "4.2e-322")])
+    def test_a_subnormal_default_ceiling_is_refused_by_name(self, capsys, s, ceiling):
+        """A default r_hi = 1 / a_1 below the smallest normal float is refused
+        as the ceiling, with the advice to give r_hi: its r_lo = r_hi * 2**-14
+        would lose its digits or underflow to 0 and fail later, misleadingly."""
+        assert main(["sep-radius", "--regime", "mild-super", "--s", s, "--jmax", "50",
+                     "--reps", "100", "--workers", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"gsm-gof: error: the ceiling 1 / a_1 = {ceiling} at s={float(s)!r} is below "
+            "the smallest normal float; give r_hi\n")
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_exits_2(self, capsys, tol):
         assert main(["sep-radius", "--tol", tol, "--jmax", "200", "--reps", "100",

@@ -6,6 +6,7 @@ import math
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ from gsmgof.montecarlo import (
 from gsmgof.gsm import DRAW_BOUND
 from gsmgof.runner import _chunk_ranges
 from gsmgof.sequences import a_value, b_vector
-from gsmgof.testproc import Bandwidth, TestReport, _decide, _parts_from_sums, _threshold_totals
+from gsmgof.testproc import Bandwidth, TestReport, _decide, _parts, threshold_parts
 
 REGIMES = ("mild-ordinary", "mild-super", "severe-ordinary", "severe-super")
 
@@ -654,7 +655,7 @@ class TestBatch:
 class TestColumns:
     """The kernel's unit of output is a row group's columns: no TestReport is
     built per replication, and the thresholds of a group come from one numpy
-    pass equal to _parts_from_sums row by row."""
+    pass of testproc._parts, the function threshold_parts takes them from."""
 
     def test_counting_builds_no_report(self, monkeypatch):
         spec = RegimeSpec.from_name("severe-ordinary")
@@ -700,14 +701,21 @@ class TestColumns:
            sigma=st.sampled_from([5e-324, 1e-310, 1e-300, 1e-8, 0.5, 1.0 - 2.0 ** -53])
            | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
            alpha=st.floats(1e-9, 0.99))
-    def test_threshold_totals_are_parts_from_sums_row_by_row(self, sums, epsilon, sigma, alpha):
-        """Every finite total is _parts_from_sums(...).total bit for bit, and
-        it is not finite exactly where that refuses the threshold, with its
-        message (at the first such row, a group raises it)."""
+    def test_parts_totals_are_threshold_parts_row_by_row(self, sums, epsilon, sigma, alpha):
+        """Every finite total of _parts on arrays is threshold_parts(...).total
+        on that row's sums (its sums and a_w fed in) bit for bit, and it is
+        not finite exactly where threshold_parts refuses the threshold, with
+        its message (at the first such row, a group raises it)."""
         inv2, inv4, a_w = map(np.array, zip(*sums))
-        totals = _threshold_totals(inv2, inv4, a_w, epsilon, sigma, alpha)
-        for total, row in zip(totals.tolist(), sums, strict=True):
-            scalar = _outcome(lambda: _parts_from_sums(*row, epsilon, sigma, alpha).total)
+        with np.errstate(all="ignore"):
+            totals = _parts(inv2, inv4, a_w, epsilon, sigma, alpha).total
+        spec = RegimeSpec.from_name("mild-ordinary")
+        fsums = [value for row in sums for value in row[:2]]  # each row's inv2, then inv4 sum
+        with mock.patch.object(testproc, "_fsum", side_effect=fsums), \
+                mock.patch.object(testproc, "a_inv_sq", side_effect=a_w.tolist()):
+            scalars = [_outcome(lambda: threshold_parts(np.ones(1), spec, 1, 1, epsilon, sigma,
+                                                        alpha).total) for _ in sums]
+        for total, scalar in zip(totals.tolist(), scalars, strict=True):
             if math.isfinite(total):
                 assert scalar == repr(total)
             else:
@@ -1646,6 +1654,14 @@ class TestBandwidthContainment:
         assert str(info.value) == message
 
 
+@st.composite
+def quadform_cases(draw):
+    """(d, nu, v, x) with d in 1..80 and nu, v of length d."""
+    d = draw(st.integers(1, 80))
+    coefficients = st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d)
+    return d, draw(coefficients), draw(coefficients), draw(st.floats(1e-3, 10.0))
+
+
 class TestQuadformConcentration:
     def test_single_chi_square_tail(self):
         """d=1, centered, unit variance, x=1: the upper event is omega^2 > 5,
@@ -1700,6 +1716,30 @@ class TestQuadformConcentration:
                     -2.0 * math.sqrt(proxy * x))
         [cuts] = seen
         assert cuts == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=quadform_cases(), n_reps=st.integers(1, 300), seed=st.integers(0, 2 ** 64 - 1))
+    def test_counts_are_a_loop_of_fsums(self, case, n_reps, seed):
+        """The tail counts are those of a loop over the replications that
+        sums each one's terms by math.fsum, at one worker and at two (forking
+        for any work); d up to 80 takes windows past sequences._SUM_CAP."""
+        d, nu, v, x = case
+        nu, v = np.array(nu), np.array(v)
+        mean = math.fsum((nu ** 2 + v ** 2).tolist())
+        proxy = math.fsum((v ** 4).tolist()) + 2.0 * math.fsum((v ** 2 * nu ** 2).tolist())
+        up_cut = 2.0 * math.sqrt(proxy * x) + 2.0 * x * float(np.max(v ** 2))
+        low_cut = -2.0 * math.sqrt(proxy * x)
+        n_up = n_low = 0
+        for rep in range(n_reps):
+            omega = gaussian_draws(seed, rep, gsm.QUADFORM_STREAM, d)
+            dev = math.fsum(((nu + v * omega) ** 2).tolist()) - mean
+            n_up += dev > up_cut
+            n_low += dev < low_cut
+        with mock.patch.object(runner, "_FORK_WORK", 1):
+            for workers in (1, 2):
+                tails = check_quadform_concentration(d, nu, v, x, n_reps, seed, workers)
+                assert (tails.upper, tails.lower) == (ErrorEstimate.from_counts(n_up, n_reps),
+                                                      ErrorEstimate.from_counts(n_low, n_reps))
 
     def test_worker_invariance(self):
         a = check_quadform_concentration(2, 0.0, 1.0, x=1.0, n_reps=400, workers=1)

@@ -90,8 +90,21 @@ def test_montecarlo_runs_no_reference_path():
     source = Path(montecarlo.__file__).read_text(encoding="utf-8")
     assert not {"simulate", "gaussian_draws"} & _imported_names(source, "gsm")
     assert "run_test" not in _imported_names(source, "testproc")
-    assert {"RekeyedDraws", "_threshold_totals"} <= (_imported_names(source, "gsm")
-                                                      | _imported_names(source, "testproc"))
+    assert {"RekeyedDraws", "_parts"} <= (_imported_names(source, "gsm")
+                                          | _imported_names(source, "testproc"))
+
+
+def test_the_bias_floor_is_written_once_and_the_harness_sums_no_window_by_fsum():
+    """sigma**2 ln**1.5(1/sigma) is stated once in the package (testproc's
+    bias floor), and montecarlo names no math.fsum: its windows are summed
+    by sequences._window_sums."""
+    package = Path(gsmgof.__file__).parent
+    assert sum(path.read_text(encoding="utf-8").count("math.log(1.0 / sigma) ** 1.5")
+               for path in package.glob("*.py")) == 1
+    source = (package / "montecarlo.py").read_text(encoding="utf-8")
+    assert not [node.lineno for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Attribute) and node.attr == "fsum"
+                and isinstance(node.value, ast.Name) and node.value.id == "math"]
 
 
 def _top_level_names(source: str) -> set[str]:
