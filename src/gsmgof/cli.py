@@ -28,6 +28,7 @@ from .errors import BracketingError, GsmGofError
 from .gsm import (
     NoiseLevels,
     Signal,
+    _word,
     default_j_max,
     make_spike_alternative,
     simulate,
@@ -43,7 +44,7 @@ from .montecarlo import (
     empirical_separation_radius,
 )
 from .runner import _run_jobs, _usable_cpus
-from .sequences import DecayKind, GrowthKind, RegimeSpec
+from .sequences import DecayKind, GrowthKind, RegimeSpec, _count
 from .testproc import KAPPA_DEFAULT, TestConfig, _check_unit, run_test
 
 __all__ = ["main"]
@@ -177,10 +178,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     settings["command"] = args.command
     if settings["workers"] is None:
         settings["workers"] = _usable_cpus()
-    if not 0 <= settings["seed"] < 2 ** 128:
-        raise ValueError(f"seed must lie in [0, 2**128), got {settings['seed']}")
-    if settings["workers"] < 1:
-        raise ValueError(f"workers must be at least 1, got {settings['workers']}")
+    _word("seed", settings["seed"], 128)
+    _count("workers", settings["workers"])
     return settings
 
 
@@ -244,8 +243,6 @@ def _noise(cell: _Cell) -> NoiseLevels:
     """Noise levels as the test procedure needs them: sigma strictly inside
     (0, 1) so the bandwidth scan and threshold are defined."""
     _check_unit("sigma", cell.sigma)
-    if cell.epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {cell.epsilon}")
     return NoiseLevels(cell.epsilon, cell.sigma)
 
 

@@ -24,7 +24,8 @@ import numpy as np
 from numpy.random import Philox
 
 from .errors import InfeasibleConstructionError, InfeasibleRadiusError, InvalidLevelsError
-from .sequences import DecayKind, GrowthKind, RegimeSpec, _count, a_value, b_value, b_vector
+from .sequences import (DecayKind, GrowthKind, RegimeSpec, _check_nonnegative, _check_positive,
+                        _check_vector, _count, _weight, b_value, b_vector)
 
 __all__ = [
     "NoiseLevels",
@@ -281,8 +282,7 @@ class NoiseLevels:
     def __post_init__(self) -> None:
         for name in ("epsilon", "sigma"):
             value = float(getattr(self, name))
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}")
+            _check_nonnegative(name, value)
             object.__setattr__(self, name, value)
 
 
@@ -293,11 +293,7 @@ class Signal:
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        coeffs = np.array(self.coefficients, dtype=float, copy=True)
-        if coeffs.ndim != 1:
-            raise ValueError("coefficients must be one-dimensional")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must all be finite")
+        coeffs = _check_vector("coefficients", np.array(self.coefficients, dtype=float, copy=True))
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -326,12 +322,7 @@ class Observations:
 
     def __post_init__(self) -> None:
         for name in ("y", "x"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be one-dimensional")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _check_vector(name, getattr(self, name)))
         if self.y.size != self.x.size:
             raise ValueError("y and x must have equal length")
 
@@ -430,8 +421,7 @@ def two_point_shift_constant(spec: RegimeSpec, sigma: float, alpha: float, beta:
     the zero-noise limit the window mass is 1 and only the budget remains.
     """
     d = _count("d", d)
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
+    _check_nonnegative("sigma", sigma)
     if sigma == 0.0:
         return divergence_budget(alpha, beta)
     mass = window_mass(b_value(spec, d) / sigma)
@@ -453,8 +443,7 @@ def make_two_point_pair(spec: RegimeSpec, noise: NoiseLevels, alpha: float, beta
     exactly (shift_constant / 2) * sigma / (a_d * b_d).
     """
     d = _count("d", d)
-    with np.errstate(over="ignore"):  # past the float range, from ln a_d
-        a = a_value(spec, d)
+    a = _weight(spec, d)  # inf past the float range, where ln a_d serves
     base = 0.5 / a if a < math.inf else 0.5 * math.exp(-_log_weight(spec, d))
     if noise.sigma == 0.0:
         theta0_d = base  # zero separation
@@ -490,8 +479,7 @@ def _log_weight(spec: RegimeSpec, d: int) -> float:
 
 def _admits(spec: RegimeSpec, d: int, r: float) -> bool:
     """a_d * r <= 1, in logs where a_d passes the float range."""
-    with np.errstate(over="ignore"):
-        a = a_value(spec, d)
+    a = _weight(spec, d)
     return a * r <= 1.0 if a < math.inf else _log_weight(spec, d) + math.log(r) <= 0.0
 
 
@@ -501,8 +489,7 @@ def spike_index(spec: RegimeSpec, r: float, j_max: int) -> int:
     Returns max{d <= j_max : a_d * r <= 1}; raises when even the first
     coordinate cannot carry the bump.
     """
-    if r <= 0.0 or not math.isfinite(r):
-        raise ValueError("spike norm must be positive and finite")
+    _check_positive("spike norm", r)
     j_max = _count("j_max", j_max)
     if not _admits(spec, 1, r):
         raise InfeasibleRadiusError(

@@ -34,15 +34,17 @@ from .runner import _Job, _run_jobs, _sums
 from .sequences import (
     RegimeSpec,
     _b_vector_cached,
+    _check_positive,
+    _check_vector,
     _count,
     _Decay,
     _decay,
     _fsum,
     _Growth,
     _growth,
+    _weight,
     _window_sums,
     a_inv_sq,
-    a_value,
     b_vector,
 )
 from .testproc import (
@@ -650,8 +652,7 @@ def _radius_job(plan: ExperimentPlan, beta_target: float, r_lo: float, r_hi: flo
     _check_unit("beta_target", beta_target)
     if not (math.isfinite(r_lo) and math.isfinite(r_hi) and 0.0 < r_lo <= r_hi):
         raise ValueError(f"need finite radii with 0 < r_lo <= r_hi, got {r_lo!r}, {r_hi!r}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_positive("tol", tol)
 
     def finish(parts: list) -> float:
         return _bisect(_joined(parts), plan, beta_target, r_lo, r_hi, tol)
@@ -690,8 +691,7 @@ def _radius_bracket(spec: RegimeSpec, r_lo, r_hi) -> tuple[float, float]:
     """(r_lo, r_hi) as floats, a missing one set as fit_rate_slope documents;
     1 / a_1 is taken in logs past the float range, and refused if subnormal."""
     if r_hi is None:
-        with np.errstate(over="ignore"):  # past the float range, from ln a_1
-            a_1 = float(a_value(spec, 1))
+        a_1 = _weight(spec, 1)  # inf past the float range, where ln a_1 serves
         r_hi = 1.0 / a_1 if a_1 < math.inf else math.exp(-_log_weight(spec, 1))
         if r_hi < sys.float_info.min:
             raise InfeasibleRadiusError(f"the ceiling 1 / a_1 = {r_hi!r} at s={spec.s!r} is below "
@@ -726,8 +726,8 @@ def fit_rate_slope(plan_template: ExperimentPlan, epsilon_grid: Sequence[float],
     eps_values = [float(e) for e in epsilon_grid]
     if len(set(eps_values)) < 2:
         raise ValueError("epsilon_grid needs at least two distinct values")
-    if any(not 0.0 < e < 1.0 for e in eps_values):
-        raise ValueError("epsilon grid values must lie in (0, 1)")
+    for eps in eps_values:
+        _check_unit("epsilon", eps)
     r_lo, r_hi = _radius_bracket(plan_template.spec, r_lo, r_hi)
     sigma = plan_template.noise.sigma
     radii = _run_jobs((_radius_job(replace(plan_template, noise=NoiseLevels(eps, sigma)),
@@ -806,13 +806,10 @@ def _quadform_failures(d: int, nu: np.ndarray, v: np.ndarray, mean: float,
 def _quadform_job(d: int, nu, v, x: float, n_reps: int, master_seed: int = 0) -> _Job:
     """check_quadform_concentration(d, nu, v, x, n_reps, master_seed) as a job."""
     d = _count("d", d)
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"x must be positive and finite, got {x!r}")
+    _check_positive("x", x)
     n_reps = _count("n_reps", n_reps)
-    nu = np.broadcast_to(np.asarray(nu, dtype=float), (d,)).copy()
-    v = np.broadcast_to(np.asarray(v, dtype=float), (d,)).copy()
-    if not (np.all(np.isfinite(nu)) and np.all(np.isfinite(v))):
-        raise ValueError("nu and v must be finite")
+    nu = _check_vector("nu", np.broadcast_to(np.asarray(nu, dtype=float), (d,)).copy())
+    v = _check_vector("v", np.broadcast_to(np.asarray(v, dtype=float), (d,)).copy())
     with np.errstate(over="ignore", invalid="ignore"):
         mean = _fsum((nu ** 2 + v ** 2).tolist())
         proxy = _fsum((v ** 4).tolist()) + 2.0 * _fsum((v ** 2 * nu ** 2).tolist())

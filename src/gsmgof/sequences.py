@@ -113,6 +113,27 @@ def _count(name: str, value, low: int = 1) -> int:
     return number
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}")
+
+
+def _check_vector(name: str, values) -> np.ndarray:
+    """values as a one-dimensional float array, refused by name unless every
+    entry is finite."""
+    array = np.asarray(values, dtype=float)
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+    return array
+
+
 def _fsum(values) -> float:
     """math.fsum of nonnegative floats; inf where finite ones sum past the
     float range, which fsum refuses with an OverflowError."""
@@ -231,12 +252,24 @@ def b_value(spec: RegimeSpec, j):
 
 
 def a_value(spec: RegimeSpec, j):
-    """Smoothness weight at index j (positive integer or integer array)."""
+    """Smoothness weight at index j (positive integer or integer array).  A
+    weight past the float range is refused."""
+    out = _weight(spec, j)
+    finite = np.isfinite(np.ravel(out))
+    if not finite.all():
+        raise SequenceOverflowError(f"a_{np.ravel(j)[finite.argmin()]} exceeds the floating-point "
+                                    f"range (s={spec.s}, c_a={spec.c_a})")
+    return out
+
+
+def _weight(spec: RegimeSpec, j):
+    """a_value, but inf (and no warning) where a weight passes the float range."""
     j = _index(j)
-    if spec.a_kind is GrowthKind.ORDINARY:
-        out = spec.c_a * j ** spec.s
-    else:
-        out = spec.c_a * np.exp(j * spec.s)
+    with np.errstate(over="ignore"):
+        if spec.a_kind is GrowthKind.ORDINARY:
+            out = spec.c_a * j ** spec.s
+        else:
+            out = spec.c_a * np.exp(j * spec.s)
     return out if out.ndim else float(out)
 
 
@@ -418,16 +451,12 @@ def ellipsoid_weighted_norm(spec: RegimeSpec, theta) -> float:
     one whose weighted sum leaves the float range (a SequenceOverflowError
     naming the index where the running sum does).
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1:
-        raise ValueError("theta must be one-dimensional")
-    if not np.isfinite(theta).all():
-        raise ValueError("theta must be finite")
+    theta = _check_vector("theta", theta)
     nz = np.nonzero(theta)[0]
     if nz.size == 0:
         return 0.0
     with np.errstate(over="ignore"):  # a weight or term past the float range is refused below
-        terms = (np.asarray(a_value(spec, nz + 1)) * theta[nz]) ** 2
+        terms = (np.asarray(_weight(spec, nz + 1)) * theta[nz]) ** 2
         total = _fsum(terms.tolist())
         if not math.isfinite(total):
             past = np.flatnonzero(~np.isfinite(np.cumsum(terms)))

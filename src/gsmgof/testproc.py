@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DegenerateBandwidthError, DegenerateObservationError
 from .gsm import NoiseLevels, Observations, Signal
-from .sequences import RegimeSpec, _count, _fsum, _index, a_inv_sq, b_vector
+from .sequences import (RegimeSpec, _check_nonnegative, _check_positive, _count, _fsum, _index,
+                        a_inv_sq, b_vector)
 
 __all__ = [
     "KAPPA_DEFAULT",
@@ -55,11 +56,6 @@ def _check_unit(name: str, value: float) -> None:
 def _check_kappa(kappa: float) -> None:
     if not (math.isfinite(kappa) and kappa > math.e):
         raise ValueError(f"kappa must be finite and exceed e, got {kappa!r}")
-
-
-def _check_sigma(sigma: float) -> None:
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
 
 
 def tail_exponent(alpha: float) -> float:
@@ -185,7 +181,7 @@ def empirical_bandwidth(x, sigma: float, alpha: float, kappa: float = KAPPA_DEFA
     bandwidth exceeds the horizon, which usually means j_max is undersized.
     An x within the horizon that is not finite is refused.
     """
-    _check_sigma(sigma)
+    _check_positive("sigma", sigma)
     x = np.asarray(x, dtype=float)
     n = x.size if j_max is None else min(_count("j_max", j_max), x.size)
     if n < 1:
@@ -201,7 +197,7 @@ def bandwidth_bracket(spec: RegimeSpec, sigma: float, alpha: float,
     with high probability: low from the wide envelope (first trigger minus
     one), high from the narrow one (first trigger itself).  Each scan stops
     at its first trigger."""
-    _check_sigma(sigma)
+    _check_positive("sigma", sigma)
     j_max = _count("j_max", j_max)
     b = b_vector(spec, j_max)
     low = _first_trigger(b, sigma, _table(bracket_envelope_low, alpha, kappa, j_max))
@@ -269,8 +265,7 @@ def threshold_parts(x, spec: RegimeSpec, d: int, m: int, epsilon: float,
     if w == 0:
         raise DegenerateBandwidthError("empty active window: min(d, m) = 0")
     _check_unit("sigma", sigma)
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
+    _check_nonnegative("epsilon", epsilon)
     xs = _window(x, w)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         inv2, inv4 = xs ** -2.0, xs ** -4.0
@@ -311,7 +306,9 @@ def threshold(x, spec: RegimeSpec, d: int, m: int, epsilon: float,
 
 
 def _squared(epsilon: float) -> float:
-    """epsilon ** 2; one past the float range is refused."""
+    """epsilon ** 2 of a finite nonnegative epsilon; one past the float range
+    is refused."""
+    _check_nonnegative("epsilon", epsilon)
     try:
         return epsilon ** 2
     except OverflowError:
@@ -353,8 +350,22 @@ def dimension_objective(x, spec: RegimeSpec, m: int, epsilon: float, sigma: floa
     running sums of x_j^-4 (see _objective).
 
     Every occurrence of the dimension is through min(d, m), so the objective
-    is constant beyond m and the scan never needs to look past it.
+    is constant beyond m and the scan never needs to look past it.  An
+    objective that is not finite at some d (a sum of x_j^-4 past the float
+    range, or the NaN bias floor of a subnormal sigma) is refused.
     """
+    objective = _dimension_objective(x, spec, m, epsilon, sigma, alpha, beta)
+    finite = np.isfinite(objective)
+    if not finite.all():
+        raise ValueError(f"the dimension objective is {objective[finite.argmin()]} "
+                         f"from d={finite.argmin() + 1}")
+    return objective
+
+
+def _dimension_objective(x, spec: RegimeSpec, m: int, epsilon: float, sigma: float,
+                         alpha: float, beta: float) -> np.ndarray:
+    """dimension_objective, with what it refuses as NaN or inf entries (the
+    Monte Carlo kernel's objective)."""
     m = _count("m", m, low=0)
     if m == 0:
         raise DegenerateBandwidthError("bandwidth is zero; no dimension to select")
@@ -370,9 +381,10 @@ def select_dimension(x, spec: RegimeSpec, m: int, epsilon: float, sigma: float,
     """Smallest minimizer of the adaptive-dimension objective over {1..m}.
 
     Ties break toward the smaller dimension (cheapest statistic among equals).
+    An objective that is not finite at some d is read as the Monte Carlo
+    kernel reads it: np.argmin's first NaN, else its first minimum.
     """
-    obj = dimension_objective(x, spec, m, epsilon, sigma, alpha, beta)
-    return int(np.argmin(obj)) + 1
+    return int(np.argmin(_dimension_objective(x, spec, m, epsilon, sigma, alpha, beta))) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +445,7 @@ class TestReport:
 def run_test(obs: Observations, theta0: Signal, spec: RegimeSpec,
              noise: NoiseLevels, config: TestConfig) -> TestReport:
     """Full pipeline: bandwidth scan, dimension choice, statistic vs threshold."""
+    _check_unit("sigma", noise.sigma)
     if len(obs) < config.j_max:
         raise ValueError(
             f"observations of length {len(obs)} are shorter than the horizon {config.j_max}"

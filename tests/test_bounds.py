@@ -486,8 +486,8 @@ class TestEvaluateBounds:
             evaluate_bounds(mild_ordinary, *args)
 
     @pytest.mark.parametrize("epsilon, message", [
-        (math.nan, "epsilon must be finite, got nan"),
-        (math.inf, "epsilon must be finite, got inf"),
+        (math.nan, "epsilon must be positive and finite, got nan"),
+        (math.inf, "epsilon must be positive and finite, got inf"),
         (np.float64(1e200), "squared exceeds the float range"),
     ], ids=["nan", "inf", "numpy-overflow"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")

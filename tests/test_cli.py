@@ -177,7 +177,7 @@ class TestPrecedence:
     def test_workers_below_one_exits_2(self, capsys, workers):
         """A pool of no process is refused, not run serially."""
         assert main(["calibrate", "--jmax", "50", "--reps", "100", "--workers", workers]) == 2
-        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
 
     def test_seed_past_the_philox_key_exits_2(self, monkeypatch, capsys):
         assert main(["test", "--jmax", "50", "--seed", str(2 ** 128)]) == 2
@@ -527,7 +527,7 @@ class TestBounds:
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_non_finite_epsilon_exits_2(self, capsys, epsilon):
         assert main(["bounds", "--epsilon", epsilon, "--jmax", "50"]) == 2
-        assert f"epsilon must be finite, got {epsilon}" in capsys.readouterr().err
+        assert f"epsilon must be positive and finite, got {epsilon}" in capsys.readouterr().err
 
 
 class TestChecks:

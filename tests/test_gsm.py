@@ -43,13 +43,14 @@ from gsmgof import (
 )
 from gsmgof import cli
 from gsmgof.gsm import DRAW_BOUND, _ChunkDraws, _gaussian, _ndtri
+from gsmgof.sequences import _weight
 
 
 def _weight_times(spec, d, r):
-    """a_d * r: the float product where a_value(spec, d) is finite, else
-    exact to 40 digits (a Decimal, of an unbounded exponent)."""
-    with np.errstate(over="ignore"):
-        a = a_value(spec, d)
+    """a_d * r: the float product where a_d is a float (a_value refuses one
+    past the float range), else exact to 40 digits (a Decimal, of an
+    unbounded exponent)."""
+    a = _weight(spec, d)
     if math.isfinite(a):
         return a * r
     with localcontext() as context:

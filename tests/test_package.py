@@ -1,8 +1,9 @@
 """The package's public names: each module's __all__, exported once; the
 one count rule, sequences._count, is the only place a parameter is cast with
-int(); the Monte Carlo harness imports no reference path; the process runner
-sits below the harness; and numpy is the one third-party module the package
-imports and declares."""
+int(); each other input rule states its message once; the Monte Carlo
+harness imports no reference path; the process runner sits below the
+harness; and numpy is the one third-party module the package imports and
+declares."""
 
 import ast
 import re
@@ -105,6 +106,27 @@ def test_the_bias_floor_is_written_once_and_the_harness_sums_no_window_by_fsum()
     assert not [node.lineno for node in ast.walk(ast.parse(source))
                 if isinstance(node, ast.Attribute) and node.attr == "fsum"
                 and isinstance(node.value, ast.Name) and node.value.id == "math"]
+
+
+# The message of each input rule; the rule that raises it lives beside it.
+_RULE_MESSAGES = (
+    "must be positive and finite",  # sequences._check_positive
+    "must be a finite nonnegative number",  # sequences._check_nonnegative
+    "must be one-dimensional",  # sequences._check_vector
+    "must lie in (0, 1)",  # testproc._check_unit
+    "must lie in [0, 2**",  # gsm._word
+)
+
+
+def test_each_input_rule_is_written_once():
+    """A positive, nonnegative, unit-interval, finite-vector or word check
+    goes through its one rule, so each rule's message occurs once in the
+    package; a hand-written copy would state it, or a variant, again."""
+    package = Path(gsmgof.__file__).parent
+    sources = [path.read_text(encoding="utf-8") for path in package.glob("*.py")]
+    for message in _RULE_MESSAGES:
+        assert sum(source.count(message) for source in sources) == 1, message
+    assert not hasattr(testproc, "_check_sigma")
 
 
 def _top_level_names(source: str) -> set[str]:

@@ -105,6 +105,20 @@ class TestPinnedValues:
         assert isinstance(arr, np.ndarray)
         assert_allclose(arr, [1.0, 0.5, 1.0 / 3.0], rtol=1e-15)
 
+    @pytest.mark.parametrize("name, s, c_a, j, index", [
+        ("mild-ordinary", 1e300, 1.0, 3, "3"),
+        ("mild-ordinary", 1.0, 1e300, np.array([1, 2e8, 3e8]), "200000000.0"),
+        ("mild-super", 1.0, 1.0, np.arange(1, 800), "710"),
+        ("severe-super", 1.0, 1.0, 1e300, "1e+300"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_weight_past_the_float_range_is_refused(self, name, s, c_a, j, index):
+        """Not returned as inf with an overflow warning: the first index
+        whose weight leaves the float range is named."""
+        spec = RegimeSpec.from_name(name, s=s, c_a=c_a)
+        with pytest.raises(SequenceOverflowError, match=re.escape(f"a_{index} exceeds")):
+            a_value(spec, j)
+
     def test_index_must_be_positive(self, mild_ordinary):
         with pytest.raises(ValueError):
             b_value(mild_ordinary, 0)

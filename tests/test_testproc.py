@@ -469,6 +469,27 @@ class TestDimensionSelection:
             select_dimension(np.ones(3), mild_ordinary, m=0, epsilon=0.01, sigma=0.01,
                              alpha=0.05, beta=0.5)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, -0.01])
+    def test_an_epsilon_outside_its_domain_is_refused(self, mild_ordinary, epsilon):
+        """A NaN epsilon made the objective all NaN and an infinite one all
+        inf, so select_dimension chose d = 1; a negative one acted as its
+        absolute value."""
+        message = re.escape(f"epsilon must be a finite nonnegative number, got {epsilon!r}")
+        for select in (dimension_objective, select_dimension):
+            with pytest.raises(ValueError, match=message):
+                select(np.ones(3), mild_ordinary, 3, epsilon, 0.01, 0.05, 0.5)
+
+    @pytest.mark.parametrize("x, sigma, value", [([1e-80, 1.0], 0.01, "inf"),
+                                                 ([1.0, 1.0], 1e-310, "nan")])
+    def test_an_objective_that_is_not_finite_is_refused(self, mild_ordinary, x, sigma, value):
+        """x_1**-4 past the float range makes every entry inf, and a subnormal
+        sigma's bias floor every entry NaN.  dimension_objective refuses
+        them; select_dimension reads them as the Monte Carlo kernel does."""
+        args = (mild_ordinary, 2, 0.01, sigma, 0.05, 0.5)
+        with pytest.raises(ValueError, match=f"the dimension objective is {value} from d=1"):
+            dimension_objective(x, *args)
+        assert select_dimension(x, *args) == 1
+
     @pytest.mark.parametrize("bad, message", [(math.nan, "is nan"), (math.inf, "is inf"),
                                               (-math.inf, "is -inf")])
     def test_a_non_finite_x_within_the_window_is_refused(self, mild_ordinary, bad, message):
@@ -562,6 +583,18 @@ class TestRunTest:
         assert report.window == min(2, report.bandwidth)
         expected = statistic(obs.y, obs.x, theta0, 2, report.bandwidth)
         assert report.statistic == expected
+
+    @pytest.mark.parametrize("c_b", [1.0, 1e4])
+    def test_sigma_outside_the_unit_interval_is_refused_whatever_the_data(self, c_b):
+        """At c_b = 1, sigma = 2 drowns b_1, and the scan alone gave the
+        degenerate accepting report; at c_b = 1e4 the threshold refused it.
+        Both are refused before the scan."""
+        spec = RegimeSpec.from_name("mild-ordinary", c_b=c_b)
+        noise = NoiseLevels(1e-3, 2.0)
+        obs = simulate(Signal.zeros(0), spec, noise, seed=13, j_max=50)
+        config = TestConfig(alpha=0.05, beta=0.5, j_max=50)
+        with pytest.raises(ValueError, match=re.escape("sigma must lie in (0, 1), got 2.0")):
+            run_test(obs, Signal.zeros(0), spec, noise, config)
 
     def test_short_observations_refused(self, mild_ordinary):
         theta0 = Signal.zeros(0)
